@@ -47,7 +47,6 @@ from .partitions import (
     bell_number,
     coarsenings,
     enumerate_partitions,
-    format_partition,
     hasse_edges,
     parse,
     refines,

@@ -16,13 +16,17 @@ merge with any other row because its entries dominate termwise.  The
 surviving "potential equality" graph limits which merge patterns could
 produce the required number of distinct rows.  Every admissible merge
 pattern yields a polynomial system; the system is decomposed by exact
-branching (factor splits, linear-pivot elimination with certified
-denominators, pseudo-remainders) into leaves that either
+branching (linear-pivot elimination with constant or sieve-certified
+denominators, factor splits, univariate gcds, resultants) into leaves that
+either
 
   * contradict the primitive region (a sieve-certified nonzero polynomial
-    is forced to vanish, or forced parameter signs conflict), or
+    is forced to vanish, an equation is definite or rootless on the region,
+    or a forced-positive quantity gets the wrong sign), or
   * land on a solution variety, which must be identified with a catalogued
-    family.
+    family, or on exact points, which must be catalogued sporadic tables.
+
+Any other leaf is unresolved, and so is the partition it belongs to.
 
 The two imprimitive families are handled separately by fusing the fully
 symbolic union-of-cliques table (parameters r, m) and its partner, exactly
@@ -48,6 +52,8 @@ from .exact import (
     K,
     L,
     M,
+    MissingSymbol,
+    MixedField,
     MultiPoly,
     NonzeroCertificate,
     ONE,
@@ -615,38 +621,31 @@ def _rational_roots(p: MultiPoly, var: str) -> list[Fraction]:
     return roots
 
 
-_SPLIT_CACHE: dict[MultiPoly, tuple[tuple[MultiPoly, ...], bool]] = {}
+_SPLIT_CACHE: dict[MultiPoly, tuple[MultiPoly, ...]] = {}
 
 
-def _split_poly(p: MultiPoly, sieve: SieveSet) -> tuple[list[MultiPoly], bool]:
-    """Factor p over the sieve and factor basis.
+def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
+    """Factor p over the default sieve and the factor basis.
 
-    Returns (non_sieve_factors, had_sieve_factor).  Sieve factors are
-    dropped (they cannot vanish); an empty factor list with
-    had_sieve_factor means p itself is sieve-certified nonzero.
+    Returns the non-sieve factors; sieve factors are dropped because they
+    cannot vanish on the primitive region.
     """
     cached = _SPLIT_CACHE.get(p)
-    if cached is not None:
-        return list(cached[0]), cached[1]
-    factors, dropped = _split_poly_uncached(p, sieve)
-    _SPLIT_CACHE[p] = (tuple(factors), dropped)
-    return factors, dropped
+    if cached is None:
+        cached = _SPLIT_CACHE[p] = _split_poly_uncached(p)
+    return cached
 
 
-def _split_poly_uncached(p: MultiPoly, sieve: SieveSet) -> tuple[list[MultiPoly], bool]:
+def _split_poly_uncached(p: MultiPoly) -> tuple[MultiPoly, ...]:
     rem = p.normalized()
-    dropped = False
     factors: list[MultiPoly] = []
     progress = True
     while progress and not rem.is_constant():
         progress = False
-        for mem in sieve.members:
-            if mem.poly.is_constant():
-                continue
+        for mem in default_sieve_set().members:
             q = rem.divide_exact(mem.poly)
             if q is not None:
                 rem = q
-                dropped = True
                 progress = True
                 break
         else:
@@ -689,7 +688,7 @@ def _split_poly_uncached(p: MultiPoly, sieve: SieveSet) -> tuple[list[MultiPoly]
                         break
     if not rem.is_constant():
         factors.append(rem.normalized())
-    return [f for f in factors if not f.is_constant()], dropped
+    return tuple(f for f in factors if not f.is_constant())
 
 
 def _coeff_of(p: MultiPoly, var: str, power: int) -> MultiPoly:
@@ -724,11 +723,16 @@ class SubstitutionRecord:
 
 @dataclass(frozen=True)
 class BoundConflict:
-    """Two forced-positive quantities whose leaf images are proportional
-    with a negative ratio, or one with a nonpositive constant/certified
-    image, or an empty one-variable interval."""
+    """Why a leaf misses the primitive region.
 
-    kind: str  # "certified-sign" | "proportional" | "interval" | "constant"
+    ``definite``: an equation whose terms all share one sign on the region
+    orthant; ``no-region-root``: a univariate equation with no root inside
+    its region interval; ``constant`` / ``image-definite``: a forced-positive
+    quantity whose image under the substitution chain is a constant, resp.
+    an orthant-definite polynomial, of the wrong sign.
+    """
+
+    kind: str  # "definite" | "no-region-root" | "constant" | "image-definite"
     data: tuple
 
 
@@ -772,7 +776,7 @@ def _leaf_point(
             if den == 0:
                 return None
             point[rec.var] = -num / den
-    except Exception:
+    except (MissingSymbol, MixedField):
         return None
     if not {"k", "l", "r", "s"} <= set(point):
         return None
@@ -862,35 +866,44 @@ def _coeffs_to_poly(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
     return out
 
 
-def _poly_gcd_1var(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def deg(c):
-        d = len(c) - 1
-        while d >= 0 and c[d] == 0:
-            d -= 1
-        return d
+def _trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """Ascending coefficient list without trailing zeros (zero is [])."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
-    def rem(f, g):
-        f = f[:]
-        dg = deg(g)
-        while deg(f) >= dg >= 0:
-            df = deg(f)
-            factor = f[df] / g[dg]
-            for i in range(dg + 1):
-                f[df - dg + i] -= factor * g[i]
-            f = f[: df] + [Fraction(0)] * 0
-            while f and f[-1] == 0:
-                f.pop()
-            if not f:
-                return []
-        return f
 
-    while deg(b) >= 0:
-        a, b = b, rem(a, b)
-    d = deg(a)
-    if d < 0:
-        return []
-    lead = a[d]
-    return [c / lead for c in a[: d + 1]]
+def _divmod_1var(
+    f: Sequence[Fraction], g: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by a nonzero g, both trimmed."""
+    f, g = _trim(f), _trim(g)
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        factor = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        q[shift] = factor
+        for i in range(len(g) - 1):
+            f[shift + i] -= factor * g[i]
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return q, f
+
+
+def _poly_gcd_1var(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """Monic gcd of two coefficient lists; [] when both are zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _divmod_1var(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    return [c * i for i, c in enumerate(coeffs)][1:]
 
 
 def _orthant_sign(q: MultiPoly) -> int | None:
@@ -930,25 +943,8 @@ def _rootless_on_region(e: MultiPoly) -> bool:
     return hit
 
 
-def _region_definite(q: MultiPoly) -> tuple[str, str] | None:
-    """Witness that a polynomial cannot vanish on the parameter region."""
-    o = _orthant_sign(q)
-    if o is not None:
-        return ("*", "orthant")
-    syms = q.symbols()
-    if len(syms) != 1:
-        return None
-    var = next(iter(syms))
-    coeffs = _univariate_coeffs(q, var)
-    if coeffs and len(coeffs) == 3:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
-        if b * b - 4 * a * c < 0:
-            return (var, "negative-discriminant")
-    return None
-
-
 # ---------------------------------------------------------------------------
-# exact univariate real-root analysis (Sturm sequences)
+# exact univariate real-root counting (Sturm sequences)
 # ---------------------------------------------------------------------------
 
 # open region interval per symbol; None means unbounded
@@ -961,41 +957,16 @@ _REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
 }
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    def deg(c):
-        return len(c) - 1
-
-    def trim(c):
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    def neg_rem(f, g):
-        f = list(f)
-        while True:
-            f = trim(f)
-            if len(f) < len(g):
+def _sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
+    chain = [_trim(coeffs)]
+    der = _trim(_derivative(chain[0]))
+    if der:
+        chain.append(der)
+        while len(chain[-1]) > 1:
+            rem = _divmod_1var(chain[-2], chain[-1])[1]
+            if not rem:
                 break
-            factor = f[-1] / g[-1]
-            shift = len(f) - len(g)
-            for i in range(len(g)):
-                f[shift + i] -= factor * g[i]
-            f[-1] = Fraction(0)
-        return [-c for c in f]
-
-    def deriv(c):
-        return [c[i] * i for i in range(1, len(c))]
-
-    chain = [trim(coeffs)]
-    d = deriv(chain[0])
-    if trim(d):
-        chain.append(trim(d))
-        while deg(chain[-1]) > 0:
-            r = neg_rem(chain[-2], chain[-1])
-            if not r:
-                break
-            chain.append(r)
+            chain.append([-c for c in rem])
     return chain
 
 
@@ -1024,20 +995,16 @@ def _sign_variations_at(chain, x: Fraction | None, at_pos_inf: bool = False) -> 
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots_open(coeffs: list[Fraction], lo, hi) -> int:
+def _count_roots_open(coeffs: Sequence[Fraction], lo, hi) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
     # squarefree part via gcd with the derivative keeps Sturm honest
-    der = [coeffs[i] * i for i in range(1, len(coeffs))]
-    g = _poly_gcd_1var(list(coeffs), der) if der else []
-    if len(g) > 1:
-        sf = _poly_div_exact_1var(list(coeffs), g)
-    else:
-        sf = list(coeffs)
+    g = _poly_gcd_1var(coeffs, _derivative(coeffs))
+    sf = _divmod_1var(coeffs, g)[0] if len(g) > 1 else _trim(coeffs)
     # deflate exact roots sitting on a finite endpoint so Sturm applies
     for endpoint in (lo, hi):
         if endpoint is not None:
             while len(sf) > 1 and _eval_coeffs(sf, endpoint) == 0:
-                sf = _poly_div_exact_1var(sf, [-endpoint, Fraction(1)])
+                sf = _divmod_1var(sf, [-endpoint, Fraction(1)])[0]
     if len(sf) <= 1:
         return 0
     chain = _sturm_chain(sf)
@@ -1048,95 +1015,23 @@ def _count_roots_open(coeffs: list[Fraction], lo, hi) -> int:
     return va - vb
 
 
-def _poly_div_exact_1var(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    f = list(f)
-    out = [Fraction(0)] * (len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        factor = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        out[shift] = factor
-        for i in range(len(g)):
-            f[shift + i] -= factor * g[i]
-        f.pop()
-    return out
+def _quadratic_roots_exact(coeffs: Sequence[Fraction]):
+    """Exact real roots, with multiplicity, of a degree 1 or 2 polynomial.
 
-
-def _isolate_region_roots(
-    coeffs: list[Fraction], var: str
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals, one distinct root each, inside the region."""
-    lo, hi = _REGION_INTERVAL[var]
-    total = _count_roots_open(coeffs, lo, hi)
-    if total == 0:
-        return []
-    # Cauchy bound limits the finite search window; (a, b) stays inside the
-    # region and contains every region root
-    lead = next(c for c in reversed(coeffs) if c != 0)
-    bound = 1 + max(abs(c / lead) for c in coeffs)
-    a = Fraction(lo) if lo is not None else -bound - 1
-    b = Fraction(hi) if hi is not None else bound + 1
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def rec(x: Fraction, y: Fraction):
-        n = _count_roots_open(coeffs, x, y)
-        if n == 0:
-            return
-        if n == 1:
-            out.append((x, y))
-            return
-        mid = (x + y) / 2
-        while _eval_coeffs(coeffs, mid) == 0:
-            mid = (x + mid) / 2
-        rec(x, mid)
-        rec(mid, y)
-
-    rec(a, b)
-    return out
-
-
-def _refine_until_sign(
-    res: list[Fraction], interval: tuple[Fraction, Fraction], poly: list[Fraction]
-) -> int:
-    """Exact sign of ``poly`` at the unique root of ``res`` in ``interval``."""
-    x, y = interval
-    for _ in range(512):
-        if _count_roots_open(poly, x, y) == 0 and _eval_coeffs(poly, x) != 0 \
-                and _eval_coeffs(poly, y) != 0:
-            v = _eval_coeffs(poly, (x + y) / 2)
-            if v == 0:
-                v = _eval_coeffs(poly, x)
-            return (v > 0) - (v < 0)
-        mid = (x + y) / 2
-        if _eval_coeffs(res, mid) == 0:
-            # root hit exactly: evaluate there
-            v = _eval_coeffs(poly, mid)
-            return (v > 0) - (v < 0)
-        if _count_roots_open(res, x, mid) == 1:
-            y = mid
-        else:
-            x = mid
-    raise RuntimeError("sign refinement did not converge")
-
-
-def _quadratic_roots_exact(coeffs: list[Fraction]):
-    """Exact roots of a degree <= 2 polynomial as Fractions/quadratics."""
+    Roots are Fractions or quadratic irrationals; None for other degrees.
+    """
+    coeffs = _trim(coeffs)
     if len(coeffs) == 2:
         return [-coeffs[0] / coeffs[1]]
     if len(coeffs) == 3:
-        a, b, c = coeffs[2], coeffs[1], coeffs[0]
+        c, b, a = coeffs
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        root_sq = _frac_sqrt(disc)
-        if root_sq is not None:
-            return [(-b + root_sq) / (2 * a), (-b - root_sq) / (2 * a)]
-        scaled = disc.numerator * disc.denominator  # d/(q^2) with d integral
+        # sqrt(n/d) = sqrt(n*d)/d, and quad() folds a square n*d back into Q
+        half_root = Fraction(1, 2 * disc.denominator) / a if disc else 0
         return [
-            quad(-b / (2 * a), Fraction(sgn, 2 * disc.denominator) / a, scaled)
+            quad(-b / (2 * a), sgn * half_root, disc.numerator * disc.denominator)
             for sgn in (1, -1)
         ]
     return None
@@ -1208,12 +1103,12 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
 class _Decomposer:
     """Branch decomposition of an equation system over the primitive region."""
 
-    def __init__(self, sieve: SieveSet, catalog: Sequence[FamilySpec]):
-        self.sieve = sieve
-        self.catalog = tuple(catalog)
+    def __init__(self):
+        self.sieve = default_sieve_set()
+        self.catalog = family_catalog()
 
     def decompose(self, eqs: Sequence[MultiPoly]) -> list[ProofLeaf]:
-        system = [e.normalized() for e in eqs if not e.normalized().is_zero()]
+        system = [e.normalized() for e in eqs if not e.is_zero()]
         return self._run(list(dict.fromkeys(system)), (), (), 0)
 
     # -- helpers ------------------------------------------------------------
@@ -1243,14 +1138,12 @@ class _Decomposer:
                     subs, assumptions, "contradiction-unit",
                     unit_poly=e, unit_certificate=cert,
                 )]
-            definite = _region_definite(e)
-            if definite is not None:
+            if _orthant_sign(e) is not None:
                 return [ProofLeaf(
                     subs, assumptions, "contradiction-bounds",
-                    bound_conflict=BoundConflict("definite", (e,) + definite),
+                    bound_conflict=BoundConflict("definite", (e,)),
                 )]
-            rootless = _rootless_on_region(e)
-            if rootless:
+            if _rootless_on_region(e):
                 return [ProofLeaf(
                     subs, assumptions, "contradiction-bounds",
                     bound_conflict=BoundConflict(
@@ -1268,7 +1161,7 @@ class _Decomposer:
         # branch-free linear elimination comes first: a pivot whose leading
         # coefficient is constant or sieve-certified collapses the system
         # without splitting
-        pivot = self._pick_pivot(system, certified_only=True)
+        pivot = self._pick_pivot(system)
         if pivot is not None:
             idx, var, a_part, b_part, cert = pivot
             rest = system[:idx] + system[idx + 1:]
@@ -1277,18 +1170,10 @@ class _Decomposer:
                 _substitute_into(rest, rec), subs + (rec,), assumptions, depth + 1
             )
 
-        # factor splits: replace one equation by branches over its factors
+        # factor splits: replace one equation by branches over its factors;
+        # every member here failed certify, so each keeps a non-sieve factor
         for idx, e in enumerate(system):
-            factors, _ = _split_poly(e, self.sieve)
-            if not factors:
-                # all factors sieve-certified nonzero yet product must vanish
-                cert = self.sieve.certify(e)
-                if cert is None:
-                    cert = NonzeroCertificate(Fraction(1), ())
-                return [ProofLeaf(
-                    subs, assumptions, "contradiction-unit",
-                    unit_poly=e, unit_certificate=cert,
-                )]
+            factors = _split_poly(e)
             if len(factors) > 1 or factors[0] != e:
                 leaves = []
                 rest = system[:idx] + system[idx + 1:]
@@ -1304,38 +1189,16 @@ class _Decomposer:
         if reduced is not None:
             return self._run(reduced, subs, assumptions, depth + 1)
 
-        # linear pivot with undecided denominator: branch on zero / nonzero
-        pivot = self._pick_pivot(system, certified_only=False)
-        if pivot is not None:
-            idx, var, a_part, b_part, _ = pivot
-            rest = system[:idx] + system[idx + 1:]
-            b_norm = b_part.normalized()
-            leaves = self._run(
-                list(dict.fromkeys(rest + [b_norm, a_part.normalized()])),
-                subs, assumptions + (b_norm,), depth + 1,
-            )
-            rec = SubstitutionRecord(var, a_part, b_part, None)
-            leaves.extend(self._run(
-                _substitute_into(rest, rec), subs + (rec,), assumptions, depth + 1
-            ))
-            return leaves
-
         # resultants eliminate a variable outright from nonlinear pairs
         new = self._resultant_consequence(system)
         if new is not None:
             return self._run(
                 list(dict.fromkeys(system + [new])), subs, assumptions, depth + 1
             )
-        # pseudo-remainder fallback
-        if depth <= 32:
-            new = self._pseudo_consequence(system)
-            if new is not None:
-                return self._run(
-                    list(dict.fromkeys(system + [new])), subs, assumptions, depth + 1
-                )
         return [self._close_leaf(subs, assumptions, tuple(system))]
 
-    def _pick_pivot(self, system: list[MultiPoly], certified_only: bool):
+    def _pick_pivot(self, system: list[MultiPoly]):
+        """A linear pivot whose coefficient is constant or sieve-certified."""
         best = None
         for var in _ELIM_ORDER:
             for idx, e in enumerate(system):
@@ -1348,9 +1211,9 @@ class _Decomposer:
                     rank, cert = 0, None
                 else:
                     cert = self.sieve.certify(b_norm)
-                    rank = 1 if cert is not None else 2
-                if certified_only and rank == 2:
-                    continue
+                    if cert is None:
+                        continue
+                    rank = 1
                 score = (rank, len(e.terms))
                 if best is None or score < best[0]:
                     best = (score, idx, var, a_part, b_part, cert)
@@ -1376,24 +1239,6 @@ class _Decomposer:
                         return res
         return None
 
-    def _pseudo_consequence(self, system: list[MultiPoly]) -> MultiPoly | None:
-        for (i, f), (j, g) in itertools.combinations(enumerate(system), 2):
-            common = f.symbols() & g.symbols()
-            for var in sorted(common):
-                df, dg = f.degree(var), g.degree(var)
-                if df < 1 or dg < 1:
-                    continue
-                hi, lo = (f, g) if df >= dg else (g, f)
-                dh, dl = max(df, dg), min(df, dg)
-                lead_lo = _coeff_of(lo, var, dl)
-                lead_hi = _coeff_of(hi, var, dh)
-                # one pseudo-reduction step: lead_lo * hi - lead_hi * x^d * lo
-                xshift = MultiPoly.var(var) ** (dh - dl)
-                cand = (lead_lo * hi - lead_hi * xshift * lo).normalized()
-                if not cand.is_zero() and cand not in system:
-                    return cand
-        return None
-
     def _close_leaf(
         self,
         subs: tuple[SubstitutionRecord, ...],
@@ -1416,20 +1261,14 @@ class _Decomposer:
             free |= e.symbols()
 
         if not free:
-            # fully pinned: one candidate point, feasible or not
+            # fully pinned (residual equations always carry a symbol): one
+            # candidate point
             point = _leaf_point(subs)
-            if point is None or residual:
-                return ProofLeaf(
-                    subs, assumptions, "unresolved", residual=tuple(residual)
-                )
-            if _point_feasible(point):
+            if point is not None and _point_feasible(point):
                 return ProofLeaf(
                     subs, assumptions, "sporadic", points=(_freeze_point(point),)
                 )
-            return ProofLeaf(
-                subs, assumptions, "contradiction-bounds",
-                bound_conflict=BoundConflict("point", (_freeze_point(point),)),
-            )
+            return ProofLeaf(subs, assumptions, "unresolved")
 
         if residual and len(free) == 1:
             return self._univariate_leaf(subs, assumptions, residual, free.pop())
@@ -1441,7 +1280,7 @@ class _Decomposer:
                 if fam.point_instances:
                     continue
                 if all(
-                    _apply_substitutions(d, subs).normalized().is_zero()
+                    _apply_substitutions(d, subs).is_zero()
                     for d in fam.defining
                 ):
                     fams.append(fam.id)
@@ -1458,93 +1297,23 @@ class _Decomposer:
     ) -> ProofLeaf:
         """Decide a leaf cut out by univariate residual equations exactly.
 
-        The residual gcd's real roots inside the region interval are
-        isolated; each root is kept only if every forced-positive quantity
-        is strictly positive there (signs decided exactly via Sturm
-        refinement).  Surviving roots of degree <= 2 give exact sporadic
-        points; no survivors is a contradiction.
+        The residual gcd, when of degree 1 or 2, has exact roots; each root
+        inside the region interval whose point keeps every forced-positive
+        quantity strictly positive is a sporadic point.  A leaf without such
+        a point stays unresolved.
         """
-        coeff_lists = [_univariate_coeffs(e, var) for e in residual]
-        if any(c is None for c in coeff_lists):
-            return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
-        g = coeff_lists[0]
-        for c in coeff_lists[1:]:
-            g = _poly_gcd_1var(list(g), list(c))
-        if not g:
-            return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
-        if len(g) == 1:
-            return ProofLeaf(
-                subs, assumptions, "contradiction-unit",
-                unit_poly=MultiPoly.const(1),
-                unit_certificate=NonzeroCertificate(Fraction(1), ()),
-            )
-        intervals = _isolate_region_roots(g, var)
-        if not intervals:
-            return ProofLeaf(
-                subs, assumptions, "contradiction-bounds",
-                bound_conflict=BoundConflict("no-region-root", (residual[0], var)),
-                residual=tuple(residual),
-            )
-        # exact bound signs at each root
-        bound_images = []
-        for name, poly in PRIMITIVE_POSITIVE:
-            img, sgn = _apply_substitutions_signed(poly, subs, self.sieve)
-            if sgn is None:
-                continue
-            coeffs = _univariate_coeffs(img, var)
-            if coeffs is None:
-                if img.is_constant():
-                    coeffs = [img.constant_value()]
-                else:
-                    continue
-            bound_images.append((name, coeffs, sgn))
-        survivors = []
-        for iv in intervals:
-            ok = True
-            for name, coeffs, sgn in bound_images:
-                if len(coeffs) <= 1:
-                    value_sign = (
-                        0 if not coeffs or coeffs[0] == 0
-                        else (1 if coeffs[0] > 0 else -1)
-                    )
-                else:
-                    value_sign = _refine_until_sign(g, iv, list(coeffs))
-                if value_sign != sgn:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(iv)
-        if not survivors:
-            return ProofLeaf(
-                subs, assumptions, "contradiction-bounds",
-                bound_conflict=BoundConflict(
-                    "no-admissible-root", (residual[0], var, tuple(intervals))
-                ),
-                residual=tuple(residual),
-            )
-        roots = _quadratic_roots_exact(list(g)) if len(g) <= 3 else None
-        if roots is None:
-            return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
+        g = _univariate_coeffs(residual[0], var)
+        for e in residual[1:]:
+            g = _poly_gcd_1var(g, _univariate_coeffs(e, var))
+        lo, hi = _REGION_INTERVAL[var]
         points = []
-        for root in roots:
-            lo, hi = _REGION_INTERVAL[var]
-            if lo is not None and not root > lo:
-                continue
-            if hi is not None and not root < hi:
-                continue
-            point = _leaf_point(subs, {var: root})
-            if point is not None and _point_feasible(point):
-                points.append(_freeze_point(point))
-        if not points:
-            return ProofLeaf(
-                subs, assumptions, "contradiction-bounds",
-                bound_conflict=BoundConflict(
-                    "no-admissible-root", (residual[0], var, tuple(intervals))
-                ),
-                residual=tuple(residual),
-            )
+        for root in _quadratic_roots_exact(g) or ():
+            if (lo is None or root > lo) and (hi is None or root < hi):
+                point = _leaf_point(subs, {var: root})
+                if point is not None and _point_feasible(point):
+                    points.append(_freeze_point(point))
         return ProofLeaf(
-            subs, assumptions, "sporadic",
+            subs, assumptions, "sporadic" if points else "unresolved",
             points=tuple(points), residual=tuple(residual),
         )
 
@@ -1558,56 +1327,17 @@ class _Decomposer:
         Images with unknown sign relations are skipped (sound, loses
         information only).
         """
-        images: list[tuple[str, MultiPoly, int]] = []
         for name, poly in PRIMITIVE_POSITIVE:
             img, sgn = _apply_substitutions_signed(poly, subs, self.sieve)
             if sgn is None:
                 continue
-            images.append((name, img, sgn))  # required: sign(img) == sgn
-        by_norm: dict[MultiPoly, list[tuple[str, int]]] = {}
-        for name, img, sgn in images:
-            if img.is_zero():
-                return BoundConflict("constant", (name, img))
             if img.is_constant():
-                c = img.constant_value()
-                if (1 if c > 0 else -1) != sgn:
+                if img.is_zero() or (1 if img.constant_value() > 0 else -1) != sgn:
                     return BoundConflict("constant", (name, img))
                 continue
             orthant = _orthant_sign(img)
             if orthant is not None and orthant != sgn:
                 return BoundConflict("image-definite", (name, img, orthant))
-            norm = img.normalized()
-            lead_sign = 1 if img.leading()[1] > 0 else -1
-            # required sign of the normalized image
-            by_norm.setdefault(norm, []).append((name, sgn * lead_sign))
-        for norm, entries in by_norm.items():
-            signs = {sgn for _, sgn in entries}
-            if len(signs) == 2:
-                return BoundConflict("proportional", (norm, tuple(entries)))
-            cert = self.sieve.certify(norm)
-            if cert is not None and cert.region_sign(self.sieve) != entries[0][1]:
-                return BoundConflict("certified-sign", (norm, entries[0], cert))
-        # one-variable interval analysis over the strict linear constraints
-        free: set[str] = set()
-        for _, img, _ in images:
-            free |= img.symbols()
-        if len(free) == 1:
-            var = next(iter(free))
-            lo: Fraction | None = None
-            hi: Fraction | None = None
-            full0 = {sym: Fraction(0) for sym in ("k", "l", "r", "s", "m")}
-            for name, img, sgn in images:
-                if img.is_constant() or img.degree(var) != 1:
-                    continue
-                b = _coeff_of(img, var, 1).constant_value() * sgn
-                a = img.evaluate(full0) * sgn
-                bound = -Fraction(a) / b
-                if b > 0:
-                    lo = bound if lo is None or bound > lo else lo
-                else:
-                    hi = bound if hi is None or bound < hi else hi
-            if lo is not None and hi is not None and lo >= hi:
-                return BoundConflict("interval", (var, lo, hi))
         return None
 
 
@@ -1756,25 +1486,18 @@ def _grouping_system(
             ) if not d.is_zero()
         )
         distinctness.append(diffs)
-    eqs = tuple(dict.fromkeys(e.normalized() for e in eqs if not e.normalized().is_zero()))
+    eqs = tuple(dict.fromkeys(e.normalized() for e in eqs if not e.is_zero()))
     return eqs, distinctness
 
 
 @lru_cache(maxsize=None)
 def _decomposer() -> _Decomposer:
-    return _Decomposer(default_sieve_set(), family_catalog())
+    return _Decomposer()
 
 
 @lru_cache(maxsize=None)
 def _decompose_cached(eqs: tuple[MultiPoly, ...]) -> tuple[ProofLeaf, ...]:
     return tuple(_decomposer().decompose(list(eqs)))
-
-
-def _point_on_family(fam: FamilySpec, point: dict) -> bool:
-    try:
-        return all(d.evaluate(point) == 0 for d in fam.defining)
-    except Exception:
-        return False
 
 
 def _analyze_grouping(
@@ -1803,8 +1526,9 @@ def _analyze_grouping(
         elif leaf.outcome == "sporadic":
             for frozen in leaf.points:
                 point = dict(frozen)
+                # defining polynomials involve only k, l, r, s, all pinned
                 covered = any(
-                    _point_on_family(family_by_id(fid), point)
+                    all(d.evaluate(point) == 0 for d in family_by_id(fid).defining)
                     for fid in parametric_matches
                 )
                 if not covered:
@@ -1989,21 +1713,11 @@ def _verify_bound_conflict(leaf: ProofLeaf) -> bool:
         return False
     kind, data = conflict.kind, conflict.data
     if kind == "definite":
-        poly = data[0]
-        return _region_definite(poly) is not None or _orthant_sign(poly) is not None
+        return _orthant_sign(data[0]) is not None
     if kind == "no-region-root":
-        poly, var = data[0], data[1]
-        return _rootless_on_region(poly)
-    if kind == "point":
-        return not _point_feasible(dict(data[0]))
-    if kind == "no-admissible-root":
-        # the exact sign analysis is deterministic; re-run it on the leaf
-        residual, var = data[0], data[1]
-        coeffs = _univariate_coeffs(residual, var)
-        return coeffs is not None
-    if kind in ("constant", "proportional", "certified-sign", "interval",
-                "image-definite"):
-        # recompute the full bound analysis from the stored substitutions
+        return _rootless_on_region(data[0])
+    if kind in ("constant", "image-definite"):
+        # recompute the bound analysis from the stored substitutions
         return _decomposer()._bound_conflict(leaf.substitutions) is not None
     return False
 
@@ -2013,9 +1727,9 @@ def verify_record(rec: ClassificationRecord) -> bool:
 
     Unit contradictions remultiply their sieve certificates; bound
     conflicts recompute the sign data from the stored substitution chains;
-    row-count certificates re-check pairwise blockedness; substitution
-    chains with uncertified denominators must have a sibling branch
-    covering the denominator-zero case.
+    row-count certificates re-check pairwise blockedness; every
+    substitution's denominator must be constant or carry a sieve
+    certificate that remultiplies to it.
     """
     sieve = default_sieve_set()
     graph = potential_equality_graph(rec.partition)
@@ -2040,29 +1754,17 @@ def verify_record(rec: ClassificationRecord) -> bool:
         for leaf in ga.leaves:
             if leaf.outcome == "contradiction-unit":
                 cert = leaf.unit_certificate
-                if cert is None or leaf.unit_poly is None:
+                if cert is None or cert.reconstruct(sieve) != leaf.unit_poly:
                     return False
-                if cert.reconstruct(sieve) != leaf.unit_poly:
-                    return False
-                # the contradicted polynomial must follow from the system
-                img = leaf.unit_poly
             elif leaf.outcome == "contradiction-bounds":
                 if not _verify_bound_conflict(leaf):
                     return False
             for sub in leaf.substitutions:
-                if sub.den_certificate is not None:
-                    if sub.den_certificate.reconstruct(sieve) != sub.den.normalized():
-                        ok = sub.den_certificate.reconstruct(sieve) == sub.den
-                        if not ok:
-                            return False
-                elif not sub.den.is_constant():
-                    # branch substitution: a sibling leaf must assume den = 0
-                    den_norm = sub.den.normalized()
-                    if not any(
-                        den_norm in other.assumptions
-                        for other in ga.leaves
-                    ):
-                        return False
+                if sub.den.is_constant():
+                    continue
+                cert = sub.den_certificate
+                if cert is None or cert.reconstruct(sieve) != sub.den.normalized():
+                    return False
     return True
 
 

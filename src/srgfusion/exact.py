@@ -33,8 +33,6 @@ SYMBOLS = ("k", "l", "r", "s", "m")
 _SYM_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
 _NVARS = len(SYMBOLS)
 
-Rat = Fraction  # the package's rational scalar type
-
 
 class MissingSymbol(KeyError):
     """A polynomial symbol has no assigned value or substitute."""
@@ -234,12 +232,6 @@ def value_to_json(v):
         return v.to_json()
     f = Fraction(v)
     return int(f) if f.denominator == 1 else str(f)
-
-
-def value_from_json(obj):
-    if isinstance(obj, dict):
-        return quad(Fraction(obj["a"]), Fraction(obj["b"]), obj["d"])
-    return Fraction(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +507,12 @@ class MultiPoly:
         return out
 
 
-ZERO = MultiPoly()
 ONE = MultiPoly.const(1)
 K = MultiPoly.var("k")
 L = MultiPoly.var("l")
 R = MultiPoly.var("r")
 S = MultiPoly.var("s")
 M = MultiPoly.var("m")
-
-IDENTITY_MAP = {name: MultiPoly.var(name) for name in SYMBOLS}
-
 
 def poly_eval(p: MultiPoly, assignment: Mapping[str, object]):
     return p.evaluate(assignment)
@@ -574,14 +562,7 @@ class SieveSet:
 
     def __init__(self, members: Iterable[SieveMember]):
         self.members = tuple(members)
-        self._by_name = {mem.name: mem for mem in self.members}
         self._cache: dict[MultiPoly, NonzeroCertificate | None] = {}
-
-    def extended(self, extra: Iterable[SieveMember]) -> "SieveSet":
-        return SieveSet(self.members + tuple(extra))
-
-    def member(self, name: str) -> SieveMember:
-        return self._by_name[name]
 
     def certify(self, p: MultiPoly) -> NonzeroCertificate | None:
         """Trial-division certificate that p is nonzero on the primitive region.

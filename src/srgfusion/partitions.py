@@ -78,12 +78,6 @@ class SetPartition:
         """Rank of the fusion this partition names: blocks plus the identity."""
         return len(self.blocks) + 1
 
-    def block_of(self, x: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if x in block:
-                return i
-        raise KeyError(x)
-
     def is_discrete(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
@@ -125,10 +119,6 @@ def parse(text: str, ground: frozenset[int] = DEFAULT_GROUND) -> SetPartition:
     if missing:
         raise MissingIndex(f"indices {sorted(missing)} missing from {text!r}")
     return SetPartition.from_blocks(blocks)
-
-
-def format_partition(p: SetPartition) -> str:
-    return str(p)
 
 
 def _rgs_partitions(elements: Sequence[int]):

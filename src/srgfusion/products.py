@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import SetPartition, parse
-from .scheme import CharTable, EigenData
+from .scheme import CharTable
 
 TENSOR_ROW_ORDER = tuple((i, j) for i in range(3) for j in range(3))
 TENSOR_COL_ORDER = tuple((i, j) for j in range(3) for i in range(3))
@@ -98,7 +98,6 @@ def _perm_from_cycles(name: str, cycles: list[tuple[int, ...]]) -> IndexPermutat
     return IndexPermutation(name, tuple(sorted(pairs.items())))
 
 
-IDENTITY = IndexPermutation("identity", ())
 FLIP = _perm_from_cycles("flip", [(2, 4), (3, 7), (6, 8)])
 SWITCH = _perm_from_cycles("switch", [(2, 3), (4, 7), (5, 9), (6, 8)])
 
@@ -153,9 +152,3 @@ def wreath_table(t: CharTable, orientation: int = 1) -> CharTable:
     else:
         raise ValueError("orientation must be 1 or 2")
     return CharTable(row_labels, col_labels, rows, mults)
-
-
-def tensor_table_for(e: EigenData) -> CharTable:
-    from .scheme import char_table
-
-    return tensor_square_table(char_table(e))

@@ -1,9 +1,13 @@
 """Symbolic classification: equality graphs, certificates, the full run."""
 
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import expected as X
 from srgfusion.classifier import (
+    SubstitutionRecord,
     classify_wreath,
     family_by_id,
     family_catalog,
@@ -14,8 +18,9 @@ from srgfusion.classifier import (
     verify_record,
     ORTHOGONALITY,
     _grouping_system,
+    _leaf_point,
 )
-from srgfusion.exact import poly_eval
+from srgfusion.exact import ONE, R, poly_eval
 from srgfusion.fusion import bm_check, scan_all
 from srgfusion.partitions import parse
 from srgfusion.products import tensor_square_table
@@ -280,6 +285,31 @@ def test_scans_derivable_from_classification(classification):
 def test_certificates_verify(classification):
     for rec in classification.records:
         assert verify_record(rec), str(rec.partition)
+
+
+def test_census_leaf_outcomes_and_bound_kinds(classification):
+    """The census reaches exactly these proof paths and no others."""
+    outcomes = Counter()
+    kinds = Counter()
+    for rec in classification.records:
+        for ga in rec.groupings:
+            for leaf in ga.leaves:
+                outcomes[leaf.outcome] += 1
+                if leaf.bound_conflict is not None:
+                    kinds[leaf.bound_conflict.kind] += 1
+    assert set(outcomes) == {
+        "contradiction-unit", "contradiction-bounds", "sporadic", "family"}
+    assert kinds == {
+        "definite": 2270, "no-region-root": 30, "image-definite": 13, "constant": 8}
+
+
+def test_leaf_point_free_symbol_is_none_but_bugs_propagate():
+    rec = SubstitutionRecord("k", -R, ONE, None)  # k = r
+    assert _leaf_point([rec]) is None  # r stays free
+    seed = {"r": Fraction(2), "l": Fraction(6), "s": Fraction(-1)}
+    assert _leaf_point([rec], seed)["k"] == 2
+    with pytest.raises(TypeError):
+        _leaf_point([rec], dict(seed, r="2"))
 
 
 def test_classify_all_idempotent(classification):

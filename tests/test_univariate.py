@@ -1,0 +1,132 @@
+"""The classifier's univariate toolkit against sympy as an independent oracle.
+
+Coefficient lists are ascending and hold Fractions, as in the classifier.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from srgfusion.classifier import (
+    _count_roots_open,
+    _divmod_1var,
+    _poly_gcd_1var,
+    _quadratic_roots_exact,
+)
+from srgfusion.exact import QuadraticValue
+
+sympy = pytest.importorskip("sympy")
+X = sympy.Symbol("x")
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero = small.filter(bool)
+
+
+def polys(min_degree=0, max_degree=4):
+    """Coefficient lists with a nonzero leading coefficient."""
+    return st.builds(
+        lambda low, lead: low + [lead],
+        st.lists(small, min_size=min_degree, max_size=max_degree),
+        nonzero,
+    )
+
+
+def rational(c) -> "sympy.Rational":
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_expr(coeffs) -> "sympy.Expr":
+    return sum((rational(c) * X**i for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def to_value(v) -> "sympy.Expr":
+    if isinstance(v, QuadraticValue):
+        return rational(v.a) + rational(v.b) * sympy.sqrt(v.d)
+    return rational(v)
+
+
+def same(a, b) -> bool:
+    return sympy.simplify(sympy.expand(a - b)) == 0
+
+
+@given(polys(0, 6), polys(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_divmod_matches_sympy_div(f, g):
+    q, r = _divmod_1var(f, g)
+    sq, sr = sympy.div(to_expr(f), to_expr(g), X)
+    assert same(to_expr(q), sq) and same(to_expr(r), sr)
+    assert not q or q[-1] != 0
+    assert not r or r[-1] != 0
+
+
+@given(polys(0, 3), polys(0, 3), polys(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_gcd_matches_monic_sympy_gcd(common, a, b):
+    # a shared factor makes nontrivial gcds the common case
+    f = sympy.expand(to_expr(common) * to_expr(a))
+    g = sympy.expand(to_expr(common) * to_expr(b))
+    fc = [Fraction(str(c)) for c in reversed(sympy.Poly(f, X).all_coeffs())]
+    gc = [Fraction(str(c)) for c in reversed(sympy.Poly(g, X).all_coeffs())]
+    got = _poly_gcd_1var(fc, gc)
+    want = sympy.Poly(sympy.gcd(f, g), X, domain="QQ").monic().as_expr()
+    assert same(to_expr(got), want)
+    assert got[-1] == 1
+
+
+def test_gcd_of_zero_polynomials():
+    assert _poly_gcd_1var([], [Fraction(0)]) == []
+    assert _poly_gcd_1var([], [Fraction(2), Fraction(4)]) == [Fraction(1, 2), Fraction(1)]
+
+
+# roots drawn from a small pool that also holds the interval ends, so roots
+# on an endpoint and repeated roots come up often
+pool = st.sampled_from([Fraction(v) for v in (-3, -2, -1, 0, 1, 2, 3)]
+                       + [Fraction(-1, 2), Fraction(3, 2)])
+end = st.one_of(st.none(), pool)
+
+
+@given(st.lists(pool, max_size=4), polys(0, 2), end, end)
+@settings(max_examples=60, deadline=None)
+def test_count_roots_open_matches_sympy_real_roots(roots, cofactor, lo, hi):
+    assume(lo is None or hi is None or lo < hi)
+    expr = to_expr(cofactor)
+    for root in roots:
+        expr *= X - rational(root)
+    poly = sympy.Poly(sympy.expand(expr), X)
+    coeffs = [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
+    inside = {
+        r for r in poly.real_roots()
+        if (lo is None or r > rational(lo)) and (hi is None or r < rational(hi))
+    }
+    assert _count_roots_open(coeffs, lo, hi) == len(inside)
+
+
+@given(polys(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_roots_match_sympy_roots(coeffs):
+    got = _quadratic_roots_exact(coeffs)
+    want = {
+        r: mult for r, mult in sympy.roots(sympy.Poly(to_expr(coeffs), X)).items()
+        if r.is_real
+    }
+    assert sum(want.values()) == len(got)
+    matched = Counter()
+    for value in got:
+        hit = [r for r in want if same(to_value(value), r)]
+        assert len(hit) == 1, (coeffs, value)
+        matched[hit[0]] += 1
+    assert matched == Counter(want)
+
+
+def test_quadratic_roots_exact_cases():
+    f = Fraction
+    assert _quadratic_roots_exact([f(-2), f(0), f(1)]) == [
+        QuadraticValue(f(0), f(1), 2), QuadraticValue(f(0), f(-1), 2)]
+    assert _quadratic_roots_exact([f(-4), f(0), f(1)]) == [f(2), f(-2)]
+    assert _quadratic_roots_exact([f(1), f(-2), f(1)]) == [f(1), f(1)]
+    assert _quadratic_roots_exact([f(1), f(0), f(1)]) == []
+    assert _quadratic_roots_exact([f(1), f(1), f(1), f(1)]) is None
