@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .exact import (
@@ -63,7 +63,7 @@ from .exact import (
     default_sieve_set,
     quad,
 )
-from .fusion import bm_check, scan_all
+from .fusion import block_masks, bm_check, scan_all, summed_rows
 from .partitions import SetPartition, all_default_partitions, coarsenings
 from .products import tensor_square_table, wreath_partition
 from .scheme import CharTable
@@ -417,28 +417,29 @@ class EqualityGraph:
     classes: tuple[tuple[int, ...], ...]
     pairs: tuple[tuple[tuple[int, int], PairStatus], ...]
 
+    @cached_property
+    def _by_key(self) -> dict[tuple[int, int], PairStatus]:
+        return dict(self.pairs)
+
+    @cached_property
+    def blocked_pairs(self) -> frozenset[tuple[int, int]]:
+        """Class pairs (ci, cj), ci < cj, that can never merge."""
+        return frozenset(key for key, status in self.pairs if status.blocked)
+
     def pair(self, a: int, b: int) -> PairStatus:
-        key = (min(a, b), max(a, b))
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self._by_key[(min(a, b), max(a, b))]
 
 
 @lru_cache(maxsize=None)
-def _pair_block_diff(a: int, b: int, block: tuple[int, ...]) -> MultiPoly:
-    """Difference of rows a, b of the symbolic table summed over a block.
+def _pair_block_diff(a: int, b: int, mask: int) -> MultiPoly:
+    """Normalized difference of rows a, b of the symbolic table on a block.
 
-    ``block`` holds column indices 1..9 (single-index labels); caching keys
-    on (rows, block) because the same sums recur across thousands of
+    ``mask`` is a block's key from ``fusion.block_masks``; caching keys on
+    (rows, mask) because the same differences recur across thousands of
     partitions.
     """
-    table = symbolic_tensor_table()
-    ra, rb = table.rows[a], table.rows[b]
-    total = MultiPoly()
-    for c in block:
-        total = total + (ra[c - 1] - rb[c - 1])
-    return total
+    sums = symbolic_tensor_table().subset_sums
+    return (sums[a][mask] - sums[b][mask]).normalized()
 
 
 # valency-domination blockers: merging chi_00 with chi_ij would force the
@@ -453,9 +454,7 @@ def _valency_block_poly(other_row: int) -> MultiPoly:
     return _DOMINATION_POLY[i if i else j]
 
 
-def potential_equality_graph(
-    p: SetPartition, sieve: SieveSet | None = None
-) -> EqualityGraph:
+def potential_equality_graph(p: SetPartition) -> EqualityGraph:
     """Which rows of the column-summed symbolic table could ever coincide.
 
     Rows are first grouped into classes of identically-equal polynomials.
@@ -463,24 +462,14 @@ def potential_equality_graph(
     sieve certificate, or when one class is the valency row; otherwise the
     pair carries its residual equation system.
     """
-    sieve = sieve or default_sieve_set()
-    blocks = tuple(tuple(block) for block in p.blocks)
+    sieve = default_sieve_set()
+    table = symbolic_tensor_table()
+    masks = block_masks(table, p)
     # group rows into classes of identically-equal summed rows
-    classes: list[list[int]] = []
-    for a in range(9):
-        placed = False
-        for cls in classes:
-            rep = cls[0]
-            if all(
-                _pair_block_diff(min(rep, a), max(rep, a), blk).is_zero()
-                for blk in blocks
-            ):
-                cls.append(a)
-                placed = True
-                break
-        if not placed:
-            classes.append([a])
-    class_tuples = tuple(tuple(cls) for cls in classes)
+    classes: dict[tuple, list[int]] = {}
+    for a, row in enumerate(summed_rows(table, p)):
+        classes.setdefault(row, []).append(a)
+    class_tuples = tuple(tuple(cls) for cls in classes.values())
 
     pairs = []
     for ci, cj in itertools.combinations(range(len(class_tuples)), 2):
@@ -496,11 +485,10 @@ def potential_equality_graph(
             continue
         eqs = []
         blocked = None
-        for bi, blk in enumerate(blocks):
-            diff = _pair_block_diff(a, b, blk)
-            if diff.is_zero():
+        for bi, mask in enumerate(masks):
+            norm = _pair_block_diff(a, b, mask)
+            if norm.is_zero():
                 continue
-            norm = diff.normalized()
             cert = sieve.certify(norm)
             if cert is not None:
                 blocked = (bi, norm, cert)
@@ -997,9 +985,7 @@ def _sign_variations_at(chain, x: Fraction | None, at_pos_inf: bool = False) -> 
 
 def _count_roots_open(coeffs: Sequence[Fraction], lo, hi) -> int:
     """Number of distinct real roots in the open interval (lo, hi)."""
-    # squarefree part via gcd with the derivative keeps Sturm honest
-    g = _poly_gcd_1var(coeffs, _derivative(coeffs))
-    sf = _divmod_1var(coeffs, g)[0] if len(g) > 1 else _trim(coeffs)
+    sf = _trim(coeffs)
     # deflate exact roots sitting on a finite endpoint so Sturm applies
     for endpoint in (lo, hi):
         if endpoint is not None:
@@ -1416,9 +1402,7 @@ def _enumerate_groupings(
         ci for ci, cls in enumerate(graph.classes) if 0 in cls
     )
     others = [ci for ci in range(nclasses) if ci != valency_class]
-    blocked = {
-        key for key, status in graph.pairs if status.blocked
-    }
+    blocked = graph.blocked_pairs
 
     def compatible(ci: int, group: list[int]) -> bool:
         return all((min(ci, cj), max(ci, cj)) not in blocked for cj in group)
@@ -1468,26 +1452,24 @@ def _grouping_system(
     for ci, cls in enumerate(graph.classes):
         for row in cls:
             class_of_row[row] = ci
+    # ORTHOGONALITY and every pair equation are already normalized and nonzero
     eqs: list[MultiPoly] = [ORTHOGONALITY]
-    group_class_ids = []
     for group in grouping:
         cids = sorted({class_of_row[row] for row in group})
-        group_class_ids.append(cids)
         for a, b in itertools.combinations(cids, 2):
             eqs.extend(graph.pair(a, b).equations)
-    blocks = tuple(tuple(b) for b in graph.partition.blocks)
+    masks = block_masks(symbolic_tensor_table(), graph.partition)
     distinctness: list[tuple[MultiPoly, ...]] = []
     for gi, gj in itertools.combinations(range(len(grouping)), 2):
         ra = grouping[gi][0]
         rb = grouping[gj][0]
         diffs = tuple(
             d for d in (
-                _pair_block_diff(min(ra, rb), max(ra, rb), blk) for blk in blocks
+                _pair_block_diff(min(ra, rb), max(ra, rb), m) for m in masks
             ) if not d.is_zero()
         )
         distinctness.append(diffs)
-    eqs = tuple(dict.fromkeys(e.normalized() for e in eqs if not e.is_zero()))
-    return eqs, distinctness
+    return tuple(dict.fromkeys(eqs)), distinctness
 
 
 @lru_cache(maxsize=None)
@@ -1644,7 +1626,7 @@ def _independent_set_certificate(
     graph: EqualityGraph, m: int
 ) -> RowCountCertificate | None:
     """A set of m+1 pairwise-blocked classes, when one exists."""
-    blocked = {key for key, status in graph.pairs if status.blocked}
+    blocked = graph.blocked_pairs
     n = len(graph.classes)
     for size in range(m + 1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -1733,7 +1715,6 @@ def verify_record(rec: ClassificationRecord) -> bool:
     """
     sieve = default_sieve_set()
     graph = potential_equality_graph(rec.partition)
-    blocked = {key for key, status in graph.pairs if status.blocked}
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
         if cert.deficit:
@@ -1747,7 +1728,7 @@ def verify_record(rec: ClassificationRecord) -> bool:
         if len(cert.representatives) <= cert.required:
             return False
         return all(
-            (min(a, b), max(a, b)) in blocked
+            (min(a, b), max(a, b)) in graph.blocked_pairs
             for a, b in itertools.combinations(cids, 2)
         )
     for ga in rec.groupings:

@@ -6,6 +6,10 @@ over each block (the identity column stays alone) and count distinct rows
 of the result; the partition gives a fusion exactly when that count equals
 the number of classes, blocks plus one.
 
+Block sums are looked up, not re-added: ``block_masks`` turns a partition
+into keys of the table's lazily built ``CharTable.subset_sums``, which the
+classifier's block differences read too.
+
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose
 entries are polynomials, and fused tables being re-fused.
@@ -40,30 +44,23 @@ class FusionVerdict:
             raise ValueError("verdict inconsistent with distinct row count")
 
 
-def _block_columns(table: CharTable, p: SetPartition) -> list[tuple[int, ...]]:
+def block_masks(table: CharTable, p: SetPartition) -> list[int]:
+    """Keys of p's blocks in ``table.subset_sums``: index x is bit x - 2."""
     ncols = len(table.col_labels)
     if p.ground != frozenset(range(2, ncols + 1)):
         raise IndexMismatch(
             f"partition ground {sorted(p.ground)} vs columns 2..{ncols}"
         )
-    # identity column (position 0) is its own class
-    return [(0,)] + [tuple(x - 1 for x in block) for block in p.blocks]
+    return [sum(1 << (x - 2) for x in block) for block in p.blocks]
 
 
 def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
     """Rows of the table with columns summed per class (identity first)."""
-    cols = _block_columns(table, p)
-    out = []
-    for row in table.rows:
-        out.append(tuple(sum_of(row, idxs) for idxs in cols))
-    return out
-
-
-def sum_of(row: tuple, idxs: tuple[int, ...]):
-    total = row[idxs[0]]
-    for i in idxs[1:]:
-        total = total + row[i]
-    return total
+    masks = block_masks(table, p)
+    return [
+        (row[0],) + tuple(sums[m] for m in masks)
+        for row, sums in zip(table.rows, table.subset_sums)
+    ]
 
 
 def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
@@ -90,8 +87,10 @@ def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     valency = rows[0]
     rest = sorted((row for row in merged if row != valency), reverse=True)
     ordered = [valency] + rest
+    labels = table.col_labels[1:]  # bit c of a mask is labels[c]
     col_labels = ["identity"] + [
-        "+".join(table.col_labels[x - 1] for x in block) for block in p.blocks
+        "+".join(label for c, label in enumerate(labels) if m >> c & 1)
+        for m in block_masks(table, p)
     ]
     return CharTable(
         row_labels=tuple(f"row_{i}" for i in range(len(ordered))),
@@ -101,24 +100,18 @@ def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     )
 
 
-def scan_all(
-    table: CharTable,
-    partitions=None,
-    include_trivial: bool = False,
-) -> list[FusionVerdict]:
-    """All positive verdicts over the candidate partitions, canonical order.
+def scan_all(table: CharTable) -> list[FusionVerdict]:
+    """All positive verdicts over the partitions of {2,...,9}, canonical order.
 
-    By default the two trivial positives are suppressed: the discrete
-    partition (the scheme itself) and the single-block partition (the
-    rank-2 fusion every table algebra has).  Both pass the criterion for
-    every table, so reported counts follow the convention that only
-    nontrivial fusions are listed.
+    The two trivial positives are suppressed: the discrete partition (the
+    scheme itself) and the single-block partition (the rank-2 fusion every
+    table algebra has).  Both pass the criterion for every table, so
+    reported counts follow the convention that only nontrivial fusions are
+    listed.
     """
-    if partitions is None:
-        partitions = all_default_partitions()
     out = []
-    for p in partitions:
-        if not include_trivial and (p.is_discrete() or p.is_single_block()):
+    for p in all_default_partitions():
+        if p.is_discrete() or p.is_single_block():
             continue
         verdict = bm_check(table, p)
         if verdict.is_fusion:

@@ -27,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import QuadraticValue, quad, _squarefree_split
 
@@ -200,6 +201,23 @@ class CharTable:
 
     def valency_row(self) -> tuple:
         return self.rows[0]
+
+    @cached_property
+    def subset_sums(self) -> tuple[tuple, ...]:
+        """Per row, the sum over every nonempty set of non-identity columns.
+
+        ``subset_sums[i][mask]`` sums row i over the column positions c with
+        bit c-1 set in ``mask`` (entry 0 is unused); each entry is a smaller
+        set's sum plus one entry.  Built on first use; ``fusion.summed_rows``
+        and the classifier's block differences read every block sum here.
+        """
+        out = []
+        for row in self.rows:
+            sums = [None]
+            for bit, x in enumerate(row[1:]):
+                sums += [sums[m] + x if m else x for m in range(1 << bit)]
+            out.append(tuple(sums))
+        return tuple(out)
 
     def to_json(self) -> dict:
         from .exact import value_to_json

@@ -77,13 +77,6 @@ def test_equality_graph_discrete_all_blocked():
 
 # -- family matching -----------------------------------------------------------
 
-def equations_for(text, grouping_index=0):
-    g = potential_equality_graph(parse(text))
-    from srgfusion.classifier import _enumerate_groupings
-    groupings = _enumerate_groupings(g, parse(text).num_blocks + 1)
-    return g, groupings
-
-
 def test_family_match_examples(classification):
     rec = classification.record("249|35678")
     assert rec.verdict == "FAMILY" and rec.families == ("CLB1",)
@@ -232,10 +225,7 @@ def test_completeness_against_instance_scans(classification):
 def _on_family(fam, point):
     if fam.point_instances:
         return any(dict(pt) == point for pt in fam.point_instances)
-    try:
-        return all(d.evaluate(point) == 0 for d in fam.defining)
-    except Exception:
-        return False
+    return all(d.evaluate(point) == 0 for d in fam.defining)
 
 
 def _imprimitive_boundary(point):

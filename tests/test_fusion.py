@@ -1,11 +1,28 @@
 """The fusion criterion: single checks, fused tables, full scans."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expected as X
-from srgfusion.fusion import IndexMismatch, NotAFusion, bm_check, fused_table, scan_all
-from srgfusion.partitions import SetPartition, coarsenings, parse, refines
-from srgfusion.products import tensor_square_table, wreath_partition
+from srgfusion.classifier import imprimitive_base_table, symbolic_tensor_table
+from srgfusion.fusion import (
+    IndexMismatch,
+    NotAFusion,
+    bm_check,
+    fused_table,
+    scan_all,
+    summed_rows,
+)
+from srgfusion.partitions import (
+    SetPartition,
+    all_default_partitions,
+    coarsenings,
+    enumerate_partitions,
+    parse,
+    refines,
+)
+from srgfusion.products import tensor_square_table, wreath_partition, wreath_table
 from srgfusion.scheme import (
     SrgParams,
     char_table,
@@ -59,6 +76,58 @@ def test_fused_table_examples(petersen):
 
     with pytest.raises(NotAFusion):
         fused_table(petersen, parse("249|37|5|68"))
+
+
+def summed_rows_by_block_loop(table, p):
+    """Reference: add each block's columns afresh, in increasing position."""
+    out = []
+    for row in table.rows:
+        sums = [row[0]]
+        for block in p.blocks:
+            total = row[block[0] - 1]
+            for x in block[1:]:
+                total = total + row[x - 1]
+            sums.append(total)
+        out.append(tuple(sums))
+    return out
+
+
+def assert_summed_rows_match_reference(table, p):
+    got, want = summed_rows(table, p), summed_rows_by_block_loop(table, p)
+    assert got == want, str(p)
+    # same types too: fused tables and CLI JSON serialize these values
+    assert [list(map(type, row)) for row in got] == [
+        list(map(type, row)) for row in want
+    ], str(p)
+
+
+@pytest.mark.parametrize("params", [(10, 3, 0, 1), (5, 2, 0, 1)],
+                         ids=["petersen", "pentagon"])
+def test_summed_rows_match_block_loop_numeric(params):
+    table = tensor_for(*params)
+    for p in all_default_partitions():
+        assert_summed_rows_match_reference(table, p)
+
+
+SYMBOLIC_TABLES = {
+    "generic": symbolic_tensor_table,
+    "imprimitive1": lambda: tensor_square_table(imprimitive_base_table(1)),
+    "imprimitive2": lambda: tensor_square_table(imprimitive_base_table(2)),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(SYMBOLIC_TABLES)),
+       p=st.sampled_from(all_default_partitions()))
+def test_summed_rows_match_block_loop_symbolic(name, p):
+    assert_summed_rows_match_reference(SYMBOLIC_TABLES[name](), p)
+
+
+def test_summed_rows_match_block_loop_wreath():
+    table = wreath_table(char_table(eigen_from_params(SrgParams(10, 3, 0, 1))))
+    assert len(table.col_labels) == 5
+    for p in enumerate_partitions(range(2, 6)):
+        assert_summed_rows_match_reference(table, p)
 
 
 def test_trivial_partitions_always_positive(petersen):
