@@ -556,13 +556,13 @@ def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:
         t_exps = tuple(a - b for a, b in zip(rexps, den[0]))
         if any(e < 0 for e in t_exps):
             return None
-        term = MultiPoly({t_exps: rcoeff / (2 * den[1])})
+        term = MultiPoly({t_exps: Fraction(rcoeff, 2 * den[1])})
         root = root + term
         rem = p - root * root
     return root
 
 
-def _frac_sqrt(q: Fraction) -> Fraction | None:
+def _frac_sqrt(q: int | Fraction) -> Fraction | None:
     import math
 
     if q < 0:

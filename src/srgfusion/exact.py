@@ -7,6 +7,11 @@ eigenvalues living in a real quadratic field, represented componentwise as
 ``Fraction`` whenever its irrational part vanishes, so equality and hashing
 are uniform across the two scalar kinds.
 
+Polynomial coefficients are canonical: an ``int`` whenever the value is
+integral, a ``Fraction`` only where a division leaves a remainder.  A float
+coefficient raises ``TypeError``.  Since ``3 == Fraction(3)`` and both hash
+alike, the two forms compare and key caches interchangeably.
+
 Symbolic work uses sparse multivariate polynomials over Q in a fixed,
 closed symbol universe::
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 SYMBOLS = ("k", "l", "r", "s", "m")
@@ -238,40 +244,67 @@ def value_to_json(v):
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _monomial_key(exps: tuple[int, ...]) -> tuple:
-    # graded lexicographic, k > l > r > s > m
+def _term_key(term: tuple) -> tuple:
+    # graded lexicographic on the exponents, k > l > r > s > m
+    exps = term[0]
     return (sum(exps), exps)
+
+
+def _sorted_terms(acc: dict) -> tuple:
+    """Canonical term tuple of nonzero coefficients, largest monomial first."""
+    items = [
+        (e, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        for e, c in acc.items()
+    ]
+    items.sort(key=_term_key, reverse=True)
+    return tuple(items)
+
+
+def _coeff(c) -> int | Fraction:
+    """Canonical coefficient: int when integral, else Fraction; no floats."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"polynomial coefficients are int or Fraction, not {type(c).__name__}")
+
+
+_CONST_EXPS = (0,) * _NVARS
 
 
 class MultiPoly:
     """Sparse polynomial over Q in the fixed symbols k, l, r, s, m.
 
-    Terms map exponent 5-tuples to nonzero Fraction coefficients; the zero
+    Terms map exponent 5-tuples to nonzero coefficients in canonical form
+    (int when integral, else Fraction; floats are rejected); the zero
     polynomial has no terms.  Instances are immutable and hashable, with
     terms kept sorted in graded-lex order (largest first).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | Iterable = ()):
+    def __init__(self, terms: Mapping[tuple[int, ...], int | Fraction] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != _NVARS or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
-            coeff = Fraction(coeff)
+            coeff = _coeff(coeff)
             if coeff:
-                c = acc.get(exps, Fraction(0)) + coeff
+                c = acc.get(exps, 0) + coeff
                 if c:
                     acc[exps] = c
                 else:
                     acc.pop(exps, None)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(sorted(acc.items(), key=lambda t: _monomial_key(t[0]), reverse=True)),
-        )
+        object.__setattr__(self, "_terms", _sorted_terms(acc))
+
+    @classmethod
+    def _from_terms(cls, acc: dict) -> "MultiPoly":
+        """Trusted constructor: valid exponent tuples, nonzero coefficients."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_terms", _sorted_terms(acc))
+        return p
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
@@ -280,7 +313,8 @@ class MultiPoly:
 
     @staticmethod
     def const(c) -> "MultiPoly":
-        return MultiPoly({(0,) * _NVARS: Fraction(c)})
+        c = _coeff(c)
+        return MultiPoly._from_terms({_CONST_EXPS: c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -288,7 +322,7 @@ class MultiPoly:
             raise MissingSymbol(name)
         exps = [0] * _NVARS
         exps[_SYM_INDEX[name]] = 1
-        return MultiPoly({tuple(exps): Fraction(1)})
+        return MultiPoly({tuple(exps): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -302,9 +336,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and sum(self._terms[0][0]) == 0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self._terms[0][1]
@@ -325,7 +359,7 @@ class MultiPoly:
         i = _SYM_INDEX[name]
         return max(e[i] for e, _ in self._terms)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         if self.is_zero():
             raise ZeroInput("zero polynomial has no leading term")
         return self._terms[0]
@@ -345,17 +379,17 @@ class MultiPoly:
             return NotImplemented
         acc = dict(self._terms)
         for exps, c in q._terms:
-            v = acc.get(exps, Fraction(0)) + c
+            v = acc.get(exps, 0) + c
             if v:
                 acc[exps] = v
             else:
                 acc.pop(exps, None)
-        return MultiPoly(acc)
+        return MultiPoly._from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({e: -c for e, c in self._terms})
+        return MultiPoly._from_terms({e: -c for e, c in self._terms})
 
     def __sub__(self, other):
         q = self._as_poly(other)
@@ -370,16 +404,16 @@ class MultiPoly:
         q = self._as_poly(other)
         if q is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self._terms:
             for e2, c2 in q._terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = acc.get(e, Fraction(0)) + c1 * c2
+                v = acc.get(e, 0) + c1 * c2
                 if v:
                     acc[e] = v
                 else:
                     acc.pop(e, None)
-        return MultiPoly(acc)
+        return MultiPoly._from_terms(acc)
 
     __rmul__ = __mul__
 
@@ -403,7 +437,12 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._terms)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._terms)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- division -----------------------------------------------------------
 
@@ -415,16 +454,16 @@ class MultiPoly:
             return MultiPoly()
         dl_e, dl_c = divisor.leading()
         rem = self
-        q: dict[tuple[int, ...], Fraction] = {}
+        q: dict[tuple[int, ...], int | Fraction] = {}
         while not rem.is_zero():
             rl_e, rl_c = rem.leading()
             e = tuple(a - b for a, b in zip(rl_e, dl_e))
             if any(x < 0 for x in e):
                 return None
-            c = rl_c / dl_c
-            q[e] = q.get(e, Fraction(0)) + c
-            rem = rem - MultiPoly({e: c}) * divisor
-        return MultiPoly(q)
+            # the leading monomial strictly falls, so each e is new
+            q[e] = c = Fraction(rl_c, dl_c)
+            rem = rem - MultiPoly._from_terms({e: c}) * divisor
+        return MultiPoly._from_terms(q)
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -469,14 +508,14 @@ class MultiPoly:
         """Scalar-normalized form: integer coprime coefficients, positive lead."""
         if self.is_zero():
             return self
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for _, c in self._terms)) if self._terms else 1
-        num = gcd(*(abs(c.numerator * (den // c.denominator)) for _, c in self._terms))
-        scale = Fraction(den, num if num else 1)
-        if self._terms[0][1] < 0:
-            scale = -scale
-        return self * scale
+        den = lcm(*(c.denominator for _, c in self._terms))
+        scaled = [(e, c.numerator * (den // c.denominator)) for e, c in self._terms]
+        num = gcd(*(c for _, c in scaled))
+        if scaled[0][1] < 0:
+            num = -num
+        if den == 1 and num == 1:
+            return self
+        return MultiPoly._from_terms({e: c // num for e, c in scaled})
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -538,7 +577,7 @@ class SieveMember:
 class NonzeroCertificate:
     """p = constant * product(member^exponent), all members sieve-nonzero."""
 
-    constant: Fraction
+    constant: int | Fraction
     factors: tuple[tuple[str, int], ...]
 
     def reconstruct(self, sieve: "SieveSet") -> MultiPoly:

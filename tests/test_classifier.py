@@ -1,5 +1,6 @@
 """Symbolic classification: equality graphs, certificates, the full run."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from srgfusion.classifier import (
     _grouping_system,
     _leaf_point,
 )
-from srgfusion.exact import ONE, R, poly_eval
+from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue, poly_eval
 from srgfusion.fusion import bm_check, scan_all
 from srgfusion.partitions import parse
 from srgfusion.products import tensor_square_table
@@ -291,6 +292,41 @@ def test_census_leaf_outcomes_and_bound_kinds(classification):
         "contradiction-unit", "contradiction-bounds", "sporadic", "family"}
     assert kinds == {
         "definite": 2270, "no-region-root": 30, "image-definite": 13, "constant": 8}
+
+
+def _scalars(x):
+    """Every scalar inside a record, down to polynomial coefficients and the
+    parts of quadratic values."""
+    if isinstance(x, MultiPoly):
+        for exps, c in x.terms:
+            yield from exps
+            yield c
+    elif isinstance(x, QuadraticValue):
+        yield from (x.a, x.b, x.d)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _scalars(getattr(x, f.name))
+    elif isinstance(x, (tuple, list, set, frozenset)):
+        for v in x:
+            yield from _scalars(v)
+    elif isinstance(x, dict):
+        for k, v in x.items():
+            yield from _scalars(k)
+            yield from _scalars(v)
+    else:
+        yield x
+
+
+def test_no_float_reaches_a_leaf(classification):
+    """Equations, substitutions, leaf points, unit polynomials, sieve
+    certificate constants and bound-conflict data hold no float."""
+    types = Counter(type(v) for rec in classification.records for v in _scalars(rec))
+    assert not [t for t in types if issubclass(t, float)], types
+    # the walk reaches exact rationals, integers and quadratic-value parts
+    assert types[Fraction] and types[int]
+    points = [v for rec in classification.records for ga in rec.groupings
+              for leaf in ga.leaves for pt in leaf.points for _, v in pt]
+    assert any(isinstance(v, QuadraticValue) for v in points)
 
 
 def test_leaf_point_free_symbol_is_none_but_bugs_propagate():

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -117,9 +118,15 @@ def test_crosscheck_command():
     assert doc["checked"] == 4140 and doc["disagreements"] == []
 
 
+# sha256 of the full `classify --format json` text; any change to a verdict,
+# family list, note or the rendering changes it
+CLASSIFY_JSON_SHA256 = "acc26176fbe0b8e0db79c28fe724caf25adb39599da76081f26502a1be1907b1"
+
+
 def test_classify_command(classification):
     code, text = run_cli("classify", "--format", "json")
     assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASSIFY_JSON_SHA256
     doc = json.loads(text)
     assert doc["summary"]["guaranteed"] == 13
     assert doc["summary"]["unresolved"] == 0

@@ -106,6 +106,49 @@ def test_poly_division_exact():
     assert (K * K + ONE).divide_exact(K + ONE) is None
 
 
+# -- canonical coefficients --------------------------------------------------
+
+E_K = (1, 0, 0, 0, 0)
+E_1 = (0, 0, 0, 0, 0)
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        MultiPoly({E_K: 0.5})
+    with pytest.raises(TypeError):
+        MultiPoly.const(1.0)
+    with pytest.raises(TypeError):
+        MultiPoly({E_K: 1}) * 0.5
+
+
+def test_integral_coefficients_are_int():
+    p = MultiPoly({E_K: Fraction(6, 2)})
+    assert p.terms == ((E_K, 3),)
+    assert type(p.terms[0][1]) is int
+    half = MultiPoly({E_K: Fraction(1, 2)})
+    assert type(half.terms[0][1]) is Fraction
+    assert type((half + half).terms[0][1]) is int
+    assert type(MultiPoly.const(Fraction(4, 2)).constant_value()) is int
+    assert MultiPoly.const(Fraction(0)).is_zero()
+
+
+def test_poly_division_exact_non_integral_quotient():
+    q = (2 * K + 1).divide_exact(MultiPoly.const(4))
+    assert q.terms == ((E_K, Fraction(1, 2)), (E_1, Fraction(1, 4)))
+    q = (6 * K + 4).divide_exact(MultiPoly.const(2))
+    assert q == 3 * K + 2
+    assert all(type(c) is int for _, c in q.terms)
+
+
+def test_normalized_scales_to_primitive_integers():
+    p = MultiPoly({E_K: Fraction(-2, 3), E_1: Fraction(4, 9)})
+    n = p.normalized()
+    assert n.terms == ((E_K, 3), (E_1, -2))
+    assert all(type(c) is int for _, c in n.terms)
+    assert n.normalized() is n
+    assert (-4 * K + 6).normalized() == 2 * K - 3
+
+
 # -- the sieve ---------------------------------------------------------------
 
 def test_sieve_certifies_members_and_products():
@@ -176,20 +219,50 @@ def test_certificates_remultiply_exactly():
 
 # -- ring axioms by hypothesis ----------------------------------------------
 
-def small_polys():
-    coeff = st.integers(-4, 4).map(Fraction)
+# integral and non-integral Fractions alongside plain ints
+small_coeffs = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=2)
+)
+
+
+def poly_inputs():
     mono = st.tuples(*(st.integers(0, 2) for _ in range(5)))
-    return st.dictionaries(mono, coeff, max_size=4).map(MultiPoly)
+    return st.dictionaries(mono, small_coeffs, max_size=4)
 
 
-@given(small_polys(), small_polys(), small_polys())
+def small_polys():
+    return poly_inputs().map(MultiPoly)
+
+
+def coeff_types(p: MultiPoly) -> list[type]:
+    return [type(c) for _, c in p.terms]
+
+
+@given(poly_inputs(), poly_inputs(), poly_inputs(), small_coeffs)
 @settings(max_examples=60, deadline=None)
-def test_ring_axioms(a, b, c):
+def test_ring_axioms(da, db, dc, x):
+    a, b, c = MultiPoly(da), MultiPoly(db), MultiPoly(dc)
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == MultiPoly()
+    # the same operands given all as Fraction: equal values, equal types
+    fa, fb, fc = (MultiPoly({e: Fraction(v) for e, v in d.items()}) for d in (da, db, dc))
+    fx = Fraction(x)
+    pairs = [
+        (a, fa), (a + b, fa + fb), (a - c, fa - fc), (a * b, fa * fb),
+        (b ** 2, fb ** 2), (a * x, fa * fx), (x - c, fx - fc),
+        (a.normalized(), fa.normalized()),
+    ]
+    if not b.is_zero():
+        assert (a * b).divide_exact(b) == a
+        pairs.append(((a * b).divide_exact(b), (fa * fb).divide_exact(fb)))
+    for got, want in pairs:
+        assert got == want
+        assert coeff_types(got) == coeff_types(want)
+        assert all(type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+                   for _, v in got.terms)
 
 
 @given(small_polys())

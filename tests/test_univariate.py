@@ -1,6 +1,8 @@
 """The classifier's univariate toolkit against sympy as an independent oracle.
 
 Coefficient lists are ascending and hold Fractions, as in the classifier.
+The multivariate kernels built on it, the exact polynomial square root and
+the Sylvester resultant, are checked against sympy too.
 """
 
 from collections import Counter
@@ -14,9 +16,11 @@ from srgfusion.classifier import (
     _count_roots_open,
     _divmod_1var,
     _poly_gcd_1var,
+    _poly_sqrt,
     _quadratic_roots_exact,
+    _resultant,
 )
-from srgfusion.exact import QuadraticValue
+from srgfusion.exact import SYMBOLS, K, L, MultiPoly, QuadraticValue
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -130,3 +134,72 @@ def test_quadratic_roots_exact_cases():
     assert _quadratic_roots_exact([f(1), f(-2), f(1)]) == [f(1), f(1)]
     assert _quadratic_roots_exact([f(1), f(0), f(1)]) == []
     assert _quadratic_roots_exact([f(1), f(1), f(1), f(1)]) is None
+
+
+# -- multivariate kernels ------------------------------------------------------
+
+GENS = sympy.symbols(SYMBOLS)
+small_coeffs = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+
+
+def multipolys(max_terms=4):
+    """Polynomials in k, l, r, s with small int and Fraction coefficients."""
+    mono = st.tuples(*(st.integers(0, 2) for _ in range(4)), st.just(0))
+    return st.dictionaries(mono, small_coeffs, max_size=max_terms).map(MultiPoly)
+
+
+def to_sympy(p: MultiPoly) -> "sympy.Expr":
+    return sum(
+        (rational(c) * sympy.Mul(*(g**e for g, e in zip(GENS, exps)))
+         for exps, c in p.terms),
+        sympy.Integer(0),
+    )
+
+
+def sympy_is_square(expr) -> bool:
+    if expr == 0:
+        return True
+    content, factors = sympy.factor_list(expr, *GENS)
+    return content > 0 and sympy.sqrt(content).is_rational and all(
+        e % 2 == 0 for _, e in factors)
+
+
+def test_poly_sqrt_cases():
+    root = _poly_sqrt(4 * K * K + 4 * K + 1)
+    assert root == 2 * K + 1
+    assert all(type(c) is int for _, c in root.terms)
+    root = _poly_sqrt(K * K + 3 * K * L + Fraction(9, 4) * L * L)
+    assert root == K + Fraction(3, 2) * L
+    assert _poly_sqrt(K * K + 1) is None
+    assert _poly_sqrt(-(K * K)) is None
+    assert _poly_sqrt(2 * K * K) is None
+    assert _poly_sqrt(MultiPoly()) == MultiPoly()
+
+
+@given(multipolys())
+@settings(max_examples=60, deadline=None)
+def test_poly_sqrt_of_square_is_plus_or_minus_root(q):
+    root = _poly_sqrt(q * q)
+    assert root == q or root == -q
+
+
+@given(multipolys(), multipolys(max_terms=2))
+@settings(max_examples=60, deadline=None)
+def test_poly_sqrt_matches_sympy_squareness(q, perturbation):
+    p = q * q + perturbation
+    root = _poly_sqrt(p)
+    if sympy_is_square(to_sympy(p)):
+        assert root is not None and root * root == p
+    else:
+        assert root is None
+
+
+@given(multipolys(), multipolys(), st.sampled_from("klrs"))
+@settings(max_examples=40, deadline=None)
+def test_resultant_matches_sympy(f, g, var):
+    assume(f.degree(var) >= 1 and g.degree(var) >= 1)
+    got = to_sympy(_resultant(f, g, var))
+    want = sympy.resultant(to_sympy(f), to_sympy(g), GENS[SYMBOLS.index(var)])
+    assert sympy.expand(got - want) == 0
