@@ -23,10 +23,7 @@ from .exact import (
     SieveSet,
     ZeroInput,
     default_sieve_set,
-    poly_eval,
-    poly_substitute,
     quad,
-    sieve_nonzero,
 )
 from .scheme import (
     CharTable,

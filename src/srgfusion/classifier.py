@@ -60,8 +60,14 @@ from .exact import (
     R,
     S,
     SieveSet,
+    _SYM_INDEX,
+    _count_roots_open,
+    _poly_gcd_1var,
+    _quadratic_roots_exact,
+    _rational_roots,
     default_sieve_set,
     quad,
+    scalar_sign,
 )
 from .fusion import block_masks, bm_check, scan_all, summed_rows
 from .partitions import SetPartition, all_default_partitions, coarsenings
@@ -573,42 +579,6 @@ def _frac_sqrt(q: int | Fraction) -> Fraction | None:
     return None
 
 
-def _rational_roots(p: MultiPoly, var: str) -> list[Fraction]:
-    """Rational roots of a univariate polynomial in ``var``."""
-    deg = p.degree(var)
-    coeffs: dict[int, Fraction] = {}
-    from .exact import _SYM_INDEX
-
-    vi = _SYM_INDEX[var]
-    for exps, c in p.terms:
-        if any(e and i != vi for i, e in enumerate(exps)):
-            return []
-        coeffs[exps[vi]] = c
-    lead = coeffs.get(deg, Fraction(0))
-    const = coeffs.get(0, Fraction(0))
-    if const == 0:
-        return [Fraction(0)] + _rational_roots(
-            p.divide_exact(MultiPoly.var(var)), var
-        )
-
-    def divisors(n: int):
-        n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out
-
-    roots = []
-    cn = const.numerator * lead.denominator
-    ln = lead.numerator * const.denominator
-    for a in divisors(cn or 1):
-        for b in divisors(ln or 1):
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                full = {sym: Fraction(0) for sym in ("k", "l", "r", "s", "m")}
-                full[var] = cand
-                if p.evaluate(full) == 0 and cand not in roots:
-                    roots.append(cand)
-    return roots
-
-
 _SPLIT_CACHE: dict[MultiPoly, tuple[MultiPoly, ...]] = {}
 
 
@@ -650,7 +620,8 @@ def _split_poly_uncached(p: MultiPoly) -> tuple[MultiPoly, ...]:
         syms = rem.symbols()
         if len(syms) == 1:
             var = next(iter(syms))
-            for root in _rational_roots(rem, var):
+            scalars = [c.constant_value() for c in rem.coefficients(var)]
+            for root in _rational_roots(scalars):
                 lin = (MultiPoly.var(var) - root).normalized()
                 while True:
                     q = rem.divide_exact(lin)
@@ -662,9 +633,7 @@ def _split_poly_uncached(p: MultiPoly) -> tuple[MultiPoly, ...]:
             # quadratic-in-one-variable split via a polynomial discriminant
             for var in sorted(rem.symbols()):
                 if rem.degree(var) == 2:
-                    a = _coeff_of(rem, var, 2)
-                    b = _coeff_of(rem, var, 1)
-                    c = _coeff_of(rem, var, 0)
+                    c, b, a = rem.coefficients(var)
                     disc = b * b - 4 * a * c
                     root = _poly_sqrt(disc)
                     if root is not None and a.is_constant():
@@ -677,26 +646,6 @@ def _split_poly_uncached(p: MultiPoly) -> tuple[MultiPoly, ...]:
     if not rem.is_constant():
         factors.append(rem.normalized())
     return tuple(f for f in factors if not f.is_constant())
-
-
-def _coeff_of(p: MultiPoly, var: str, power: int) -> MultiPoly:
-    from .exact import _SYM_INDEX
-
-    vi = _SYM_INDEX[var]
-    out = {}
-    for exps, c in p.terms:
-        if exps[vi] == power:
-            e = list(exps)
-            e[vi] = 0
-            out[tuple(e)] = c
-    return MultiPoly(out)
-
-
-def _linear_parts(p: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly] | None:
-    """Write p = A + B*var when p is linear in var; returns (A, B)."""
-    if p.degree(var) != 1:
-        return None
-    return _coeff_of(p, var, 0), _coeff_of(p, var, 1)
 
 
 @dataclass(frozen=True)
@@ -774,9 +723,7 @@ def _leaf_point(
 def _point_feasible(point: dict) -> bool:
     """Strict primitive bounds at an exact parameter point."""
     for _, poly in PRIMITIVE_POSITIVE:
-        value = poly.evaluate(point)
-        sign = value.sign() if hasattr(value, "sign") else (value > 0) - (value < 0)
-        if sign <= 0:
+        if scalar_sign(poly.evaluate(point)) <= 0:
             return False
     return True
 
@@ -803,8 +750,7 @@ def _apply_substitutions_signed(
         if d <= 0:
             continue
         acc = MultiPoly()
-        for power in range(d + 1):
-            coeff = _coeff_of(out, rec.var, power)
+        for power, coeff in enumerate(out.coefficients(rec.var)):
             acc = acc + coeff * ((-rec.num) ** power) * (rec.den ** (d - power))
         out = acc
         if d % 2 and sign is not None:
@@ -832,68 +778,6 @@ def _substitute_into(
 _ELIM_ORDER = ("l", "k", "m", "s", "r")
 
 
-def _univariate_coeffs(p: MultiPoly, var: str) -> list[Fraction] | None:
-    """Coefficient list (ascending) when p involves only ``var``."""
-    if p.symbols() != {var}:
-        return None
-    from .exact import _SYM_INDEX
-
-    vi = _SYM_INDEX[var]
-    out = [Fraction(0)] * (p.degree(var) + 1)
-    for exps, c in p.terms:
-        out[exps[vi]] = c
-    return out
-
-
-def _coeffs_to_poly(coeffs: Sequence[Fraction], var: str) -> MultiPoly:
-    x = MultiPoly.var(var)
-    out = MultiPoly()
-    for power, c in enumerate(coeffs):
-        if c:
-            out = out + MultiPoly.const(c) * x ** power
-    return out
-
-
-def _trim(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Ascending coefficient list without trailing zeros (zero is [])."""
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _divmod_1var(
-    f: Sequence[Fraction], g: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of f by a nonzero g, both trimmed."""
-    f, g = _trim(f), _trim(g)
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g):
-        factor = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        q[shift] = factor
-        for i in range(len(g) - 1):
-            f[shift + i] -= factor * g[i]
-        f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
-
-
-def _poly_gcd_1var(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd of two coefficient lists; [] when both are zero."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _divmod_1var(a, b)[1]
-    return [c / a[-1] for c in a] if a else []
-
-
-def _derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [c * i for i, c in enumerate(coeffs)][1:]
-
-
 def _orthant_sign(q: MultiPoly) -> int | None:
     """Sign of q on the whole parameter region, by coefficient inspection.
 
@@ -903,8 +787,6 @@ def _orthant_sign(q: MultiPoly) -> int | None:
     """
     if q.is_zero():
         return None
-    from .exact import _SYM_INDEX
-
     si = _SYM_INDEX["s"]
     signs = set()
     for exps, c in q.terms:
@@ -913,6 +795,15 @@ def _orthant_sign(q: MultiPoly) -> int | None:
             return None
     return signs.pop()
 
+
+# open region interval per symbol; None means unbounded
+_REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
+    "k": (Fraction(1), None),
+    "l": (Fraction(1), None),
+    "r": (Fraction(0), None),
+    "s": (None, Fraction(-1)),
+    "m": (Fraction(0), None),
+}
 
 _ROOTLESS_CACHE: dict[MultiPoly, bool] = {}
 
@@ -924,103 +815,11 @@ def _rootless_on_region(e: MultiPoly) -> bool:
     hit = _ROOTLESS_CACHE.get(e)
     if hit is None:
         var = next(iter(e.symbols()))
-        coeffs = _univariate_coeffs(e, var)
+        coeffs = [c.constant_value() for c in e.coefficients(var)]
         lo, hi = _REGION_INTERVAL[var]
         hit = bool(coeffs) and _count_roots_open(coeffs, lo, hi) == 0
         _ROOTLESS_CACHE[e] = hit
     return hit
-
-
-# ---------------------------------------------------------------------------
-# exact univariate real-root counting (Sturm sequences)
-# ---------------------------------------------------------------------------
-
-# open region interval per symbol; None means unbounded
-_REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
-    "k": (Fraction(1), None),
-    "l": (Fraction(1), None),
-    "r": (Fraction(0), None),
-    "s": (None, Fraction(-1)),
-    "m": (Fraction(0), None),
-}
-
-
-def _sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_trim(coeffs)]
-    der = _trim(_derivative(chain[0]))
-    if der:
-        chain.append(der)
-        while len(chain[-1]) > 1:
-            rem = _divmod_1var(chain[-2], chain[-1])[1]
-            if not rem:
-                break
-            chain.append([-c for c in rem])
-    return chain
-
-
-def _eval_coeffs(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _sign_variations_at(chain, x: Fraction | None, at_pos_inf: bool = False) -> int:
-    signs = []
-    for coeffs in chain:
-        if not coeffs:
-            continue
-        if x is None:
-            lead = coeffs[-1]
-            sgn = (1 if lead > 0 else -1)
-            if not at_pos_inf and (len(coeffs) - 1) % 2:
-                sgn = -sgn
-        else:
-            v = _eval_coeffs(coeffs, x)
-            sgn = (v > 0) - (v < 0)
-        if sgn:
-            signs.append(sgn)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_roots_open(coeffs: Sequence[Fraction], lo, hi) -> int:
-    """Number of distinct real roots in the open interval (lo, hi)."""
-    sf = _trim(coeffs)
-    # deflate exact roots sitting on a finite endpoint so Sturm applies
-    for endpoint in (lo, hi):
-        if endpoint is not None:
-            while len(sf) > 1 and _eval_coeffs(sf, endpoint) == 0:
-                sf = _divmod_1var(sf, [-endpoint, Fraction(1)])[0]
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain(sf)
-    va = (_sign_variations_at(chain, None, at_pos_inf=False)
-          if lo is None else _sign_variations_at(chain, lo))
-    vb = (_sign_variations_at(chain, None, at_pos_inf=True)
-          if hi is None else _sign_variations_at(chain, hi))
-    return va - vb
-
-
-def _quadratic_roots_exact(coeffs: Sequence[Fraction]):
-    """Exact real roots, with multiplicity, of a degree 1 or 2 polynomial.
-
-    Roots are Fractions or quadratic irrationals; None for other degrees.
-    """
-    coeffs = _trim(coeffs)
-    if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
-    if len(coeffs) == 3:
-        c, b, a = coeffs
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        # sqrt(n/d) = sqrt(n*d)/d, and quad() folds a square n*d back into Q
-        half_root = Fraction(1, 2 * disc.denominator) / a if disc else 0
-        return [
-            quad(-b / (2 * a), sgn * half_root, disc.numerator * disc.denominator)
-            for sgn in (1, -1)
-        ]
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1034,8 +833,8 @@ def _resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         raise ValueError("resultant needs positive degrees")
     size = df + dg
     rows: list[list[MultiPoly]] = []
-    fc = [_coeff_of(f, var, df - i) for i in range(df + 1)]
-    gc = [_coeff_of(g, var, dg - i) for i in range(dg + 1)]
+    fc = f.coefficients(var)[::-1]
+    gc = g.coefficients(var)[::-1]
     for i in range(dg):
         rows.append([MultiPoly()] * i + fc + [MultiPoly()] * (size - df - 1 - i))
     for i in range(df):
@@ -1071,12 +870,16 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
     for var, idxs in by_var.items():
         if len(idxs) < 2:
             continue
-        coeffs = _univariate_coeffs(system[idxs[0]], var)
-        for idx in idxs[1:]:
-            coeffs = _poly_gcd_1var(coeffs, _univariate_coeffs(system[idx], var))
-        g = (_coeffs_to_poly(coeffs, var) if coeffs else MultiPoly.const(1)).normalized()
-        if g == MultiPoly():
-            g = MultiPoly.const(1)
+        coeffs: list = []
+        for idx in idxs:
+            coeffs = _poly_gcd_1var(
+                coeffs, [c.constant_value() for c in system[idx].coefficients(var)]
+            )
+        vi = _SYM_INDEX[var]
+        g = MultiPoly._from_terms({
+            tuple(power if i == vi else 0 for i in range(len(_SYM_INDEX))): c
+            for power, c in enumerate(coeffs) if c
+        }).normalized()
         if any(system[idx] != g for idx in idxs):
             changed = True
             drop.update(idxs[1:])
@@ -1188,10 +991,9 @@ class _Decomposer:
         best = None
         for var in _ELIM_ORDER:
             for idx, e in enumerate(system):
-                parts = _linear_parts(e, var)
-                if parts is None:
+                if e.degree(var) != 1:
                     continue
-                a_part, b_part = parts
+                a_part, b_part = e.coefficients(var)
                 b_norm = b_part.normalized()
                 if b_norm.is_constant():
                     rank, cert = 0, None
@@ -1288,9 +1090,9 @@ class _Decomposer:
         quantity strictly positive is a sporadic point.  A leaf without such
         a point stays unresolved.
         """
-        g = _univariate_coeffs(residual[0], var)
-        for e in residual[1:]:
-            g = _poly_gcd_1var(g, _univariate_coeffs(e, var))
+        g: list = []
+        for e in residual:
+            g = _poly_gcd_1var(g, [c.constant_value() for c in e.coefficients(var)])
         lo, hi = _REGION_INTERVAL[var]
         points = []
         for root in _quadratic_roots_exact(g) or ():

@@ -21,6 +21,13 @@ closed symbol universe::
     s   smaller nontrivial eigenvalue
     m   clique-count parameter of the imprimitive family
 
+Polynomials in one symbol also have a scalar form: an ascending list of
+coefficients, each an ``int`` or a ``Fraction``, with no zero last entry
+once trimmed (the zero polynomial is ``[]``).  ``MultiPoly.coefficients``
+reads any polynomial this way, one ``MultiPoly`` per power; the univariate
+kernels below (division with remainder, gcd, Sturm root counts, exact
+rational and quadratic roots) work on the scalar lists.
+
 The module also hosts the nonvanishing sieve: an ordered list of
 polynomials, each strictly signed on the primitive parameter region
 (k > r > 0, s < -1, l > -1 - s, for which also k + r*s > 0), together with
@@ -33,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 SYMBOLS = ("k", "l", "r", "s", "m")
 _SYM_INDEX = {name: i for i, name in enumerate(SYMBOLS)}
@@ -195,10 +202,7 @@ class QuadraticValue:
         return 1 if rhs > lhs else -1 if rhs < lhs else 0
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return (diff > 0) - (diff < 0)
-        return diff.sign()
+        return scalar_sign(self - other)
 
     def __eq__(self, other):
         if isinstance(other, QuadraticValue):
@@ -230,6 +234,13 @@ class QuadraticValue:
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "d": self.d}
+
+
+def scalar_sign(x) -> int:
+    """Exact sign (-1, 0 or 1) of an int, Fraction or QuadraticValue."""
+    if isinstance(x, QuadraticValue):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 def value_to_json(v):
@@ -363,6 +374,21 @@ class MultiPoly:
         if self.is_zero():
             raise ZeroInput("zero polynomial has no leading term")
         return self._terms[0]
+
+    def coefficients(self, name: str) -> list["MultiPoly"]:
+        """Coefficients of self as a polynomial in ``name``, lowest power first.
+
+        Entry i is free of ``name`` and self == sum(c_i * name**i); the list
+        ends at the degree in ``name``, so the zero polynomial gives [].
+        """
+        i = _SYM_INDEX[name]
+        by_power: dict[int, dict] = {}
+        for exps, c in self._terms:
+            by_power.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+        return [
+            MultiPoly._from_terms(by_power.get(power, {}))
+            for power in range(max(by_power, default=-1) + 1)
+        ]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -553,12 +579,160 @@ R = MultiPoly.var("r")
 S = MultiPoly.var("s")
 M = MultiPoly.var("m")
 
-def poly_eval(p: MultiPoly, assignment: Mapping[str, object]):
-    return p.evaluate(assignment)
+
+# ---------------------------------------------------------------------------
+# univariate polynomials
+# ---------------------------------------------------------------------------
+
+def _trim(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Ascending coefficient list without trailing zeros (zero is [])."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def poly_substitute(p: MultiPoly, mapping: Mapping[str, MultiPoly]) -> MultiPoly:
-    return p.substitute(mapping)
+def _divmod_1var(
+    f: Sequence[int | Fraction], g: Sequence[int | Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of f by a nonzero g, both trimmed."""
+    f, g = _trim(f), _trim(g)
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g):
+        factor = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        q[shift] = factor
+        for i in range(len(g) - 1):
+            f[shift + i] -= factor * g[i]
+        f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+    return q, f
+
+
+def _poly_gcd_1var(
+    a: Sequence[int | Fraction], b: Sequence[int | Fraction]
+) -> list[Fraction]:
+    """Monic gcd of two coefficient lists; [] when both are zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _divmod_1var(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _derivative(coeffs: Sequence[int | Fraction]) -> list[int | Fraction]:
+    return [c * i for i, c in enumerate(coeffs)][1:]
+
+
+def _eval_coeffs(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
+    out = Fraction(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[Fraction]]:
+    chain = [_trim(coeffs)]
+    der = _trim(_derivative(chain[0]))
+    if der:
+        chain.append(der)
+        while len(chain[-1]) > 1:
+            rem = _divmod_1var(chain[-2], chain[-1])[1]
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return chain
+
+
+def _sign_variations_at(chain, x: Fraction | None, at_pos_inf: bool = False) -> int:
+    signs = []
+    for coeffs in chain:
+        if not coeffs:
+            continue
+        if x is None:
+            lead = coeffs[-1]
+            sgn = (1 if lead > 0 else -1)
+            if not at_pos_inf and (len(coeffs) - 1) % 2:
+                sgn = -sgn
+        else:
+            v = _eval_coeffs(coeffs, x)
+            sgn = (v > 0) - (v < 0)
+        if sgn:
+            signs.append(sgn)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _count_roots_open(coeffs: Sequence[int | Fraction], lo, hi) -> int:
+    """Number of distinct real roots in the open interval (lo, hi).
+
+    A None end is unbounded.
+    """
+    sf = _trim(coeffs)
+    # deflate exact roots sitting on a finite endpoint so Sturm applies
+    for endpoint in (lo, hi):
+        if endpoint is not None:
+            while len(sf) > 1 and _eval_coeffs(sf, endpoint) == 0:
+                sf = _divmod_1var(sf, [-endpoint, Fraction(1)])[0]
+    if len(sf) <= 1:
+        return 0
+    chain = _sturm_chain(sf)
+    va = (_sign_variations_at(chain, None, at_pos_inf=False)
+          if lo is None else _sign_variations_at(chain, lo))
+    vb = (_sign_variations_at(chain, None, at_pos_inf=True)
+          if hi is None else _sign_variations_at(chain, hi))
+    return va - vb
+
+
+def _quadratic_roots_exact(coeffs: Sequence[int | Fraction]):
+    """Exact real roots, with multiplicity, of a degree 1 or 2 polynomial.
+
+    Roots are Fractions or quadratic irrationals, a quadratic's larger root
+    first when its leading coefficient is positive; None for other degrees.
+    """
+    coeffs = _trim(coeffs)
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]]
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        # sqrt(n/d) = sqrt(n*d)/d, and quad() folds a square n*d back into Q
+        half_root = Fraction(1, 2 * disc.denominator) / a if disc else 0
+        return [
+            quad(-b / (2 * a), sgn * half_root, disc.numerator * disc.denominator)
+            for sgn in (1, -1)
+        ]
+    return None
+
+
+def _rational_roots(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
+    """Rational roots of a nonzero polynomial given by its coefficient list.
+
+    Zero comes first, once per factor x; the other roots follow once each,
+    in the order the rational root test meets them.
+    """
+    coeffs = _trim(coeffs)
+    zeros = 0
+    while coeffs[zeros] == 0:
+        zeros += 1
+    coeffs = coeffs[zeros:]
+    # candidates p/q have p | const and q | lead once coefficients are integral
+    den = lcm(*(c.denominator for c in coeffs))
+
+    def divisors(c: Fraction):
+        n = abs(int(c * den))
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    roots = [Fraction(0)] * zeros
+    for a in divisors(coeffs[0]):
+        for b in divisors(coeffs[-1]):
+            for cand in (Fraction(a, b), Fraction(-a, b)):
+                if _eval_coeffs(coeffs, cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +861,3 @@ def default_sieve_set() -> SieveSet:
         _DEFAULT_SIEVE = SieveSet(_default_members())
     return _DEFAULT_SIEVE
 
-
-def sieve_nonzero(p: MultiPoly, sieve: SieveSet | None = None) -> NonzeroCertificate | None:
-    """Certificate that p cannot vanish on the primitive region, or None."""
-    return (sieve or default_sieve_set()).certify(p)

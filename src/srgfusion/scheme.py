@@ -23,13 +23,12 @@ multipartite).  Everything else with k > r > 0 and s < -1 is primitive.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import QuadraticValue, quad, _squarefree_split
+from .exact import QuadraticValue, _quadratic_roots_exact, scalar_sign
 
 
 class InfeasibleParams(ValueError):
@@ -38,12 +37,6 @@ class InfeasibleParams(ValueError):
 
 class NonIntegralMultiplicity(ValueError):
     """Eigenvalue multiplicities came out non-integral in graph mode."""
-
-
-def _sign(x) -> int:
-    if isinstance(x, QuadraticValue):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -86,9 +79,9 @@ class EigenData:
 
     def __post_init__(self):
         k, l, r, s, f, g = self.k, self.l, self.r, self.s, self.f, self.g
-        if _sign(r - s) <= 0:
+        if scalar_sign(r - s) <= 0:
             raise InfeasibleParams("need r > s")
-        if _sign(k) <= 0 or _sign(l) <= 0:
+        if scalar_sign(k) <= 0 or scalar_sign(l) <= 0:
             raise InfeasibleParams("valencies must be positive")
         if k + f * r + g * s != 0:
             raise InfeasibleParams("column orthogonality k + f*r + g*s = 0 fails")
@@ -114,18 +107,8 @@ def eigen_from_params(p: SrgParams, integral: bool = True) -> EigenData:
     with integral=False they only warn (table-algebra mode).
     """
     n, k, mu, nu = p.n, p.k, p.mu, p.nu
-    disc = (mu - nu) ** 2 + 4 * (k - nu)
-    root = math.isqrt(disc)
-    if root * root == disc:
-        r = Fraction(mu - nu + root, 2)
-        s = Fraction(mu - nu - root, 2)
-        f = Fraction(-k - (n - 1) * s, r - s)
-        g = Fraction(n - 1) - f
-        if f <= 0 or g <= 0:
-            raise InfeasibleParams(f"multiplicities f={f}, g={g} for {p}")
-        if f.denominator == 1 and g.denominator == 1:
-            f, g = int(f), int(g)
-    else:
+    r, s = _quadratic_roots_exact([nu - k, nu - mu, 1])
+    if isinstance(r, QuadraticValue):
         # conference case: k + f*r + g*s = 0 with irrational r, s needs f = g
         if 2 * k != (n - 1) * (nu - mu):
             raise InfeasibleParams(
@@ -133,13 +116,16 @@ def eigen_from_params(p: SrgParams, integral: bool = True) -> EigenData:
             )
         if (n - 1) % 2 and integral:
             raise NonIntegralMultiplicity(f"f = g = (n-1)/2 non-integral for {p}")
-        _, d0 = _squarefree_split(disc)
-        r = quad(Fraction(mu - nu, 2), Fraction(1, 2), disc)
-        s = quad(Fraction(mu - nu, 2), Fraction(-1, 2), disc)
-        assert isinstance(r, QuadraticValue) and r.d == d0
         f = g = Fraction(n - 1, 2)
         if f.denominator == 1:
             f = g = int(f)
+    else:
+        f = Fraction(-k - (n - 1) * s, r - s)
+        g = Fraction(n - 1) - f
+        if f <= 0 or g <= 0:
+            raise InfeasibleParams(f"multiplicities f={f}, g={g} for {p}")
+        if f.denominator == 1 and g.denominator == 1:
+            f, g = int(f), int(g)
     non_integral = any(Fraction(x).denominator != 1 for x in (Fraction(f), Fraction(g)))
     if non_integral:
         if integral:
@@ -159,7 +145,7 @@ def eigen_from_values(k, l, r, s, integral: bool = False) -> EigenData:
     if isinstance(f, QuadraticValue):
         raise InfeasibleParams(f"multiplicities irrational for ({k},{l},{r},{s})")
     g = Fraction(n - 1) - f
-    if _sign(f) <= 0 or _sign(g) <= 0:
+    if scalar_sign(f) <= 0 or scalar_sign(g) <= 0:
         raise InfeasibleParams(f"multiplicities must be positive, got f={f}, g={g}")
     if integral:
         if Fraction(f).denominator != 1 or Fraction(g).denominator != 1:
@@ -272,21 +258,21 @@ def feasibility(e: EigenData) -> FeasibilityReport:
 
     v1 = l * (k + r * s) + k * (1 + r + s + r * s)
     check("1", v1, v1 == 0)
-    check("2:k>=1", k, _sign(k - 1) >= 0)
-    check("2:l>=1", l, _sign(l - 1) >= 0)
-    check("2:k>=r", k - r, _sign(k - r) >= 0)
-    check("2:r>=0", r, _sign(r) >= 0)
-    check("2:s<=-1", s, _sign(s + 1) <= 0)
+    check("2:k>=1", k, scalar_sign(k - 1) >= 0)
+    check("2:l>=1", l, scalar_sign(l - 1) >= 0)
+    check("2:k>=r", k - r, scalar_sign(k - r) >= 0)
+    check("2:r>=0", r, scalar_sign(r) >= 0)
+    check("2:s<=-1", s, scalar_sign(s + 1) <= 0)
     v2 = s * (k + k * r + r * l) + (k + k * r + k * l)
     check("2:s-identity", v2, v2 == 0)
-    check("3:l>=-1-s", l + 1 + s, _sign(l + 1 + s) >= 0)
-    check("4:k+rs>=0", k + r * s, _sign(k + r * s) >= 0)
+    check("3:l>=-1-s", l + 1 + s, scalar_sign(l + 1 + s) >= 0)
+    check("4:k+rs>=0", k + r * s, scalar_sign(k + r * s) >= 0)
     v4 = 1 + r + s + r * s
-    check("4:1+r+s+rs<=0", v4, _sign(v4) <= 0)
+    check("4:1+r+s+rs<=0", v4, scalar_sign(v4) <= 0)
     v5a = l + 1 + r + s + r * s
-    check("5:l+(1+r+s+rs)>=0", v5a, _sign(v5a) >= 0)
+    check("5:l+(1+r+s+rs)>=0", v5a, scalar_sign(v5a) >= 0)
     v5b = l - 1 + r * s
-    check("5:l-1+rs>=0", v5b, _sign(v5b) >= 0)
+    check("5:l-1+rs>=0", v5b, scalar_sign(v5b) >= 0)
 
     if k == r or s == -1:
         kind = "k=r,s=-1"

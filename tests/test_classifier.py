@@ -21,7 +21,7 @@ from srgfusion.classifier import (
     _grouping_system,
     _leaf_point,
 )
-from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue, poly_eval
+from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue
 from srgfusion.fusion import bm_check, scan_all
 from srgfusion.partitions import parse
 from srgfusion.products import tensor_square_table
@@ -46,7 +46,7 @@ def test_symbolic_table_specializes_to_numeric():
     numeric = tensor_square_table(char_table(eigen_from_values(3, 6, 1, -2)))
     for sym_row, num_row in zip(t.rows, numeric.rows):
         for sym_v, num_v in zip(sym_row, num_row):
-            assert poly_eval(sym_v, pt) == num_v
+            assert sym_v.evaluate(pt) == num_v
 
 
 def test_guaranteed_strings_are_the_13():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from srgfusion.exact import (
     K, L, MultiPoly, MixedField, MissingSymbol, ONE, R, S, ZeroInput,
-    default_sieve_set, poly_eval, poly_substitute, quad, sieve_nonzero,
+    default_sieve_set, quad,
     QuadraticValue,
 )
 
@@ -66,36 +66,36 @@ def test_quad_division():
 def test_poly_eval_examples():
     # k + r*s at the Petersen values
     p = K + R * S
-    assert poly_eval(p, {"k": Fraction(3), "r": Fraction(1), "s": Fraction(-2)}) == 1
+    assert p.evaluate({"k": Fraction(3), "r": Fraction(1), "s": Fraction(-2)}) == 1
     # zero polynomial evaluates to zero under any assignment
-    assert poly_eval(MultiPoly(), {}) == 0
+    assert MultiPoly().evaluate({}) == 0
     # (1+r)(1+s) with conjugate golden-ratio surds
     p = ONE + R + S + R * S
-    assert poly_eval(p, {"r": GOLDEN_R, "s": GOLDEN_S}) == Fraction(-1)
+    assert p.evaluate({"r": GOLDEN_R, "s": GOLDEN_S}) == Fraction(-1)
 
 
 def test_poly_eval_missing_symbol():
     with pytest.raises(MissingSymbol):
-        poly_eval(K + L, {"k": Fraction(1)})
+        (K + L).evaluate({"k": Fraction(1)})
 
 
 def test_poly_eval_mixed_field():
     with pytest.raises(MixedField):
-        poly_eval(R + S, {"r": quad(0, 1, 5), "s": quad(0, 1, 13)})
+        (R + S).evaluate({"r": quad(0, 1, 5), "s": quad(0, 1, 13)})
 
 
 def test_poly_substitute_examples():
     conf = {"k": 2 * R + 2 * R * R, "l": 2 * R + 2 * R * R, "r": R,
             "s": -1 - R + MultiPoly()}
-    assert poly_substitute(K - L, conf).is_zero()
+    assert (K - L).substitute(conf).is_zero()
     identity = {name: MultiPoly.var(name) for name in ("k", "l", "r", "s", "m")}
-    assert poly_substitute(K, identity) == K
-    assert poly_substitute(K - R * (3 + R), {"k": R * (3 + R), "r": R}).is_zero()
+    assert K.substitute(identity) == K
+    assert (K - R * (3 + R)).substitute({"k": R * (3 + R), "r": R}).is_zero()
 
 
 def test_poly_substitute_missing():
     with pytest.raises(MissingSymbol):
-        poly_substitute(K + S, {"k": ONE})
+        (K + S).substitute({"k": ONE})
 
 
 def test_poly_division_exact():
@@ -152,12 +152,12 @@ def test_normalized_scales_to_primitive_integers():
 # -- the sieve ---------------------------------------------------------------
 
 def test_sieve_certifies_members_and_products():
-    cert = sieve_nonzero(K - R)
+    cert = default_sieve_set().certify(K - R)
     assert cert is not None and cert.constant == 1
     assert cert.reconstruct(default_sieve_set()) == K - R
 
     # 1 + r + s + rs factors as (1+r)(1+s)
-    cert = sieve_nonzero(ONE + R + S + R * S)
+    cert = default_sieve_set().certify(ONE + R + S + R * S)
     assert cert is not None
     assert cert.reconstruct(default_sieve_set()) == ONE + R + S + R * S
     assert cert.region_sign(default_sieve_set()) == -1
@@ -166,13 +166,13 @@ def test_sieve_certifies_members_and_products():
 def test_sieve_unknown_for_vanishing_quantity():
     # k + r + s + rs vanishes for triangle-free graphs: Petersen gives 0
     p = K + R + S + R * S
-    assert poly_eval(p, {"k": Fraction(3), "r": Fraction(1), "s": Fraction(-2)}) == 0
-    assert sieve_nonzero(p) is None
+    assert p.evaluate({"k": Fraction(3), "r": Fraction(1), "s": Fraction(-2)}) == 0
+    assert default_sieve_set().certify(p) is None
 
 
 def test_sieve_zero_input():
     with pytest.raises(ZeroInput):
-        sieve_nonzero(MultiPoly())
+        default_sieve_set().certify(MultiPoly())
 
 
 BATTERY = [
@@ -272,4 +272,4 @@ def test_substitute_then_eval_matches_composed_eval(p):
     point = {"r": Fraction(2), "s": Fraction(-3)}
     composed = {"k": Fraction(3), "l": Fraction(9), "r": Fraction(2),
                 "s": Fraction(-3), "m": Fraction(1)}
-    assert poly_eval(poly_substitute(p, sub), point) == poly_eval(p, composed)
+    assert p.substitute(sub).evaluate(point) == p.evaluate(composed)

@@ -1,5 +1,7 @@
 """Parameter sets, eigenvalues, feasibility, and the rank-3 table."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,3 +183,68 @@ def test_table_algebra_mode_warns():
     assert e.f == Fraction(21, 4)
     with pytest.raises(NonIntegralMultiplicity):
         eigen_from_params(SrgParams(15, 7, 3, 3), integral=True)
+
+
+def eigen_from_params_isqrt(p: SrgParams, integral: bool = True) -> EigenData:
+    """Reference: r, s from an integer square root of the discriminant."""
+    n, k, mu, nu = p.n, p.k, p.mu, p.nu
+    disc = (mu - nu) ** 2 + 4 * (k - nu)
+    root = math.isqrt(disc)
+    if root * root == disc:
+        r = Fraction(mu - nu + root, 2)
+        s = Fraction(mu - nu - root, 2)
+        f = Fraction(-k - (n - 1) * s, r - s)
+        g = Fraction(n - 1) - f
+        if f <= 0 or g <= 0:
+            raise InfeasibleParams(f"multiplicities f={f}, g={g} for {p}")
+        if f.denominator == 1 and g.denominator == 1:
+            f, g = int(f), int(g)
+    else:
+        if 2 * k != (n - 1) * (nu - mu):
+            raise InfeasibleParams(
+                f"irrational eigenvalues need the conference identity, got {p}"
+            )
+        if (n - 1) % 2 and integral:
+            raise NonIntegralMultiplicity(f"f = g = (n-1)/2 non-integral for {p}")
+        r = quad(Fraction(mu - nu, 2), Fraction(1, 2), disc)
+        s = quad(Fraction(mu - nu, 2), Fraction(-1, 2), disc)
+        f = g = Fraction(n - 1, 2)
+        if f.denominator == 1:
+            f = g = int(f)
+    if Fraction(f).denominator != 1 or Fraction(g).denominator != 1:
+        if integral:
+            raise NonIntegralMultiplicity(f"f={f}, g={g} for {p}")
+        warnings.warn(f"non-integral multiplicities f={f}, g={g}", stacklevel=2)
+    return EigenData(k, p.l, r, s, f, g)
+
+
+def _outcome(fn, p: SrgParams, integral: bool):
+    """repr of the result (types included) or the exception class, plus warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(fn(p, integral=integral))
+        except (InfeasibleParams, NonIntegralMultiplicity) as exc:
+            out = type(exc)
+    return out, [str(w.message) for w in caught]
+
+
+def test_eigen_from_params_pinned_on_every_small_candidate():
+    # every (n, k, mu, nu) with n <= 64 passing the integral edge-count
+    # identity, the candidate set the benchmark's scan pool is drawn from
+    checked = 0
+    for n in range(3, 65):
+        for k in range(1, n - 1):
+            l = n - k - 1
+            for mu in range(k):
+                if (k * (k - mu - 1)) % l:
+                    continue
+                nu = k * (k - mu - 1) // l
+                if nu > k:
+                    continue
+                p = SrgParams(n, k, mu, nu)
+                for integral in (True, False):
+                    assert (_outcome(eigen_from_params, p, integral)
+                            == _outcome(eigen_from_params_isqrt, p, integral)), p
+                checked += 1
+    assert checked == 4842

@@ -1,8 +1,11 @@
-"""The classifier's univariate toolkit against sympy as an independent oracle.
+"""The univariate toolkit against sympy as an independent oracle.
 
-Coefficient lists are ascending and hold Fractions, as in the classifier.
-The multivariate kernels built on it, the exact polynomial square root and
-the Sylvester resultant, are checked against sympy too.
+The toolkit lives in ``srgfusion.exact``: ``MultiPoly.coefficients`` reads a
+polynomial as ascending coefficients in one symbol, and the kernels of its
+"univariate polynomials" section work on ascending lists of int or Fraction
+coefficients.  The classifier's multivariate kernels built on it, the exact
+polynomial square root and the Sylvester resultant, are checked against
+sympy too.
 """
 
 from collections import Counter
@@ -12,15 +15,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srgfusion.classifier import (
+from srgfusion.classifier import _poly_sqrt, _resultant
+from srgfusion.exact import (
+    SYMBOLS,
+    K,
+    L,
+    MultiPoly,
+    QuadraticValue,
     _count_roots_open,
     _divmod_1var,
     _poly_gcd_1var,
-    _poly_sqrt,
     _quadratic_roots_exact,
-    _resultant,
+    _rational_roots,
 )
-from srgfusion.exact import SYMBOLS, K, L, MultiPoly, QuadraticValue
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -136,6 +143,35 @@ def test_quadratic_roots_exact_cases():
     assert _quadratic_roots_exact([f(1), f(1), f(1), f(1)]) is None
 
 
+@given(st.lists(pool, max_size=4), polys(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_match_sympy(roots, cofactor):
+    expr = to_expr(cofactor)
+    for root in roots:
+        expr *= X - rational(root)
+    poly = sympy.Poly(sympy.expand(expr), X)
+    coeffs = [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
+    # the rational roots are those of the linear factors over Q
+    want = {
+        -fac.all_coeffs()[1] / fac.all_coeffs()[0]: mult
+        for fac, mult in poly.factor_list()[1] if fac.degree() == 1
+    }
+    got = _rational_roots(coeffs)
+    zeros = want.pop(sympy.Integer(0), 0)
+    assert got[:zeros] == [0] * zeros
+    assert len(set(got[zeros:])) == len(got) - zeros
+    assert {rational(r) for r in got[zeros:]} == set(want)
+
+
+def test_rational_roots_cases():
+    f = Fraction
+    assert _rational_roots([f(1), f(-5, 2), f(1)]) == [f(1, 2), f(2)]
+    assert _rational_roots([0, 0, -2, 1]) == [0, 0, 2]
+    assert _rational_roots([-4, 0, 1]) == [2, -2]
+    assert _rational_roots([1, 0, 1]) == []
+    assert _rational_roots([3]) == []
+
+
 # -- multivariate kernels ------------------------------------------------------
 
 GENS = sympy.symbols(SYMBOLS)
@@ -203,3 +239,36 @@ def test_resultant_matches_sympy(f, g, var):
     got = to_sympy(_resultant(f, g, var))
     want = sympy.resultant(to_sympy(f), to_sympy(g), GENS[SYMBOLS.index(var)])
     assert sympy.expand(got - want) == 0
+
+
+def five_symbol_polys(max_terms=5):
+    """Polynomials in all five symbols, m included."""
+    mono = st.tuples(*(st.integers(0, 3) for _ in SYMBOLS))
+    return st.dictionaries(mono, small_coeffs, max_size=max_terms).map(MultiPoly)
+
+
+@given(five_symbol_polys(), st.sampled_from(SYMBOLS))
+@settings(max_examples=80, deadline=None)
+def test_coefficients_round_trip(p, var):
+    coeffs = p.coefficients(var)
+    x = MultiPoly.var(var)
+    assert sum((c * x**i for i, c in enumerate(coeffs)), MultiPoly()) == p
+    assert len(coeffs) == p.degree(var) + 1
+    assert not coeffs or not coeffs[-1].is_zero()
+    for c in coeffs:
+        assert var not in c.symbols()
+        assert all(type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+                   for _, v in c.terms)
+
+
+@given(five_symbol_polys(), st.sampled_from(SYMBOLS))
+@settings(max_examples=60, deadline=None)
+def test_coefficients_match_sympy_all_coeffs(p, var):
+    coeffs = p.coefficients(var)
+    if p.is_zero():
+        assert coeffs == []
+        return
+    gen = GENS[SYMBOLS.index(var)]
+    want = sympy.Poly(to_sympy(p), gen).all_coeffs()[::-1]
+    assert len(coeffs) == len(want)
+    assert all(sympy.expand(to_sympy(c) - w) == 0 for c, w in zip(coeffs, want))
