@@ -876,9 +876,9 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
                 coeffs, [c.constant_value() for c in system[idx].coefficients(var)]
             )
         vi = _SYM_INDEX[var]
-        g = MultiPoly._from_terms({
+        g = MultiPoly({
             tuple(power if i == vi else 0 for i in range(len(_SYM_INDEX))): c
-            for power, c in enumerate(coeffs) if c
+            for power, c in enumerate(coeffs)
         }).normalized()
         if any(system[idx] != g for idx in idxs):
             changed = True

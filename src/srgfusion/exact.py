@@ -21,6 +21,23 @@ closed symbol universe::
     s   smaller nontrivial eigenvalue
     m   clique-count parameter of the imprimitive family
 
+A monomial is packed into one ``int``.  Each exponent has a 9-bit field, 8
+value bits under a guard bit, with ``m`` in the lowest field and ``k`` in the
+highest, and the total degree sits above all five fields::
+
+    total degree | k | l | r | s | m        (fields of 9 bits, m lowest)
+
+Integer order is then graded-lex order: comparing two packed monomials
+compares total degree first, then the exponents of k, l, r, s, m in turn,
+so terms sort with no key.  The product of two monomials is their sum.  A
+monomial a divides b exactly when ``((b | GUARDS) - a) & GUARDS == GUARDS``:
+with every guard bit of b set, a field of b smaller than a's borrows its own
+guard bit and never reaches the next field.  Exponents and total degrees
+are at most 255, so no field ever carries into its guard: the constructor
+raises ``ValueError`` for an exponent vector beyond that, and a product
+whose total degree would exceed 255 raises ``OverflowError``.
+``MultiPoly.terms`` decodes each monomial back to an exponent 5-tuple.
+
 Polynomials in one symbol also have a scalar form: an ascending list of
 coefficients, each an ``int`` or a ``Fraction``, with no zero last entry
 once trimmed (the zero polynomial is ``[]``).  ``MultiPoly.coefficients``
@@ -40,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 SYMBOLS = ("k", "l", "r", "s", "m")
@@ -57,6 +75,15 @@ class MixedField(ArithmeticError):
 
 class ZeroInput(ValueError):
     """The zero polynomial was passed where a nonzero one is required."""
+
+
+def _coeff(c) -> int | Fraction:
+    """Canonical exact scalar: int when integral, else Fraction; no floats."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"exact scalars are int or Fraction, not {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +114,8 @@ def quad(a, b=0, d: int = 0):
     ``d`` is normalized squarefree; a perfect-square radicand folds into the
     rational part.
     """
-    a = Fraction(a)
-    b = Fraction(b)
+    a = Fraction(_coeff(a))
+    b = Fraction(_coeff(b))
     if b == 0:
         return a
     c, d0 = _squarefree_split(d)
@@ -136,7 +163,10 @@ class QuadraticValue:
         return QuadraticValue(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, QuadraticValue) else -Fraction(other))
+        oa, ob = self._coerce(other)
+        if oa is NotImplemented:
+            return NotImplemented
+        return quad(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -255,66 +285,76 @@ def value_to_json(v):
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _term_key(term: tuple) -> tuple:
-    # graded lexicographic on the exponents, k > l > r > s > m
-    exps = term[0]
-    return (sum(exps), exps)
+_FIELD = 9  # bits per exponent: 8 value bits and a guard bit
+_MAX_EXP = (1 << (_FIELD - 1)) - 1
+_SHIFTS = tuple(_FIELD * (_NVARS - 1 - i) for i in range(_NVARS))  # k highest
+_DEG_SHIFT = _FIELD * _NVARS
+_GUARDS = sum(1 << (shift + _FIELD - 1) for shift in _SHIFTS)
 
 
-def _sorted_terms(acc: dict) -> tuple:
-    """Canonical term tuple of nonzero coefficients, largest monomial first."""
-    items = [
-        (e, c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-        for e, c in acc.items()
-    ]
-    items.sort(key=_term_key, reverse=True)
-    return tuple(items)
+def _pack(exps: tuple[int, ...]) -> int:
+    """Packed monomial of an exponent 5-tuple."""
+    out = sum(exps) << _DEG_SHIFT
+    for e, shift in zip(exps, _SHIFTS):
+        out += e << shift
+    return out
 
 
-def _coeff(c) -> int | Fraction:
-    """Canonical coefficient: int when integral, else Fraction; no floats."""
-    if isinstance(c, int):
-        return int(c)
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"polynomial coefficients are int or Fraction, not {type(c).__name__}")
+def _unpack(mono: int) -> tuple[int, ...]:
+    """Exponent 5-tuple of a packed monomial."""
+    sk, sl, sr, ss, sm = _SHIFTS
+    return ((mono >> sk) & _MAX_EXP, (mono >> sl) & _MAX_EXP, (mono >> sr) & _MAX_EXP,
+            (mono >> ss) & _MAX_EXP, (mono >> sm) & _MAX_EXP)
 
 
-_CONST_EXPS = (0,) * _NVARS
+def _divides(a: int, b: int) -> bool:
+    """Whether monomial a divides monomial b: no field of b - a borrows."""
+    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
 
 
 class MultiPoly:
     """Sparse polynomial over Q in the fixed symbols k, l, r, s, m.
 
-    Terms map exponent 5-tuples to nonzero coefficients in canonical form
-    (int when integral, else Fraction; floats are rejected); the zero
-    polynomial has no terms.  Instances are immutable and hashable, with
-    terms kept sorted in graded-lex order (largest first).
+    Terms pair a packed monomial (one int, see the module docstring) with a
+    nonzero coefficient in canonical form (int when integral, else Fraction;
+    floats are rejected); the zero polynomial has no terms.  Instances are
+    immutable and hashable, with terms kept sorted in graded-lex order
+    (largest first).  ``terms`` and ``leading()`` decode each monomial to
+    its exponent 5-tuple.
     """
 
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple[int, ...], int | Fraction] | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int | Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for exps, coeff in items:
-            exps = tuple(exps)
-            if len(exps) != _NVARS or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps}")
-            coeff = _coeff(coeff)
-            if coeff:
-                c = acc.get(exps, 0) + coeff
-                if c:
-                    acc[exps] = c
-                else:
-                    acc.pop(exps, None)
-        object.__setattr__(self, "_terms", _sorted_terms(acc))
+            exps = tuple(map(index, exps))
+            if len(exps) != _NVARS or min(exps) < 0 or sum(exps) > _MAX_EXP:
+                raise ValueError(
+                    f"bad exponent vector {exps}: five exponents >= 0, "
+                    f"total degree <= {_MAX_EXP}")
+            mono = _pack(exps)
+            acc[mono] = acc.get(mono, 0) + _coeff(coeff)
+        object.__setattr__(self, "_terms", MultiPoly._from_terms(acc)._terms)
 
     @classmethod
     def _from_terms(cls, acc: dict) -> "MultiPoly":
-        """Trusted constructor: valid exponent tuples, nonzero coefficients."""
+        """Trusted constructor from {packed monomial: coefficient}, any order.
+
+        Zero coefficients are dropped and integral Fractions fold to int.
+        """
+        terms = [t for t in acc.items() if t[1]]
+        terms.sort(reverse=True)  # monomials are distinct, so ints decide
+        if Fraction in set(map(type, acc.values())):
+            terms = [(e, _coeff(c)) for e, c in terms]
+        return cls._from_sorted(tuple(terms))
+
+    @classmethod
+    def _from_sorted(cls, terms: tuple) -> "MultiPoly":
+        """Trusted constructor from canonical terms already in order."""
         p = object.__new__(cls)
-        object.__setattr__(p, "_terms", _sorted_terms(acc))
+        object.__setattr__(p, "_terms", terms)
         return p
 
     def __setattr__(self, *args):
@@ -325,7 +365,7 @@ class MultiPoly:
     @staticmethod
     def const(c) -> "MultiPoly":
         c = _coeff(c)
-        return MultiPoly._from_terms({_CONST_EXPS: c} if c else {})
+        return MultiPoly._from_sorted(((0, c),) if c else ())
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -339,13 +379,13 @@ class MultiPoly:
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        return tuple([(_unpack(e), c) for e, c in self._terms])
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and sum(self._terms[0][0]) == 0)
+        return not self._terms or (len(self._terms) == 1 and self._terms[0][0] == 0)
 
     def constant_value(self) -> int | Fraction:
         if self.is_zero():
@@ -355,25 +395,26 @@ class MultiPoly:
         return self._terms[0][1]
 
     def symbols(self) -> frozenset[str]:
-        out = set()
-        for exps, _ in self._terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(SYMBOLS[i])
-        return frozenset(out)
+        present = 0
+        for e, _ in self._terms:
+            present |= e
+        return frozenset(
+            [name for name, shift in zip(SYMBOLS, _SHIFTS) if (present >> shift) & _MAX_EXP]
+        )
 
     def degree(self, name: str | None = None) -> int:
         if self.is_zero():
             return -1
         if name is None:
-            return max(sum(e) for e, _ in self._terms)
-        i = _SYM_INDEX[name]
-        return max(e[i] for e, _ in self._terms)
+            return self._terms[0][0] >> _DEG_SHIFT
+        shift = _SHIFTS[_SYM_INDEX[name]]
+        return max((e >> shift) & _MAX_EXP for e, _ in self._terms)
 
     def leading(self) -> tuple[tuple[int, ...], int | Fraction]:
         if self.is_zero():
             raise ZeroInput("zero polynomial has no leading term")
-        return self._terms[0]
+        e, c = self._terms[0]
+        return _unpack(e), c
 
     def coefficients(self, name: str) -> list["MultiPoly"]:
         """Coefficients of self as a polynomial in ``name``, lowest power first.
@@ -381,12 +422,15 @@ class MultiPoly:
         Entry i is free of ``name`` and self == sum(c_i * name**i); the list
         ends at the degree in ``name``, so the zero polynomial gives [].
         """
-        i = _SYM_INDEX[name]
-        by_power: dict[int, dict] = {}
-        for exps, c in self._terms:
-            by_power.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
+        shift = _SHIFTS[_SYM_INDEX[name]]
+        unit = (1 << shift) + (1 << _DEG_SHIFT)
+        by_power: dict[int, list] = {}
+        for e, c in self._terms:
+            power = (e >> shift) & _MAX_EXP
+            # removing the same monomial from each term keeps their order
+            by_power.setdefault(power, []).append((e - power * unit, c))
         return [
-            MultiPoly._from_terms(by_power.get(power, {}))
+            MultiPoly._from_sorted(tuple(by_power.get(power, ())))
             for power in range(max(by_power, default=-1) + 1)
         ]
 
@@ -404,24 +448,25 @@ class MultiPoly:
         if q is None:
             return NotImplemented
         acc = dict(self._terms)
-        for exps, c in q._terms:
-            v = acc.get(exps, 0) + c
-            if v:
-                acc[exps] = v
-            else:
-                acc.pop(exps, None)
+        get = acc.get
+        for e, c in q._terms:
+            acc[e] = get(e, 0) + c
         return MultiPoly._from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._from_terms({e: -c for e, c in self._terms})
+        return MultiPoly._from_sorted(tuple((e, -c) for e, c in self._terms))
 
     def __sub__(self, other):
         q = self._as_poly(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        acc = dict(self._terms)
+        get = acc.get
+        for e, c in q._terms:
+            acc[e] = get(e, 0) - c
+        return MultiPoly._from_terms(acc)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -430,15 +475,18 @@ class MultiPoly:
         q = self._as_poly(other)
         if q is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], int | Fraction] = {}
+        if not (self._terms and q._terms):
+            return MultiPoly._from_sorted(())
+        # the lead terms carry the largest total degrees, and no exponent
+        # exceeds the total degree, so this one test rules out every carry
+        if (self._terms[0][0] + q._terms[0][0]) >> _DEG_SHIFT > _MAX_EXP:
+            raise OverflowError(f"product degree exceeds {_MAX_EXP}")
+        acc: dict[int, int | Fraction] = {}
+        get = acc.get
         for e1, c1 in self._terms:
             for e2, c2 in q._terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = acc.get(e, 0) + c1 * c2
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
         return MultiPoly._from_terms(acc)
 
     __rmul__ = __mul__
@@ -446,21 +494,22 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.const(1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return MultiPoly.const(1) if out is None else out
 
     def __eq__(self, other):
+        if isinstance(other, MultiPoly):
+            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._terms == other._terms
+            return self._terms == MultiPoly.const(other)._terms
+        return NotImplemented
 
     def __hash__(self):
         try:
@@ -478,18 +527,29 @@ class MultiPoly:
             raise ZeroDivisionError
         if self.is_zero():
             return MultiPoly()
-        dl_e, dl_c = divisor.leading()
-        rem = self
-        q: dict[tuple[int, ...], int | Fraction] = {}
-        while not rem.is_zero():
-            rl_e, rl_c = rem.leading()
-            e = tuple(a - b for a, b in zip(rl_e, dl_e))
-            if any(x < 0 for x in e):
+        # a product's lowest and leading terms are the products of the
+        # factors' lowest and leading terms, so both tests come first
+        if not (_divides(divisor._terms[-1][0], self._terms[-1][0])
+                and _divides(divisor._terms[0][0], self._terms[0][0])):
+            return None
+        (dl_e, dl_c), *tail = divisor._terms
+        rem = dict(self._terms)
+        q = []
+        while rem:
+            rl_e = max(rem)
+            if not _divides(dl_e, rl_e):
                 return None
-            # the leading monomial strictly falls, so each e is new
-            q[e] = c = Fraction(rl_c, dl_c)
-            rem = rem - MultiPoly._from_terms({e: c}) * divisor
-        return MultiPoly._from_terms(q)
+            # the leading monomial strictly falls, so q stays in order
+            e, c = rl_e - dl_e, _coeff(Fraction(rem.pop(rl_e), dl_c))
+            q.append((e, c))
+            for e2, c2 in tail:
+                e2 += e
+                v = rem.get(e2, 0) - c * c2
+                if v:
+                    rem[e2] = v
+                else:
+                    del rem[e2]
+        return MultiPoly._from_sorted(tuple(q))
 
     # -- evaluation / substitution -------------------------------------------
 
@@ -506,7 +566,7 @@ class MultiPoly:
         if len(ds) > 1:
             raise MixedField(f"assignment mixes radicands {sorted(ds)}")
         total = Fraction(0)
-        for exps, coeff in self._terms:
+        for exps, coeff in self.terms:
             term = coeff
             for i, e in enumerate(exps):
                 if e:
@@ -520,7 +580,7 @@ class MultiPoly:
         if missing:
             raise MissingSymbol(sorted(missing)[0])
         total = MultiPoly()
-        for exps, coeff in self._terms:
+        for exps, coeff in self.terms:
             term = MultiPoly.const(coeff)
             for i, e in enumerate(exps):
                 if e:
@@ -534,14 +594,18 @@ class MultiPoly:
         """Scalar-normalized form: integer coprime coefficients, positive lead."""
         if self.is_zero():
             return self
-        den = lcm(*(c.denominator for _, c in self._terms))
-        scaled = [(e, c.numerator * (den // c.denominator)) for e, c in self._terms]
-        num = gcd(*(c for _, c in scaled))
-        if scaled[0][1] < 0:
+        coeffs = [c for _, c in self._terms]
+        den = 1
+        if Fraction in set(map(type, coeffs)):
+            den = lcm(*(c.denominator for c in coeffs))
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+        num = gcd(*coeffs)
+        if coeffs[0] < 0:
             num = -num
         if den == 1 and num == 1:
             return self
-        return MultiPoly._from_terms({e: c // num for e, c in scaled})
+        return MultiPoly._from_sorted(
+            tuple(zip([e for e, _ in self._terms], [c // num for c in coeffs])))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -550,7 +614,7 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         parts = []
-        for exps, coeff in self._terms:
+        for exps, coeff in self.terms:
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
@@ -586,7 +650,7 @@ M = MultiPoly.var("m")
 
 def _trim(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
     """Ascending coefficient list without trailing zeros (zero is [])."""
-    out = [Fraction(c) for c in coeffs]
+    out = [Fraction(_coeff(c)) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return out

@@ -23,7 +23,7 @@ from srgfusion.classifier import (
 )
 from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue
 from srgfusion.fusion import bm_check, scan_all
-from srgfusion.partitions import parse
+from srgfusion.partitions import coarsenings, parse
 from srgfusion.products import tensor_square_table
 from srgfusion.scheme import char_table, eigen_from_values
 
@@ -344,6 +344,26 @@ def test_classify_all_idempotent(classification):
     assert again is classification  # cached, deterministic by construction
     texts = [str(r.partition) for r in classification.records]
     assert texts == sorted(texts)
+
+
+def test_theorem_1_hamming_fusions_carry_every_family_but_sp5(classification):
+    """Theorem (1): the SRG families where A (x) A has a special-case fusion
+    are those where H(2, A) has one.
+
+    H(2, A) is the fusion of A (x) A along the flip partition 24|37|5|68|9,
+    so its fusions are the census records of that partition's coarsenings.
+    SP5 is the one catalogued family missing there, and that is no
+    exception: its graph is the pentagon, the n = 5 member of the conference
+    family CONF, and CONF is among the 18 FAMILY records.
+    """
+    by_text = {str(r.partition): r for r in classification.records}
+    records = [by_text[str(p)] for p in coarsenings(parse("24|37|5|68|9"))]
+    assert len(records) == 52
+    family = [r for r in records if r.verdict == "FAMILY"]
+    assert len(family) == 18
+    ids = {fid for r in family for fid in r.families}
+    assert ids == {spec.id for spec in family_catalog()} - {"SP5"}
+    assert "CONF" in ids
 
 
 # -- wreath classification ------------------------------------------------------

@@ -1,15 +1,17 @@
 """Exact arithmetic layer: quadratic values, polynomials, the sieve."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srgfusion import exact
 from srgfusion.exact import (
-    K, L, MultiPoly, MixedField, MissingSymbol, ONE, R, S, ZeroInput,
+    K, L, M, MultiPoly, MixedField, MissingSymbol, ONE, R, S, ZeroInput,
     default_sieve_set, quad,
-    QuadraticValue,
+    QuadraticValue, _trim,
 )
 
 GOLDEN_R = quad(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -61,6 +63,20 @@ def test_quad_division():
     assert (Fraction(1) / v) * v == Fraction(1)
 
 
+def test_floats_never_enter_quadratic_arithmetic():
+    q = quad(1, 1, 2)
+    with pytest.raises(TypeError):
+        q - 0.5
+    with pytest.raises(TypeError):
+        0.5 - q
+    with pytest.raises(TypeError):
+        quad(0.5, 1, 2)
+    with pytest.raises(TypeError):
+        _trim([0.5])
+    assert q - Fraction(1, 2) == quad(Fraction(1, 2), 1, 2)
+    assert 1 - q == quad(0, -1, 2)
+
+
 # -- polynomials -------------------------------------------------------------
 
 def test_poly_eval_examples():
@@ -104,6 +120,80 @@ def test_poly_division_exact():
     assert q == (K - R) * (ONE + S)
     assert (K * K - R * R).divide_exact(K + R) == K - R
     assert (K * K + ONE).divide_exact(K + ONE) is None
+
+
+# -- packed monomials ---------------------------------------------------------
+
+def tuple_key(exps: tuple) -> tuple:
+    """Graded-lex key of the exponent-tuple core: total degree, then k > l > r > s > m."""
+    return (sum(exps), exps)
+
+
+exponent_vectors = st.tuples(*(st.integers(0, 20) for _ in range(5)))
+
+
+def with_swapped_entries(v: tuple) -> set:
+    """v and every vector made from it by swapping two entries: all share
+    one total degree, so their order rests on the exponents field by field."""
+    out = set()
+    for i in range(5):
+        for j in range(i, 5):
+            w = list(v)
+            w[i], w[j] = w[j], w[i]
+            out.add(tuple(w))
+    return out
+
+
+@given(st.lists(exponent_vectors, min_size=1, max_size=4),
+       st.lists(exponent_vectors, min_size=1, max_size=3, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_packed_order_is_graded_lex(vectors, others):
+    monos = set().union(*map(with_swapped_entries, vectors))
+    p = MultiPoly({e: 1 for e in monos})
+    assert [e for e, _ in p.terms] == sorted(monos, key=tuple_key, reverse=True)
+    # positive coefficients cannot cancel, so every sum of monomials appears
+    product = p * MultiPoly({e: 1 for e in others})
+    sums = {tuple(a + b for a, b in zip(e1, e2)) for e1 in monos for e2 in others}
+    assert [e for e, _ in product.terms] == sorted(sums, key=tuple_key, reverse=True)
+    assert product.leading()[0] == max(sums, key=tuple_key)
+
+
+def test_monomial_division_is_fieldwise():
+    """Every pair of 0/1 exponent vectors: a monomial divides another
+    exactly when no exponent would go negative."""
+    vectors = list(itertools.product((0, 1), repeat=5))
+    for a in vectors:
+        for b in vectors:
+            q = MultiPoly({b: 3}).divide_exact(MultiPoly({a: 1}))
+            if all(x >= y for x, y in zip(b, a)):
+                assert q == MultiPoly({tuple(x - y for x, y in zip(b, a)): 3})
+            else:
+                assert q is None, (a, b)
+
+
+def test_exponent_width_limits():
+    with pytest.raises(ValueError):
+        MultiPoly({(256, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({(200, 0, 0, 0, 56): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({(0, -1, 0, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        K**100 * K**200
+    top = K**255
+    assert top.degree() == 255 and top.terms == (((255, 0, 0, 0, 0), 1),)
+    assert (K * L * R * S * M) ** 51 == MultiPoly({(51,) * 5: 1})
+
+
+def test_divide_exact_rejects_on_lowest_monomials_first(monkeypatch):
+    """A failed trial division whose lowest monomials do not divide stops
+    after one monomial test, before any quotient term is formed."""
+    calls = []
+    divides = exact._divides
+    monkeypatch.setattr(exact, "_divides", lambda a, b: calls.append(1) or divides(a, b))
+    # the leads divide (k | k^2) but the lowest terms do not (l does not divide 1)
+    assert (K * K + 1).divide_exact(K + L) is None
+    assert len(calls) == 1
 
 
 # -- canonical coefficients --------------------------------------------------

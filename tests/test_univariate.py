@@ -272,3 +272,20 @@ def test_coefficients_match_sympy_all_coeffs(p, var):
     want = sympy.Poly(to_sympy(p), gen).all_coeffs()[::-1]
     assert len(coeffs) == len(want)
     assert all(sympy.expand(to_sympy(c) - w) == 0 for c, w in zip(coeffs, want))
+
+
+@given(five_symbol_polys(), five_symbol_polys(max_terms=3), five_symbol_polys(max_terms=2),
+       st.sampled_from(["product", "perturbed product", "free"]))
+@settings(max_examples=100, deadline=None)
+def test_divide_exact_matches_sympy_remainder(a, d, extra, shape):
+    """Products divide; a perturbed product or a free dividend mostly fails,
+    at the up-front lowest and leading monomial tests or at a later quotient
+    step whose monomial would borrow."""
+    assume(not d.is_zero())
+    p = {"product": a * d, "perturbed product": a * d + extra, "free": a}[shape]
+    q = p.divide_exact(d)
+    _, remainder = sympy.div(to_sympy(p), to_sympy(d), *GENS)
+    if sympy.expand(remainder) == 0:
+        assert q is not None and q * d == p
+    else:
+        assert q is None
