@@ -749,9 +749,13 @@ def _apply_substitutions_signed(
         d = out.degree(rec.var)
         if d <= 0:
             continue
+        num_powers, den_powers = [ONE, -rec.num], [ONE, rec.den]
+        for _ in range(d - 1):
+            num_powers.append(num_powers[-1] * num_powers[1])
+            den_powers.append(den_powers[-1] * rec.den)
         acc = MultiPoly()
         for power, coeff in enumerate(out.coefficients(rec.var)):
-            acc = acc + coeff * ((-rec.num) ** power) * (rec.den ** (d - power))
+            acc = acc + coeff * num_powers[power] * den_powers[d - power]
         out = acc
         if d % 2 and sign is not None:
             if rec.den.is_constant():

@@ -135,9 +135,11 @@ class QuadraticValue:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: Fraction, b: Fraction, d: int):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "d", int(d))
+        if not isinstance(d, int):
+            raise TypeError(f"radicand must be int, not {type(d).__name__}")
+        object.__setattr__(self, "a", Fraction(_coeff(a)))
+        object.__setattr__(self, "b", Fraction(_coeff(b)))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticValue is immutable")

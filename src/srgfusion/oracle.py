@@ -4,9 +4,15 @@ Everything the character-table criterion claims can be checked directly on
 matrices: build a strongly regular graph, form the 0/1 basis {I, A, J-I-A},
 take Kronecker products for the tensor square, sum them along a candidate
 partition, and test whether the resulting matrices span an algebra by
-computing all pairwise products and checking that each product is constant
-on the support of every class.  Success yields the intersection numbers;
-failure yields a concrete witness pair of cells.
+checking that each product of two classes is constant on the support of
+every class.  Success yields the intersection numbers; failure yields a
+concrete witness pair of cells.
+
+Only the products that can fail are formed: those with the identity are
+known, and the last class is J minus the others, so its products follow
+from the rest.  Each product of two 0/1 matrices is exact integer work:
+entry (r, c) is the popcount of row r of the left factor AND column c of
+the right, both packed into uint64 words.  No floating point is used.
 
 Matrices are dense int64 numpy arrays; entries stay far below 2**63 for
 all graphs used here (n <= 36, so tensor entries are at most n^2 = 1296).
@@ -194,6 +200,8 @@ class SchemeMatrices:
     name: str = ""
 
     def __post_init__(self):
+        if any(((m != 0) & (m != 1)).any() for m in self.matrices):
+            raise BadSpec("matrices must be 0/1")
         total = sum(m for m in self.matrices)
         n = self.matrices[0].shape[0]
         if not (total == np.ones((n, n), dtype=np.int64)).all():
@@ -288,37 +296,93 @@ class FailureWitness:
     value_b: int
 
 
+def _pack_rows(m: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as bits: word w of row r sits at [w, r]."""
+    rows, cols = m.shape
+    words = -(-cols // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, :-(-cols // 8)] = np.packbits(m.astype(np.uint8), axis=1)
+    return np.ascontiguousarray(packed.view(np.uint64).T)
+
+
+# cells of the product formed per row chunk; bounds the temporaries
+_CHUNK_CELLS = 1 << 16
+
+
+def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
+    """a @ b from the packed rows of a and the packed columns of b."""
+    words, n = a_rows.shape
+    m = b_cols.shape[1]
+    out = np.zeros((n, m), dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // m)
+    for r in range(0, n, step):
+        chunk = out[r:r + step]
+        for w in range(words):
+            chunk += np.bitwise_count(a_rows[w, r:r + step, None] & b_cols[w])
+    return out
+
+
+def product01(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact int64 product a @ b of two 0/1 matrices, by popcounts."""
+    return _popcount_product(_pack_rows(a), _pack_rows(b.T))
+
+
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     """Decide whether the matrices span an algebra, by support constancy.
 
     For each product M_i M_j and each class M_k, all entries of the product
     over the support of M_k must agree; the common values are then the
-    intersection numbers.  The first inconsistency is returned as a witness.
+    intersection numbers.  Pairs (i, j), i <= j, and classes k are scanned
+    in order, and the first inconsistency is returned as a witness.
+
+    Two kinds of product need no matrix work, and neither can hold the
+    first inconsistency:
+    - M_0 = I, so p[0][j][k] is 1 when j = k and 0 otherwise.
+    - The classes sum to J, so M_i M_{d-1} = M_i J - sum_{t<d-1} M_i M_t.
+      M_i J = v_i J because M_i has constant row sums: for i < d-1 they are
+      the diagonal of M_i M_i (M_i is symmetric and 0/1), checked on the
+      identity class earlier in the scan, and M_{d-1} has what the others
+      leave of n.  Once every M_i M_t with t < d-1 passes, p[i][d-1][k] is
+      v_i minus the sum of the p[i][t][k].
+    Empty classes have no cells to check and keep p = 0.
     """
     mats = sm.matrices
-    d = len(mats)
-    supports = [m > 0 for m in mats]
-    cells = [np.argwhere(s) for s in supports]
+    d, n = len(mats), sm.order
+    valencies = sm.valencies()
+    # cells of each class in row-major order, concatenated class by class
+    cells = [np.flatnonzero(m) for m in mats]
+    order = np.concatenate(cells)
+    present = [k for k in range(d) if cells[k].size]
+    counts = [cells[k].size for k in present]
+    starts = np.cumsum([0] + counts[:-1])
+    packed = [_pack_rows(m) for m in mats]  # symmetric: rows are columns
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            prod = mats[i] @ mats[j]
-            for k in range(d):
-                vals = prod[supports[k]]
-                if not vals.size:
-                    continue
-                if (vals != vals[0]).any():
-                    bad = int(np.argmax(vals != vals[0]))
-                    return FailureWitness(
-                        i, j, k,
-                        tuple(int(x) for x in cells[k][0]),
-                        tuple(int(x) for x in cells[k][bad]),
-                        int(vals[0]), int(vals[bad]),
-                    )
-                p[i][j][k] = p[j][i][k] = int(vals[0])
+    for j in present:
+        p[0][j][j] = p[j][0][j] = 1
+    for i in range(1, d - 1):
+        for j in range(i, d - 1):
+            vals = _popcount_product(packed[i], packed[j]).ravel()[order]
+            firsts = vals[starts]
+            bad = vals != np.repeat(firsts, counts)
+            if bad.any():
+                at = int(np.argmax(bad))
+                c = int(np.searchsorted(starts, at, side="right")) - 1
+                return FailureWitness(
+                    i, j, present[c],
+                    divmod(int(order[starts[c]]), n),
+                    divmod(int(order[at]), n),
+                    int(firsts[c]), int(vals[at]),
+                )
+            for k, value in zip(present, firsts.tolist()):
+                p[i][j][k] = p[j][i][k] = value
+    last = d - 1
+    for i in range(1, d):
+        for k in present:
+            p[i][last][k] = p[last][i][k] = valencies[i] - sum(
+                p[i][t][k] for t in range(last))
     return IntersectionTensor(
         tuple(tuple(tuple(row) for row in plane) for plane in p),
-        sm.valencies(),
+        valencies,
     )
 
 
@@ -339,7 +403,7 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
 
     For each partition, the table-side verdict comes from column sums of
     the exact tensor-square character table; the matrix side from support
-    constancy of all pairwise products of the fused Kronecker basis.
+    constancy of the class products of the fused Kronecker basis.
     """
     sm = scheme_matrices(g)
     params = srg_params(g)

@@ -74,9 +74,14 @@ def test_verify_command():
     code, text = run_cli("verify", "--graph", "petersen",
                          "--partition", "249|37|5|68", "--format", "json")
     assert code == 0  # criterion and oracle agree that it is not a fusion
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_WITNESS_JSON_SHA256
     doc = json.loads(text)
     assert doc["criterion_fusion"] is False and doc["matrix_fusion"] is False
-    assert "witness" in doc
+    assert doc["witness"] == {
+        "classes": [1, 1, 1],
+        "cells": [[0, 7], [0, 11]],
+        "values": [24, 17],
+    }
 
 
 def test_wreath_command():
@@ -117,6 +122,10 @@ def test_crosscheck_command():
     doc = json.loads(text)
     assert doc["checked"] == 4140 and doc["disagreements"] == []
 
+
+# sha256 of the `verify --format json` text of one refuted partition on
+# Petersen; pins the witness the matrix oracle reports first
+VERIFY_WITNESS_JSON_SHA256 = "f18562d6dc63e83e88418e6e82b6c4fd0c3e306e47a239b789deb0d5237821a4"
 
 # sha256 of the full `classify --format json` text; any change to a verdict,
 # family list, note or the rendering changes it

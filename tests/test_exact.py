@@ -73,6 +73,9 @@ def test_floats_never_enter_quadratic_arithmetic():
         quad(0.5, 1, 2)
     with pytest.raises(TypeError):
         _trim([0.5])
+    for parts in ((0.5, 1, 2), (1, 0.5, 2), (1, 1, 2.0)):
+        with pytest.raises(TypeError):
+            QuadraticValue(*parts)
     assert q - Fraction(1, 2) == quad(Fraction(1, 2), 1, 2)
     assert 1 - q == quad(0, -1, 2)
 

@@ -4,8 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import expected as X
+from srgfusion import oracle
 from srgfusion.fusion import scan_all
 from srgfusion.oracle import (
     BadSpec,
@@ -13,9 +16,11 @@ from srgfusion.oracle import (
     Graph01,
     IntersectionTensor,
     NotStronglyRegular,
+    SchemeMatrices,
     build_graph,
     cross_check,
     fused_valencies_match,
+    product01,
     scheme_matrices,
     srg_params,
     tensor_fuse,
@@ -86,6 +91,90 @@ def test_tensor_fuse_supports_partition_all_ones():
     a0, a1, a2 = sm.matrices
     expected = sum(np.kron(x, a1) for x in (a0, a1, a2))
     assert (fused.matrices[3] == expected).all()
+
+
+def test_scheme_matrices_must_be_01():
+    eye, a, b = scheme_matrices(build_graph("paley5")).matrices
+    # a 2 and a -1 in one cell keep the sum J and the symmetry
+    cell = np.zeros_like(a)
+    u, v = np.argwhere(a)[0]
+    cell[u, v] = cell[v, u] = 1
+    with pytest.raises(BadSpec, match="0/1"):
+        SchemeMatrices((eye, a + cell, b - cell))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 150), st.integers(1, 150), st.integers(1, 150),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 0.95]))
+@example(150, 150, 150, 0, 0.5)
+@example(7, 64, 9, 1, 0.5)  # widths of exactly one and two words
+@example(3, 128, 1, 2, 0.95)
+@example(130, 65, 130, 3, 0.5)
+def test_product01_matches_integer_matmul(rows, inner, cols, seed, density):
+    rng = np.random.default_rng(seed)
+    a = (rng.random((rows, inner)) < density).astype(np.int64)
+    b = (rng.random((inner, cols)) < density).astype(np.int64)
+    expected = a @ b
+    got = product01(a, b)
+    assert got.dtype == np.int64
+    assert (got == expected).all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_CHUNK_CELLS", 200)  # several row chunks
+        assert (product01(a, b) == expected).all()
+
+
+def all_pairs_verify(sm):
+    """Reference oracle: every product M_i M_j, i <= j, by int64 matmul,
+    checked for constancy on every class in (i, j, k) order."""
+    mats = sm.matrices
+    d = len(mats)
+    supports = [m > 0 for m in mats]
+    cells = [np.argwhere(s) for s in supports]
+    p = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            prod = mats[i] @ mats[j]
+            for k in range(d):
+                vals = prod[supports[k]]
+                if not vals.size:
+                    continue
+                if (vals != vals[0]).any():
+                    bad = int(np.argmax(vals != vals[0]))
+                    return FailureWitness(
+                        i, j, k,
+                        tuple(int(x) for x in cells[k][0]),
+                        tuple(int(x) for x in cells[k][bad]),
+                        int(vals[0]), int(vals[bad]),
+                    )
+                p[i][j][k] = p[j][i][k] = int(vals[0])
+    return IntersectionTensor(
+        tuple(tuple(tuple(row) for row in plane) for plane in p),
+        sm.valencies(),
+    )
+
+
+@pytest.mark.parametrize("spec,sample,kinds", [
+    ("paley5", None, {IntersectionTensor, FailureWitness}),
+    ("petersen", 240, {IntersectionTensor, FailureWitness}),
+    # no non-edges, so some fused classes are empty; every partition fuses
+    ("complete3", None, {IntersectionTensor}),
+], ids=["paley5", "petersen", "complete3"])
+def test_verify_scheme_matches_all_pairs_reference(spec, sample, kinds):
+    if spec == "complete3":
+        g = Graph01(spec, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    else:
+        g = build_graph(spec)
+    sm = scheme_matrices(g)
+    parts = all_default_partitions()
+    if sample is not None:
+        parts = random.Random(7).sample(parts, sample)
+    seen = set()
+    for p in parts:
+        fused = tensor_fuse(sm, p)
+        got = verify_scheme(fused)
+        assert got == all_pairs_verify(fused), (spec, str(p))
+        seen.add(type(got))
+    assert seen == kinds
 
 
 def test_verify_scheme_examples():
