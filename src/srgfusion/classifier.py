@@ -46,6 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import isqrt
 from typing import Sequence
 
 from .exact import (
@@ -569,32 +570,21 @@ def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:
 
 
 def _frac_sqrt(q: int | Fraction) -> Fraction | None:
-    import math
-
     if q < 0:
         return None
-    a, b = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    a, b = isqrt(q.numerator), isqrt(q.denominator)
     if a * a == q.numerator and b * b == q.denominator:
         return Fraction(a, b)
     return None
 
 
-_SPLIT_CACHE: dict[MultiPoly, tuple[MultiPoly, ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
     """Factor p over the default sieve and the factor basis.
 
     Returns the non-sieve factors; sieve factors are dropped because they
     cannot vanish on the primitive region.
     """
-    cached = _SPLIT_CACHE.get(p)
-    if cached is None:
-        cached = _SPLIT_CACHE[p] = _split_poly_uncached(p)
-    return cached
-
-
-def _split_poly_uncached(p: MultiPoly) -> tuple[MultiPoly, ...]:
     rem = p.normalized()
     factors: list[MultiPoly] = []
     progress = True
@@ -809,21 +799,15 @@ _REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
     "m": (Fraction(0), None),
 }
 
-_ROOTLESS_CACHE: dict[MultiPoly, bool] = {}
-
-
+@lru_cache(maxsize=None)
 def _rootless_on_region(e: MultiPoly) -> bool:
     """True when a univariate equation has no root on its region interval."""
     if len(e.symbols()) != 1:
         return False
-    hit = _ROOTLESS_CACHE.get(e)
-    if hit is None:
-        var = next(iter(e.symbols()))
-        coeffs = [c.constant_value() for c in e.coefficients(var)]
-        lo, hi = _REGION_INTERVAL[var]
-        hit = bool(coeffs) and _count_roots_open(coeffs, lo, hi) == 0
-        _ROOTLESS_CACHE[e] = hit
-    return hit
+    var = next(iter(e.symbols()))
+    coeffs = [c.constant_value() for c in e.coefficients(var)]
+    lo, hi = _REGION_INTERVAL[var]
+    return bool(coeffs) and _count_roots_open(coeffs, lo, hi) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1186,13 +1170,10 @@ class ClassificationRecord:
         }
 
 
-_FAMILY_ORDER = ("IMP1", "IMP2", "CONF", "NEWS1", "NEWS2", "CR4",
-                 "CLB1", "CLB1S", "CLB2A", "CLB2B", "PLS2A", "PLS2B",
-                 "SP9", "SP5")
-
-
 def _sorted_families(ids) -> tuple[str, ...]:
-    return tuple(sorted(set(ids), key=_FAMILY_ORDER.index))
+    """The distinct family ids, in catalog order."""
+    ids = set(ids)
+    return tuple(f.id for f in family_catalog() if f.id in ids)
 
 
 def _enumerate_groupings(
@@ -1371,30 +1352,23 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
             notes.append(f"symbolic class count {c} != {m}")
         return ClassificationRecord(p, "GUARANTEED", False, (), (), None, tuple(notes))
 
+    # row-count verdicts, cheapest first: fewer classes than rows, then
+    # m+1 pairwise-blocked classes (the dominant case, found before any
+    # equation solving), then no grouping at all
     if c < m:
         cert = RowCountCertificate(
             tuple(cls[0] for cls in graph.classes), m, deficit=True
         )
-        verdict = "FAMILY" if imp else "INFEASIBLE"
-        return ClassificationRecord(
-            p, verdict, False, _sorted_families(imp), (), cert, tuple(notes)
-        )
-
-    # cheap dominant case: m+1 pairwise-blocked classes rule the partition
-    # out before any equation solving
-    cert = _independent_set_certificate(graph, m)
+    else:
+        cert = _independent_set_certificate(graph, m)
+    if cert is None:
+        groupings = _enumerate_groupings(graph, m)
+        if not groupings:
+            cert = RowCountCertificate((), m, deficit=False)
     if cert is not None:
-        verdict = "FAMILY" if imp else "INFEASIBLE"
         return ClassificationRecord(
-            p, verdict, False, _sorted_families(imp), (), cert, tuple(notes)
-        )
-
-    groupings = _enumerate_groupings(graph, m)
-    if not groupings:
-        verdict = "FAMILY" if imp else "INFEASIBLE"
-        return ClassificationRecord(
-            p, verdict, False, _sorted_families(imp), (),
-            RowCountCertificate((), m, deficit=False), tuple(notes),
+            p, "FAMILY" if imp else "INFEASIBLE", False, _sorted_families(imp),
+            (), cert, tuple(notes),
         )
 
     analyses = tuple(_analyze_grouping(graph, g) for g in groupings)
@@ -1453,7 +1427,7 @@ class ClassificationResult:
     def summary(self) -> dict:
         counts = {"total": len(self.records), "guaranteed": 0, "trivial": 0,
                   "family": 0, "infeasible": 0, "unresolved": 0}
-        fam_counts: dict[str, int] = {fid: 0 for fid in _FAMILY_ORDER}
+        fam_counts: dict[str, int] = {f.id: 0 for f in family_catalog()}
         for rec in self.records:
             if rec.trivial:
                 counts["trivial"] += 1

@@ -127,20 +127,20 @@ def _scan_report(eigen, args) -> dict:
 def cmd_table(args, out) -> int:
     eigen = _eigen_from_args(args)
     table = char_table(eigen)
+    rep = feasibility(eigen)
     if args.format == "json":
         doc = {
             "input": _echo_input(args),
             "tool_version": __version__,
             "table": table.to_json(),
             "feasibility": {
-                "primitive": feasibility(eigen).primitive,
-                "imprimitive_kind": feasibility(eigen).imprimitive_kind,
+                "primitive": rep.primitive,
+                "imprimitive_kind": rep.imprimitive_kind,
             },
         }
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
         _print_table(table, out)
-        rep = feasibility(eigen)
         kind = rep.imprimitive_kind
         print(f"primitive: {rep.primitive}"
               + (f" (imprimitive case {kind})" if kind != "none" else ""), file=out)
@@ -351,9 +351,6 @@ def main(argv=None, out=None) -> int:
         args.format = "dot"
     try:
         return _COMMANDS[args.command](args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

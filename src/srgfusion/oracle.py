@@ -8,14 +8,18 @@ checking that each product of two classes is constant on the support of
 every class.  Success yields the intersection numbers; failure yields a
 concrete witness pair of cells.
 
+A scheme is stored as one class-label matrix: entry (x, y) is the index
+of the class that contains cell (x, y), so each 0/1 class matrix is a level
+set of the labels.  Fusing the tensor square needs no Kronecker products:
+cell ((a, b), (c, d)) lies in tensor class single_index(L[a, c], L[b, d]),
+and a 10-entry table maps that to its block.  Labels are int8, since a
+fused scheme has at most nine classes.
+
 Only the products that can fail are formed: those with the identity are
 known, and the last class is J minus the others, so its products follow
-from the rest.  Each product of two 0/1 matrices is exact integer work:
-entry (r, c) is the popcount of row r of the left factor AND column c of
-the right, both packed into uint64 words.  No floating point is used.
-
-Matrices are dense int64 numpy arrays; entries stay far below 2**63 for
-all graphs used here (n <= 36, so tensor entries are at most n^2 = 1296).
+from the rest.  Each product of two 0/1 class matrices is exact integer
+work: entry (r, c) is the popcount of row r of the left factor AND column
+c of the right, both packed into uint64 words.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -194,30 +198,38 @@ def build_graph(spec: str) -> Graph01:
 
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """Ordered 0/1 matrices with disjoint supports summing to all-ones."""
+    """A symmetric scheme of ``rank`` classes as one class-label matrix:
+    ``labels[x, y]`` is the class of cell (x, y) and class 0 is the
+    diagonal.  Labels cannot overlap and always cover every cell, so the
+    class matrices are 0/1 with supports partitioning all-ones."""
 
-    matrices: tuple[np.ndarray, ...]
+    labels: np.ndarray
+    rank: int
     name: str = ""
 
     def __post_init__(self):
-        if any(((m != 0) & (m != 1)).any() for m in self.matrices):
-            raise BadSpec("matrices must be 0/1")
-        total = sum(m for m in self.matrices)
-        n = self.matrices[0].shape[0]
-        if not (total == np.ones((n, n), dtype=np.int64)).all():
-            raise BadSpec("supports must partition the all-ones matrix")
-        if not (self.matrices[0] == np.eye(n, dtype=np.int64)).all():
-            raise BadSpec("first matrix must be the identity")
-        for m in self.matrices:
-            if (m != m.T).any():
-                raise BadSpec("matrices must be symmetric")
+        lab = self.labels
+        if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
+            raise BadSpec("labels must be a square array")
+        if (not np.issubdtype(lab.dtype, np.integer)
+                or lab.min() < 0 or lab.max() >= self.rank):
+            raise BadSpec(f"labels must be integers in 0..{self.rank - 1}")
+        if ((lab == 0) != np.eye(len(lab), dtype=bool)).any():
+            raise BadSpec("class 0 must be exactly the diagonal")
+        if (lab != lab.T).any():
+            raise BadSpec("labels must be symmetric")
 
     @property
     def order(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.labels.shape[0]
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The int64 0/1 class matrices, derived from the labels."""
+        return tuple((self.labels == k).astype(np.int64) for k in range(self.rank))
 
     def valencies(self) -> tuple[int, ...]:
-        return tuple(int(m.sum(axis=1)[0]) for m in self.matrices)
+        return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
 
 
 def srg_params(g: Graph01) -> SrgParams:
@@ -250,31 +262,25 @@ def srg_params(g: Graph01) -> SrgParams:
 def scheme_matrices(g: Graph01) -> SchemeMatrices:
     """The rank-3 basis {I, A, J - I - A}; validates strong regularity."""
     srg_params(g)
-    n = g.n
-    eye = np.eye(n, dtype=np.int64)
-    return SchemeMatrices(
-        (eye, g.adjacency.astype(np.int64), complement(g).adjacency), g.name
-    )
+    labels = (2 - g.adjacency).astype(np.int8)
+    np.fill_diagonal(labels, 0)
+    return SchemeMatrices(labels, 3, g.name)
 
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     """Candidate basis of the fused tensor square: identity class plus one
-    summed Kronecker matrix per partition block."""
-    if len(sm.matrices) != 3:
+    class per partition block, the union of its Kronecker classes."""
+    if sm.rank != 3:
         raise IndexMismatch("tensor fusion needs a rank-3 scheme")
     if p.ground != frozenset(range(2, 10)):
         raise IndexMismatch(f"partition ground {sorted(p.ground)}")
-    n = sm.order
-    eye = np.eye(n * n, dtype=np.int64)
-    mats = [eye]
-    for block in p.blocks:
-        total = np.zeros((n * n, n * n), dtype=np.int64)
-        for i in range(3):
-            for j in range(3):
-                if single_index(i, j) in block:
-                    total += np.kron(sm.matrices[i], sm.matrices[j])
-        mats.append(total)
-    return SchemeMatrices(tuple(mats), f"{sm.name} fused {p}")
+    block_of = np.zeros(10, dtype=np.int8)  # single_index(0, 0) = 1 stays 0
+    for b, block in enumerate(p.blocks, 1):
+        block_of[sorted(block)] = b
+    lab, side = sm.labels, sm.order ** 2
+    tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
+    return SchemeMatrices(block_of[tensor].reshape(side, side),
+                          p.num_blocks + 1, f"{sm.name} fused {p}")
 
 
 @dataclass(frozen=True)
@@ -346,16 +352,17 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
       v_i minus the sum of the p[i][t][k].
     Empty classes have no cells to check and keep p = 0.
     """
-    mats = sm.matrices
-    d, n = len(mats), sm.order
+    lab = sm.labels
+    d, n = sm.rank, sm.order
     valencies = sm.valencies()
     # cells of each class in row-major order, concatenated class by class
-    cells = [np.flatnonzero(m) for m in mats]
-    order = np.concatenate(cells)
-    present = [k for k in range(d) if cells[k].size]
-    counts = [cells[k].size for k in present]
-    starts = np.cumsum([0] + counts[:-1])
-    packed = [_pack_rows(m) for m in mats]  # symmetric: rows are columns
+    order = np.argsort(lab, axis=None, kind="stable")
+    sizes = np.bincount(lab.ravel(), minlength=d)
+    present = np.flatnonzero(sizes).tolist()
+    counts = sizes[present]
+    starts = np.cumsum(counts) - counts
+    # the classes are symmetric, so packed rows are also packed columns
+    packed = {k: _pack_rows(lab == k) for k in range(1, d - 1)}
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
     for j in present:
         p[0][j][j] = p[j][0][j] = 1

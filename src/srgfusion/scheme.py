@@ -28,7 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import QuadraticValue, _quadratic_roots_exact, scalar_sign
+from .exact import (
+    QuadraticValue,
+    _quadratic_roots_exact,
+    scalar_sign,
+    value_to_json,
+)
 
 
 class InfeasibleParams(ValueError):
@@ -206,8 +211,6 @@ class CharTable:
         return tuple(out)
 
     def to_json(self) -> dict:
-        from .exact import value_to_json
-
         return {
             "row_labels": list(self.row_labels),
             "col_labels": list(self.col_labels),

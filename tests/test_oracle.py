@@ -27,7 +27,7 @@ from srgfusion.oracle import (
     verify_scheme,
 )
 from srgfusion.partitions import all_default_partitions, parse
-from srgfusion.products import tensor_square_table
+from srgfusion.products import single_index, tensor_square_table
 from srgfusion.scheme import char_table, eigen_from_params
 
 
@@ -93,14 +93,32 @@ def test_tensor_fuse_supports_partition_all_ones():
     assert (fused.matrices[3] == expected).all()
 
 
-def test_scheme_matrices_must_be_01():
-    eye, a, b = scheme_matrices(build_graph("paley5")).matrices
-    # a 2 and a -1 in one cell keep the sum J and the symmetry
-    cell = np.zeros_like(a)
-    u, v = np.argwhere(a)[0]
-    cell[u, v] = cell[v, u] = 1
-    with pytest.raises(BadSpec, match="0/1"):
-        SchemeMatrices((eye, a + cell, b - cell))
+def _relabel(value, mirror=True):
+    """Set the first class-1 cell, and by default its mirror, to ``value``."""
+    def mutate(lab):
+        u, v = np.argwhere(lab == 1)[0]
+        lab[u, v] = value
+        if mirror:
+            lab[v, u] = value
+        return lab
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_relabel(3), r"0\.\.2"),
+    (_relabel(-1), r"0\.\.2"),
+    (lambda lab: lab.astype(np.float64), r"0\.\.2"),
+    (lambda lab: lab[:4], "square"),
+    (lambda lab: lab + np.eye(len(lab), dtype=lab.dtype), "diagonal"),
+    (_relabel(0), "diagonal"),
+    (_relabel(2, mirror=False), "symmetric"),
+], ids=["rank", "negative", "float", "non-square", "diagonal",
+        "zero-off-diagonal", "asymmetric"])
+def test_scheme_matrices_validates_labels(mutate, message):
+    labels = scheme_matrices(build_graph("paley5")).labels
+    SchemeMatrices(labels, 3)
+    with pytest.raises(BadSpec, match=message):
+        SchemeMatrices(mutate(labels.copy()), 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -153,6 +171,46 @@ def all_pairs_verify(sm):
     )
 
 
+def kron_fuse(sm, p):
+    """Reference fusion: the class matrices of each block are summed from
+    Kronecker products of the base class matrices."""
+    mats = sm.matrices
+    side = sm.order ** 2
+    fused = [np.eye(side, dtype=np.int64)]
+    for block in p.blocks:
+        total = np.zeros((side, side), dtype=np.int64)
+        for i in range(3):
+            for j in range(3):
+                if single_index(i, j) in block:
+                    total += np.kron(mats[i], mats[j])
+        fused.append(total)
+    return fused
+
+
+def reference_cases(spec, sample):
+    """The graph's scheme and its partitions, or a seeded sample of them."""
+    if spec == "complete3":
+        g = Graph01(spec, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
+    else:
+        g = build_graph(spec)
+    parts = all_default_partitions()
+    if sample is not None:
+        parts = random.Random(7).sample(parts, sample)
+    return scheme_matrices(g), parts
+
+
+@pytest.mark.parametrize("spec,sample", [
+    ("paley5", None), ("petersen", 240), ("complete3", None),
+], ids=["paley5", "petersen", "complete3"])
+def test_tensor_fuse_matches_kron_reference(spec, sample):
+    sm, parts = reference_cases(spec, sample)
+    for p in parts:
+        got = tensor_fuse(sm, p).matrices
+        want = kron_fuse(sm, p)
+        assert len(got) == len(want), (spec, str(p))
+        assert all((a == b).all() for a, b in zip(got, want)), (spec, str(p))
+
+
 @pytest.mark.parametrize("spec,sample,kinds", [
     ("paley5", None, {IntersectionTensor, FailureWitness}),
     ("petersen", 240, {IntersectionTensor, FailureWitness}),
@@ -160,14 +218,7 @@ def all_pairs_verify(sm):
     ("complete3", None, {IntersectionTensor}),
 ], ids=["paley5", "petersen", "complete3"])
 def test_verify_scheme_matches_all_pairs_reference(spec, sample, kinds):
-    if spec == "complete3":
-        g = Graph01(spec, np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64))
-    else:
-        g = build_graph(spec)
-    sm = scheme_matrices(g)
-    parts = all_default_partitions()
-    if sample is not None:
-        parts = random.Random(7).sample(parts, sample)
+    sm, parts = reference_cases(spec, sample)
     seen = set()
     for p in parts:
         fused = tensor_fuse(sm, p)
