@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
+from operator import itemgetter
 from typing import Sequence
 
 from .exact import (
@@ -70,7 +71,7 @@ from .exact import (
     quad,
     scalar_sign,
 )
-from .fusion import block_masks, bm_check, scan_all, summed_rows
+from .fusion import block_masks, bm_check, scan_all
 from .partitions import SetPartition, all_default_partitions, coarsenings
 from .products import tensor_square_table, wreath_partition
 from .scheme import CharTable
@@ -472,10 +473,11 @@ def potential_equality_graph(p: SetPartition) -> EqualityGraph:
     sieve = default_sieve_set()
     table = symbolic_tensor_table()
     masks = block_masks(table, p)
-    # group rows into classes of identically-equal summed rows
+    # group rows into classes of identically-equal summed rows, by the ids
+    # of their block sums
     classes: dict[tuple, list[int]] = {}
-    for a, row in enumerate(summed_rows(table, p)):
-        classes.setdefault(row, []).append(a)
+    for a, key in enumerate(map(itemgetter(0, *masks), table.sum_ids)):
+        classes.setdefault(key, []).append(a)
     class_tuples = tuple(tuple(cls) for cls in classes.values())
 
     pairs = []

@@ -6,9 +6,13 @@ over each block (the identity column stays alone) and count distinct rows
 of the result; the partition gives a fusion exactly when that count equals
 the number of classes, blocks plus one.
 
-Block sums are looked up, not re-added: ``block_masks`` turns a partition
-into keys of the table's lazily built ``CharTable.subset_sums``, which the
-classifier's block differences read too.
+Block sums are looked up, not re-added: ``block_masks`` checks a partition
+against the table and hands back its per-block keys (``SetPartition.masks``,
+computed once per partition) into the table's lazily built
+``CharTable.subset_sums``, which the classifier's block differences read too.
+Block sums are compared as interned ids: the criterion counts distinct rows
+of ``CharTable.sum_ids``, small ints that are equal exactly when the exact
+sums are, so a check hashes small-int tuples instead of exact values.
 
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose
@@ -18,6 +22,7 @@ entries are polynomials, and fused tables being re-fused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .partitions import SetPartition, all_default_partitions
 from .scheme import CharTable
@@ -44,14 +49,19 @@ class FusionVerdict:
             raise ValueError("verdict inconsistent with distinct row count")
 
 
-def block_masks(table: CharTable, p: SetPartition) -> list[int]:
-    """Keys of p's blocks in ``table.subset_sums``: index x is bit x - 2."""
+def block_masks(table: CharTable, p: SetPartition) -> tuple[int, ...]:
+    """Keys of p's blocks in ``table.subset_sums``: index x is bit x - 2.
+
+    Raises IndexMismatch unless p partitions the non-identity columns
+    2..ncols: with no index below 2, the disjoint masks sum to all ncols - 1
+    bits exactly when the ground is that set.
+    """
     ncols = len(table.col_labels)
-    if p.ground != frozenset(range(2, ncols + 1)):
+    if (p.blocks and p.blocks[0][0] < 2) or sum(p.masks) != (1 << (ncols - 1)) - 1:
         raise IndexMismatch(
             f"partition ground {sorted(p.ground)} vs columns 2..{ncols}"
         )
-    return [sum(1 << (x - 2) for x in block) for block in p.blocks]
+    return p.masks
 
 
 def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
@@ -65,8 +75,8 @@ def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
 
 def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
     """Apply the Bannai-Muzychuk criterion to one partition."""
-    rows = summed_rows(table, p)
-    distinct = len(set(rows))
+    masks = block_masks(table, p)
+    distinct = len(set(map(itemgetter(0, *masks), table.sum_ids)))
     is_fusion = distinct == p.num_blocks + 1
     return FusionVerdict(p, is_fusion, distinct, p.rank if is_fusion else None)
 
@@ -78,7 +88,7 @@ def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     first, remaining rows sorted by first differing entry, descending.
     Raises NotAFusion when the criterion fails.
     """
-    rows = summed_rows(table, p)
+    rows = summed_rows(table, p)  # checks p against the table
     merged: dict[tuple, object] = {}
     for row, mult in zip(rows, table.mults):
         merged[row] = merged.get(row, 0) + mult
@@ -90,7 +100,7 @@ def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     labels = table.col_labels[1:]  # bit c of a mask is labels[c]
     col_labels = ["identity"] + [
         "+".join(label for c, label in enumerate(labels) if m >> c & 1)
-        for m in block_masks(table, p)
+        for m in p.masks
     ]
     return CharTable(
         row_labels=tuple(f"row_{i}" for i in range(len(ordered))),

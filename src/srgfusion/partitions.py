@@ -13,7 +13,7 @@ sees one deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_GROUND = frozenset(range(2, 10))
@@ -68,6 +68,18 @@ class SetPartition:
     @property
     def ground(self) -> frozenset[int]:
         return frozenset(x for block in self.blocks for x in block)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per block, its indices as bits: index x is bit x - 2.
+
+        Fusion candidates partition {2, ..., n}, index 1 being the identity
+        class, so these are keys of ``CharTable.subset_sums``.  Computed
+        once per partition; equality and hashing still see only the blocks.
+        """
+        if self.blocks and self.blocks[0][0] < 2:
+            raise ValueError(f"index {self.blocks[0][0]} has no bit, need >= 2")
+        return tuple(sum(1 << (x - 2) for x in block) for block in self.blocks)
 
     @property
     def num_blocks(self) -> int:

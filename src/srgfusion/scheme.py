@@ -201,6 +201,8 @@ class CharTable:
         bit c-1 set in ``mask`` (entry 0 is unused); each entry is a smaller
         set's sum plus one entry.  Built on first use; ``fusion.summed_rows``
         and the classifier's block differences read every block sum here.
+        Its companion ``sum_ids`` names each sum by a small int, for the
+        checks that only ask which sums are equal.
         """
         out = []
         for row in self.rows:
@@ -209,6 +211,23 @@ class CharTable:
                 sums += [sums[m] + x if m else x for m in range(1 << bit)]
             out.append(tuple(sums))
         return tuple(out)
+
+    @cached_property
+    def sum_ids(self) -> tuple[tuple[int, ...], ...]:
+        """``subset_sums`` with every value interned to a small int.
+
+        One interning dict serves all rows, so ``sum_ids[i][m] ==
+        sum_ids[j][m]`` exactly when the two sums are equal, by the same
+        hash and ``==`` a set of the sums would use.  Entry 0 holds the id
+        of the identity column ``row[0]``.  Built on first use; the
+        Bannai-Muzychuk check and the classifier's row classes compare
+        these ids instead of hashing exact values.
+        """
+        ids: dict = {}
+        return tuple(
+            tuple(ids.setdefault(x, len(ids)) for x in (row[0],) + sums[1:])
+            for row, sums in zip(self.rows, self.subset_sums)
+        )
 
     def to_json(self) -> dict:
         return {

@@ -22,8 +22,8 @@ from srgfusion.classifier import (
     _leaf_point,
 )
 from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue
-from srgfusion.fusion import bm_check, scan_all
-from srgfusion.partitions import coarsenings, parse
+from srgfusion.fusion import bm_check, scan_all, summed_rows
+from srgfusion.partitions import all_default_partitions, coarsenings, parse
 from srgfusion.products import tensor_square_table
 from srgfusion.scheme import char_table, eigen_from_values
 
@@ -68,6 +68,17 @@ def test_equality_graph_blocks_valency_row():
     for (a, b), status in g.pairs:
         if valency_class in (a, b):
             assert status.blocked and status.reason == "valency"
+
+
+def test_equality_graph_classes_group_equal_summed_rows():
+    # reference: rows grouped by their exact summed values, in row order
+    table = symbolic_tensor_table()
+    for p in all_default_partitions():
+        classes: dict[tuple, list[int]] = {}
+        for a, row in enumerate(summed_rows(table, p)):
+            classes.setdefault(row, []).append(a)
+        assert potential_equality_graph(p).classes == tuple(
+            map(tuple, classes.values())), str(p)
 
 
 def test_equality_graph_discrete_all_blocked():

@@ -1,5 +1,7 @@
 """The fusion criterion: single checks, fused tables, full scans."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from srgfusion.classifier import imprimitive_base_table, symbolic_tensor_table
 from srgfusion.fusion import (
     IndexMismatch,
     NotAFusion,
+    block_masks,
     bm_check,
     fused_table,
     scan_all,
@@ -24,6 +27,7 @@ from srgfusion.partitions import (
 )
 from srgfusion.products import tensor_square_table, wreath_partition, wreath_table
 from srgfusion.scheme import (
+    CharTable,
     SrgParams,
     char_table,
     eigen_from_params,
@@ -58,6 +62,51 @@ def test_bm_check_examples(petersen):
 def test_bm_check_index_mismatch(petersen):
     with pytest.raises(IndexMismatch):
         bm_check(petersen, SetPartition.from_blocks([(2, 3), (4, 5, 6, 7, 8)]))
+
+
+def mismatch_partitions(ground):
+    """The discrete, single-block and an odd/even partition of a ground."""
+    ground = sorted(ground)
+    return [SetPartition.from_blocks([x] for x in ground),
+            SetPartition.from_blocks([ground]),
+            SetPartition.from_blocks([ground[0::2], ground[1::2]])]
+
+
+def assert_index_mismatch(table, p):
+    for fn in (block_masks, summed_rows, bm_check, fused_table):
+        with pytest.raises(IndexMismatch):
+            fn(table, p)
+
+
+@pytest.mark.parametrize("ground", [range(2, 9), range(1, 9), range(3, 11),
+                                    range(1, 10)],
+                         ids=["2-8", "1-8", "3-10", "1-9"])
+def test_index_mismatch_on_nine_columns(petersen, ground):
+    for p in mismatch_partitions(ground):
+        assert_index_mismatch(petersen, p)
+        if min(ground) >= 2:
+            p.masks  # computed masks do not let a wrong ground through
+            assert_index_mismatch(petersen, p)
+
+
+def test_index_mismatch_on_wreath_columns():
+    table = wreath_table(char_table(eigen_from_params(SrgParams(10, 3, 0, 1))))
+    for p in mismatch_partitions(range(2, 10)) + [parse("23|47|5689")]:
+        assert_index_mismatch(table, p)
+    assert bm_check(table, parse("23|45", frozenset(range(2, 6)))).is_fusion
+
+
+def test_partition_masks_cached_and_invisible_to_equality():
+    p = parse("23|47|5689")
+    assert p.masks == (0b11, 0b100100, 0b11011000)
+    assert p.masks is p.masks
+    fresh = parse("5689|47|32")
+    assert p == fresh and hash(p) == hash(fresh)
+    assert {p: "x"}[fresh] == "x" and {fresh: "x"}[p] == "x"
+    assert len({p, fresh}) == 1
+    assert all(sum(q.masks) == 0xFF for q in all_default_partitions())
+    with pytest.raises(ValueError):
+        SetPartition.from_blocks([(1, 2), (3,)]).masks
 
 
 def test_fused_table_examples(petersen):
@@ -128,6 +177,55 @@ def test_summed_rows_match_block_loop_wreath():
     assert len(table.col_labels) == 5
     for p in enumerate_partitions(range(2, 6)):
         assert_summed_rows_match_reference(table, p)
+
+
+def assert_bm_check_matches_reference(table, p):
+    v = bm_check(table, p)
+    distinct = len(set(summed_rows_by_block_loop(table, p)))
+    is_fusion = distinct == p.rank
+    assert (v.distinct_row_count, v.is_fusion, v.fused_rank) == (
+        distinct, is_fusion, p.rank if is_fusion else None), str(p)
+
+
+REFERENCE_TABLES = {
+    "petersen": lambda: tensor_for(10, 3, 0, 1),
+    "pentagon": lambda: tensor_for(5, 2, 0, 1),
+    "paley13": lambda: tensor_for(13, 6, 2, 3),
+    "imp22": lambda: tensor_for(9, 2, 1, 0),
+    **SYMBOLIC_TABLES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+def test_bm_check_matches_block_loop_tensor(name):
+    table = REFERENCE_TABLES[name]()
+    for p in all_default_partitions():
+        assert_bm_check_matches_reference(table, p)
+
+
+def test_bm_check_matches_block_loop_wreath_and_refused(petersen):
+    base = char_table(eigen_from_params(SrgParams(10, 3, 0, 1)))
+    refused = fused_table(petersen, parse("2|3|456|789"))
+    for table in (wreath_table(base, 1), wreath_table(base, 2), refused):
+        assert len(table.col_labels) == 5
+        for p in enumerate_partitions(range(2, 6)):
+            assert_bm_check_matches_reference(table, p)
+
+
+def test_bm_check_compares_identity_column_and_exact_values():
+    # rows that agree off the identity column must still count apart, and
+    # equal values of different types (1, Fraction(1)) must count together
+    table = CharTable(
+        row_labels=("a", "b", "c", "d"),
+        col_labels=("A0", "A1", "A2"),
+        rows=((1, 2, 3), (2, 2, 3), (Fraction(1), Fraction(2), 3),
+              (1, Fraction(5, 2), Fraction(5, 2))),
+        mults=(1, 1, 1, 1),
+    )
+    for p in enumerate_partitions(range(2, 4)):
+        assert_bm_check_matches_reference(table, p)
+    assert [bm_check(table, p).distinct_row_count
+            for p in enumerate_partitions(range(2, 4))] == [2, 3]
 
 
 def test_trivial_partitions_always_positive(petersen):

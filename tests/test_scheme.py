@@ -2,12 +2,17 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from srgfusion.classifier import classify_wreath
+from srgfusion.fusion import bm_check
 from srgfusion.oracle import build_graph
+from srgfusion.partitions import coarsenings
+from srgfusion.products import tensor_square_table
 from srgfusion.scheme import (
     EigenData,
     InfeasibleParams,
@@ -20,7 +25,7 @@ from srgfusion.scheme import (
     imprimitive_eigen,
     regular_matrices,
 )
-from srgfusion.exact import quad
+from srgfusion.exact import QuadraticValue, quad
 
 
 def test_srg_params_consistency():
@@ -229,10 +234,9 @@ def _outcome(fn, p: SrgParams, integral: bool):
     return out, [str(w.message) for w in caught]
 
 
-def test_eigen_from_params_pinned_on_every_small_candidate():
-    # every (n, k, mu, nu) with n <= 64 passing the integral edge-count
-    # identity, the candidate set the benchmark's scan pool is drawn from
-    checked = 0
+def small_candidates():
+    """Every (n, k, mu, nu) with n <= 64 passing the integral edge-count
+    identity, the candidate set the benchmark's scan pool is drawn from."""
     for n in range(3, 65):
         for k in range(1, n - 1):
             l = n - k - 1
@@ -240,11 +244,59 @@ def test_eigen_from_params_pinned_on_every_small_candidate():
                 if (k * (k - mu - 1)) % l:
                     continue
                 nu = k * (k - mu - 1) // l
-                if nu > k:
-                    continue
-                p = SrgParams(n, k, mu, nu)
-                for integral in (True, False):
-                    assert (_outcome(eigen_from_params, p, integral)
-                            == _outcome(eigen_from_params_isqrt, p, integral)), p
-                checked += 1
+                if nu <= k:
+                    yield SrgParams(n, k, mu, nu)
+
+
+def test_eigen_from_params_pinned_on_every_small_candidate():
+    checked = 0
+    for p in small_candidates():
+        for integral in (True, False):
+            assert (_outcome(eigen_from_params, p, integral)
+                    == _outcome(eigen_from_params_isqrt, p, integral)), p
+        checked += 1
     assert checked == 4842
+
+
+def feasible_small_sets():
+    """Feasible candidates as (kind, report, eigen), kind one of
+    primitive / conference / imprimitive."""
+    for p in small_candidates():
+        try:
+            e = eigen_from_params(p)
+        except (InfeasibleParams, NonIntegralMultiplicity):
+            continue
+        rep = feasibility(e)
+        if rep.violations:
+            continue
+        if rep.imprimitive_kind != "none":
+            kind = "imprimitive"
+        elif isinstance(e.r, QuadraticValue):
+            kind = "conference"
+        else:
+            kind = "primitive"
+        yield kind, rep, e
+
+
+def test_theorem_2_wreath_fusions_on_every_feasible_small_set():
+    # Theorem (2): a nontrivial fusion of a wreath orientation that is not
+    # guaranteed occurs only in the imprimitive case it is listed under
+    special = {"k=r,s=-1": "clique_case", "r=0,l=-1-s": "multipartite_case"}
+    wreaths = [classify_wreath(o) for o in (1, 2)]
+    kinds, checked = Counter(), 0
+    for kind, rep, e in feasible_small_sets():
+        kinds[kind] += 1
+        table = tensor_square_table(char_table(e))
+        for w in wreaths:
+            got = {str(q) for q in coarsenings(w.base)
+                   if q != w.base and not q.is_single_block()
+                   and bm_check(table, q).is_fusion}
+            guaranteed = set(w.guaranteed)
+            if kind == "imprimitive":
+                allowed = set(getattr(w, special[rep.imprimitive_kind]))
+                assert guaranteed <= got and got - guaranteed <= allowed, e
+            else:
+                assert got == guaranteed, e
+            checked += 1
+    assert kinds == {"primitive": 79, "conference": 12, "imprimitive": 306}
+    assert checked == 794
