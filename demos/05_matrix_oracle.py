@@ -1,11 +1,12 @@
 """Ground truth on adjacency matrices.
 
 For a concrete graph every fusion verdict can be checked with no character
-theory at all: form the Kronecker-product basis, sum it along the partition,
-multiply the candidate classes pairwise, and demand that each product is
-constant on every class support.  This script verifies a positive and a
-negative case on the Petersen graph and then runs the exhaustive
-criterion-versus-matrix comparison over all 4140 partitions of the pentagon.
+theory at all: label each cell of the tensor square with the block of its
+tensor class, multiply the candidate classes pairwise, and demand that each
+product is constant on every class support.  This script verifies a
+positive and a negative case on the Petersen graph and then runs the
+exhaustive criterion-versus-matrix comparison over all 4140 partitions of
+the pentagon.
 """
 
 from srgfusion import (

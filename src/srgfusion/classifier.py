@@ -1409,16 +1409,11 @@ def _independent_set_certificate(
 ) -> RowCountCertificate | None:
     """A set of m+1 pairwise-blocked classes, when one exists."""
     blocked = graph.blocked_pairs
-    n = len(graph.classes)
-    for size in range(m + 1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            if all(
-                (a, b) in blocked for a, b in itertools.combinations(combo, 2)
-            ):
-                return RowCountCertificate(
-                    tuple(graph.classes[ci][0] for ci in combo), m
-                )
-        break
+    for combo in itertools.combinations(range(len(graph.classes)), m + 1):
+        if all((a, b) in blocked for a, b in itertools.combinations(combo, 2)):
+            return RowCountCertificate(
+                tuple(graph.classes[ci][0] for ci in combo), m
+            )
     return None
 
 
@@ -1445,9 +1440,6 @@ class ClassificationResult:
                 fam_counts[fid] += 1
         counts["families"] = fam_counts
         return counts
-
-    def by_verdict(self, verdict: str) -> list[ClassificationRecord]:
-        return [r for r in self.records if r.verdict == verdict and not r.trivial]
 
     def family_partitions(self, fid: str) -> list[str]:
         return [str(r.partition) for r in self.records if fid in r.families]

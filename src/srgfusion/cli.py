@@ -71,7 +71,11 @@ def _eigen_from_args(args, required=True):
         parts = args.eigen.split(",")
         if len(parts) != 4:
             raise UsageError("--eigen needs four comma-separated values k,l,r,s")
-        k, l, r, s = (Fraction(x) for x in parts)
+        try:
+            k, l, r, s = (Fraction(x) for x in parts)
+        except ZeroDivisionError:
+            raise UsageError(f"--eigen entry with zero denominator in "
+                             f"{args.eigen!r}") from None
         return eigen_from_values(k, l, r, s, integral=integral)
     if args.graph is not None:
         return eigen_from_params(srg_params(build_graph(args.graph)),

@@ -1,12 +1,13 @@
 """Adjacency-matrix ground truth for fusion verdicts.
 
 Everything the character-table criterion claims can be checked directly on
-matrices: build a strongly regular graph, form the 0/1 basis {I, A, J-I-A},
-take Kronecker products for the tensor square, sum them along a candidate
-partition, and test whether the resulting matrices span an algebra by
-checking that each product of two classes is constant on the support of
-every class.  Success yields the intersection numbers; failure yields a
-concrete witness pair of cells.
+matrices: build a graph, fuse the tensor square of its 0/1 basis
+{I, A, J-I-A} along a candidate partition, and test whether the fused
+classes span an algebra by checking that each product of two classes is
+constant on the support of every class.  Success yields the intersection
+numbers; failure yields a concrete witness pair of cells.  Each graph is
+one adjacency relation, broadcast over its vertex labels, and the same
+test on its own basis decides strong regularity and reads off (k, mu, nu).
 
 A scheme is stored as one class-label matrix: entry (x, y) is the index
 of the class that contains cell (x, y), so each 0/1 class matrix is a level
@@ -25,6 +26,8 @@ c of the right, both packed into uint64 words.  No floating point is used.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,87 +70,61 @@ class Graph01:
         return self.adjacency.shape[0]
 
 
-def _complete(n: int) -> np.ndarray:
-    return np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+def _relation(name: str, adjacent: np.ndarray) -> Graph01:
+    """The graph on vertices 0..n-1 joined where the boolean n x n
+    ``adjacent`` holds off the diagonal."""
+    a = adjacent.astype(np.int64)
+    np.fill_diagonal(a, 0)
+    return Graph01(name, a)
 
 
 def union_cliques(copies: int, size: int) -> Graph01:
     """Disjoint union of ``copies`` complete graphs on ``size`` vertices."""
     if copies < 2 or size < 2:
         raise BadSpec("need at least two cliques of size at least two")
-    blocks = [_complete(size)] * copies
-    n = copies * size
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(copies):
-        a[i * size:(i + 1) * size, i * size:(i + 1) * size] = blocks[i]
-    return Graph01(f"union_cliques({copies},{size})", a)
+    clique = np.arange(copies * size) // size
+    return _relation(f"union_cliques({copies},{size})", clique[:, None] == clique)
 
 
 def complete_multipartite(parts: int, size: int) -> Graph01:
     g = union_cliques(parts, size)
-    return Graph01(f"complete_multipartite({parts},{size})", complement(g).adjacency)
+    return _relation(f"complete_multipartite({parts},{size})", g.adjacency == 0)
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
+    return q > 1 and all(q % f for f in range(2, math.isqrt(q) + 1))
 
 
 def paley(q: int) -> Graph01:
     """Paley graph on a prime q = 1 (mod 4): join x ~ y iff x-y is a square."""
     if not _is_prime(q) or q % 4 != 1:
         raise BadSpec(f"paley needs a prime q = 1 mod 4, got {q}")
-    squares = {(x * x) % q for x in range(1, q)}
-    a = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for y in range(q):
-            if x != y and (x - y) % q in squares:
-                a[x, y] = 1
-    return Graph01(f"paley({q})", a)
+    x = np.arange(q)
+    square = np.zeros(q, dtype=bool)
+    square[x * x % q] = True
+    return _relation(f"paley({q})", square[(x[:, None] - x) % q])
 
 
 def rook(m: int) -> Graph01:
     """m x m rook's graph: cells of a grid, adjacent in the same row or column."""
     if m < 2:
         raise BadSpec("rook needs m >= 2")
-    n = m * m
-    a = np.zeros((n, n), dtype=np.int64)
-    for (i, j), (x, y) in itertools.product(
-        itertools.product(range(m), repeat=2), repeat=2
-    ):
-        if (i, j) != (x, y) and (i == x or j == y):
-            a[i * m + j, x * m + y] = 1
-    return Graph01(f"rook({m})", a)
+    i, j = divmod(np.arange(m * m), m)
+    return _relation(f"rook({m})", (i[:, None] == i) | (j[:, None] == j))
 
 
 def clebsch() -> Graph01:
     """Folded 5-cube: 4-bit strings adjacent at Hamming distance 1 or 4."""
-    n = 16
-    a = np.zeros((n, n), dtype=np.int64)
-    for x in range(n):
-        for y in range(n):
-            d = bin(x ^ y).count("1")
-            if d in (1, 4):
-                a[x, y] = 1
-    return Graph01("clebsch", a)
+    x = np.arange(16)
+    d = np.bitwise_count(x[:, None] ^ x)
+    return _relation("clebsch", (d == 1) | (d == 4))
 
 
 def petersen() -> Graph01:
     """Kneser graph on 2-subsets of a 5-set, adjacent when disjoint."""
-    verts = list(itertools.combinations(range(5), 2))
-    n = len(verts)
-    a = np.zeros((n, n), dtype=np.int64)
-    for i, u in enumerate(verts):
-        for j, v in enumerate(verts):
-            if not set(u) & set(v):
-                a[i, j] = 1
-    return Graph01("petersen", a)
+    pair = np.array([(1 << u) | (1 << v)
+                     for u, v in itertools.combinations(range(5), 2)])
+    return _relation("petersen", (pair[:, None] & pair) == 0)
 
 
 def latin_square_graph(m: int) -> Graph01:
@@ -155,26 +132,26 @@ def latin_square_graph(m: int) -> Graph01:
     row, column, or symbol; strongly regular with mu = nu for every m >= 4."""
     if m < 4:
         raise BadSpec("latin_square_graph needs m >= 4")
-    n = m * m
-    a = np.zeros((n, n), dtype=np.int64)
-    for (i, j), (x, y) in itertools.product(
-        itertools.product(range(m), repeat=2), repeat=2
-    ):
-        if (i, j) != (x, y) and (i == x or j == y or (i + j) % m == (x + y) % m):
-            a[i * m + j, x * m + y] = 1
-    return Graph01(f"latin_square_graph({m})", a)
+    i, j = divmod(np.arange(m * m), m)
+    symbol = (i + j) % m
+    return _relation(f"latin_square_graph({m})", (i[:, None] == i)
+                     | (j[:, None] == j) | (symbol[:, None] == symbol))
 
 
 def complement(g: Graph01) -> Graph01:
-    n = g.n
-    a = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - g.adjacency
-    return Graph01(f"complement({g.name})", a)
+    return _relation(f"complement({g.name})", g.adjacency == 0)
 
 
-_BUILDERS = {
-    "petersen": petersen,
-    "clebsch": clebsch,
-}
+# spec patterns; the integer groups are the builder's arguments
+_SPECS = (
+    (r"petersen", petersen),
+    (r"clebsch", clebsch),
+    (r"paley(\d+)", paley),
+    (r"rook(\d+)", rook),
+    (r"latin(\d+)", latin_square_graph),
+    (r"cliques(\d+)x(\d+)", union_cliques),
+    (r"multipartite(\d+)x(\d+)", complete_multipartite),
+)
 
 
 def build_graph(spec: str) -> Graph01:
@@ -183,16 +160,10 @@ def build_graph(spec: str) -> Graph01:
     spec = spec.strip().lower()
     if spec.startswith("complement:"):
         return complement(build_graph(spec.split(":", 1)[1]))
-    if spec in _BUILDERS:
-        return _BUILDERS[spec]()
-    for prefix, fn in (("paley", paley), ("rook", rook), ("latin", latin_square_graph)):
-        if spec.startswith(prefix) and spec[len(prefix):].isdigit():
-            return fn(int(spec[len(prefix):]))
-    for prefix, fn in (("cliques", union_cliques), ("multipartite", complete_multipartite)):
-        if spec.startswith(prefix) and "x" in spec[len(prefix):]:
-            a, _, b = spec[len(prefix):].partition("x")
-            if a.isdigit() and b.isdigit():
-                return fn(int(a), int(b))
+    for pattern, fn in _SPECS:
+        match = re.fullmatch(pattern, spec)
+        if match:
+            return fn(*map(int, match.groups()))
     raise BadSpec(f"unknown graph spec {spec!r}")
 
 
@@ -230,41 +201,6 @@ class SchemeMatrices:
 
     def valencies(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
-
-
-def srg_params(g: Graph01) -> SrgParams:
-    """Read (n, k, mu, nu) off the graph, or raise with a witness pair."""
-    a = g.adjacency
-    n = g.n
-    deg = a.sum(axis=1)
-    if (deg != deg[0]).any():
-        u = int(np.argmax(deg != deg[0]))
-        raise NotStronglyRegular(f"{g.name}: vertex {u} has degree {deg[u]} != {deg[0]}")
-    k = int(deg[0])
-    a2 = a @ a
-    adj_mask = a > 0
-    non_mask = (a == 0) & ~np.eye(n, dtype=bool)
-    for mask, label in ((adj_mask, "adjacent"), (non_mask, "non-adjacent")):
-        vals = a2[mask]
-        if vals.size and (vals != vals[0]).any():
-            cells = np.argwhere(mask)
-            first = cells[0]
-            bad = cells[int(np.argmax(vals != vals[0]))]
-            raise NotStronglyRegular(
-                f"{g.name}: {label} pairs {tuple(first)} and {tuple(bad)} have "
-                f"{a2[tuple(first)]} vs {a2[tuple(bad)]} common neighbours"
-            )
-    mu = int(a2[adj_mask][0]) if adj_mask.any() else 0
-    nu = int(a2[non_mask][0]) if non_mask.any() else 0
-    return SrgParams(n, k, mu, nu)
-
-
-def scheme_matrices(g: Graph01) -> SchemeMatrices:
-    """The rank-3 basis {I, A, J - I - A}; validates strong regularity."""
-    srg_params(g)
-    labels = (2 - g.adjacency).astype(np.int8)
-    np.fill_diagonal(labels, 0)
-    return SchemeMatrices(labels, 3, g.name)
 
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
@@ -393,6 +329,39 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     )
 
 
+def _rank3(g: Graph01) -> SchemeMatrices:
+    """{I, A, J - I - A} as labels 0, 1, 2: a scheme iff g is strongly regular."""
+    labels = (2 - g.adjacency).astype(np.int8)
+    np.fill_diagonal(labels, 0)
+    return SchemeMatrices(labels, 3, g.name)
+
+
+_PAIRS = ("diagonal", "adjacent", "non-adjacent")
+
+
+def srg_params(g: Graph01) -> SrgParams:
+    """Read (n, k, mu, nu) off the intersection numbers of the rank-3 basis,
+    or raise with the witness pair of cells ``verify_scheme`` found.
+
+    ``verify_scheme`` multiplies A by itself and checks A^2 on the diagonal
+    (the degrees), then on the adjacent and the non-adjacent pairs.
+    """
+    result = verify_scheme(_rank3(g))
+    if isinstance(result, FailureWitness):
+        raise NotStronglyRegular(
+            f"{g.name}: {_PAIRS[result.klass]} pairs {result.cell_a} and "
+            f"{result.cell_b} have {result.value_a} vs {result.value_b} "
+            "common neighbours")
+    _, mu, nu = result.p[1][1]
+    return SrgParams(g.n, result.valencies[1], mu, nu)
+
+
+def scheme_matrices(g: Graph01) -> SchemeMatrices:
+    """The rank-3 basis {I, A, J - I - A}; validates strong regularity."""
+    srg_params(g)
+    return _rank3(g)
+
+
 @dataclass(frozen=True)
 class CrossCheckReport:
     graph: str
@@ -410,7 +379,7 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
 
     For each partition, the table-side verdict comes from column sums of
     the exact tensor-square character table; the matrix side from support
-    constancy of the class products of the fused Kronecker basis.
+    constancy of the class products of the fused tensor square.
     """
     sm = scheme_matrices(g)
     params = srg_params(g)

@@ -15,9 +15,9 @@ Two involutions of {2,...,9} matter:
     flip    (2 4)(3 7)(6 8)        swap the tensor factors, A_ij -> A_ji
     switch  (2 3)(4 7)(5 9)(6 8)   swap A_1 and A_2 in both factors
 
-switch is derived from the index map with (i, j) -> (sigma i, sigma j),
-sigma = (1 2); its action on worked fusion partitions confirms the
-exponents.
+Both are derived through single_index from their index maps: flip from
+(i, j) -> (j, i), switch from (i, j) -> (sigma i, sigma j) with
+sigma = (1 2).
 
 The wreath product is the rank-5 fusion of the tensor square with classes
 {A_00}, {A_10}, {A_20}, {A_01+A_11+A_21}, {A_02+A_12+A_22}, i.e. the
@@ -90,16 +90,16 @@ class IndexPermutation:
         return all(d[d[x]] == x for x in d)
 
 
-def _perm_from_cycles(name: str, cycles: list[tuple[int, ...]]) -> IndexPermutation:
-    pairs = {}
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            pairs[a] = b
-    return IndexPermutation(name, tuple(sorted(pairs.items())))
+def _perm_from_index_map(name: str, f) -> IndexPermutation:
+    """The permutation A_ij -> A_f(i, j) of the single indices."""
+    moved = ((single_index(i, j), single_index(*f(i, j)))
+             for i in range(3) for j in range(3))
+    return IndexPermutation(name, tuple(sorted((x, y) for x, y in moved if x != y)))
 
 
-FLIP = _perm_from_cycles("flip", [(2, 4), (3, 7), (6, 8)])
-SWITCH = _perm_from_cycles("switch", [(2, 3), (4, 7), (5, 9), (6, 8)])
+_SIGMA = (0, 2, 1)
+FLIP = _perm_from_index_map("flip", lambda i, j: (j, i))
+SWITCH = _perm_from_index_map("switch", lambda i, j: (_SIGMA[i], _SIGMA[j]))
 
 
 def act(perm: IndexPermutation, p: SetPartition) -> SetPartition:

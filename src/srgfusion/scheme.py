@@ -145,6 +145,8 @@ def eigen_from_values(k, l, r, s, integral: bool = False) -> EigenData:
     Used for synthetic table-algebra inputs; integral=True additionally
     demands integer multiplicities.
     """
+    if scalar_sign(r - s) <= 0:
+        raise InfeasibleParams("need r > s")
     n = 1 + k + l
     f = (Fraction(-k) - (n - 1) * s) / (r - s)
     if isinstance(f, QuadraticValue):

@@ -144,7 +144,58 @@ def test_classify_command(classification):
     assert len(doc["records"]) == 4140
 
 
-def test_usage_errors():
+CLASSIFY_TEXT = """\
+classification of all 4140 partitions
+  guaranteed: 13
+  trivial: 2
+  family: 115
+  infeasible: 4010
+  unresolved: 0
+  family membership:
+    IMP1: 45  [23456|789, 2356789|4, 2356|4|789, 2356|4|7|89, 23|4|56|789, 24578|369 ...]
+    IMP2: 45  [2345689|7, 23789|456, 2389|456|7, 2389|4|56|7, 23|456|7|89, 2456789|3 ...]
+    CONF: 11  [234579|68, 234678|59, 2347|59|68, 2359|4678, 2359|47|68, 2368|4579 ...]
+    NEWS1: 1  [249|37|5|68]
+    NEWS2: 1  [24|357|68|9]
+    CR4: 1  [249|37|5|68]
+    CLB1: 1  [249|35678]
+    CLB1S: 1  [24689|357]
+    CLB2A: 1  [2468|3579]
+    CLB2B: 1  [2459|3678]
+    PLS2A: 1  [2468|3579]
+    PLS2B: 1  [2459|3678]
+    SP9: 6  [249|357|68, 25679|348, 267|34589, 267|348|59, 267|34|59|8, 27|348|59|6]
+    SP5: 2  [26|38|49|57, 29|35|48|67]
+"""
+
+WREATH_PETERSEN_TEXT = """\
+                  A_00           A_10           A_20 A_01+A_11+A_21 A_02+A_12+A_22  mult
+chi_00               1              3              6             30             60  1
+chi_01               1              3              6             10            -20  5
+chi_02               1              3              6            -20             10  4
+chi_11               1              1             -2              0              0  50
+chi_21               1             -2              1              0              0  40
+guaranteed: 23|456789, 23|456|789, 2|3|456789
+special_clique_case: 23456|789, 2|3456789, 2|3456|789
+special_multipartite_case: 23789|456, 2456789|3, 2789|3|456
+never: 2456|3789, 2456|3|789, 2789|3456, 2|3789|456
+trivial: 23456789, 2|3|456|789
+positive coarsenings for this input:
+  23|456789
+  23|456|789
+  2|3|456789
+"""
+
+
+def test_classify_text(classification):
+    assert run_cli("classify") == (0, CLASSIFY_TEXT)
+
+
+def test_wreath_text_with_graph():
+    assert run_cli("wreath", "--graph", "petersen") == (0, WREATH_PETERSEN_TEXT)
+
+
+def test_usage_errors(capsys):
     code, _ = run_cli("scan")
     assert code == 1
     code, _ = run_cli("scan", "--n", "10", "--k", "3", "--mu", "0", "--nu", "1",
@@ -158,3 +209,13 @@ def test_usage_errors():
     assert code == 1
     code, _ = run_cli("scan", "--eigen", "3,6,0,-2")
     assert code == 1
+    capsys.readouterr()
+    for argv, message in (
+        (("table", "--eigen", "2,6,1,1"), "need r > s"),
+        (("scan", "--eigen", "2,6,1,1"), "need r > s"),
+        (("wreath", "--eigen", "2,6,1,1"), "need r > s"),
+        (("table", "--eigen", "2,6,1/0,1"), "zero denominator"),
+    ):
+        assert run_cli(*argv) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

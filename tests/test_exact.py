@@ -125,6 +125,26 @@ def test_poly_division_exact():
     assert (K * K + ONE).divide_exact(K + ONE) is None
 
 
+@pytest.mark.parametrize("poly,text", [
+    (MultiPoly.const(0), "0"),
+    (K * 0, "0"),
+    (MultiPoly.const(7), "7"),
+    (MultiPoly.const(Fraction(-3, 4)), "-3/4"),
+    (K, "k"),
+    (-K, "-k"),
+    (Fraction(2, 3) * K + ONE, "2/3*k + 1"),
+    (Fraction(-3, 4) * K * S, "-3/4*k*s"),
+    (-K * K + 2 * K - 1, "-k^2 + 2*k - 1"),
+    (K - L + R * S - 1, "r*s + k - l - 1"),
+    (K**3 * S**2 - Fraction(1, 2) * M, "k^3*s^2 - 1/2*m"),
+    (-R * R * S + 3 * K * L * M - K - 5, "3*k*l*m - r^2*s - k - 5"),
+    ((K - S) * (K - S), "k^2 - 2*k*s + s^2"),
+])
+def test_multipoly_str_and_repr(poly, text):
+    assert str(poly) == text
+    assert repr(poly) == f"MultiPoly({text})"
+
+
 # -- packed monomials ---------------------------------------------------------
 
 def tuple_key(exps: tuple) -> tuple:

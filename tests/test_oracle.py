@@ -1,5 +1,7 @@
 """Adjacency-matrix ground truth: constructions, products, cross-checks."""
 
+import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -28,7 +30,7 @@ from srgfusion.oracle import (
 )
 from srgfusion.partitions import all_default_partitions, parse
 from srgfusion.products import single_index, tensor_square_table
-from srgfusion.scheme import char_table, eigen_from_params
+from srgfusion.scheme import SrgParams, char_table, eigen_from_params
 
 
 @pytest.mark.parametrize("spec,params", [
@@ -48,6 +50,53 @@ def test_build_graph_parameters(spec, params):
     assert (p.n, p.k, p.mu, p.nu) == params
 
 
+# graph name and sha256 of the int64 adjacency bytes of each spec: a builder
+# may not rename its graph or reorder its vertices
+ADJACENCY_SHA256 = {
+    "paley5": ("paley(5)", "6bc8959e164fe4ee78c665f15ad73c0d6c8d31fb413491862c8f12e88155ed0c"),
+    "paley13": ("paley(13)", "7c393e4b16bcbf3c0077ecfb4f3cd3c105266572164dbe40c02f6ae323659a39"),
+    "paley37": ("paley(37)", "b9cda727331eca3efefa2df4dd3ce939283736d5a85113e16438b50b01938749"),
+    "petersen": ("petersen", "75c81532592d0ef2485a93a1c5f38e2f2492204b84f2070bc6be8eff5b43e2ee"),
+    "rook2": ("rook(2)", "3c16da3b5af8e8c08d5c398b968da2082513cb5280f11eb7c2b201dc1884ed75"),
+    "rook3": ("rook(3)", "3ca19960efb8b2b182a329de846f68dd3d29713958f2dacd4a829e5e27d377ba"),
+    "rook4": ("rook(4)", "a1b2e59ac3c52d114e73d57409ce0fd10faeec37f48912af344f6dcd505037b0"),
+    "rook6": ("rook(6)", "f36445ca8ad034a6b42772074922be27db3b0277fc2a43e7bd7f7f10229fd708"),
+    "clebsch": ("clebsch", "f6fb05b29fe1bc1cbd3c60eb4776bf34c193144aef1ba72644540c8ac66f3c22"),
+    "complement:clebsch": (
+        "complement(clebsch)",
+        "b34d8c0a0bc817363bff46fc137d68f6c8285acc34477c95643141d7b1e661a2"),
+    "cliques3x3": (
+        "union_cliques(3,3)",
+        "fef4041e40b1601a957f76019fb6d34076c07b5f919a9a50e2bb74fe5542d69e"),
+    "cliques2x5": (
+        "union_cliques(2,5)",
+        "8507a076126a520f368ef2a24ff44ef19710377940e468a22370208bc60f7ad3"),
+    "multipartite3x3": (
+        "complete_multipartite(3,3)",
+        "a1f0503d0978d4b1dcc242aaed78f87231f7c9f4cc4905b3aed4d82452c7d969"),
+    "latin4": (
+        "latin_square_graph(4)",
+        "3f8feb663185bd92319b0bde6173be72780b64783f75237b21b0b485c87eb4ac"),
+    "latin5": (
+        "latin_square_graph(5)",
+        "7a8efbd169ad9d19f4f422a10b7e851f4fcecd66dd6f6b6e33bd60f2ee051654"),
+    "latin6": (
+        "latin_square_graph(6)",
+        "7b4196326daca7fc33291c7b19647bbd54ed8ef949152d38c17acfa7b47c50bb"),
+    "complement:latin5": (
+        "complement(latin_square_graph(5))",
+        "27ef901fd83ad9dbfd776b59623fc9fcd14b7fa7eca9ae0995d5e2d861ae052c"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ADJACENCY_SHA256))
+def test_build_graph_adjacency_pinned(spec):
+    g = build_graph(spec)
+    assert g.adjacency.dtype == np.int64
+    digest = hashlib.sha256(g.adjacency.tobytes()).hexdigest()
+    assert (g.name, digest) == ADJACENCY_SHA256[spec]
+
+
 def test_complement_clebsch_eigen():
     e = eigen_from_params(srg_params(build_graph("complement:clebsch")))
     assert (e.k, e.l, e.r, e.s) == (10, 5, 2, -2)
@@ -62,15 +111,119 @@ def test_bad_specs():
         build_graph("cliques1x3")
     with pytest.raises(BadSpec):
         build_graph("nonsense")
+    for spec in ("rook", "rook3a", "cliques3x", "latin4x4", "complement:rook1"):
+        with pytest.raises(BadSpec):
+            build_graph(spec)
+
+
+def _graph(name, n, edges):
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1
+    return Graph01(name, a)
+
+
+def cycle(n):
+    return _graph(f"C{n}", n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_cycle_not_strongly_regular():
-    n = 6
-    a = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
     with pytest.raises(NotStronglyRegular):
-        scheme_matrices(Graph01("C6", a))
+        scheme_matrices(cycle(6))
+
+
+def srg_params_by_square(g):
+    """Reference: SrgParams from the degrees and A @ A, or the first failure
+    as (pair kind, cell, cell, count, count), with the degree of a vertex
+    counted as its common neighbours with itself."""
+    a = g.adjacency
+    n = g.n
+    deg = a.sum(axis=1)
+    if (deg != deg[0]).any():
+        u = int(np.argmax(deg != deg[0]))
+        return "diagonal", (0, 0), (u, u), int(deg[0]), int(deg[u])
+    k = int(deg[0])
+    a2 = a @ a
+    adj_mask = a > 0
+    non_mask = (a == 0) & ~np.eye(n, dtype=bool)
+    for mask, label in ((adj_mask, "adjacent"), (non_mask, "non-adjacent")):
+        vals = a2[mask]
+        if vals.size and (vals != vals[0]).any():
+            cells = np.argwhere(mask)
+            first = tuple(int(x) for x in cells[0])
+            bad = tuple(int(x) for x in cells[int(np.argmax(vals != vals[0]))])
+            return label, first, bad, int(a2[first]), int(a2[bad])
+    mu = int(a2[adj_mask][0]) if adj_mask.any() else 0
+    nu = int(a2[non_mask][0]) if non_mask.any() else 0
+    return SrgParams(n, k, mu, nu)
+
+
+def random_graphs(count, seed):
+    """Seeded graphs with n <= 12: Erdos-Renyi graphs (mostly irregular),
+    circulants (regular, mostly not strongly regular) and relabelled
+    strongly regular graphs."""
+    rng = random.Random(seed)
+    srgs = [build_graph(s) for s in ("paley5", "petersen", "rook3", "cliques3x3",
+                                     "cliques2x5", "multipartite3x3",
+                                     "complement:petersen", "cliques3x4")]
+    for t in range(count):
+        n = rng.randint(1, 12)
+        if t % 3 == 0:
+            p = rng.random()
+            yield _graph(f"gnp{t}", n, [e for e in itertools.combinations(range(n), 2)
+                                        if rng.random() < p])
+        elif t % 3 == 1:
+            steps = {d for d in range(1, n) if rng.random() < 0.4}
+            yield _graph(f"circ{t}", n, [(i, (i + d) % n) for i in range(n)
+                                         for d in steps])
+        else:
+            g = rng.choice(srgs)
+            perm = np.array(rng.sample(range(g.n), g.n))
+            yield Graph01(f"perm{t}", g.adjacency[np.ix_(perm, perm)])
+
+
+def agreement_cases():
+    specials = [cycle(5), cycle(6), _graph("P4", 4, [(0, 1), (1, 2), (2, 3)]),
+                _graph("K3", 3, itertools.combinations(range(3), 2)),
+                _graph("K5", 5, itertools.combinations(range(5), 2)),
+                _graph("E4", 4, [])]
+    return ([build_graph(s) for s in ADJACENCY_SHA256] + specials
+            + list(random_graphs(300, seed=2023)))
+
+
+def params_or_error(f, g):
+    try:
+        return f(g)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_srg_params_matches_square_reference():
+    outcomes = set()
+    for g in agreement_cases():
+        want = params_or_error(srg_params_by_square, g)
+        if isinstance(want, tuple):
+            kind, a, b, va, vb = want
+            with pytest.raises(NotStronglyRegular) as info:
+                srg_params(g)
+            assert str(info.value) == (f"{g.name}: {kind} pairs {a} and {b} "
+                                       f"have {va} vs {vb} common neighbours")
+            outcomes.add(kind)
+        else:
+            assert params_or_error(srg_params, g) == want, g.name
+            outcomes.add(getattr(want, "__name__", "srg"))
+    assert outcomes == {"srg", "InfeasibleParams", "diagonal", "adjacent",
+                        "non-adjacent"}
+
+
+def test_not_strongly_regular_names_pairs_and_counts():
+    with pytest.raises(NotStronglyRegular, match=(
+            r"^C6: non-adjacent pairs \(0, 2\) and \(0, 3\) have 1 vs 0 "
+            r"common neighbours$")):
+        srg_params(cycle(6))
+    with pytest.raises(NotStronglyRegular, match=(
+            r"^P4: diagonal pairs \(0, 0\) and \(1, 1\) have 1 vs 2 ")):
+        srg_params(_graph("P4", 4, [(0, 1), (1, 2), (2, 3)]))
 
 
 def test_scheme_matrices_valencies():

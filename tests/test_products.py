@@ -76,6 +76,10 @@ def test_flip_switch_actions():
 
 
 def test_involutions_and_commutation():
+    # the cycles the module docstring lists: (2 4)(3 7)(6 8), (2 3)(4 7)(5 9)(6 8)
+    assert FLIP.mapping == ((2, 4), (3, 7), (4, 2), (6, 8), (7, 3), (8, 6))
+    assert SWITCH.mapping == ((2, 3), (3, 2), (4, 7), (5, 9), (6, 8), (7, 4),
+                              (8, 6), (9, 5))
     assert FLIP.is_involution() and SWITCH.is_involution()
     assert FLIP.compose(SWITCH).as_dict() == SWITCH.compose(FLIP).as_dict()
 
