@@ -178,7 +178,6 @@ class FamilySpec:
     description: str
     substitution: tuple[tuple[str, MultiPoly], ...]
     defining: tuple[MultiPoly, ...]
-    free_symbols: tuple[str, ...]
     source_partitions: tuple[str, ...] = ()
     point_instances: tuple[tuple[tuple[str, Fraction], ...], ...] = ()
     sample_instances: tuple = ()  # exact (k, l, r, s) tuples for spot checks
@@ -211,7 +210,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "union of m+1 complete graphs: k = r, s = -1, l = m(1+r)",
             _sub(k=R, l=M * (1 + R), s=MultiPoly.const(-1)),
             (K - R, S + 1),
-            ("r", "m"),
             sample_instances=((f(2), f(6), f(2), f(-1)), (f(3), f(4), f(3), f(-1)),
                               (f(2), f(9), f(2), f(-1))),
         ),
@@ -220,7 +218,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "complete multipartite: r = 0, l = -1-s, k = -m*s",
             _sub(k=-M * S, l=-1 - S, r=MultiPoly()),
             (R, L + 1 + S),
-            ("s", "m"),
             sample_instances=((f(6), f(2), f(0), f(-3)), (f(4), f(3), f(0), f(-4)),
                               (f(9), f(2), f(0), f(-3))),
         ),
@@ -229,7 +226,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "conference parameters: k = l = 2r(1+r), s = -1-r",
             _sub(k=2 * R + 2 * R * R, l=2 * R + 2 * R * R, s=-1 - R),
             (S + R + 1, K - 2 * R - 2 * R * R, L - 2 * R - 2 * R * R),
-            ("r",),
             source_partitions=(
                 "27|34|59|6|8", "23|47|59|68",
                 "23|4579|68", "2359|47|68", "23|4678|59", "2347|59|68", "2368|47|59",
@@ -243,7 +239,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "rook-graph complements: k = s^2, l = -2s, r = 1",
             _sub(k=S * S, l=-2 * S, r=ONE),
             (R - 1, K - S * S, L + 2 * S),
-            ("s",),
             source_partitions=("249|37|5|68",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(9), f(6), f(1), f(-3)),
                               (f(16), f(8), f(1), f(-4))),
@@ -253,7 +248,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "rook graphs: k = 2(1+r), l = (1+r)^2, s = -2",
             _sub(k=2 + 2 * R, l=(1 + R) * (1 + R), s=MultiPoly.const(-2)),
             (S + 2, K - 2 - 2 * R, L - (1 + R) * (1 + R)),
-            ("r",),
             source_partitions=("24|357|68|9",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(6), f(9), f(2), f(-2)),
                               (f(8), f(16), f(3), f(-2))),
@@ -264,7 +258,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "and the only primitive integral member is (4, 4, 1, -2)",
             _sub(k=3 - S - R, l=5 + S + R),
             (K - 3 + S + R, L - 5 - S - R),
-            ("r", "s"),
             source_partitions=("249|37|5|68",),
             point_instances=(
                 (("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
@@ -278,7 +271,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "r <= 2)",
             _sub(k=R * (3 + R), l=3 + R, s=MultiPoly.const(-2)),
             (S + 2, K - R * (3 + R), L - 3 - R),
-            ("r",),
             source_partitions=("249|35678",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(10), f(5), f(2), f(-2)),
                               (f(27, 4), f(9, 2), f(3, 2), f(-2))),
@@ -288,7 +280,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of CLB1: k = 2-s, l = (s-2)(s+1), r = 1",
             _sub(k=2 - S, l=S * S - S - 2, r=ONE),
             (R - 1, K - 2 + S, L - S * S + S + 2),
-            ("s",),
             source_partitions=("24689|357",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(5), f(10), f(1), f(-3)),
                               (f(6), f(18), f(1), f(-4))),
@@ -299,7 +290,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "(r >= 2; r = 2 is the complement of the folded 5-cube)",
             _sub(k=R * (2 * R + 1), l=(R - 1) * (2 * R + 1), s=-R),
             (S + R, K - R * (2 * R + 1), L - (R - 1) * (2 * R + 1)),
-            ("r",),
             source_partitions=("2468|3579",),
             sample_instances=((f(10), f(5), f(2), f(-2)), (f(21), f(14), f(3), f(-3))),
         ),
@@ -308,7 +298,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of CLB2A: k = (s+2)(2s+1), l = (s+1)(2s+1), r = -2-s",
             _sub(k=(S + 2) * (2 * S + 1), l=(S + 1) * (2 * S + 1), r=-2 - S + MultiPoly()),
             (R + S + 2, K - (S + 2) * (2 * S + 1), L - (S + 1) * (2 * S + 1)),
-            ("s",),
             source_partitions=("2459|3678",),
             sample_instances=((f(5), f(10), f(1), f(-3)), (f(14), f(21), f(2), f(-4))),
         ),
@@ -319,7 +308,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "matrix-verified addition to the published catalogue",
             _sub(k=R * (2 * R - 1), l=(R + 1) * (2 * R - 1), s=-R),
             (S + R, K - R * (2 * R - 1), L - (R + 1) * (2 * R - 1)),
-            ("r",),
             source_partitions=("2468|3579",),
             sample_instances=((f(6), f(9), f(2), f(-2)), (f(15), f(20), f(3), f(-3))),
         ),
@@ -328,7 +316,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of PLS2A: k = s(2s+3), l = (s+1)(2s+3), r = -2-s",
             _sub(k=S * (2 * S + 3), l=(S + 1) * (2 * S + 3), r=-2 - S + MultiPoly()),
             (R + S + 2, K - S * (2 * S + 3), L - (S + 1) * (2 * S + 3)),
-            ("s",),
             source_partitions=("2459|3678",),
             sample_instances=((f(9), f(6), f(1), f(-3)), (f(20), f(15), f(2), f(-4))),
         ),
@@ -340,7 +327,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             _sub(k=MultiPoly.const(4), l=MultiPoly.const(4),
                  r=ONE, s=MultiPoly.const(-2)),
             (K - 4, L - 4, R - 1, S + 2),
-            (),
             source_partitions=("249|357|68", "25679|348", "267|34589",
                                "267|348|59", "267|34|59|8", "27|348|59|6"),
             point_instances=(
@@ -354,7 +340,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "k = l = 2 with golden-ratio eigenvalues",
             _sub(k=MultiPoly.const(2), l=MultiPoly.const(2)),
             (K - 2, L - 2, S + R + 1, R * R + R - 1),
-            (),
             source_partitions=("26|38|49|57", "29|35|48|67"),
             point_instances=(
                 (("k", f(2)), ("l", f(2)),
@@ -1473,8 +1458,8 @@ def _verify_bound_conflict(leaf: ProofLeaf) -> bool:
     if kind == "no-region-root":
         return _rootless_on_region(data[0])
     if kind in ("constant", "image-definite"):
-        # recompute the bound analysis from the stored substitutions
-        return _decomposer()._bound_conflict(leaf.substitutions) is not None
+        # the bound analysis of the stored substitutions must find this conflict
+        return _decomposer()._bound_conflict(leaf.substitutions) == conflict
     return False
 
 

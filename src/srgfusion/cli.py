@@ -16,6 +16,14 @@ Input sources (exactly one per invocation where required):
     --eigen k,l,r,s               exact table data, entries rational
     --graph NAME                  a named construction (see oracle module)
 
+Options:
+
+    --partition P       partition of 2..9 for verify, e.g. 23|47|5689
+    --orientation 1|2   wreath-product orientation (default 1)
+    --format FMT        text (default) or json; lattice always prints dot
+    --table-algebra     allow non-integral multiplicities: parameter and
+                        graph inputs warn about them, --eigen is silent
+
 Exit codes: 0 success, 1 usage error, 2 a verification mismatch was found.
 """
 
@@ -32,9 +40,9 @@ from .exact import value_to_json
 from .fusion import bm_check, fused_table, scan_all
 from .oracle import (
     IntersectionTensor,
+    _srg_scheme,
     build_graph,
     cross_check,
-    scheme_matrices,
     srg_params,
     tensor_fuse,
     verify_scheme,
@@ -251,9 +259,9 @@ def cmd_verify(args, out) -> int:
         raise UsageError("verify needs --graph and --partition")
     g = build_graph(args.graph)
     p = parse(args.partition)
-    sm = scheme_matrices(g)
+    sm, params = _srg_scheme(g)
     result = verify_scheme(tensor_fuse(sm, p))
-    eigen = eigen_from_params(srg_params(g), integral=not args.table_algebra)
+    eigen = eigen_from_params(params, integral=not args.table_algebra)
     criterion = bm_check(tensor_square_table(char_table(eigen)), p)
     oracle_ok = isinstance(result, IntersectionTensor)
     doc = {

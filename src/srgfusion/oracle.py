@@ -29,7 +29,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -329,37 +328,38 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     )
 
 
-def _rank3(g: Graph01) -> SchemeMatrices:
-    """{I, A, J - I - A} as labels 0, 1, 2: a scheme iff g is strongly regular."""
-    labels = (2 - g.adjacency).astype(np.int8)
-    np.fill_diagonal(labels, 0)
-    return SchemeMatrices(labels, 3, g.name)
-
-
 _PAIRS = ("diagonal", "adjacent", "non-adjacent")
 
 
-def srg_params(g: Graph01) -> SrgParams:
-    """Read (n, k, mu, nu) off the intersection numbers of the rank-3 basis,
-    or raise with the witness pair of cells ``verify_scheme`` found.
+def _srg_scheme(g: Graph01) -> tuple[SchemeMatrices, SrgParams]:
+    """The rank-3 basis {I, A, J - I - A} as labels 0, 1, 2, a scheme iff g
+    is strongly regular, and (n, k, mu, nu) read off its intersection numbers.
 
-    ``verify_scheme`` multiplies A by itself and checks A^2 on the diagonal
-    (the degrees), then on the adjacent and the non-adjacent pairs.
+    One ``verify_scheme`` call multiplies A by itself and checks A^2 on the
+    diagonal (the degrees), then on the adjacent and the non-adjacent pairs;
+    a failure raises with the witness pair of cells it found.
     """
-    result = verify_scheme(_rank3(g))
+    labels = (2 - g.adjacency).astype(np.int8)
+    np.fill_diagonal(labels, 0)
+    sm = SchemeMatrices(labels, 3, g.name)
+    result = verify_scheme(sm)
     if isinstance(result, FailureWitness):
         raise NotStronglyRegular(
             f"{g.name}: {_PAIRS[result.klass]} pairs {result.cell_a} and "
             f"{result.cell_b} have {result.value_a} vs {result.value_b} "
             "common neighbours")
     _, mu, nu = result.p[1][1]
-    return SrgParams(g.n, result.valencies[1], mu, nu)
+    return sm, SrgParams(g.n, result.valencies[1], mu, nu)
+
+
+def srg_params(g: Graph01) -> SrgParams:
+    """(n, k, mu, nu) of g; raises NotStronglyRegular with a witness pair."""
+    return _srg_scheme(g)[1]
 
 
 def scheme_matrices(g: Graph01) -> SchemeMatrices:
     """The rank-3 basis {I, A, J - I - A}; validates strong regularity."""
-    srg_params(g)
-    return _rank3(g)
+    return _srg_scheme(g)[0]
 
 
 @dataclass(frozen=True)
@@ -381,8 +381,7 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
     the exact tensor-square character table; the matrix side from support
     constancy of the class products of the fused tensor square.
     """
-    sm = scheme_matrices(g)
-    params = srg_params(g)
+    sm, params = _srg_scheme(g)
     table = tensor_square_table(char_table(eigen_from_params(params)))
     if partitions is None:
         partitions = all_default_partitions()
@@ -391,8 +390,7 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
     for p in partitions:
         criterion = bm_check(table, p).is_fusion
         oracle = isinstance(verify_scheme(tensor_fuse(sm, p)), IntersectionTensor)
-        if criterion:
-            positives += 1
+        positives += criterion
         if criterion != oracle:
             disagreements.append((str(p), criterion, oracle))
     return CrossCheckReport(g.name, len(partitions), positives, tuple(disagreements))
@@ -400,10 +398,9 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
 
 def fused_valencies_match(g: Graph01, p: SetPartition) -> bool:
     """Oracle fused valencies equal the fused character table's valency row."""
-    sm = scheme_matrices(g)
+    sm, params = _srg_scheme(g)
     result = verify_scheme(tensor_fuse(sm, p))
     if not isinstance(result, IntersectionTensor):
         return False
-    table = tensor_square_table(char_table(eigen_from_params(srg_params(g))))
-    expected = [Fraction(v) for v in fused_table(table, p).valency_row()]
-    return [Fraction(v) for v in result.valencies] == expected
+    table = tensor_square_table(char_table(eigen_from_params(params)))
+    return result.valencies == fused_table(table, p).valency_row()

@@ -13,8 +13,9 @@ with character table (first eigenmatrix)
         [ 1   s   -1-s  ]   multiplicity g
 
 where l = n - k - 1 and r > s are the nontrivial eigenvalues of A1.  All
-derived quantities are exact; conference graphs get quadratic-irrational
-eigenvalues and forced equal multiplicities.
+derived quantities are exact.  Only ``eigen_from_values`` derives the
+multiplicities f, g from (k, l, r, s), by column orthogonality; conference
+graphs get quadratic-irrational eigenvalues and forced equal multiplicities.
 
 Imprimitive cases: k = r (equivalently s = -1, disjoint union of cliques)
 and its complement-partner r = 0 (equivalently l = -1-s, complete
@@ -100,75 +101,53 @@ class EigenData:
     def n(self):
         return 1 + self.k + self.l
 
-    def tuple(self) -> tuple:
-        return (self.k, self.l, self.r, self.s)
-
 
 def eigen_from_params(p: SrgParams, integral: bool = True) -> EigenData:
-    """Eigenvalues r, s (roots of x^2 - (mu-nu)x - (k-nu)) and multiplicities.
+    """Eigenvalues r > s, the roots of x^2 - (mu-nu)x - (k-nu), and the
+    multiplicities ``eigen_from_values`` derives from them.
 
-    A non-square discriminant forces the conference case (f = g) and
-    quadratic-irrational eigenvalues.  In graph mode non-integral f, g raise;
-    with integral=False they only warn (table-algebra mode).
+    A non-square discriminant (irrational r, s) needs the conference
+    identity, and then f = g = (n-1)/2.  With integral=False non-integral
+    f, g warn instead of raising (table-algebra mode).
     """
-    n, k, mu, nu = p.n, p.k, p.mu, p.nu
-    r, s = _quadratic_roots_exact([nu - k, nu - mu, 1])
-    if isinstance(r, QuadraticValue):
-        # conference case: k + f*r + g*s = 0 with irrational r, s needs f = g
-        if 2 * k != (n - 1) * (nu - mu):
-            raise InfeasibleParams(
-                f"irrational eigenvalues need the conference identity, got {p}"
-            )
-        if (n - 1) % 2 and integral:
-            raise NonIntegralMultiplicity(f"f = g = (n-1)/2 non-integral for {p}")
-        f = g = Fraction(n - 1, 2)
-        if f.denominator == 1:
-            f = g = int(f)
-    else:
-        f = Fraction(-k - (n - 1) * s, r - s)
-        g = Fraction(n - 1) - f
-        if f <= 0 or g <= 0:
-            raise InfeasibleParams(f"multiplicities f={f}, g={g} for {p}")
-        if f.denominator == 1 and g.denominator == 1:
-            f, g = int(f), int(g)
-    non_integral = any(Fraction(x).denominator != 1 for x in (Fraction(f), Fraction(g)))
-    if non_integral:
-        if integral:
-            raise NonIntegralMultiplicity(f"f={f}, g={g} for {p}")
-        warnings.warn(f"non-integral multiplicities f={f}, g={g}", stacklevel=2)
-    return EigenData(k, p.l, r, s, f, g)
+    r, s = _quadratic_roots_exact([p.nu - p.k, p.nu - p.mu, 1])
+    e = eigen_from_values(p.k, p.l, r, s, integral=integral)
+    if Fraction(e.f).denominator != 1:
+        warnings.warn(f"non-integral multiplicities f={e.f}, g={e.g}", stacklevel=2)
+    return e
 
 
 def eigen_from_values(k, l, r, s, integral: bool = False) -> EigenData:
-    """EigenData from an exact (k, l, r, s) tuple, multiplicities derived.
+    """EigenData from an exact (k, l, r, s), with the multiplicities
+    f = (-k - (n-1)s)/(r - s) and g = n-1-f of column orthogonality.
 
-    Used for synthetic table-algebra inputs; integral=True additionally
-    demands integer multiplicities.
+    Irrational r, s give rational f only under the conference identity
+    2k = -(n-1)(r+s).  f and g become ints when both are integral, and
+    integral=True demands that; table-algebra inputs never warn.
     """
     if scalar_sign(r - s) <= 0:
         raise InfeasibleParams("need r > s")
     n = 1 + k + l
     f = (Fraction(-k) - (n - 1) * s) / (r - s)
     if isinstance(f, QuadraticValue):
-        raise InfeasibleParams(f"multiplicities irrational for ({k},{l},{r},{s})")
+        raise InfeasibleParams(
+            f"irrational r, s need the conference identity 2k = -(n-1)(r+s), "
+            f"got ({k}, {l}, {r}, {s})")
     g = Fraction(n - 1) - f
-    if scalar_sign(f) <= 0 or scalar_sign(g) <= 0:
+    if f <= 0 or g <= 0:
         raise InfeasibleParams(f"multiplicities must be positive, got f={f}, g={g}")
-    if integral:
-        if Fraction(f).denominator != 1 or Fraction(g).denominator != 1:
-            raise NonIntegralMultiplicity(f"f={f}, g={g}")
+    if f.denominator == 1 and g.denominator == 1:
         f, g = int(f), int(g)
-    else:
-        if Fraction(f).denominator == 1:
-            f, g = int(f), int(g)
+    elif integral:
+        raise NonIntegralMultiplicity(f"f={f}, g={g}")
     return EigenData(k, l, r, s, f, g)
 
 
 def imprimitive_eigen(r: int, m: int) -> EigenData:
-    """Scheme of m+1 disjoint copies of the complete graph on r+1 vertices."""
-    if r < 1 or m < 1:
-        raise InfeasibleParams("need r >= 1 and m >= 1")
-    return EigenData(r, m * (1 + r), r, -1, m, r * (1 + m))
+    """Scheme of m+1 disjoint copies of the complete graph on r+1 vertices:
+    (k, l, r, s) = (r, m(1+r), r, -1), so f = m and g = r(1+m).  Unless
+    r, m >= 1 a multiplicity is not positive and InfeasibleParams is raised."""
+    return eigen_from_values(r, m * (1 + r), r, -1, integral=True)
 
 
 @dataclass(frozen=True)

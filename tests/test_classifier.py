@@ -289,6 +289,29 @@ def test_certificates_verify(classification):
         assert verify_record(rec), str(rec.partition)
 
 
+@pytest.mark.parametrize("kind", ["constant", "image-definite"])
+def test_verify_record_rejects_a_renamed_bound_quantity(classification, kind):
+    """A bounds leaf verifies only when re-deriving it gives the stored
+    conflict; another quantity with some conflict of its own is not enough."""
+    rec, gi, li, leaf = next(
+        (rec, gi, li, leaf)
+        for rec in classification.records
+        for gi, ga in enumerate(rec.groupings)
+        for li, leaf in enumerate(ga.leaves)
+        if leaf.bound_conflict is not None and leaf.bound_conflict.kind == kind
+    )
+    name, *rest = leaf.bound_conflict.data
+    renamed = dataclasses.replace(leaf.bound_conflict,
+                                  data=("k" if name != "k" else "l", *rest))
+    ga = rec.groupings[gi]
+    leaves = list(ga.leaves)
+    leaves[li] = dataclasses.replace(leaf, bound_conflict=renamed)
+    groupings = list(rec.groupings)
+    groupings[gi] = dataclasses.replace(ga, leaves=tuple(leaves))
+    assert verify_record(rec)
+    assert not verify_record(dataclasses.replace(rec, groupings=tuple(groupings)))
+
+
 def test_census_leaf_outcomes_and_bound_kinds(classification):
     """The census reaches exactly these proof paths and no others."""
     outcomes = Counter()

@@ -1,6 +1,7 @@
 """Adjacency-matrix ground truth: constructions, products, cross-checks."""
 
 import hashlib
+import io
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expected as X
-from srgfusion import oracle
+from srgfusion import cli, oracle
 from srgfusion.fusion import scan_all
 from srgfusion.oracle import (
     BadSpec,
@@ -418,6 +419,30 @@ def test_fused_valencies_match_table():
     g = build_graph("petersen")
     for text in ("2347|5689", "2|3|456|789", "23|47|5689"):
         assert fused_valencies_match(g, parse(text))
+
+
+def test_strong_regularity_checked_once(monkeypatch):
+    """One verify_scheme call on the rank-3 basis per entry point, then one
+    per fused partition."""
+    ranks = []
+
+    def counted(sm):
+        ranks.append(sm.rank)
+        return verify_scheme(sm)
+
+    monkeypatch.setattr(oracle, "verify_scheme", counted)
+    monkeypatch.setattr(cli, "verify_scheme", counted)
+    g = build_graph("petersen")
+    ps = [parse(t) for t in ("2347|5689", "249|37|5|68", "2|3|456|789")]
+    assert cross_check(g, ps).clean
+    assert ranks == [3, 3, 5, 5]
+    ranks.clear()
+    assert fused_valencies_match(g, ps[0])
+    assert ranks == [3, 3]
+    ranks.clear()
+    assert cli.main(["verify", "--graph", "petersen", "--partition", "2347|5689",
+                     "--format", "json"], out=io.StringIO()) == 0
+    assert ranks == [3, 3]
 
 
 def test_cross_check_rook3_sampled():

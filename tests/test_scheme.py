@@ -1,5 +1,6 @@
 """Parameter sets, eigenvalues, feasibility, and the rank-3 table."""
 
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from srgfusion.classifier import classify_wreath
+from srgfusion.classifier import classify_wreath, family_catalog
 from srgfusion.fusion import bm_check
 from srgfusion.oracle import build_graph
 from srgfusion.partitions import coarsenings
@@ -25,7 +26,7 @@ from srgfusion.scheme import (
     imprimitive_eigen,
     regular_matrices,
 )
-from srgfusion.exact import QuadraticValue, quad
+from srgfusion.exact import QuadraticValue, _quadratic_roots_exact, quad, scalar_sign
 
 
 def test_srg_params_consistency():
@@ -223,12 +224,13 @@ def eigen_from_params_isqrt(p: SrgParams, integral: bool = True) -> EigenData:
     return EigenData(k, p.l, r, s, f, g)
 
 
-def _outcome(fn, p: SrgParams, integral: bool):
-    """repr of the result (types included) or the exception class, plus warnings."""
+def _outcome(fn, *args):
+    """repr of ``fn(*args)`` (types included) or the exception class, plus
+    the warning texts."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = repr(fn(p, integral=integral))
+            out = repr(fn(*args))
         except (InfeasibleParams, NonIntegralMultiplicity) as exc:
             out = type(exc)
     return out, [str(w.message) for w in caught]
@@ -256,6 +258,105 @@ def test_eigen_from_params_pinned_on_every_small_candidate():
                     == _outcome(eigen_from_params_isqrt, p, integral)), p
         checked += 1
     assert checked == 4842
+
+
+def eigen_from_values_reference(k, l, r, s, integral: bool = False) -> EigenData:
+    """Reference: multiplicities derived on their own, as before
+    ``eigen_from_params`` and ``imprimitive_eigen`` delegated here.
+
+    One line is corrected: f and g become ints only together.  The old code
+    tested f alone in table-algebra mode and truncated a fractional g (see
+    ``test_eigen_from_values_keeps_a_fractional_g``).
+    """
+    if scalar_sign(r - s) <= 0:
+        raise InfeasibleParams("need r > s")
+    n = 1 + k + l
+    f = (Fraction(-k) - (n - 1) * s) / (r - s)
+    if isinstance(f, QuadraticValue):
+        raise InfeasibleParams(f"multiplicities irrational for ({k},{l},{r},{s})")
+    g = Fraction(n - 1) - f
+    if scalar_sign(f) <= 0 or scalar_sign(g) <= 0:
+        raise InfeasibleParams(f"multiplicities must be positive, got f={f}, g={g}")
+    if integral:
+        if Fraction(f).denominator != 1 or Fraction(g).denominator != 1:
+            raise NonIntegralMultiplicity(f"f={f}, g={g}")
+        f, g = int(f), int(g)
+    else:
+        if Fraction(f).denominator == 1 and Fraction(g).denominator == 1:
+            f, g = int(f), int(g)
+    return EigenData(k, l, r, s, f, g)
+
+
+def imprimitive_eigen_reference(r: int, m: int) -> EigenData:
+    """Reference: the hand-written multiplicities f = m, g = r(1+m)."""
+    if r < 1 or m < 1:
+        raise InfeasibleParams("need r >= 1 and m >= 1")
+    return EigenData(r, m * (1 + r), r, -1, m, r * (1 + m))
+
+
+def rational_grid():
+    """(k, l, r, s) over small rationals: every combination of a few values,
+    and the row-orthogonal tuples with l solved from (k, r, s)."""
+    values = [Fraction(x) for x in (-2, -1, 0, 1, 2, 3)]
+    values += [Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2), Fraction(-1, 4)]
+    yield from itertools.product(values[::2], repeat=4)
+    for k, r, s in itertools.product(values, repeat=3):
+        if k + r * s:
+            yield k, -k * (1 + r) * (1 + s) / (k + r * s), r, s
+
+
+def value_inputs():
+    """The (k, l, r, s) of every small candidate, every catalogue sample and
+    the rational grid."""
+    for p in small_candidates():
+        r, s = _quadratic_roots_exact([p.nu - p.k, p.nu - p.mu, 1])
+        yield p.k, p.l, r, s
+    for fam in family_catalog():
+        yield from fam.sample_instances
+    yield from rational_grid()
+
+
+# what each failure of eigen_from_values says, by the check that failed
+_FAILURES = (("r <= s", "need r > s"), ("irrational", "conference identity"),
+             ("non-positive", "must be positive"), ("non-integral", "f="))
+
+
+def test_eigen_from_values_pinned():
+    seen = Counter()
+    for inputs in value_inputs():
+        for integral in (True, False):
+            got = _outcome(eigen_from_values, *inputs, integral)
+            assert got == _outcome(eigen_from_values_reference, *inputs, integral), (
+                inputs, integral)
+            assert not got[1], inputs  # only eigen_from_params warns
+            try:
+                e = eigen_from_values(*inputs, integral)
+                seen[type(e.f).__name__] += 1
+            except (InfeasibleParams, NonIntegralMultiplicity) as exc:
+                seen[next((kind for kind, text in _FAILURES if text in str(exc)),
+                          "EigenData")] += 1
+    assert set(seen) == {"int", "Fraction", "EigenData", *dict(_FAILURES)}, seen
+
+
+def test_imprimitive_eigen_pinned():
+    for r in range(9):
+        for m in range(9):
+            assert (_outcome(imprimitive_eigen, r, m)
+                    == _outcome(imprimitive_eigen_reference, r, m)), (r, m)
+            if r and m:
+                assert imprimitive_eigen(r, m) == eigen_from_params(
+                    SrgParams((1 + r) * (1 + m), r, r - 1, 0))
+
+
+def test_eigen_from_values_keeps_a_fractional_g():
+    # f = 2 is integral but g = 40/3 is not, since n - 1 = k + l = 46/3; the
+    # table algebra is valid and keeps both multiplicities as Fractions
+    e = eigen_from_values(Fraction(1, 3), Fraction(15), Fraction(3, 2), Fraction(-1, 4))
+    assert (e.f, e.g) == (Fraction(2), Fraction(40, 3))
+    assert type(e.f) is Fraction
+    with pytest.raises(NonIntegralMultiplicity):
+        eigen_from_values(Fraction(1, 3), 15, Fraction(3, 2), Fraction(-1, 4),
+                          integral=True)
 
 
 def feasible_small_sets():
