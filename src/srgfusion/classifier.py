@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
-from operator import itemgetter
 from typing import Sequence
 
 from .exact import (
@@ -458,12 +457,7 @@ def potential_equality_graph(p: SetPartition) -> EqualityGraph:
     sieve = default_sieve_set()
     table = symbolic_tensor_table()
     masks = block_masks(table, p)
-    # group rows into classes of identically-equal summed rows, by the ids
-    # of their block sums
-    classes: dict[tuple, list[int]] = {}
-    for a, key in enumerate(map(itemgetter(0, *masks), table.sum_ids)):
-        classes.setdefault(key, []).append(a)
-    class_tuples = tuple(tuple(cls) for cls in classes.values())
+    class_tuples = table.row_classes(masks)
 
     pairs = []
     for ci, cj in itertools.combinations(range(len(class_tuples)), 2):

@@ -18,7 +18,9 @@ Input sources (exactly one per invocation where required):
 
 Options:
 
-    --partition P       partition of 2..9 for verify, e.g. 23|47|5689
+    --partition P       partition of 2..9, e.g. 23|47|5689: required by
+                        verify; crosscheck checks only P; other commands
+                        refuse it
     --orientation 1|2   wreath-product orientation (default 1)
     --format FMT        text (default) or json; lattice always prints dot
     --table-algebra     allow non-integral multiplicities: parameter and
@@ -297,7 +299,8 @@ def cmd_crosscheck(args, out) -> int:
     if args.graph is None:
         raise UsageError("crosscheck needs --graph")
     g = build_graph(args.graph)
-    report = cross_check(g)
+    partitions = None if args.partition is None else [parse(args.partition)]
+    report = cross_check(g, partitions)
     doc = {
         "graph": report.graph,
         "checked": report.checked,
@@ -340,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--graph", help="named graph, e.g. petersen, paley13, "
                                         "rook3, clebsch, complement:clebsch, "
                                         "cliques3x3, latin6")
-    parser.add_argument("--partition", help="partition of 2..9, e.g. 23|47|5689")
+    parser.add_argument("--partition", help="partition of 2..9, e.g. 23|47|5689 "
+                                            "(verify and crosscheck only)")
     parser.add_argument("--orientation", type=int, default=1, choices=(1, 2))
     parser.add_argument("--format", default="text", choices=("text", "json", "dot"))
     parser.add_argument("--table-algebra", action="store_true",
@@ -362,6 +366,9 @@ def main(argv=None, out=None) -> int:
     if args.command == "lattice":
         args.format = "dot"
     try:
+        if args.partition is not None and args.command not in ("verify",
+                                                               "crosscheck"):
+            raise UsageError(f"{args.command} takes no --partition")
         return _COMMANDS[args.command](args, out)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

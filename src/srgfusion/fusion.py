@@ -10,9 +10,10 @@ Block sums are looked up, not re-added: ``block_masks`` checks a partition
 against the table and hands back its per-block keys (``SetPartition.masks``,
 computed once per partition) into the table's lazily built
 ``CharTable.subset_sums``, which the classifier's block differences read too.
-Block sums are compared as interned ids: the criterion counts distinct rows
-of ``CharTable.sum_ids``, small ints that are equal exactly when the exact
-sums are, so a check hashes small-int tuples instead of exact values.
+Rows are compared through ``CharTable.row_classes``: per mask the table
+records once, as bits, which pairs of rows have equal sums, so a check ANDs
+a few ints and counts the classes of the result instead of hashing exact
+values; the classifier's equality graph reads the same classes.
 
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose
@@ -22,9 +23,7 @@ entries are polynomials, and fused tables being re-fused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-
-from .partitions import SetPartition, all_default_partitions
+from .partitions import DEFAULT_GROUND, SetPartition, all_default_partitions
 from .scheme import CharTable
 
 
@@ -75,8 +74,7 @@ def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
 
 def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
     """Apply the Bannai-Muzychuk criterion to one partition."""
-    masks = block_masks(table, p)
-    distinct = len(set(map(itemgetter(0, *masks), table.sum_ids)))
+    distinct = len(table.row_classes(block_masks(table, p)))
     is_fusion = distinct == p.num_blocks + 1
     return FusionVerdict(p, is_fusion, distinct, p.rank if is_fusion else None)
 
@@ -121,9 +119,8 @@ def scan_all(table: CharTable) -> list[FusionVerdict]:
     """
     out = []
     for p in all_default_partitions():
-        if p.is_discrete() or p.is_single_block():
-            continue
-        verdict = bm_check(table, p)
-        if verdict.is_fusion:
-            out.append(verdict)
+        if 1 < p.num_blocks < len(DEFAULT_GROUND):
+            verdict = bm_check(table, p)
+            if verdict.is_fusion:
+                out.append(verdict)
     return out

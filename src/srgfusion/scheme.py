@@ -150,9 +150,44 @@ def imprimitive_eigen(r: int, m: int) -> EigenData:
     return eigen_from_values(r, m * (1 + r), r, -1, integral=True)
 
 
+def _equal_pair_bits(values) -> int:
+    """Bit ``i*R + j`` for each pair i < j of the R values with x_i == x_j.
+
+    Values are grouped by the hash and ``==`` of a dict, so equal values of
+    different types (1 and Fraction(1)) pair up.
+    """
+    groups: dict = {}
+    for i, x in enumerate(values):
+        groups.setdefault(x, []).append(i)
+    n, bits = len(values), 0
+    for group in groups.values():
+        for a, i in enumerate(group):
+            for j in group[a + 1:]:
+                bits |= 1 << (i * n + j)
+    return bits
+
+
+def _classes_from_bits(bits: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The classes of the equivalence on range(n) whose pairs ``bits`` sets,
+    ordered by their first member."""
+    classes, placed = [], set()
+    for i in range(n):
+        if i not in placed:
+            cls = (i,) + tuple(j for j in range(i + 1, n)
+                               if bits >> (i * n + j) & 1)
+            placed.update(cls)
+            classes.append(cls)
+    return tuple(classes)
+
+
 @dataclass(frozen=True)
 class CharTable:
-    """Exact character table: rows of common eigenvalues with multiplicities."""
+    """Exact character table: rows of common eigenvalues with multiplicities.
+
+    The column-sum views ``subset_sums`` and ``pair_bits``, and the memo
+    behind ``row_classes``, are built on first use and stay out of
+    equality and hashing.
+    """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
@@ -181,9 +216,8 @@ class CharTable:
         ``subset_sums[i][mask]`` sums row i over the column positions c with
         bit c-1 set in ``mask`` (entry 0 is unused); each entry is a smaller
         set's sum plus one entry.  Built on first use; ``fusion.summed_rows``
-        and the classifier's block differences read every block sum here.
-        Its companion ``sum_ids`` names each sum by a small int, for the
-        checks that only ask which sums are equal.
+        and the classifier's block differences read every block sum here,
+        and ``pair_bits`` records which of them are equal.
         """
         out = []
         for row in self.rows:
@@ -194,21 +228,47 @@ class CharTable:
         return tuple(out)
 
     @cached_property
-    def sum_ids(self) -> tuple[tuple[int, ...], ...]:
-        """``subset_sums`` with every value interned to a small int.
+    def pair_bits(self) -> list[int]:
+        """Per mask, the pairs of rows with equal sums on it; -1 until used.
 
-        One interning dict serves all rows, so ``sum_ids[i][m] ==
-        sum_ids[j][m]`` exactly when the two sums are equal, by the same
-        hash and ``==`` a set of the sums would use.  Entry 0 holds the id
-        of the identity column ``row[0]``.  Built on first use; the
-        Bannai-Muzychuk check and the classifier's row classes compare
-        these ids instead of hashing exact values.
+        With R rows, bit ``i*R + j`` (i < j) of ``pair_bits[mask]`` is set
+        when rows i and j have equal ``subset_sums`` on ``mask``; entry 0
+        compares the identity column ``row[0]``.  ``row_classes`` fills an
+        entry the first time its mask is used, so a fresh table pays only
+        for the masks it is asked about.
         """
-        ids: dict = {}
-        return tuple(
-            tuple(ids.setdefault(x, len(ids)) for x in (row[0],) + sums[1:])
-            for row, sums in zip(self.rows, self.subset_sums)
-        )
+        bits = [-1] * (1 << (len(self.col_labels) - 1))
+        bits[0] = _equal_pair_bits([row[0] for row in self.rows])
+        return bits
+
+    def row_classes(self, masks) -> tuple[tuple[int, ...], ...]:
+        """Rows grouped by equal sums on every mask and on ``row[0]``.
+
+        Two rows share a class exactly when their identity entries and
+        their sums on each of ``masks`` are equal, which is when their pair
+        bit survives the AND over entry 0 and the masks' ``pair_bits``.
+        Classes are ordered by their first row.  The grouping is memoized
+        per table by that AND, which has at most Bell(R) values; the
+        Bannai-Muzychuk check counts the classes and the classifier's
+        equality graph pairs them up.
+        """
+        bits = self.pair_bits
+        key = bits[0]
+        for m in masks:
+            b = bits[m]
+            if b < 0:
+                b = bits[m] = _equal_pair_bits(
+                    [sums[m] for sums in self.subset_sums])
+            key &= b
+        classes = self._classes_by_bits.get(key)
+        if classes is None:
+            classes = self._classes_by_bits[key] = _classes_from_bits(
+                key, len(self.rows))
+        return classes
+
+    @cached_property
+    def _classes_by_bits(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
 
     def to_json(self) -> dict:
         return {

@@ -123,6 +123,25 @@ def test_crosscheck_command():
     assert doc["checked"] == 4140 and doc["disagreements"] == []
 
 
+def test_crosscheck_one_partition():
+    for text, positives in (("249|37|5|68", 1), ("2|3456789", 0)):
+        code, out = run_cli("crosscheck", "--graph", "rook3", "--partition", text,
+                            "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["checked"], doc["positives"], doc["disagreements"]) == (
+            1, positives, [])
+
+
+def test_partition_refused_outside_verify_and_crosscheck(capsys):
+    inputs = {"table": ("--graph", "paley5"), "scan": ("--graph", "paley5"),
+              "wreath": (), "classify": (), "lattice": ("--graph", "paley5")}
+    for command, source in inputs.items():
+        assert run_cli(command, *source, "--partition", "23|456789") == (1, "")
+        err = capsys.readouterr().err
+        assert err == f"error: {command} takes no --partition\n"
+
+
 # sha256 of the `verify --format json` text of one refuted partition on
 # Petersen; pins the witness the matrix oracle reports first
 VERIFY_WITNESS_JSON_SHA256 = "f18562d6dc63e83e88418e6e82b6c4fd0c3e306e47a239b789deb0d5237821a4"

@@ -1,5 +1,6 @@
 """The fusion criterion: single checks, fused tables, full scans."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import expected as X
 from srgfusion.classifier import imprimitive_base_table, symbolic_tensor_table
+from srgfusion import fusion
 from srgfusion.fusion import (
     IndexMismatch,
     NotAFusion,
@@ -226,6 +228,61 @@ def test_bm_check_compares_identity_column_and_exact_values():
         assert_bm_check_matches_reference(table, p)
     assert [bm_check(table, p).distinct_row_count
             for p in enumerate_partitions(range(2, 4))] == [2, 3]
+
+
+def row_classes_reference(table, p):
+    """Reference: rows grouped by their exact block-loop summed rows, classes
+    in order of first appearance."""
+    classes: dict = {}
+    for i, row in enumerate(summed_rows_by_block_loop(table, p)):
+        classes.setdefault(row, []).append(i)
+    return tuple(tuple(cls) for cls in classes.values())
+
+
+ROW_CLASS_TABLES = {
+    **{name: (build, None) for name, build in REFERENCE_TABLES.items()},
+    "wreath": (lambda: wreath_table(char_table(
+        eigen_from_params(SrgParams(10, 3, 0, 1)))), range(2, 6)),
+    "refused": (lambda: fused_table(tensor_for(10, 3, 0, 1), parse("2|3|456|789")),
+                range(2, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CLASS_TABLES))
+def test_row_classes_match_reference(name):
+    build, ground = ROW_CLASS_TABLES[name]
+    table = build()
+    ps = all_default_partitions() if ground is None else enumerate_partitions(ground)
+    want = [row_classes_reference(table, p) for p in ps]
+    # a fresh copy per order: the pair bits fill in the order masks are met
+    for order in (1, -1):
+        fresh = dataclasses.replace(table)
+        assert "pair_bits" not in vars(fresh)
+        for p, classes in list(zip(ps, want))[::order]:
+            assert fresh.row_classes(block_masks(fresh, p)) == classes, str(p)
+
+
+def test_fresh_table_fills_only_the_masks_it_uses():
+    table = tensor_for(10, 3, 0, 1)
+    p = parse("249|37|5|68")
+    assert bm_check(table, p).is_fusion is False
+    assert len(table.pair_bits) == 1 << 8
+    filled = {m for m, bits in enumerate(table.pair_bits) if bits >= 0}
+    assert filled == {0, *p.masks}
+
+
+def test_scan_all_checks_each_nontrivial_partition_once(petersen, monkeypatch):
+    # one bm_check per nontrivial partition: traced call counts rely on it
+    seen = []
+
+    def counting(table, p):
+        seen.append(p)
+        return bm_check(table, p)
+
+    monkeypatch.setattr(fusion, "bm_check", counting)
+    assert {str(v.partition) for v in scan_all(petersen)} == X.GUARANTEED_13
+    assert len(seen) == len(set(seen)) == 4138
+    assert not any(p.is_discrete() or p.is_single_block() for p in seen)
 
 
 def test_trivial_partitions_always_positive(petersen):
