@@ -43,7 +43,7 @@ realize its first two members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -423,15 +423,22 @@ class EqualityGraph:
 
 
 @lru_cache(maxsize=None)
-def _pair_block_diff(a: int, b: int, mask: int) -> MultiPoly:
-    """Normalized difference of rows a, b of the symbolic table on a block.
+def _pair_block_status(
+    a: int, b: int, mask: int
+) -> tuple[MultiPoly, NonzeroCertificate | None]:
+    """Normalized difference of rows a, b of the symbolic table on a block,
+    with its sieve certificate (None when the difference is zero or not
+    certified).
 
     ``mask`` is a block's key from ``fusion.block_masks``; caching keys on
     (rows, mask) because the same differences recur across thousands of
     partitions.
     """
     sums = symbolic_tensor_table().subset_sums
-    return (sums[a][mask] - sums[b][mask]).normalized()
+    diff = (sums[a][mask] - sums[b][mask]).normalized()
+    if diff.is_zero():
+        return diff, None
+    return diff, default_sieve_set().certify(diff)
 
 
 # valency-domination blockers: merging chi_00 with chi_ij would force the
@@ -446,53 +453,43 @@ def _valency_block_poly(other_row: int) -> MultiPoly:
     return _DOMINATION_POLY[i if i else j]
 
 
+def _class_pair_status(a: int, b: int, masks: Sequence[int]) -> PairStatus:
+    """Whether row classes with representatives a < b can ever merge.
+
+    The pair is blocked when one class is the valency row or some block
+    difference carries a sieve certificate; otherwise it carries the
+    distinct nonzero block differences as its equations.
+    """
+    if a == 0:
+        poly = _valency_block_poly(b)
+        cert = default_sieve_set().certify(poly)
+        return PairStatus((a, b), (), True, "valency", (poly, cert))
+    eqs = []
+    for bi, mask in enumerate(masks):
+        norm, cert = _pair_block_status(a, b, mask)
+        if norm.is_zero():
+            continue
+        if cert is not None:
+            return PairStatus((a, b), (), True, "sieve", (bi, norm, cert))
+        eqs.append(norm)
+    return PairStatus((a, b), tuple(dict.fromkeys(eqs)), False, "", None)
+
+
 def potential_equality_graph(p: SetPartition) -> EqualityGraph:
     """Which rows of the column-summed symbolic table could ever coincide.
 
-    Rows are first grouped into classes of identically-equal polynomials.
-    A pair of classes is blocked when some block difference carries a
-    sieve certificate, or when one class is the valency row; otherwise the
-    pair carries its residual equation system.
+    Rows are first grouped into classes of identically-equal polynomials,
+    ordered by their first row; each pair of classes gets the status of its
+    first rows.
     """
-    sieve = default_sieve_set()
     table = symbolic_tensor_table()
     masks = block_masks(table, p)
     class_tuples = table.row_classes(masks)
-
-    pairs = []
-    for ci, cj in itertools.combinations(range(len(class_tuples)), 2):
-        a, b = class_tuples[ci][0], class_tuples[cj][0]
-        a, b = min(a, b), max(a, b)
-        if a == 0:
-            poly = _valency_block_poly(b)
-            cert = sieve.certify(poly)
-            pairs.append((
-                (ci, cj),
-                PairStatus((a, b), (), True, "valency", (poly, cert)),
-            ))
-            continue
-        eqs = []
-        blocked = None
-        for bi, mask in enumerate(masks):
-            norm = _pair_block_diff(a, b, mask)
-            if norm.is_zero():
-                continue
-            cert = sieve.certify(norm)
-            if cert is not None:
-                blocked = (bi, norm, cert)
-                break
-            eqs.append(norm)
-        if blocked is not None:
-            pairs.append((
-                (ci, cj),
-                PairStatus((a, b), (), True, "sieve", blocked),
-            ))
-        else:
-            pairs.append((
-                (ci, cj),
-                PairStatus((a, b), tuple(dict.fromkeys(eqs)), False, "", None),
-            ))
-    return EqualityGraph(p, class_tuples, tuple(pairs))
+    pairs = tuple(
+        ((ci, cj), _class_pair_status(class_tuples[ci][0], class_tuples[cj][0], masks))
+        for ci, cj in itertools.combinations(range(len(class_tuples)), 2)
+    )
+    return EqualityGraph(p, class_tuples, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +736,18 @@ def _apply_substitutions_signed(
     return out, sign
 
 
+@lru_cache(maxsize=None)
+def _substitute_one(p: MultiPoly, rec: SubstitutionRecord) -> MultiPoly:
+    """Normalized image of p under one elimination step."""
+    return _apply_substitutions(p, (rec,)).normalized()
+
+
 def _substitute_into(
     polys: Sequence[MultiPoly], rec: SubstitutionRecord
 ) -> list[MultiPoly]:
     out = []
     for p in polys:
-        q = _apply_substitutions(p, [rec]).normalized()
+        q = _substitute_one(p, rec)
         if not q.is_zero():
             out.append(q)
     return list(dict.fromkeys(out))
@@ -794,6 +797,10 @@ def _rootless_on_region(e: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 # resultants
 # ---------------------------------------------------------------------------
+
+# largest Sylvester matrix (deg_var f + deg_var g) a resultant step forms
+_RESULTANT_MAX_SIZE = 8
+
 
 def _resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of f and g with respect to ``var``."""
@@ -858,6 +865,59 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
     return [e for idx, e in enumerate(out) if idx not in drop]
 
 
+@lru_cache(maxsize=None)
+def _screen(e: MultiPoly) -> tuple[MultiPoly, ProofLeaf | None]:
+    """Normalized equation and, when it alone contradicts the primitive
+    region, the contradiction leaf (with an empty chain) that says so.
+
+    The tests run cheapest first: a nonzero constant, a sieve-certified
+    polynomial, an orthant-definite one, a univariate one rootless on its
+    region interval.
+    """
+    e = e.normalized()
+    if e.is_zero():
+        return e, None
+    if e.is_constant():
+        return e, ProofLeaf(
+            (), (), "contradiction-unit",
+            unit_poly=e, unit_certificate=NonzeroCertificate(e.constant_value(), ()),
+        )
+    cert = default_sieve_set().certify(e)
+    if cert is not None:
+        return e, ProofLeaf(
+            (), (), "contradiction-unit", unit_poly=e, unit_certificate=cert
+        )
+    if _orthant_sign(e) is not None:
+        return e, ProofLeaf(
+            (), (), "contradiction-bounds",
+            bound_conflict=BoundConflict("definite", (e,)),
+        )
+    if _rootless_on_region(e):
+        return e, ProofLeaf(
+            (), (), "contradiction-bounds",
+            bound_conflict=BoundConflict("no-region-root", (e, next(iter(e.symbols())))),
+        )
+    return e, None
+
+
+@lru_cache(maxsize=None)
+def _pivot_candidate(
+    e: MultiPoly, var: str
+) -> tuple[int, MultiPoly, MultiPoly, NonzeroCertificate | None] | None:
+    """(rank, a_part, b_part, certificate) when e = a_part + b_part * var
+    and b_part is constant (rank 0) or sieve-certified (rank 1); else None."""
+    if e.degree(var) != 1:
+        return None
+    a_part, b_part = e.coefficients(var)
+    b_norm = b_part.normalized()
+    if b_norm.is_constant():
+        return 0, a_part, b_part, None
+    cert = default_sieve_set().certify(b_norm)
+    if cert is None:
+        return None
+    return 1, a_part, b_part, cert
+
+
 class _Decomposer:
     """Branch decomposition of an equation system over the primitive region."""
 
@@ -878,37 +938,15 @@ class _Decomposer:
         assumptions: tuple[MultiPoly, ...],
         depth: int,
     ) -> list[ProofLeaf]:
-        # constants and sieve-certified members force a contradiction
+        # constants and sieve-certified members force a contradiction, and
+        # so do definite and region-rootless ones
         cleaned: list[MultiPoly] = []
         for e in system:
-            e = e.normalized()
-            if e.is_zero():
-                continue
-            if e.is_constant():
-                return [ProofLeaf(
-                    subs, assumptions, "contradiction-unit",
-                    unit_poly=e,
-                    unit_certificate=NonzeroCertificate(e.constant_value(), ()),
-                )]
-            cert = self.sieve.certify(e)
-            if cert is not None:
-                return [ProofLeaf(
-                    subs, assumptions, "contradiction-unit",
-                    unit_poly=e, unit_certificate=cert,
-                )]
-            if _orthant_sign(e) is not None:
-                return [ProofLeaf(
-                    subs, assumptions, "contradiction-bounds",
-                    bound_conflict=BoundConflict("definite", (e,)),
-                )]
-            if _rootless_on_region(e):
-                return [ProofLeaf(
-                    subs, assumptions, "contradiction-bounds",
-                    bound_conflict=BoundConflict(
-                        "no-region-root", (e, next(iter(e.symbols())))
-                    ),
-                )]
-            cleaned.append(e)
+            e, leaf = _screen(e)
+            if leaf is not None:
+                return [replace(leaf, substitutions=subs, assumptions=assumptions)]
+            if not e.is_zero():
+                cleaned.append(e)
         system = list(dict.fromkeys(cleaned))
 
         if not system:
@@ -960,25 +998,17 @@ class _Decomposer:
         best = None
         for var in _ELIM_ORDER:
             for idx, e in enumerate(system):
-                if e.degree(var) != 1:
+                cand = _pivot_candidate(e, var)
+                if cand is None:
                     continue
-                a_part, b_part = e.coefficients(var)
-                b_norm = b_part.normalized()
-                if b_norm.is_constant():
-                    rank, cert = 0, None
-                else:
-                    cert = self.sieve.certify(b_norm)
-                    if cert is None:
-                        continue
-                    rank = 1
-                score = (rank, len(e.terms))
+                score = (cand[0], len(e.terms))
                 if best is None or score < best[0]:
-                    best = (score, idx, var, a_part, b_part, cert)
+                    best = (score, idx, var, cand)
             if best is not None and best[0][0] == 0:
                 break
         if best is None:
             return None
-        _, idx, var, a_part, b_part, cert = best
+        _, idx, var, (_, a_part, b_part, cert) = best
         return idx, var, a_part, b_part, cert
 
     def _resultant_consequence(self, system: list[MultiPoly]) -> MultiPoly | None:
@@ -987,7 +1017,7 @@ class _Decomposer:
             common = sorted(f.symbols() & g.symbols())
             for var in common:
                 df, dg = f.degree(var), g.degree(var)
-                if df < 1 or dg < 1 or df + dg > 8:
+                if df < 1 or dg < 1 or df + dg > _RESULTANT_MAX_SIZE:
                     continue
                 res = _resultant(f, g, var).normalized()
                 if not res.is_zero() and res not in system:
@@ -1233,7 +1263,7 @@ def _grouping_system(
         rb = grouping[gj][0]
         diffs = tuple(
             d for d in (
-                _pair_block_diff(min(ra, rb), max(ra, rb), m) for m in masks
+                _pair_block_status(min(ra, rb), max(ra, rb), m)[0] for m in masks
             ) if not d.is_zero()
         )
         distinctness.append(diffs)
@@ -1437,20 +1467,63 @@ def classify_all() -> ClassificationResult:
     return ClassificationResult(records)
 
 
+def cache_stats() -> dict[str, tuple[int, int, int]]:
+    """(hits, misses, currsize) of every ``lru_cache`` in this module, by name."""
+    stats = {}
+    for name, value in globals().items():
+        if getattr(value, "__module__", None) == __name__ and hasattr(value, "cache_info"):
+            info = value.cache_info()
+            stats[name] = (info.hits, info.misses, info.currsize)
+    return stats
+
+
 # ---------------------------------------------------------------------------
 # certificate verification
 # ---------------------------------------------------------------------------
 
-def _verify_bound_conflict(leaf: ProofLeaf) -> bool:
+def _leaf_consequence(
+    poly: MultiPoly, leaf: ProofLeaf, equations: Sequence[MultiPoly]
+) -> bool:
+    """Is poly forced to vanish on the leaf by the grouping's equations?
+
+    It must be the normalized image, under the leaf's substitution chain,
+    of one of the equations or of the leaf's assumptions, or the normalized
+    resultant of two such images that eliminates a variable poly lacks.
+    The first match ends the search; resultants are tried smallest
+    Sylvester matrix first, up to the size the prover forms.
+    """
+    images = []
+    for e in itertools.chain(equations, leaf.assumptions):
+        image = _apply_substitutions(e, leaf.substitutions).normalized()
+        if image == poly:
+            return True
+        if not image.is_zero():
+            images.append(image)
+    syms = poly.symbols()
+    pairs = []
+    for f, g in itertools.combinations(dict.fromkeys(images), 2):
+        for var in sorted((f.symbols() & g.symbols()) - syms):
+            size = f.degree(var) + g.degree(var)
+            if size <= _RESULTANT_MAX_SIZE and syms <= f.symbols() | g.symbols():
+                pairs.append((size, f, g, var))
+    return any(
+        _resultant(f, g, var).normalized() == poly
+        for _, f, g, var in sorted(pairs, key=lambda t: t[0])
+    )
+
+
+def _verify_bound_conflict(leaf: ProofLeaf, equations: Sequence[MultiPoly]) -> bool:
     """Re-derive the mathematical content of a bounds contradiction."""
     conflict = leaf.bound_conflict
     if conflict is None:
         return False
     kind, data = conflict.kind, conflict.data
     if kind == "definite":
-        return _orthant_sign(data[0]) is not None
+        return (_orthant_sign(data[0]) is not None
+                and _leaf_consequence(data[0], leaf, equations))
     if kind == "no-region-root":
-        return _rootless_on_region(data[0])
+        return (_rootless_on_region(data[0])
+                and _leaf_consequence(data[0], leaf, equations))
     if kind in ("constant", "image-definite"):
         # the bound analysis of the stored substitutions must find this conflict
         return _decomposer()._bound_conflict(leaf.substitutions) == conflict
@@ -1461,28 +1534,35 @@ def verify_record(rec: ClassificationRecord) -> bool:
     """Re-check the mechanical content of a classification record.
 
     Unit contradictions remultiply their sieve certificates; bound
-    conflicts recompute the sign data from the stored substitution chains;
-    row-count certificates re-check pairwise blockedness; every
+    conflicts recompute the sign data from the stored substitution chains,
+    and a definite or region-rootless equation must be re-derived from the
+    grouping's equations; row-count certificates re-check pairwise
+    blockedness; every
     substitution's denominator must be constant or carry a sieve
     certificate that remultiplies to it.
     """
     sieve = default_sieve_set()
-    graph = potential_equality_graph(rec.partition)
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
+        table = symbolic_tensor_table()
+        masks = block_masks(table, rec.partition)
+        classes = table.row_classes(masks)
         if cert.deficit:
-            return len(graph.classes) < cert.required
+            return len(classes) < cert.required
         if not cert.representatives:
             # no clique cover of the unblocked graph into m-1 parts exists;
             # re-enumeration is the check
-            return not _enumerate_groupings(graph, cert.required)
-        class_of_row = {row: ci for ci, cls in enumerate(graph.classes) for row in cls}
-        cids = [class_of_row[row] for row in cert.representatives]
-        if len(cert.representatives) <= cert.required:
+            return not _enumerate_groupings(
+                potential_equality_graph(rec.partition), cert.required
+            )
+        first_of_row = {row: cls[0] for cls in classes for row in cls}
+        firsts = sorted(first_of_row[row] for row in cert.representatives)
+        if len(set(firsts)) != len(firsts) or len(firsts) <= cert.required:
             return False
+        # only the pairs among the representatives' classes need checking
         return all(
-            (min(a, b), max(a, b)) in graph.blocked_pairs
-            for a, b in itertools.combinations(cids, 2)
+            _class_pair_status(a, b, masks).blocked
+            for a, b in itertools.combinations(firsts, 2)
         )
     for ga in rec.groupings:
         for leaf in ga.leaves:
@@ -1491,7 +1571,7 @@ def verify_record(rec: ClassificationRecord) -> bool:
                 if cert is None or cert.reconstruct(sieve) != leaf.unit_poly:
                     return False
             elif leaf.outcome == "contradiction-bounds":
-                if not _verify_bound_conflict(leaf):
+                if not _verify_bound_conflict(leaf, ga.equations):
                     return False
             for sub in leaf.substitutions:
                 if sub.den.is_constant():

@@ -1,12 +1,14 @@
 """Symbolic classification: equality graphs, certificates, the full run."""
 
 import dataclasses
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import expected as X
+from srgfusion import classifier
 from srgfusion.classifier import (
     SubstitutionRecord,
     classify_wreath,
@@ -21,7 +23,7 @@ from srgfusion.classifier import (
     _grouping_system,
     _leaf_point,
 )
-from srgfusion.exact import ONE, R, MultiPoly, QuadraticValue
+from srgfusion.exact import K, ONE, R, MultiPoly, QuadraticValue
 from srgfusion.fusion import bm_check, scan_all, summed_rows
 from srgfusion.partitions import all_default_partitions, coarsenings, parse
 from srgfusion.products import tensor_square_table
@@ -289,27 +291,54 @@ def test_certificates_verify(classification):
         assert verify_record(rec), str(rec.partition)
 
 
-@pytest.mark.parametrize("kind", ["constant", "image-definite"])
-def test_verify_record_rejects_a_renamed_bound_quantity(classification, kind):
-    """A bounds leaf verifies only when re-deriving it gives the stored
-    conflict; another quantity with some conflict of its own is not enough."""
-    rec, gi, li, leaf = next(
+def _first_bound_leaf(classification, kind):
+    """(record, grouping index, leaf index, leaf) of the first leaf whose
+    bound conflict has this kind."""
+    return next(
         (rec, gi, li, leaf)
         for rec in classification.records
         for gi, ga in enumerate(rec.groupings)
         for li, leaf in enumerate(ga.leaves)
         if leaf.bound_conflict is not None and leaf.bound_conflict.kind == kind
     )
+
+
+def _with_conflict(rec, gi, li, conflict):
+    """rec with the bound conflict of leaf li of grouping gi replaced."""
+    ga = rec.groupings[gi]
+    leaves = list(ga.leaves)
+    leaves[li] = dataclasses.replace(leaves[li], bound_conflict=conflict)
+    groupings = list(rec.groupings)
+    groupings[gi] = dataclasses.replace(ga, leaves=tuple(leaves))
+    return dataclasses.replace(rec, groupings=tuple(groupings))
+
+
+@pytest.mark.parametrize("kind", ["constant", "image-definite"])
+def test_verify_record_rejects_a_renamed_bound_quantity(classification, kind):
+    """A bounds leaf verifies only when re-deriving it gives the stored
+    conflict; another quantity with some conflict of its own is not enough."""
+    rec, gi, li, leaf = _first_bound_leaf(classification, kind)
     name, *rest = leaf.bound_conflict.data
     renamed = dataclasses.replace(leaf.bound_conflict,
                                   data=("k" if name != "k" else "l", *rest))
-    ga = rec.groupings[gi]
-    leaves = list(ga.leaves)
-    leaves[li] = dataclasses.replace(leaf, bound_conflict=renamed)
-    groupings = list(rec.groupings)
-    groupings[gi] = dataclasses.replace(ga, leaves=tuple(leaves))
     assert verify_record(rec)
-    assert not verify_record(dataclasses.replace(rec, groupings=tuple(groupings)))
+    assert not verify_record(_with_conflict(rec, gi, li, renamed))
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("definite", (K + 1,)),
+    ("no-region-root", (K * K + 1, "k")),
+])
+def test_verify_record_rejects_a_bound_equation_not_from_the_leaf(
+    classification, kind, data
+):
+    """A definite or region-rootless polynomial proves nothing unless the
+    leaf forces it to vanish: k + 1 and k^2 + 1 have the property but are
+    no image of the grouping's equations."""
+    rec, gi, li, leaf = _first_bound_leaf(classification, kind)
+    forged = dataclasses.replace(leaf.bound_conflict, data=data)
+    assert verify_record(rec)
+    assert not verify_record(_with_conflict(rec, gi, li, forged))
 
 
 def test_census_leaf_outcomes_and_bound_kinds(classification):
@@ -370,6 +399,41 @@ def test_leaf_point_free_symbol_is_none_but_bugs_propagate():
     assert _leaf_point([rec], seed)["k"] == 2
     with pytest.raises(TypeError):
         _leaf_point([rec], dict(seed, r="2"))
+
+
+# sha256 of repr(classify_all().records); the same under every hash seed
+RECORDS_REPR_SHA256 = "1118cf8607f98ec250585575657b1c3ad10e745b5debe32d9aa8a1a9d75c8711"
+
+
+def test_census_records_are_pinned(classification):
+    """Every verdict, proof leaf and certificate, byte for byte."""
+    digest = hashlib.sha256(repr(classification.records).encode()).hexdigest()
+    assert digest == RECORDS_REPR_SHA256
+
+
+def _clear_memos():
+    """Empty every classifier memo but classify_all's, which keeps the
+    session's result."""
+    for name in classifier.cache_stats():
+        if name != "classify_all":
+            getattr(classifier, name).cache_clear()
+
+
+def test_verify_record_does_not_depend_on_memo_state(classification):
+    _clear_memos()
+    assert all(verify_record(rec) for rec in classification.records)
+
+
+def test_cache_stats_of_a_cold_census():
+    _clear_memos()
+    records = classifier.classify_all.__wrapped__().records
+    stats = classifier.cache_stats()
+    assert len(records) == 4140
+    assert stats["_decompose_cached"] == (100, 2330, 2330)
+    for name in ("_screen", "_pivot_candidate", "_substitute_one",
+                 "_pair_block_status"):
+        hits, misses, size = stats[name]
+        assert hits > misses == size > 0, (name, stats[name])
 
 
 def test_classify_all_idempotent(classification):
