@@ -20,7 +20,12 @@ Only the products that can fail are formed: those with the identity are
 known, and the last class is J minus the others, so its products follow
 from the rest.  Each product of two 0/1 class matrices is exact integer
 work: entry (r, c) is the popcount of row r of the left factor AND column
-c of the right, both packed into uint64 words.  No floating point is used.
+c of the right, both packed into uint64 words.  The popcounts accumulate in
+the narrowest unsigned type that holds 64 bits per word (uint8 up to three
+words, uint16 for n^2 = 256), which no entry can exceed.  A product is
+tested without sorting the cells: the first row-major cell of each class
+gives a per-class value table, and the product must equal the table looked
+up at every cell's label.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -214,7 +219,7 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
         block_of[sorted(block)] = b
     lab, side = sm.labels, sm.order ** 2
     tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
-    return SchemeMatrices(block_of[tensor].reshape(side, side),
+    return SchemeMatrices(block_of.take(tensor.reshape(side, side)),
                           p.num_blocks + 1, f"{sm.name} fused {p}")
 
 
@@ -251,10 +256,12 @@ _CHUNK_CELLS = 1 << 16
 
 
 def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
-    """a @ b from the packed rows of a and the packed columns of b."""
+    """a @ b from the packed rows of a and the packed columns of b, in the
+    narrowest unsigned type that holds 64 * words: an entry counts at most
+    that many bits, so it cannot wrap."""
     words, n = a_rows.shape
     m = b_cols.shape[1]
-    out = np.zeros((n, m), dtype=np.int64)
+    out = np.zeros((n, m), dtype=np.min_scalar_type(64 * words))
     step = max(1, _CHUNK_CELLS // m)
     for r in range(0, n, step):
         chunk = out[r:r + step]
@@ -265,7 +272,7 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
 
 def product01(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact int64 product a @ b of two 0/1 matrices, by popcounts."""
-    return _popcount_product(_pack_rows(a), _pack_rows(b.T))
+    return _popcount_product(_pack_rows(a), _pack_rows(b.T)).astype(np.int64)
 
 
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
@@ -275,6 +282,14 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     over the support of M_k must agree; the common values are then the
     intersection numbers.  Pairs (i, j), i <= j, and classes k are scanned
     in order, and the first inconsistency is returned as a witness.
+
+    Each product is read at the first row-major cell of every class, which
+    fills a value table indexed by class, and compared with that table at
+    every cell's label.  On a mismatch the witness class is the smallest
+    class with a bad cell, cell_a is its first cell and cell_b its first
+    bad cell in row-major order: the order of a scan of the cells class by
+    class.  Products are uint8 or uint16 (see _popcount_product); the
+    intersection numbers and witness values are Python ints.
 
     Two kinds of product need no matrix work, and neither can hold the
     first inconsistency:
@@ -290,12 +305,14 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     lab = sm.labels
     d, n = sm.rank, sm.order
     valencies = sm.valencies()
-    # cells of each class in row-major order, concatenated class by class
-    order = np.argsort(lab, axis=None, kind="stable")
-    sizes = np.bincount(lab.ravel(), minlength=d)
-    present = np.flatnonzero(sizes).tolist()
-    counts = sizes[present]
-    starts = np.cumsum(counts) - counts
+    flat = lab.ravel()
+    # the first row-major cell of each present class
+    present, first = [], []
+    for k in range(d):
+        at = int(np.argmax(flat == k))
+        if flat[at] == k:
+            present.append(k)
+            first.append(at)
     # the classes are symmetric, so packed rows are also packed columns
     packed = {k: _pack_rows(lab == k) for k in range(1, d - 1)}
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
@@ -303,17 +320,18 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
         p[0][j][j] = p[j][0][j] = 1
     for i in range(1, d - 1):
         for j in range(i, d - 1):
-            vals = _popcount_product(packed[i], packed[j]).ravel()[order]
-            firsts = vals[starts]
-            bad = vals != np.repeat(firsts, counts)
+            vals = _popcount_product(packed[i], packed[j]).ravel()
+            firsts = vals[first]
+            value_of = np.zeros(d, dtype=vals.dtype)
+            value_of[present] = firsts
+            bad = vals != value_of.take(flat)
             if bad.any():
-                at = int(np.argmax(bad))
-                c = int(np.searchsorted(starts, at, side="right")) - 1
+                c = int(flat[bad].min())
+                at = int(np.argmax(bad & (flat == c)))
                 return FailureWitness(
-                    i, j, present[c],
-                    divmod(int(order[starts[c]]), n),
-                    divmod(int(order[at]), n),
-                    int(firsts[c]), int(vals[at]),
+                    i, j, c,
+                    divmod(first[present.index(c)], n), divmod(at, n),
+                    int(value_of[c]), int(vals[at]),
                 )
             for k, value in zip(present, firsts.tolist()):
                 p[i][j][k] = p[j][i][k] = value

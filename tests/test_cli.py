@@ -3,9 +3,15 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import expected as X
 from srgfusion.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -238,3 +244,13 @@ def test_usage_errors(capsys):
         assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m srgfusion`` runs from a checkout, with only src/ on the path."""
+    argv = ["crosscheck", "--graph", "paley5", "--partition", "2347|5689"]
+    proc = subprocess.run([sys.executable, "-m", "srgfusion", *argv],
+                          capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert (0, proc.stdout) == run_cli(*argv)

@@ -295,9 +295,27 @@ def test_product01_matches_integer_matmul(rows, inner, cols, seed, density):
         assert (product01(a, b) == expected).all()
 
 
+@pytest.mark.parametrize("inner", [64, 192, 193, 255, 256, 257])
+def test_product01_narrow_accumulator_never_wraps(inner):
+    """All-ones factors make every entry the inner width, the most an
+    entry can count; the accumulator is uint8 up to 192 (three words) and
+    uint16 from 193."""
+    a = np.ones((100, inner), dtype=np.int64)
+    b = np.ones((inner, 7), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        for chunk in (oracle._CHUNK_CELLS, 200):  # one and several row chunks
+            mp.setattr(oracle, "_CHUNK_CELLS", chunk)
+            got = product01(a, b)
+            assert got.dtype == np.int64
+            assert (got == inner).all()
+    narrow = oracle._popcount_product(oracle._pack_rows(a), oracle._pack_rows(b.T))
+    assert narrow.dtype == (np.uint8 if inner <= 192 else np.uint16)
+
+
 def all_pairs_verify(sm):
     """Reference oracle: every product M_i M_j, i <= j, by int64 matmul,
-    checked for constancy on every class in (i, j, k) order."""
+    checked for constancy on every class in (i, j, k) order.  M_0 is the
+    identity (SchemeMatrices checks it), so M_0 M_j is M_j itself."""
     mats = sm.matrices
     d = len(mats)
     supports = [m > 0 for m in mats]
@@ -305,7 +323,7 @@ def all_pairs_verify(sm):
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            prod = mats[i] @ mats[j]
+            prod = mats[j] if i == 0 else mats[i] @ mats[j]
             for k in range(d):
                 vals = prod[supports[k]]
                 if not vals.size:
@@ -365,6 +383,18 @@ def test_tensor_fuse_matches_kron_reference(spec, sample):
         assert all((a == b).all() for a, b in zip(got, want)), (spec, str(p))
 
 
+def verdict_kinds_matching_reference(sm, parts):
+    """Assert verify_scheme equals all_pairs_verify on each fused partition;
+    return the result types seen."""
+    seen = set()
+    for p in parts:
+        fused = tensor_fuse(sm, p)
+        got = verify_scheme(fused)
+        assert got == all_pairs_verify(fused), (sm.name, str(p))
+        seen.add(type(got))
+    return seen
+
+
 @pytest.mark.parametrize("spec,sample,kinds", [
     ("paley5", None, {IntersectionTensor, FailureWitness}),
     ("petersen", 240, {IntersectionTensor, FailureWitness}),
@@ -372,14 +402,22 @@ def test_tensor_fuse_matches_kron_reference(spec, sample):
     ("complete3", None, {IntersectionTensor}),
 ], ids=["paley5", "petersen", "complete3"])
 def test_verify_scheme_matches_all_pairs_reference(spec, sample, kinds):
-    sm, parts = reference_cases(spec, sample)
-    seen = set()
-    for p in parts:
-        fused = tensor_fuse(sm, p)
-        got = verify_scheme(fused)
-        assert got == all_pairs_verify(fused), (spec, str(p))
-        seen.add(type(got))
-    assert seen == kinds
+    assert verdict_kinds_matching_reference(*reference_cases(spec, sample)) == kinds
+
+
+def test_verify_scheme_matches_all_pairs_reference_rook4():
+    """n^2 = 256, so the products are uint16: every fusion of the rook4
+    scan and a seeded sample of 20 non-fusions."""
+    sm = scheme_matrices(build_graph("rook4"))
+    negatives = random.Random(7).sample(
+        [p for p in all_default_partitions()
+         if str(p) not in X.ROOK4_SCAN and not p.is_discrete()
+         and not p.is_single_block()],
+        20,
+    )
+    positives = [parse(t) for t in sorted(X.ROOK4_SCAN)]
+    assert verdict_kinds_matching_reference(sm, positives + negatives) == {
+        IntersectionTensor, FailureWitness}
 
 
 def test_verify_scheme_examples():
