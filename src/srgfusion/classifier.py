@@ -12,8 +12,12 @@ Method.  Column-sum the fully symbolic 9x9 table along the partition and
 compare rows pairwise.  Pairs whose difference contains a polynomial that
 the nonvanishing sieve certifies (a scaled product of strictly-signed
 factors) can never merge on the primitive region; the valency row can never
-merge with any other row because its entries dominate termwise.  The
-surviving "potential equality" graph limits which merge patterns could
+merge with any other row because its entries dominate termwise.  Which row
+pairs a block blocks is memoized per block as bits, so m+1 pairwise-blocked
+row classes (a row-count certificate, the verdict of most partitions) are
+found from the OR of the partition's bits alone.  Only the other partitions
+build the "potential equality" graph, whose unblocked pairs carry their
+block differences as equations; it limits which merge patterns could
 produce the required number of distinct rows.  Every admissible merge
 pattern yields a polynomial system; the system is decomposed by exact
 branching (linear-pivot elimination with constant or sieve-certified
@@ -423,19 +427,24 @@ class EqualityGraph:
 
 
 @lru_cache(maxsize=None)
-def _pair_block_status(
-    a: int, b: int, mask: int
-) -> tuple[MultiPoly, NonzeroCertificate | None]:
-    """Normalized difference of rows a, b of the symbolic table on a block,
-    with its sieve certificate (None when the difference is zero or not
-    certified).
+def _block_difference(a: int, b: int, mask: int) -> MultiPoly:
+    """Normalized difference of rows a, b of the symbolic table on a block.
 
     ``mask`` is a block's key from ``fusion.block_masks``; caching keys on
     (rows, mask) because the same differences recur across thousands of
-    partitions.
+    partitions.  Distinctness sets read it uncertified.
     """
     sums = symbolic_tensor_table().subset_sums
-    diff = (sums[a][mask] - sums[b][mask]).normalized()
+    return (sums[a][mask] - sums[b][mask]).normalized()
+
+
+def _pair_block_status(
+    a: int, b: int, mask: int
+) -> tuple[MultiPoly, NonzeroCertificate | None]:
+    """``_block_difference`` with its sieve certificate (None when the
+    difference is zero or not certified).  The sieve memoizes certificates
+    by polynomial, so this needs no memo of its own."""
+    diff = _block_difference(a, b, mask)
     if diff.is_zero():
         return diff, None
     return diff, default_sieve_set().certify(diff)
@@ -490,6 +499,44 @@ def potential_equality_graph(p: SetPartition) -> EqualityGraph:
         for ci, cj in itertools.combinations(range(len(class_tuples)), 2)
     )
     return EqualityGraph(p, class_tuples, pairs)
+
+
+# ---------------------------------------------------------------------------
+# blocked row-pair bits
+# ---------------------------------------------------------------------------
+
+# The row-count certificate needs only which row pairs are blocked, not the
+# equality graph's equations: bit a*9 + b (a < b) of an int stands for rows
+# a, b of the 9-row symbolic table, the layout of ``CharTable.pair_bits``.
+_ROWS = 9
+# valency domination blocks row 0 against every other row
+_VALENCY_BLOCKED = sum(1 << b for b in range(1, _ROWS))
+
+
+@lru_cache(maxsize=None)
+def _blocked_pair_bits(mask: int) -> int:
+    """Bit ``a*9 + b`` for each pair of rows 1 <= a < b whose difference on
+    the block ``mask`` carries a sieve certificate."""
+    bits = 0
+    for a, b in itertools.combinations(range(1, _ROWS), 2):
+        if _pair_block_status(a, b, mask)[1] is not None:
+            bits |= 1 << (a * _ROWS + b)
+    return bits
+
+
+def _blocked_rows(masks: Sequence[int]) -> int:
+    """The row pairs that can never merge on a partition with these masks:
+    the valency pairs plus every pair a block difference blocks."""
+    bits = _VALENCY_BLOCKED
+    for mask in masks:
+        bits |= _blocked_pair_bits(mask)
+    return bits
+
+
+def _pairwise_blocked(rows: Sequence[int], blocked: int) -> bool:
+    """Are the increasing ``rows`` pairwise blocked in ``blocked``?"""
+    return all(blocked >> (a * _ROWS + b) & 1
+               for a, b in itertools.combinations(rows, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1263,7 +1310,7 @@ def _grouping_system(
         rb = grouping[gj][0]
         diffs = tuple(
             d for d in (
-                _pair_block_status(min(ra, rb), max(ra, rb), m)[0] for m in masks
+                _block_difference(min(ra, rb), max(ra, rb), m) for m in masks
             ) if not d.is_zero()
         )
         distinctness.append(diffs)
@@ -1347,9 +1394,11 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
         if text in _imprimitive_positive_strings(2):
             imp.append("IMP2")
 
-    graph = potential_equality_graph(p)
+    table = symbolic_tensor_table()
+    masks = block_masks(table, p)
+    classes = table.row_classes(masks)
     m = p.num_blocks + 1
-    c = len(graph.classes)
+    c = len(classes)
     notes: list[str] = []
 
     if trivial:
@@ -1364,15 +1413,19 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
         return ClassificationRecord(p, "GUARANTEED", False, (), (), None, tuple(notes))
 
     # row-count verdicts, cheapest first: fewer classes than rows, then
-    # m+1 pairwise-blocked classes (the dominant case, found before any
-    # equation solving), then no grouping at all
+    # m+1 pairwise-blocked classes (the dominant case, read off the blocked
+    # row-pair bits before any equality graph is built), then no grouping
+    # at all
+    firsts = tuple(cls[0] for cls in classes)
     if c < m:
-        cert = RowCountCertificate(
-            tuple(cls[0] for cls in graph.classes), m, deficit=True
-        )
+        cert = RowCountCertificate(firsts, m, deficit=True)
     else:
-        cert = _independent_set_certificate(graph, m)
+        blocked = _blocked_rows(masks)
+        cert = next((RowCountCertificate(combo, m)
+                     for combo in itertools.combinations(firsts, m + 1)
+                     if _pairwise_blocked(combo, blocked)), None)
     if cert is None:
+        graph = potential_equality_graph(p)
         groupings = _enumerate_groupings(graph, m)
         if not groupings:
             cert = RowCountCertificate((), m, deficit=False)
@@ -1411,19 +1464,6 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
     return ClassificationRecord(
         p, verdict, False, _sorted_families(families), analyses, None, tuple(notes)
     )
-
-
-def _independent_set_certificate(
-    graph: EqualityGraph, m: int
-) -> RowCountCertificate | None:
-    """A set of m+1 pairwise-blocked classes, when one exists."""
-    blocked = graph.blocked_pairs
-    for combo in itertools.combinations(range(len(graph.classes)), m + 1):
-        if all((a, b) in blocked for a, b in itertools.combinations(combo, 2)):
-            return RowCountCertificate(
-                tuple(graph.classes[ci][0] for ci in combo), m
-            )
-    return None
 
 
 @dataclass(frozen=True)
@@ -1560,10 +1600,7 @@ def verify_record(rec: ClassificationRecord) -> bool:
         if len(set(firsts)) != len(firsts) or len(firsts) <= cert.required:
             return False
         # only the pairs among the representatives' classes need checking
-        return all(
-            _class_pair_status(a, b, masks).blocked
-            for a, b in itertools.combinations(firsts, 2)
-        )
+        return _pairwise_blocked(firsts, _blocked_rows(masks))
     for ga in rec.groupings:
         for leaf in ga.leaves:
             if leaf.outcome == "contradiction-unit":

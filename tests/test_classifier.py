@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -81,6 +82,21 @@ def test_equality_graph_classes_group_equal_summed_rows():
             classes.setdefault(row, []).append(a)
         assert potential_equality_graph(p).classes == tuple(
             map(tuple, classes.values())), str(p)
+
+
+def test_blocked_row_bits_match_the_equality_graph():
+    """On every partition, the blocked bits of the class representatives
+    are the equality graph's blocked class pairs."""
+    for p in all_default_partitions():
+        g = potential_equality_graph(p)
+        blocked = classifier._blocked_rows(p.masks)
+        firsts = [cls[0] for cls in g.classes]
+        from_bits = {
+            (ci, cj)
+            for ci, cj in itertools.combinations(range(len(firsts)), 2)
+            if classifier._pairwise_blocked((firsts[ci], firsts[cj]), blocked)
+        }
+        assert from_bits == g.blocked_pairs, str(p)
 
 
 def test_equality_graph_discrete_all_blocked():
@@ -341,6 +357,36 @@ def test_verify_record_rejects_a_bound_equation_not_from_the_leaf(
     assert not verify_record(_with_conflict(rec, gi, li, forged))
 
 
+def test_verify_record_rejects_a_representative_of_an_unblocked_class(
+    classification
+):
+    """Swap one representative of an independent-set certificate for a row
+    of a class it cannot be told apart from: the forged set is no longer
+    pairwise blocked."""
+    for rec in classification.records:
+        cert = rec.row_count_certificate
+        if cert is None or not cert.representatives:
+            continue
+        graph = potential_equality_graph(rec.partition)
+        chosen = [ci for ci, cls in enumerate(graph.classes)
+                  if cls[0] in cert.representatives]
+        for ci, cj in itertools.product(range(len(graph.classes)), chosen):
+            if ci in chosen or (min(ci, cj), max(ci, cj)) in graph.blocked_pairs:
+                continue
+            # keep cj, the partner ci cannot be told apart from, and drop
+            # another representative for the last row of class ci
+            drop = next(ck for ck in chosen if ck != cj)
+            reps = sorted([graph.classes[ck][0] for ck in chosen if ck != drop]
+                          + [graph.classes[ci][-1]])
+            forged = dataclasses.replace(
+                rec, row_count_certificate=dataclasses.replace(
+                    cert, representatives=tuple(reps)))
+            assert verify_record(rec)
+            assert not verify_record(forged), (str(rec.partition), reps)
+            return
+    pytest.fail("no certificate has a representative with an unblocked class")
+
+
 def test_census_leaf_outcomes_and_bound_kinds(classification):
     """The census reaches exactly these proof paths and no others."""
     outcomes = Counter()
@@ -424,14 +470,20 @@ def test_verify_record_does_not_depend_on_memo_state(classification):
     assert all(verify_record(rec) for rec in classification.records)
 
 
-def test_cache_stats_of_a_cold_census():
+def test_cache_stats_of_a_cold_census(monkeypatch):
     _clear_memos()
+    graphs = []
+    build = classifier.potential_equality_graph
+    monkeypatch.setattr(classifier, "potential_equality_graph",
+                        lambda p: graphs.append(p) or build(p))
     records = classifier.classify_all.__wrapped__().records
     stats = classifier.cache_stats()
     assert len(records) == 4140
+    # only the partitions with no row-count certificate build the graph
+    assert len(graphs) == 471
     assert stats["_decompose_cached"] == (100, 2330, 2330)
     for name in ("_screen", "_pivot_candidate", "_substitute_one",
-                 "_pair_block_status"):
+                 "_block_difference", "_blocked_pair_bits"):
         hits, misses, size = stats[name]
         assert hits > misses == size > 0, (name, stats[name])
 

@@ -54,6 +54,13 @@ def test_parse_canonicalizes():
     assert str(parse(str(p))) == str(p)
 
 
+def test_string_form_needs_single_digit_indices():
+    p = SetPartition(((2, 10),))
+    with pytest.raises(ValueError):
+        str(p)
+    assert p.masks == (0b100000001,)
+
+
 def test_parse_errors():
     with pytest.raises(DuplicateIndex):
         parse("23|47|56899")
