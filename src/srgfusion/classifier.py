@@ -9,20 +9,23 @@ arithmetic over the parameters (k, l, r, s), whether the fusion it names
     fusion (INFEASIBLE, with a machine-checkable certificate).
 
 Method.  Column-sum the fully symbolic 9x9 table along the partition and
-compare rows pairwise.  Pairs whose difference contains a polynomial that
-the nonvanishing sieve certifies (a scaled product of strictly-signed
-factors) can never merge on the primitive region; the valency row can never
-merge with any other row because its entries dominate termwise.  Which row
-pairs a block blocks is memoized per block as bits, so m+1 pairwise-blocked
-row classes (a row-count certificate, the verdict of most partitions) are
-found from the OR of the partition's bits alone.  Only the other partitions
-build the "potential equality" graph, whose unblocked pairs carry their
-block differences as equations; it limits which merge patterns could
-produce the required number of distinct rows.  Every admissible merge
-pattern yields a polynomial system; the system is decomposed by exact
-branching (linear-pivot elimination with constant or sieve-certified
-denominators, factor splits, univariate gcds, resultants) into leaves that
-either
+group identical rows into classes; there are always at least m of them for
+a partition into m-1 blocks.  Two rows can never merge on the primitive
+region when their difference on some block is a polynomial that the
+nonvanishing sieve certifies (a scaled product of strictly-signed factors);
+the valency row can never merge with any other row because its entries
+dominate termwise.  That decision is made once, as bits: per block, the row
+pairs it blocks, memoized by the block's mask, and per partition the OR of
+its blocks' bits.  m+1 pairwise-blocked row classes (a row-count
+certificate, the verdict of most partitions) are read off those bits.  Only
+the other partitions build the "potential equality" graph, which reads the
+same bits to decide which classes may merge and takes the block
+differences of a mergeable pair as its equations; it limits which merge
+patterns could produce the required number of distinct rows.  Every
+admissible merge pattern yields a polynomial system; the system is
+decomposed by exact branching (linear-pivot elimination with constant or
+sieve-certified denominators, factor splits, univariate gcds, resultants)
+into leaves that either
 
   * contradict the primitive region (a sieve-certified nonzero polynomial
     is forced to vanish, an equation is definite or rootless on the region,
@@ -49,7 +52,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isqrt
 from typing import Sequence
 
@@ -375,7 +378,7 @@ def family_match(
     equations: Sequence[MultiPoly],
     distinctness: Sequence[Sequence[MultiPoly]],
     fam: FamilySpec,
-) -> tuple[bool, dict]:
+) -> bool:
     """Does the family satisfy the equations while keeping rows distinct?
 
     Parametric families are matched by polynomial identity under their
@@ -385,46 +388,14 @@ def family_match(
     pair of merged row classes, at least one difference that does not
     vanish identically (resp. at each point).
     """
-    for e in equations:
-        if not _family_image_zero(fam.id, e):
-            return False, {"failed": e}
-    for diffs in distinctness:
-        if all(_family_image_zero(fam.id, d) for d in diffs):
-            return False, {"collapsed_pair": diffs}
-    return True, {"family": fam.id}
+    return (all(_family_image_zero(fam.id, e) for e in equations)
+            and not any(all(_family_image_zero(fam.id, d) for d in diffs)
+                        for diffs in distinctness))
 
 
 # ---------------------------------------------------------------------------
-# potential-equality graph
+# blocked row pairs and the potential-equality graph
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairStatus:
-    rows: tuple[int, int]
-    equations: tuple[MultiPoly, ...]
-    blocked: bool
-    reason: str  # "" | "sieve" | "valency"
-    certificate: object
-
-
-@dataclass(frozen=True)
-class EqualityGraph:
-    partition: SetPartition
-    classes: tuple[tuple[int, ...], ...]
-    pairs: tuple[tuple[tuple[int, int], PairStatus], ...]
-
-    @cached_property
-    def _by_key(self) -> dict[tuple[int, int], PairStatus]:
-        return dict(self.pairs)
-
-    @cached_property
-    def blocked_pairs(self) -> frozenset[tuple[int, int]]:
-        """Class pairs (ci, cj), ci < cj, that can never merge."""
-        return frozenset(key for key, status in self.pairs if status.blocked)
-
-    def pair(self, a: int, b: int) -> PairStatus:
-        return self._by_key[(min(a, b), max(a, b))]
-
 
 @lru_cache(maxsize=None)
 def _block_difference(a: int, b: int, mask: int) -> MultiPoly:
@@ -432,94 +403,33 @@ def _block_difference(a: int, b: int, mask: int) -> MultiPoly:
 
     ``mask`` is a block's key from ``fusion.block_masks``; caching keys on
     (rows, mask) because the same differences recur across thousands of
-    partitions.  Distinctness sets read it uncertified.
+    partitions.
     """
     sums = symbolic_tensor_table().subset_sums
     return (sums[a][mask] - sums[b][mask]).normalized()
 
 
-def _pair_block_status(
-    a: int, b: int, mask: int
-) -> tuple[MultiPoly, NonzeroCertificate | None]:
-    """``_block_difference`` with its sieve certificate (None when the
-    difference is zero or not certified).  The sieve memoizes certificates
-    by polynomial, so this needs no memo of its own."""
-    diff = _block_difference(a, b, mask)
-    if diff.is_zero():
-        return diff, None
-    return diff, default_sieve_set().certify(diff)
-
-
-# valency-domination blockers: merging chi_00 with chi_ij would force the
-# termwise equality chi_i(A_a) chi_j(A_b) = chi_0(A_a) chi_0(A_b) in every
-# column, since the valency row dominates termwise; column A_10 or A_01
-# then requires k = r or k = s, both sieve-nonzero.
-_DOMINATION_POLY = {1: K - R, 2: K - S}
-
-
-def _valency_block_poly(other_row: int) -> MultiPoly:
-    i, j = divmod(other_row, 3)
-    return _DOMINATION_POLY[i if i else j]
-
-
-def _class_pair_status(a: int, b: int, masks: Sequence[int]) -> PairStatus:
-    """Whether row classes with representatives a < b can ever merge.
-
-    The pair is blocked when one class is the valency row or some block
-    difference carries a sieve certificate; otherwise it carries the
-    distinct nonzero block differences as its equations.
-    """
-    if a == 0:
-        poly = _valency_block_poly(b)
-        cert = default_sieve_set().certify(poly)
-        return PairStatus((a, b), (), True, "valency", (poly, cert))
-    eqs = []
-    for bi, mask in enumerate(masks):
-        norm, cert = _pair_block_status(a, b, mask)
-        if norm.is_zero():
-            continue
-        if cert is not None:
-            return PairStatus((a, b), (), True, "sieve", (bi, norm, cert))
-        eqs.append(norm)
-    return PairStatus((a, b), tuple(dict.fromkeys(eqs)), False, "", None)
-
-
-def potential_equality_graph(p: SetPartition) -> EqualityGraph:
-    """Which rows of the column-summed symbolic table could ever coincide.
-
-    Rows are first grouped into classes of identically-equal polynomials,
-    ordered by their first row; each pair of classes gets the status of its
-    first rows.
-    """
-    table = symbolic_tensor_table()
-    masks = block_masks(table, p)
-    class_tuples = table.row_classes(masks)
-    pairs = tuple(
-        ((ci, cj), _class_pair_status(class_tuples[ci][0], class_tuples[cj][0], masks))
-        for ci, cj in itertools.combinations(range(len(class_tuples)), 2)
-    )
-    return EqualityGraph(p, class_tuples, pairs)
-
-
-# ---------------------------------------------------------------------------
-# blocked row-pair bits
-# ---------------------------------------------------------------------------
-
-# The row-count certificate needs only which row pairs are blocked, not the
-# equality graph's equations: bit a*9 + b (a < b) of an int stands for rows
-# a, b of the 9-row symbolic table, the layout of ``CharTable.pair_bits``.
+# Which row pairs can never merge is kept as bits: bit a*9 + b (a < b) of an
+# int stands for rows a, b of the 9-row symbolic table, the layout of
+# ``CharTable.pair_bits``.
 _ROWS = 9
-# valency domination blocks row 0 against every other row
+# Valency domination blocks row 0 against every other row: merging chi_00
+# with chi_ij would force chi_i(A_a) chi_j(A_b) = chi_0(A_a) chi_0(A_b) in
+# every column, since the valency row dominates termwise; column A_10 or
+# A_01 then requires k = r or k = s, and k - r, k - s are sieve-certified.
 _VALENCY_BLOCKED = sum(1 << b for b in range(1, _ROWS))
 
 
 @lru_cache(maxsize=None)
 def _blocked_pair_bits(mask: int) -> int:
     """Bit ``a*9 + b`` for each pair of rows 1 <= a < b whose difference on
-    the block ``mask`` carries a sieve certificate."""
+    the block ``mask`` carries a sieve certificate.  The sieve memoizes
+    certificates by polynomial."""
+    sieve = default_sieve_set()
     bits = 0
     for a, b in itertools.combinations(range(1, _ROWS), 2):
-        if _pair_block_status(a, b, mask)[1] is not None:
+        diff = _block_difference(a, b, mask)
+        if not diff.is_zero() and sieve.certify(diff) is not None:
             bits |= 1 << (a * _ROWS + b)
     return bits
 
@@ -537,6 +447,38 @@ def _pairwise_blocked(rows: Sequence[int], blocked: int) -> bool:
     """Are the increasing ``rows`` pairwise blocked in ``blocked``?"""
     return all(blocked >> (a * _ROWS + b) & 1
                for a, b in itertools.combinations(rows, 2))
+
+
+@dataclass(frozen=True)
+class EqualityGraph:
+    """Which row classes of the column-summed symbolic table could merge.
+
+    ``classes`` groups identically equal rows, ordered by first row, so
+    class 0 is the valency row alone; ``blocked`` is ``_blocked_rows(masks)``
+    and decides each pair of classes by the bit of their first rows.
+    """
+
+    partition: SetPartition
+    masks: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+    blocked: int
+
+    def can_merge(self, ci: int, cj: int) -> bool:
+        return not _pairwise_blocked(
+            sorted((self.classes[ci][0], self.classes[cj][0])), self.blocked)
+
+    def equations(self, ci: int, cj: int) -> tuple[MultiPoly, ...]:
+        """The distinct nonzero block differences of the two classes."""
+        a, b = sorted((self.classes[ci][0], self.classes[cj][0]))
+        diffs = (_block_difference(a, b, mask) for mask in self.masks)
+        return tuple(dict.fromkeys(d for d in diffs if not d.is_zero()))
+
+
+def potential_equality_graph(p: SetPartition) -> EqualityGraph:
+    """Which rows of the column-summed symbolic table could ever coincide."""
+    table = symbolic_tensor_table()
+    masks = block_masks(table, p)
+    return EqualityGraph(p, masks, table.row_classes(masks), _blocked_rows(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -1197,9 +1139,9 @@ class RowCountCertificate:
     """Pairwise sieve-distinct row classes exceeding the required count.
 
     ``representatives`` lists one row per class; every pair is blocked, so
-    any merge pattern leaves more distinct rows than classes allowed (or,
-    when ``deficit`` is set, identical rows already number fewer than
-    required and specialization can only merge further).
+    any merge pattern leaves more distinct rows than classes allowed.
+    ``deficit`` is always False: the summed table has at least ``required``
+    row classes, so no partition has too few.
     """
 
     representatives: tuple[int, ...]
@@ -1239,18 +1181,13 @@ def _enumerate_groupings(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Merge patterns: partitions of the row classes into exactly m parts.
 
-    The class containing the valency row stays alone (all of its pairs are
-    blocked); every other part must be a clique of unblocked pairs.
+    Class 0, the valency row, stays alone (all of its pairs are blocked);
+    every other part must be a clique of classes that can merge.
     """
-    nclasses = len(graph.classes)
-    valency_class = next(
-        ci for ci, cls in enumerate(graph.classes) if 0 in cls
-    )
-    others = [ci for ci in range(nclasses) if ci != valency_class]
-    blocked = graph.blocked_pairs
+    others = range(1, len(graph.classes))
 
     def compatible(ci: int, group: list[int]) -> bool:
-        return all((min(ci, cj), max(ci, cj)) not in blocked for cj in group)
+        return all(graph.can_merge(ci, cj) for cj in group)
 
     target = m - 1
     results: list[tuple[tuple[int, ...], ...]] = []
@@ -1276,7 +1213,7 @@ def _enumerate_groupings(
     rec(0, [])
     out = []
     for grouping in results:
-        merged = [tuple(graph.classes[valency_class])]
+        merged = [graph.classes[0]]
         merged += [
             tuple(sorted(x for ci in g for x in graph.classes[ci]))
             for g in grouping
@@ -1302,18 +1239,11 @@ def _grouping_system(
     for group in grouping:
         cids = sorted({class_of_row[row] for row in group})
         for a, b in itertools.combinations(cids, 2):
-            eqs.extend(graph.pair(a, b).equations)
-    masks = block_masks(symbolic_tensor_table(), graph.partition)
-    distinctness: list[tuple[MultiPoly, ...]] = []
-    for gi, gj in itertools.combinations(range(len(grouping)), 2):
-        ra = grouping[gi][0]
-        rb = grouping[gj][0]
-        diffs = tuple(
-            d for d in (
-                _block_difference(min(ra, rb), max(ra, rb), m) for m in masks
-            ) if not d.is_zero()
-        )
-        distinctness.append(diffs)
+            eqs.extend(graph.equations(a, b))
+    # a merged group's first row is the first row of its first class
+    firsts = [class_of_row[group[0]] for group in grouping]
+    distinctness = [graph.equations(a, b)
+                    for a, b in itertools.combinations(firsts, 2)]
     return tuple(dict.fromkeys(eqs)), distinctness
 
 
@@ -1333,8 +1263,7 @@ def _analyze_grouping(
     eqs, distinctness = _grouping_system(graph, grouping)
     matches = []
     for fam in family_catalog():
-        ok, _ = family_match(eqs, distinctness, fam)
-        if ok:
+        if family_match(eqs, distinctness, fam):
             matches.append(fam.id)
     leaves = _decompose_cached(eqs)
     contradictions = all(leaf.outcome.startswith("contradiction") for leaf in leaves)
@@ -1396,10 +1325,7 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
 
     table = symbolic_tensor_table()
     masks = block_masks(table, p)
-    classes = table.row_classes(masks)
     m = p.num_blocks + 1
-    c = len(classes)
-    notes: list[str] = []
 
     if trivial:
         kind = "discrete (the scheme itself)" if p.is_discrete() else "rank-2"
@@ -1408,34 +1334,26 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
             (f"trivial fusion: {kind}",),
         )
     if guaranteed:
-        if c != m:
-            notes.append(f"symbolic class count {c} != {m}")
-        return ClassificationRecord(p, "GUARANTEED", False, (), (), None, tuple(notes))
+        return ClassificationRecord(p, "GUARANTEED", False, (), (), None, ())
 
-    # row-count verdicts, cheapest first: fewer classes than rows, then
-    # m+1 pairwise-blocked classes (the dominant case, read off the blocked
-    # row-pair bits before any equality graph is built), then no grouping
-    # at all
-    firsts = tuple(cls[0] for cls in classes)
-    if c < m:
-        cert = RowCountCertificate(firsts, m, deficit=True)
-    else:
-        blocked = _blocked_rows(masks)
-        cert = next((RowCountCertificate(combo, m)
-                     for combo in itertools.combinations(firsts, m + 1)
-                     if _pairwise_blocked(combo, blocked)), None)
-    if cert is None:
-        graph = potential_equality_graph(p)
-        groupings = _enumerate_groupings(graph, m)
-        if not groupings:
-            cert = RowCountCertificate((), m, deficit=False)
+    # The summed table is P*B with P invertible and B a 0/1 block matrix of
+    # rank m, so it has at least m row classes.  m+1 pairwise-blocked
+    # classes, the dominant case, are read off the blocked row-pair bits
+    # before any equality graph is built.
+    firsts = tuple(cls[0] for cls in table.row_classes(masks))
+    blocked = _blocked_rows(masks)
+    cert = next((RowCountCertificate(combo, m)
+                 for combo in itertools.combinations(firsts, m + 1)
+                 if _pairwise_blocked(combo, blocked)), None)
     if cert is not None:
         return ClassificationRecord(
             p, "FAMILY" if imp else "INFEASIBLE", False, _sorted_families(imp),
-            (), cert, tuple(notes),
+            (), cert, (),
         )
 
-    analyses = tuple(_analyze_grouping(graph, g) for g in groupings)
+    graph = potential_equality_graph(p)
+    analyses = tuple(_analyze_grouping(graph, g)
+                     for g in _enumerate_groupings(graph, m))
     families = set(imp)
     unresolved = False
     for ga in analyses:
@@ -1462,7 +1380,7 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
     else:
         verdict = "INFEASIBLE"
     return ClassificationRecord(
-        p, verdict, False, _sorted_families(families), analyses, None, tuple(notes)
+        p, verdict, False, _sorted_families(families), analyses, None, ()
     )
 
 
@@ -1577,30 +1495,34 @@ def verify_record(rec: ClassificationRecord) -> bool:
     conflicts recompute the sign data from the stored substitution chains,
     and a definite or region-rootless equation must be re-derived from the
     grouping's equations; row-count certificates re-check pairwise
-    blockedness; every
-    substitution's denominator must be constant or carry a sieve
-    certificate that remultiplies to it.
+    blockedness; every substitution's denominator must be constant or carry
+    a sieve certificate that remultiplies to it.  A GUARANTEED record must
+    name no family and pass the Bannai-Muzychuk criterion on the symbolic
+    table, which the two trivial partitions pass too; any other verdict
+    needs a row-count certificate or at least one grouping.
     """
     sieve = default_sieve_set()
+    p = rec.partition
+    table = symbolic_tensor_table()
+    masks = block_masks(table, p)
+    classes = table.row_classes(masks)
+    m = p.num_blocks + 1
+    if rec.trivial != (p.is_discrete() or p.is_single_block()):
+        return False
+    if rec.verdict == "GUARANTEED":
+        # the criterion as bm_check counts it: m distinct summed rows
+        return not rec.families and len(classes) == m
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
-        table = symbolic_tensor_table()
-        masks = block_masks(table, rec.partition)
-        classes = table.row_classes(masks)
-        if cert.deficit:
-            return len(classes) < cert.required
-        if not cert.representatives:
-            # no clique cover of the unblocked graph into m-1 parts exists;
-            # re-enumeration is the check
-            return not _enumerate_groupings(
-                potential_equality_graph(rec.partition), cert.required
-            )
         first_of_row = {row: cls[0] for cls in classes for row in cls}
         firsts = sorted(first_of_row[row] for row in cert.representatives)
-        if len(set(firsts)) != len(firsts) or len(firsts) <= cert.required:
+        if (cert.required != m or len(set(firsts)) != len(firsts)
+                or len(firsts) <= m):
             return False
         # only the pairs among the representatives' classes need checking
         return _pairwise_blocked(firsts, _blocked_rows(masks))
+    if not rec.groupings:
+        return False
     for ga in rec.groupings:
         for leaf in ga.leaves:
             if leaf.outcome == "contradiction-unit":

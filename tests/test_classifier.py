@@ -24,7 +24,7 @@ from srgfusion.classifier import (
     _grouping_system,
     _leaf_point,
 )
-from srgfusion.exact import K, ONE, R, MultiPoly, QuadraticValue
+from srgfusion.exact import K, ONE, R, S, MultiPoly, QuadraticValue, default_sieve_set
 from srgfusion.fusion import bm_check, scan_all, summed_rows
 from srgfusion.partitions import all_default_partitions, coarsenings, parse
 from srgfusion.products import tensor_square_table
@@ -67,10 +67,12 @@ def test_equality_graph_wreath_merges_identically():
 
 def test_equality_graph_blocks_valency_row():
     g = potential_equality_graph(parse("2678|34|59"))
-    valency_class = next(i for i, c in enumerate(g.classes) if 0 in c)
-    for (a, b), status in g.pairs:
-        if valency_class in (a, b):
-            assert status.blocked and status.reason == "valency"
+    assert g.classes[0] == (0,)
+    assert not any(g.can_merge(0, cj) for cj in range(1, len(g.classes)))
+    # merging the valency row with another forces k = r or k = s
+    sieve = default_sieve_set()
+    assert sieve.certify(K - R) is not None
+    assert sieve.certify(K - S) is not None
 
 
 def test_equality_graph_classes_group_equal_summed_rows():
@@ -85,24 +87,34 @@ def test_equality_graph_classes_group_equal_summed_rows():
 
 
 def test_blocked_row_bits_match_the_equality_graph():
-    """On every partition, the blocked bits of the class representatives
-    are the equality graph's blocked class pairs."""
+    """On every partition, two classes can merge exactly when neither is
+    the valency row and no block difference of their first rows is
+    sieve-certified, checked here on the table's subset sums directly."""
+    sums = symbolic_tensor_table().subset_sums
+    sieve = default_sieve_set()
+    certified = {}
+
+    def block_certified(a, b, mask):
+        key = (a, b, mask)
+        if key not in certified:
+            diff = (sums[a][mask] - sums[b][mask]).normalized()
+            certified[key] = (not diff.is_zero()
+                              and sieve.certify(diff) is not None)
+        return certified[key]
+
     for p in all_default_partitions():
         g = potential_equality_graph(p)
-        blocked = classifier._blocked_rows(p.masks)
-        firsts = [cls[0] for cls in g.classes]
-        from_bits = {
-            (ci, cj)
-            for ci, cj in itertools.combinations(range(len(firsts)), 2)
-            if classifier._pairwise_blocked((firsts[ci], firsts[cj]), blocked)
-        }
-        assert from_bits == g.blocked_pairs, str(p)
+        for ci, cj in itertools.combinations(range(len(g.classes)), 2):
+            a, b = g.classes[ci][0], g.classes[cj][0]
+            blocked = a == 0 or any(block_certified(a, b, m) for m in p.masks)
+            assert g.can_merge(ci, cj) == (not blocked), (str(p), ci, cj)
 
 
 def test_equality_graph_discrete_all_blocked():
     g = potential_equality_graph(parse("2|3|4|5|6|7|8|9"))
     assert len(g.classes) == 9
-    assert all(status.blocked for _, status in g.pairs)
+    assert not any(g.can_merge(ci, cj)
+                   for ci, cj in itertools.combinations(range(9), 2))
 
 
 # -- family matching -----------------------------------------------------------
@@ -124,8 +136,7 @@ def test_family_match_negative():
     from srgfusion.classifier import _enumerate_groupings
     for grouping in _enumerate_groupings(g, 3):
         eqs, dist = _grouping_system(g, grouping)
-        ok, _ = family_match(eqs, dist, family_by_id("CONF"))
-        assert not ok
+        assert not family_match(eqs, dist, family_by_id("CONF"))
 
 
 def test_catalog_satisfies_orthogonality():
@@ -171,15 +182,30 @@ def test_row_count_certificates_dominate(classification):
         if rec.verdict == "INFEASIBLE" and rec.row_count_certificate is not None
     )
     assert with_cert > 3000
-    # and those certificates really are oversized pairwise-blocked sets
-    sample = [rec for rec in classification.records
-              if rec.verdict == "INFEASIBLE"
-              and rec.row_count_certificate is not None
-              and not rec.row_count_certificate.deficit
-              and rec.row_count_certificate.representatives][:50]
-    for rec in sample:
+    # and every certificate is an oversized pairwise-blocked set
+    for rec in classification.records:
         cert = rec.row_count_certificate
-        assert len(cert.representatives) == cert.required + 1
+        if cert is not None:
+            assert not cert.deficit, str(rec.partition)
+            assert len(cert.representatives) == cert.required + 1, str(rec.partition)
+
+
+def test_row_classes_never_fewer_than_summed_columns(classification):
+    """The summed table is P*B with P invertible and B a 0/1 block matrix
+    of rank m, so it has at least m row classes; exactly m only where the
+    partition is a fusion for every table algebra."""
+    table = symbolic_tensor_table()
+    exact = set()
+    for rec in classification.records:
+        p = rec.partition
+        c, m = len(table.row_classes(p.masks)), p.num_blocks + 1
+        assert c >= m, str(p)
+        if c == m:
+            exact.add(str(p))
+    guaranteed = {str(rec.partition) for rec in classification.records
+                  if rec.verdict == "GUARANTEED"}
+    assert len(guaranteed) == 15
+    assert exact == guaranteed
 
 
 def test_classification_counts(classification):
@@ -371,7 +397,7 @@ def test_verify_record_rejects_a_representative_of_an_unblocked_class(
         chosen = [ci for ci, cls in enumerate(graph.classes)
                   if cls[0] in cert.representatives]
         for ci, cj in itertools.product(range(len(graph.classes)), chosen):
-            if ci in chosen or (min(ci, cj), max(ci, cj)) in graph.blocked_pairs:
+            if ci in chosen or not graph.can_merge(ci, cj):
                 continue
             # keep cj, the partner ci cannot be told apart from, and drop
             # another representative for the last row of class ci
@@ -385,6 +411,48 @@ def test_verify_record_rejects_a_representative_of_an_unblocked_class(
             assert not verify_record(forged), (str(rec.partition), reps)
             return
     pytest.fail("no certificate has a representative with an unblocked class")
+
+
+def test_verify_record_rejects_a_record_without_proof(classification):
+    """A verdict other than GUARANTEED needs a row-count certificate or at
+    least one grouping; stripping the proof must not verify."""
+    forgeries = [
+        ("2345678|9", dict(row_count_certificate=None)),
+        ("234579|6|8", dict(groupings=())),
+        ("234579|68", dict(groupings=())),
+    ]
+    for text, change in forgeries:
+        rec = classification.record(text)
+        assert rec.verdict != "GUARANTEED" and verify_record(rec), text
+        assert not verify_record(dataclasses.replace(rec, **change)), text
+
+
+def test_verify_record_checks_guaranteed_records(classification):
+    """A GUARANTEED record must be a fusion of the symbolic table, name no
+    family, and be flagged trivial exactly when it is."""
+    infeasible = classification.record("2345678|9")
+    assert infeasible.verdict == "INFEASIBLE"
+    guaranteed = classification.record("2347|5689")
+    assert guaranteed.verdict == "GUARANTEED" and verify_record(guaranteed)
+    forgeries = [
+        dataclasses.replace(infeasible, verdict="GUARANTEED",
+                            row_count_certificate=None),
+        dataclasses.replace(guaranteed, trivial=True),
+        dataclasses.replace(guaranteed, families=("CONF",)),
+    ]
+    for forged in forgeries:
+        assert not verify_record(forged), forged
+
+
+def test_verify_record_rejects_a_certificate_for_fewer_blocks(classification):
+    """A row-count certificate must require one class per summed column;
+    lowering ``required`` would let a smaller blocked set pass."""
+    rec = classification.record("2345678|9")
+    cert = rec.row_count_certificate
+    smaller = dataclasses.replace(cert, representatives=cert.representatives[:-1],
+                                  required=cert.required - 1)
+    assert verify_record(rec)
+    assert not verify_record(dataclasses.replace(rec, row_count_certificate=smaller))
 
 
 def test_census_leaf_outcomes_and_bound_kinds(classification):
