@@ -39,6 +39,10 @@ The two imprimitive families are handled separately by fusing the fully
 symbolic union-of-cliques table (parameters r, m) and its partner, exactly
 as the rank-3 case analysis reduces to.
 
+Records hold only the proof; one verdict rule, ``_verdict``, concludes the
+verdict and families from it for ``classify_partition`` and again, as a
+replay, in ``verify_record``.
+
 The catalogue contains the published special-case families plus one
 further pair found and matrix-verified during this work: the
 pseudo-Latin-square parameters (k, l, s) = (r(2r-1), (r+1)(2r-1), -r) and
@@ -772,7 +776,6 @@ _REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
     "m": (Fraction(0), None),
 }
 
-@lru_cache(maxsize=None)
 def _rootless_on_region(e: MultiPoly) -> bool:
     """True when a univariate equation has no root on its region interval."""
     if len(e.symbols()) != 1:
@@ -1129,9 +1132,6 @@ class GroupingAnalysis:
     equations: tuple[MultiPoly, ...]
     matched_families: tuple[str, ...]
     leaves: tuple[ProofLeaf, ...]
-    infeasible: bool
-    unresolved: bool
-    sporadic_families: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -1168,12 +1168,6 @@ class ClassificationRecord:
             "families": list(self.families),
             "notes": list(self.notes),
         }
-
-
-def _sorted_families(ids) -> tuple[str, ...]:
-    """The distinct family ids, in catalog order."""
-    ids = set(ids)
-    return tuple(f.id for f in family_catalog() if f.id in ids)
 
 
 def _enumerate_groupings(
@@ -1261,127 +1255,106 @@ def _analyze_grouping(
     graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
 ) -> GroupingAnalysis:
     eqs, distinctness = _grouping_system(graph, grouping)
-    matches = []
-    for fam in family_catalog():
-        if family_match(eqs, distinctness, fam):
-            matches.append(fam.id)
-    leaves = _decompose_cached(eqs)
-    contradictions = all(leaf.outcome.startswith("contradiction") for leaf in leaves)
-    unresolved = any(leaf.outcome == "unresolved" for leaf in leaves)
-    parametric_matches = {
-        fid for fid in matches if not family_by_id(fid).point_instances
-    }
-    partition_text = str(graph.partition)
-    sporadic: set[str] = set()
-    for leaf in leaves:
-        if leaf.outcome == "family":
-            # solution components must land inside identity-matched
-            # families; anything else marks a missing catalogue entry
-            if not (set(leaf.families) & parametric_matches):
+    matches = tuple(fam.id for fam in family_catalog()
+                    if family_match(eqs, distinctness, fam))
+    return GroupingAnalysis(grouping, eqs, matches, _decompose_cached(eqs))
+
+
+def _imprimitive_families(text: str) -> list[str]:
+    """IMP1 / IMP2 where the partition fuses that family's symbolic table."""
+    return [fid for kind, fid in ((1, "IMP1"), (2, "IMP2"))
+            if text in _imprimitive_positive_strings(kind)]
+
+
+def _verdict(
+    text: str, groupings: Sequence[GroupingAnalysis]
+) -> tuple[str, tuple[str, ...]]:
+    """The verdict and families a non-guaranteed partition's proof concludes.
+
+    IMP1 / IMP2 come from the imprimitive scans and parametric matches
+    attach; a point family attaches only where its ``source_partitions``
+    names the partition, by match or at a sporadic leaf's point.  A grouping
+    is unresolved when a family leaf lies outside its parametric matches, a
+    sporadic point is covered by neither, a leaf is unresolved, or nothing
+    matches and not every leaf is a contradiction.
+    """
+    families = set(_imprimitive_families(text))
+    named = [fam for fam in family_catalog()
+             if fam.point_instances and text in fam.source_partitions]
+    unresolved = False
+    for ga in groupings:
+        parametric = {fid for fid in ga.matched_families
+                      if not family_by_id(fid).point_instances}
+        families |= parametric
+        families.update(fam.id for fam in named if fam.id in ga.matched_families)
+        attached = False
+        for leaf in ga.leaves:
+            if leaf.outcome == "unresolved":
                 unresolved = True
-        elif leaf.outcome == "sporadic":
-            for frozen in leaf.points:
-                point = dict(frozen)
-                # defining polynomials involve only k, l, r, s, all pinned
-                covered = any(
-                    all(d.evaluate(point) == 0 for d in family_by_id(fid).defining)
-                    for fid in parametric_matches
-                )
-                if not covered:
-                    for fam in family_catalog():
-                        if not fam.point_instances:
-                            continue
-                        if partition_text in fam.source_partitions and any(
-                            dict(pt) == point for pt in fam.point_instances
-                        ):
-                            sporadic.add(fam.id)
-                            covered = True
-                            break
-                if not covered:
-                    unresolved = True
-    return GroupingAnalysis(
-        grouping, eqs, tuple(matches), leaves,
-        infeasible=contradictions, unresolved=unresolved,
-        sporadic_families=tuple(sorted(sporadic)),
-    )
+            elif leaf.outcome == "family":
+                # solution components must land inside identity-matched
+                # families; anything else marks a missing catalogue entry
+                unresolved |= not parametric & set(leaf.families)
+            elif leaf.outcome == "sporadic":
+                for frozen in leaf.points:
+                    # defining polynomials involve only k, l, r, s, all pinned
+                    point = dict(frozen)
+                    if any(all(d.evaluate(point) == 0
+                               for d in family_by_id(fid).defining)
+                           for fid in parametric):
+                        continue
+                    fid = next((fam.id for fam in named if point in fam.points()),
+                               None)
+                    if fid is None:
+                        unresolved = True
+                    else:
+                        families.add(fid)
+                        attached = True
+        if not (ga.matched_families or attached or all(
+                leaf.outcome.startswith("contradiction") for leaf in ga.leaves)):
+            unresolved = True
+    verdict = "UNRESOLVED" if unresolved else "FAMILY" if families else "INFEASIBLE"
+    # the distinct family ids, in catalog order
+    return verdict, tuple(f.id for f in family_catalog() if f.id in families)
 
 
 def classify_partition(p: SetPartition) -> ClassificationRecord:
     """Full classification record for one partition.
 
-    Combines the primitive-case analysis with membership in the two
-    imprimitive family scans.  The discrete and single-block partitions are
-    the two trivial fusions and are flagged as such.
+    The discrete and single-block partitions are the two trivial fusions and
+    are flagged as such.  Every other non-guaranteed partition gets a proof,
+    a row-count certificate or its groupings' analyses, and ``_verdict``
+    concludes from it.
     """
-    trivial = p.is_discrete() or p.is_single_block()
-    text = str(p)
-    guaranteed = text in guaranteed_partition_strings()
-    imp: list[str] = []
-    if not trivial and not guaranteed:
-        if text in _imprimitive_positive_strings(1):
-            imp.append("IMP1")
-        if text in _imprimitive_positive_strings(2):
-            imp.append("IMP2")
-
-    table = symbolic_tensor_table()
-    masks = block_masks(table, p)
-    m = p.num_blocks + 1
-
-    if trivial:
+    if p.is_discrete() or p.is_single_block():
         kind = "discrete (the scheme itself)" if p.is_discrete() else "rank-2"
         return ClassificationRecord(
             p, "GUARANTEED", True, (), (), None,
             (f"trivial fusion: {kind}",),
         )
-    if guaranteed:
+    text = str(p)
+    if text in guaranteed_partition_strings():
         return ClassificationRecord(p, "GUARANTEED", False, (), (), None, ())
 
     # The summed table is P*B with P invertible and B a 0/1 block matrix of
     # rank m, so it has at least m row classes.  m+1 pairwise-blocked
     # classes, the dominant case, are read off the blocked row-pair bits
     # before any equality graph is built.
+    table = symbolic_tensor_table()
+    masks = block_masks(table, p)
+    m = p.num_blocks + 1
     firsts = tuple(cls[0] for cls in table.row_classes(masks))
     blocked = _blocked_rows(masks)
     cert = next((RowCountCertificate(combo, m)
                  for combo in itertools.combinations(firsts, m + 1)
                  if _pairwise_blocked(combo, blocked)), None)
-    if cert is not None:
-        return ClassificationRecord(
-            p, "FAMILY" if imp else "INFEASIBLE", False, _sorted_families(imp),
-            (), cert, (),
-        )
-
-    graph = potential_equality_graph(p)
-    analyses = tuple(_analyze_grouping(graph, g)
-                     for g in _enumerate_groupings(graph, m))
-    families = set(imp)
-    unresolved = False
-    for ga in analyses:
-        for fid in ga.matched_families:
-            fam = family_by_id(fid)
-            if fam.point_instances:
-                # finite families attach only where their source theorem
-                # claims the fusion; the match is instance-verified
-                if text in fam.source_partitions:
-                    families.add(fid)
-            else:
-                families.add(fid)
-        families.update(ga.sporadic_families)
-        if ga.unresolved:
-            unresolved = True
-        if (not ga.infeasible and not ga.matched_families
-                and not ga.sporadic_families and not ga.unresolved):
-            unresolved = True
-
-    if unresolved:
-        verdict = "UNRESOLVED"
-    elif families:
-        verdict = "FAMILY"
-    else:
-        verdict = "INFEASIBLE"
-    return ClassificationRecord(
-        p, verdict, False, _sorted_families(families), analyses, None, ()
-    )
+    analyses: tuple[GroupingAnalysis, ...] = ()
+    if cert is None:
+        graph = potential_equality_graph(p)
+        analyses = tuple(_analyze_grouping(graph, g)
+                         for g in _enumerate_groupings(graph, m))
+    verdict, families = _verdict(text, analyses)
+    return ClassificationRecord(p, verdict, False, families, analyses, cert, ())
 
 
 @dataclass(frozen=True)
@@ -1498,8 +1471,9 @@ def verify_record(rec: ClassificationRecord) -> bool:
     blockedness; every substitution's denominator must be constant or carry
     a sieve certificate that remultiplies to it.  A GUARANTEED record must
     name no family and pass the Bannai-Muzychuk criterion on the symbolic
-    table, which the two trivial partitions pass too; any other verdict
-    needs a row-count certificate or at least one grouping.
+    table, which the two trivial partitions pass too; any other record must
+    carry the verdict and families ``_verdict`` concludes from its proof,
+    a row-count certificate or at least one grouping.
     """
     sieve = default_sieve_set()
     p = rec.partition
@@ -1512,6 +1486,8 @@ def verify_record(rec: ClassificationRecord) -> bool:
     if rec.verdict == "GUARANTEED":
         # the criterion as bm_check counts it: m distinct summed rows
         return not rec.families and len(classes) == m
+    if (rec.verdict, rec.families) != _verdict(str(p), rec.groupings):
+        return False
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
         first_of_row = {row: cls[0] for cls in classes for row in cls}
@@ -1571,13 +1547,12 @@ def classify_wreath(orientation: int) -> WreathClassification:
         if bm_check(generic, q).is_fusion:
             guaranteed.append(text)
             continue
-        in1 = text in _imprimitive_positive_strings(1)
-        in2 = text in _imprimitive_positive_strings(2)
-        if in1:
+        imp = _imprimitive_families(text)
+        if "IMP1" in imp:
             clique.append(text)
-        if in2:
+        if "IMP2" in imp:
             multi.append(text)
-        if not in1 and not in2:
+        if not imp:
             never.append(text)
     return WreathClassification(
         orientation, base, tuple(guaranteed), tuple(clique), tuple(multi),
