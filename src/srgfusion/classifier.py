@@ -16,13 +16,13 @@ nonvanishing sieve certifies (a scaled product of strictly-signed factors);
 the valency row can never merge with any other row because its entries
 dominate termwise.  That decision is made once, as bits: per block, the row
 pairs it blocks, memoized by the block's mask, and per partition the OR of
-its blocks' bits.  m+1 pairwise-blocked row classes (a row-count
-certificate, the verdict of most partitions) are read off those bits.  Only
-the other partitions build the "potential equality" graph, which reads the
-same bits to decide which classes may merge and takes the block
-differences of a mergeable pair as its equations; it limits which merge
-patterns could produce the required number of distinct rows.  Every
-admissible merge pattern yields a polynomial system; the system is
+its blocks' bits.  Each partition builds one "potential equality" graph
+of its row classes and those bits, which decides which classes may merge;
+the block differences of a mergeable pair are its equations.  m+1
+pairwise-blocked classes (a row-count certificate, the verdict of most
+partitions) are read off the graph; only the other partitions enumerate
+the merge patterns that could give the required number of distinct rows.
+Every admissible merge pattern yields a polynomial system; the system is
 decomposed by exact branching (linear-pivot elimination with constant or
 sieve-certified denominators, factor splits, univariate gcds, resultants)
 into leaves that either
@@ -462,7 +462,6 @@ class EqualityGraph:
     and decides each pair of classes by the bit of their first rows.
     """
 
-    partition: SetPartition
     masks: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
     blocked: int
@@ -479,10 +478,11 @@ class EqualityGraph:
 
 
 def potential_equality_graph(p: SetPartition) -> EqualityGraph:
-    """Which rows of the column-summed symbolic table could ever coincide."""
+    """Which rows of the column-summed symbolic table could ever coincide;
+    the one place a partition's masks, classes and blocked pairs are made."""
     table = symbolic_tensor_table()
     masks = block_masks(table, p)
-    return EqualityGraph(p, masks, table.row_classes(masks), _blocked_rows(masks))
+    return EqualityGraph(masks, table.row_classes(masks), _blocked_rows(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -556,27 +556,22 @@ def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
     Returns the non-sieve factors; sieve factors are dropped because they
     cannot vanish on the primitive region.
     """
-    rem = p.normalized()
+    # every sieve member's irreducible factors are members too, so dividing
+    # out a basis factor never lets a member divide again
+    rem, _ = default_sieve_set().strip(p.normalized())
     factors: list[MultiPoly] = []
     progress = True
     while progress and not rem.is_constant():
         progress = False
-        for mem in default_sieve_set().members:
-            q = rem.divide_exact(mem.poly)
+        for cand in _factor_basis():
+            if cand == rem.normalized():
+                continue
+            q = rem.divide_exact(cand)
             if q is not None:
+                factors.append(cand)
                 rem = q
                 progress = True
                 break
-        else:
-            for cand in _factor_basis():
-                if cand == rem.normalized():
-                    continue
-                q = rem.divide_exact(cand)
-                if q is not None:
-                    factors.append(cand)
-                    rem = q
-                    progress = True
-                    break
     if not rem.is_constant():
         syms = rem.symbols()
         if len(syms) == 1:
@@ -913,10 +908,6 @@ def _pivot_candidate(
 class _Decomposer:
     """Branch decomposition of an equation system over the primitive region."""
 
-    def __init__(self):
-        self.sieve = default_sieve_set()
-        self.catalog = family_catalog()
-
     def decompose(self, eqs: Sequence[MultiPoly]) -> list[ProofLeaf]:
         system = [e.normalized() for e in eqs if not e.is_zero()]
         return self._run(list(dict.fromkeys(system)), (), (), 0)
@@ -1055,7 +1046,7 @@ class _Decomposer:
         if not residual:
             # positive-dimensional solution: must be a catalogued family
             fams = []
-            for fam in self.catalog:
+            for fam in family_catalog():
                 if fam.point_instances:
                     continue
                 if all(
@@ -1107,7 +1098,7 @@ class _Decomposer:
         information only).
         """
         for name, poly in PRIMITIVE_POSITIVE:
-            img, sgn = _apply_substitutions_signed(poly, subs, self.sieve)
+            img, sgn = _apply_substitutions_signed(poly, subs, default_sieve_set())
             if sgn is None:
                 continue
             if img.is_constant():
@@ -1175,80 +1166,53 @@ def _enumerate_groupings(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Merge patterns: partitions of the row classes into exactly m parts.
 
-    Class 0, the valency row, stays alone (all of its pairs are blocked);
-    every other part must be a clique of classes that can merge.
+    Class 0, the valency row, stays alone as the first part (all of its
+    pairs are blocked); every other part is a clique of mergeable classes.
     """
-    others = range(1, len(graph.classes))
-
-    def compatible(ci: int, group: list[int]) -> bool:
-        return all(graph.can_merge(ci, cj) for cj in group)
-
-    target = m - 1
+    count, target = len(graph.classes), m - 1
     results: list[tuple[tuple[int, ...], ...]] = []
 
-    def rec(idx: int, groups: list[list[int]]):
-        remaining = len(others) - idx
-        if len(groups) > target or len(groups) + remaining < target:
+    def rec(ci: int, groups: list[list[int]]):
+        # classes ci..count-1 are still to place
+        if len(groups) > target or len(groups) + count - ci < target:
             return
-        if idx == len(others):
-            if len(groups) == target:
-                results.append(tuple(tuple(g) for g in groups))
+        if ci == count:  # the bounds above leave exactly target groups
+            results.append(((0,),) + tuple(tuple(g) for g in groups))
             return
-        ci = others[idx]
         for g in groups:
-            if compatible(ci, g):
+            if all(graph.can_merge(ci, cj) for cj in g):
                 g.append(ci)
-                rec(idx + 1, groups)
+                rec(ci + 1, groups)
                 g.pop()
         groups.append([ci])
-        rec(idx + 1, groups)
+        rec(ci + 1, groups)
         groups.pop()
 
-    rec(0, [])
-    out = []
-    for grouping in results:
-        merged = [graph.classes[0]]
-        merged += [
-            tuple(sorted(x for ci in g for x in graph.classes[ci]))
-            for g in grouping
-        ]
-        out.append(tuple(merged))
-    return out
+    rec(1, [])
+    return results
 
 
 def _grouping_system(
     graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[MultiPoly, ...], list[tuple[MultiPoly, ...]]]:
-    """Equations forcing each group equal, and distinctness diff sets.
+    """Equations forcing each group of classes equal, and distinctness sets.
 
     Returns (equations, distinctness) where distinctness holds, per pair of
-    merged groups, the block differences that must not all vanish.
+    groups, the first classes' block differences that must not all vanish.
     """
-    class_of_row = {}
-    for ci, cls in enumerate(graph.classes):
-        for row in cls:
-            class_of_row[row] = ci
     # ORTHOGONALITY and every pair equation are already normalized and nonzero
     eqs: list[MultiPoly] = [ORTHOGONALITY]
     for group in grouping:
-        cids = sorted({class_of_row[row] for row in group})
-        for a, b in itertools.combinations(cids, 2):
+        for a, b in itertools.combinations(group, 2):
             eqs.extend(graph.equations(a, b))
-    # a merged group's first row is the first row of its first class
-    firsts = [class_of_row[group[0]] for group in grouping]
-    distinctness = [graph.equations(a, b)
-                    for a, b in itertools.combinations(firsts, 2)]
+    distinctness = [graph.equations(g[0], h[0])
+                    for g, h in itertools.combinations(grouping, 2)]
     return tuple(dict.fromkeys(eqs)), distinctness
 
 
 @lru_cache(maxsize=None)
-def _decomposer() -> _Decomposer:
-    return _Decomposer()
-
-
-@lru_cache(maxsize=None)
 def _decompose_cached(eqs: tuple[MultiPoly, ...]) -> tuple[ProofLeaf, ...]:
-    return tuple(_decomposer().decompose(list(eqs)))
+    return tuple(_Decomposer().decompose(list(eqs)))
 
 
 def _analyze_grouping(
@@ -1257,7 +1221,9 @@ def _analyze_grouping(
     eqs, distinctness = _grouping_system(graph, grouping)
     matches = tuple(fam.id for fam in family_catalog()
                     if family_match(eqs, distinctness, fam))
-    return GroupingAnalysis(grouping, eqs, matches, _decompose_cached(eqs))
+    merged = tuple(tuple(sorted(row for ci in group for row in graph.classes[ci]))
+                   for group in grouping)
+    return GroupingAnalysis(merged, eqs, matches, _decompose_cached(eqs))
 
 
 def _imprimitive_families(text: str) -> list[str]:
@@ -1338,19 +1304,16 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
 
     # The summed table is P*B with P invertible and B a 0/1 block matrix of
     # rank m, so it has at least m row classes.  m+1 pairwise-blocked
-    # classes, the dominant case, are read off the blocked row-pair bits
-    # before any equality graph is built.
-    table = symbolic_tensor_table()
-    masks = block_masks(table, p)
+    # classes, the dominant case, are read off the graph's blocked row-pair
+    # bits before any merge pattern is enumerated.
+    graph = potential_equality_graph(p)
     m = p.num_blocks + 1
-    firsts = tuple(cls[0] for cls in table.row_classes(masks))
-    blocked = _blocked_rows(masks)
+    firsts = tuple(cls[0] for cls in graph.classes)
     cert = next((RowCountCertificate(combo, m)
                  for combo in itertools.combinations(firsts, m + 1)
-                 if _pairwise_blocked(combo, blocked)), None)
+                 if _pairwise_blocked(combo, graph.blocked)), None)
     analyses: tuple[GroupingAnalysis, ...] = ()
     if cert is None:
-        graph = potential_equality_graph(p)
         analyses = tuple(_analyze_grouping(graph, g)
                          for g in _enumerate_groupings(graph, m))
     verdict, families = _verdict(text, analyses)
@@ -1457,7 +1420,7 @@ def _verify_bound_conflict(leaf: ProofLeaf, equations: Sequence[MultiPoly]) -> b
                 and _leaf_consequence(data[0], leaf, equations))
     if kind in ("constant", "image-definite"):
         # the bound analysis of the stored substitutions must find this conflict
-        return _decomposer()._bound_conflict(leaf.substitutions) == conflict
+        return _Decomposer()._bound_conflict(leaf.substitutions) == conflict
     return False
 
 
@@ -1477,26 +1440,24 @@ def verify_record(rec: ClassificationRecord) -> bool:
     """
     sieve = default_sieve_set()
     p = rec.partition
-    table = symbolic_tensor_table()
-    masks = block_masks(table, p)
-    classes = table.row_classes(masks)
+    graph = potential_equality_graph(p)
     m = p.num_blocks + 1
     if rec.trivial != (p.is_discrete() or p.is_single_block()):
         return False
     if rec.verdict == "GUARANTEED":
         # the criterion as bm_check counts it: m distinct summed rows
-        return not rec.families and len(classes) == m
+        return not rec.families and len(graph.classes) == m
     if (rec.verdict, rec.families) != _verdict(str(p), rec.groupings):
         return False
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
-        first_of_row = {row: cls[0] for cls in classes for row in cls}
+        first_of_row = {row: cls[0] for cls in graph.classes for row in cls}
         firsts = sorted(first_of_row[row] for row in cert.representatives)
         if (cert.required != m or len(set(firsts)) != len(firsts)
                 or len(firsts) <= m):
             return False
         # only the pairs among the representatives' classes need checking
-        return _pairwise_blocked(firsts, _blocked_rows(masks))
+        return _pairwise_blocked(firsts, graph.blocked)
     if not rec.groupings:
         return False
     for ga in rec.groupings:

@@ -854,6 +854,15 @@ class SieveSet:
         cached = self._cache.get(p, _CACHE_MISS)
         if cached is not _CACHE_MISS:
             return cached
+        rem, factors = self.strip(p)
+        cert = (NonzeroCertificate(rem.constant_value(), factors)
+                if rem.is_constant() and not rem.is_zero() else None)
+        self._cache[p] = cert
+        return cert
+
+    def strip(self, p: MultiPoly) -> tuple[MultiPoly, tuple[tuple[str, int], ...]]:
+        """(remainder, (name, exponent) pairs divided out): p divided by sieve
+        members until none divides, so p = remainder * their product."""
         rem = p
         factors: list[tuple[str, int]] = []
         progress = True
@@ -872,12 +881,7 @@ class SieveSet:
                 if count:
                     factors.append((mem.name, count))
                     progress = True
-        if rem.is_constant() and not rem.is_zero():
-            cert = NonzeroCertificate(rem.constant_value(), tuple(factors))
-        else:
-            cert = None
-        self._cache[p] = cert
-        return cert
+        return rem, tuple(factors)
 
 
 _CACHE_MISS = object()

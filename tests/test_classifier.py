@@ -22,6 +22,7 @@ from srgfusion.classifier import (
     verify_record,
     ORTHOGONALITY,
     _apply_substitutions_signed,
+    _enumerate_groupings,
     _grouping_system,
     _leaf_point,
 )
@@ -133,10 +134,46 @@ def test_family_match_examples(classification):
     assert set(rec.families) == {"CLB2A", "PLS2A"}
 
 
+def _set_partitions(items):
+    """Every set partition of ``items``, blocks ordered by first item."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for sub in _set_partitions(rest):
+        yield ((first,),) + sub
+        for i, block in enumerate(sub):
+            yield sub[:i] + ((first,) + block,) + sub[i + 1:]
+
+
+def test_enumerated_groupings_are_every_admissible_merge_pattern(classification):
+    """The merge patterns are exactly the set partitions of classes 1..c-1
+    into m-1 pairwise-mergeable blocks, after the valency class (0,): on
+    every grouping-path partition with at most 8 row classes and a seeded
+    sample of the 9-class ones."""
+    import random
+
+    small, nine = [], []
+    for rec in classification.records:
+        if rec.groupings:
+            graph = potential_equality_graph(rec.partition)
+            (small if len(graph.classes) <= 8 else nine).append((rec, graph))
+    assert len(small) == 71
+    for rec, graph in small + random.Random(18).sample(nine, 24):
+        m = rec.partition.num_blocks + 1
+        want = {((0,),) + tuple(sorted(blocks))
+                for blocks in _set_partitions(tuple(range(1, len(graph.classes))))
+                if len(blocks) == m - 1 and all(
+                    graph.can_merge(a, b)
+                    for block in blocks for a, b in itertools.combinations(block, 2))}
+        got = _enumerate_groupings(graph, m)
+        assert len(got) == len(set(got)) and set(got) == want, str(rec.partition)
+        assert len(got) == len(rec.groupings), str(rec.partition)
+
+
 def test_family_match_negative():
     # the CLB2A system requires s = -r; the conference family has s = -1-r
     g = potential_equality_graph(parse("2468|3579"))
-    from srgfusion.classifier import _enumerate_groupings
     for grouping in _enumerate_groupings(g, 3):
         eqs, dist = _grouping_system(g, grouping)
         assert not family_match(eqs, dist, family_by_id("CONF"))
@@ -466,6 +503,29 @@ def test_verify_record_replays_the_verdict(classification, text, change):
     assert not verify_record(forged)
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="known gap: verify_record never ties a grouping's "
+                          "equations or merge_classes to the partition")
+def test_verify_record_ties_a_grouping_to_its_partition(classification):
+    """A grouping's equations and merge pattern must be the partition's own:
+    swapping the equations for k - r with one leaf certifying it, or
+    claiming a merge of all eight nonvalency rows, must not verify."""
+    rec = classification.record("234579|6|8")
+    assert rec.verdict == "INFEASIBLE" and len(rec.groupings) == 1
+    assert verify_record(rec)
+    ga = rec.groupings[0]
+    leaf = classifier.ProofLeaf(
+        (), (), "contradiction-unit", unit_poly=K - R,
+        unit_certificate=default_sieve_set().certify(K - R))
+    forgeries = [
+        dataclasses.replace(ga, equations=(K - R,), leaves=(leaf,)),
+        dataclasses.replace(ga, merge_classes=((0,), tuple(range(1, 9)))),
+    ]
+    for forged in forgeries:
+        assert forged != ga
+        assert not verify_record(dataclasses.replace(rec, groupings=(forged,)))
+
+
 def test_verify_record_checks_guaranteed_records(classification):
     """A GUARANTEED record must be a fusion of the symbolic table, name no
     family, and be flagged trivial exactly when it is."""
@@ -604,15 +664,17 @@ def test_verify_record_does_not_depend_on_memo_state(classification):
 
 def test_cache_stats_of_a_cold_census(monkeypatch):
     _clear_memos()
-    graphs = []
-    build = classifier.potential_equality_graph
-    monkeypatch.setattr(classifier, "potential_equality_graph",
-                        lambda p: graphs.append(p) or build(p))
+    enumerated = []
+    enumerate_groupings = classifier._enumerate_groupings
+    monkeypatch.setattr(classifier, "_enumerate_groupings",
+                        lambda g, m: enumerated.append(g)
+                        or enumerate_groupings(g, m))
     records = classifier.classify_all.__wrapped__().records
     stats = classifier.cache_stats()
     assert len(records) == 4140
-    # only the partitions with no row-count certificate build the graph
-    assert len(graphs) == 471
+    # only the partitions with no row-count certificate enumerate merge
+    # patterns
+    assert len(enumerated) == 471
     assert stats["_decompose_cached"] == (100, 2330, 2330)
     for name in ("_screen", "_pivot_candidate", "_substitute_one",
                  "_block_difference", "_blocked_pair_bits"):

@@ -283,6 +283,50 @@ def test_sieve_unknown_for_vanishing_quantity():
     assert default_sieve_set().certify(p) is None
 
 
+def _non_sieve_basis():
+    """Factor-basis polynomials that no sieve member divides."""
+    from srgfusion.classifier import _factor_basis
+    members = [mem.poly for mem in default_sieve_set().members]
+    return [f for f in _factor_basis()
+            if all(f.divide_exact(mem) is None for mem in members)]
+
+
+# the one composite member, (1+r)(1+s), strips as its factors 1+s and 1+r
+_IRREDUCIBLE_MEMBERS = [mem for mem in default_sieve_set().members
+                        if mem.name != "(1+r)(1+s)"]
+
+
+@given(st.dictionaries(st.sampled_from([mem.name for mem in _IRREDUCIBLE_MEMBERS]),
+                       st.integers(1, 3), max_size=4),
+       st.one_of(st.just(ONE), st.sampled_from(_non_sieve_basis())),
+       st.sampled_from([1, -2, Fraction(3, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_sieve_strip_returns_the_non_sieve_factor(exponents, factor, scale):
+    """strip divides out exactly the sieve members multiplied in, with their
+    exponents, and leaves the other factor up to a constant; certify holds
+    exactly when that remainder is constant."""
+    sieve = default_sieve_set()
+    lookup = {mem.name: mem.poly for mem in sieve.members}
+    p = scale * factor
+    for name, exp in exponents.items():
+        p = p * lookup[name] ** exp
+    rem, factors = sieve.strip(p)
+    assert dict(factors) == exponents and len(factors) == len(exponents)
+    assert rem.normalized() == factor.normalized()
+    product = rem
+    for name, exp in factors:
+        product = product * lookup[name] ** exp
+    assert product == p
+    assert (sieve.certify(p) is not None) == rem.is_constant()
+
+
+def test_sieve_strip_splits_the_composite_member():
+    sieve = default_sieve_set()
+    rem, factors = sieve.strip(2 * (ONE + R) * (ONE + S) * (K - R * R))
+    assert rem == 2 * (K - R * R)
+    assert sorted(factors) == [("1+r", 1), ("1+s", 1)]
+
+
 def test_sieve_zero_input():
     with pytest.raises(ZeroInput):
         default_sieve_set().certify(MultiPoly())
