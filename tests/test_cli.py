@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import expected as X
 from srgfusion.cli import main
 
@@ -42,10 +44,19 @@ def test_scan_quadratic_serialization():
     assert doc["count"] == 24
     flat = json.dumps(doc)
     # Paley(13) valencies are rational even though eigenvalues are not
-    assert '"d": 13' not in flat or True
+    assert '"d"' not in flat
     entry = {e["partition"]: e for e in doc["partitions"]}["27|34|59|6|8"]
     assert all(isinstance(v, (int, str)) or "d" in v
                for v in entry["fused_valencies"])
+
+
+def test_table_quadratic_serialization():
+    code, text = run_cli("table", "--graph", "paley13", "--format", "json")
+    assert code == 0
+    rows = json.loads(text)["table"]["rows"]
+    # r, s = (-1 +- sqrt 13)/2 as {"a", "b", "d"}: a + b sqrt(d)
+    assert rows[1][1] == {"a": "-1/2", "b": "1/2", "d": 13}
+    assert rows[2][1] == {"a": "-1/2", "b": "-1/2", "d": 13}
 
 
 def test_scan_deterministic_output():
@@ -254,3 +265,101 @@ def test_python_dash_m_runs_the_cli():
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
     assert (0, proc.stdout) == run_cli(*argv)
+
+
+# Every invocation below mapped to (exit code, sha256 of stdout, sha256 of
+# stderr), each digest cut to 16 hex digits.  Together they cover each
+# command in each format it accepts and the usage errors; any change to a
+# byte the CLI writes fails here.
+EMPTY = "e3b0c44298fc1c14"  # no output
+
+PINNED_OUTPUTS = {
+    "table --n 10 --k 3 --mu 0 --nu 1":
+        (0, "1a6ff67753071b7c", EMPTY),
+    "table --n 10 --k 3 --mu 0 --nu 1 --format json":
+        (0, "903cb1288de0c28a", EMPTY),
+    "table --graph paley13":
+        (0, "56d372f02c93c765", EMPTY),
+    "table --graph paley13 --format json":
+        (0, "d7446282716d74dc", EMPTY),
+    "table --eigen 2,6,2,-1 --format json":
+        (0, "3617f19a8ec4031a", EMPTY),
+    "table --n 15 --k 7 --mu 3 --nu 3 --table-algebra":
+        (0, "6b4563181e78ca6e", EMPTY),
+    "scan --graph petersen":
+        (0, "5dd407b55048c609", EMPTY),
+    "scan --graph petersen --format json":
+        (0, "4fd239c1b804975c", EMPTY),
+    "scan --n 13 --k 6 --mu 2 --nu 3 --format json":
+        (0, "4d3d6c06b511443d", EMPTY),
+    "scan --eigen 2,6,2,-1":
+        (0, "75cb42a82270b69e", EMPTY),
+    "lattice --graph petersen":
+        (0, "7a08fbd2bb30c818", EMPTY),
+    "lattice --graph paley5 --format json":
+        (0, "9c7d0b73cdaab32d", EMPTY),
+    "wreath":
+        (0, "c55527dcd5e63826", EMPTY),
+    "wreath --orientation 2 --format json":
+        (0, "0a3eb0fa19360829", EMPTY),
+    "wreath --graph petersen":
+        (0, "8a71e4cd27a104a4", EMPTY),
+    "wreath --orientation 2 --n 10 --k 3 --mu 0 --nu 1 --format json":
+        (0, "c5ad03214257de0c", EMPTY),
+    "classify":
+        (0, "f7952004a526faa9", EMPTY),
+    "classify --format json":
+        (0, "acc26176fbe0b8e0", EMPTY),
+    "verify --graph paley5 --partition 23|47|5689":
+        (0, "d891e87a2f80803a", EMPTY),
+    "verify --graph paley5 --partition 23|47|5689 --format json":
+        (0, "9332c974cf3ac570", EMPTY),
+    "verify --graph petersen --partition 249|37|5|68":
+        (0, "454a246d92108a4b", EMPTY),
+    "verify --graph petersen --partition 249|37|5|68 --format json":
+        (0, "f18562d6dc63e83e", EMPTY),
+    "crosscheck --graph paley5":
+        (0, "8193ece4a2bf98b0", EMPTY),
+    "crosscheck --graph paley5 --format json":
+        (0, "6e4922497ac72ab0", EMPTY),
+    "crosscheck --graph rook3 --partition 249|37|5|68":
+        (0, "0ee291105dc8156c", EMPTY),
+    "crosscheck --graph rook3 --partition 249|37|5|68 --format json":
+        (0, "a26a5f73acea6bb5", EMPTY),
+    "scan":
+        (1, EMPTY, "df4519e16c77af89"),
+    "scan --graph petersen --eigen 3,6,0,-2":
+        (1, EMPTY, "df4519e16c77af89"),
+    "scan --n 10":
+        (1, EMPTY, "66fd88253480e64f"),
+    "table --eigen 1,2,3":
+        (1, EMPTY, "02d7e6a298c1a78e"),
+    "table --eigen 2,6,1/0,1":
+        (1, EMPTY, "01d6aeb94a782a98"),
+    "wreath --eigen 2,6,1,1":
+        (1, EMPTY, "5627c6c694fd1e28"),
+    "scan --graph petersen --format dot":
+        (1, EMPTY, "58f1d6b262da5853"),
+    "table --format xml":
+        (1, EMPTY, "133c1e7ed2b1f824"),
+    "table --graph paley5 --partition 23|456789":
+        (1, EMPTY, "da49a806e7d92c26"),
+    "verify --graph petersen":
+        (1, EMPTY, "b5664ec407b6e153"),
+    "verify --graph nonsense --partition 23456789":
+        (1, EMPTY, "5713811633dea6ed"),
+    "crosscheck":
+        (1, EMPTY, "487dbcdbad1e768a"),
+}
+
+
+def sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.filterwarnings("ignore:non-integral multiplicities")
+@pytest.mark.parametrize("invocation", list(PINNED_OUTPUTS))
+def test_pinned_outputs(invocation, classification, capsys):
+    code, text = run_cli(*invocation.split())
+    err = capsys.readouterr().err
+    assert (code, sha16(text), sha16(err)) == PINNED_OUTPUTS[invocation]
