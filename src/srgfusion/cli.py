@@ -27,6 +27,12 @@ Options:
                         graph inputs warn about them, --eigen is silent
 
 Exit codes: 0 success, 1 usage error, 2 a verification mismatch was found.
+
+Each ``cmd_*(args)`` only builds: it returns ``(doc, lines, code)``, the
+JSON document (None for lattice), the text or DOT lines and the exit code.
+``main`` alone renders: it adds ``tool_version`` to the document, writes
+JSON or the lines as ``--format`` says, and reports usage errors.  A new
+command is a builder plus its ``_COMMANDS`` entry.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ class UsageError(ValueError):
 
 
 def _eigen_from_args(args, required=True):
+    """The input's eigen data and its echo for JSON output, or (None, None)
+    when no source is given and ``required`` is false."""
     sources = [
         args.n is not None or args.k is not None,
         args.eigen is not None,
@@ -73,7 +81,7 @@ def _eigen_from_args(args, required=True):
     ]
     if sum(bool(s) for s in sources) != 1:
         if not required and not any(sources):
-            return None
+            return None, None
         raise UsageError("give exactly one input source: --n/--k/--mu/--nu, "
                          "--eigen, or --graph")
     integral = not args.table_algebra
@@ -86,38 +94,56 @@ def _eigen_from_args(args, required=True):
         except ZeroDivisionError:
             raise UsageError(f"--eigen entry with zero denominator in "
                              f"{args.eigen!r}") from None
-        return eigen_from_values(k, l, r, s, integral=integral)
+        return (eigen_from_values(k, l, r, s, integral=integral),
+                {"eigen": args.eigen})
     if args.graph is not None:
-        return eigen_from_params(srg_params(build_graph(args.graph)),
-                                 integral=integral)
-    if None in (args.n, args.k, args.mu, args.nu):
+        return (eigen_from_params(srg_params(build_graph(args.graph)),
+                                  integral=integral),
+                {"graph": args.graph})
+    echo = {"n": args.n, "k": args.k, "mu": args.mu, "nu": args.nu}
+    if None in echo.values():
         raise UsageError("all of --n, --k, --mu, --nu are required together")
-    return eigen_from_params(SrgParams(args.n, args.k, args.mu, args.nu),
-                             integral=integral)
+    return eigen_from_params(SrgParams(**echo), integral=integral), echo
 
 
-def _echo_input(args) -> dict:
-    if args.eigen is not None:
-        return {"eigen": args.eigen}
-    if args.graph is not None:
-        return {"graph": args.graph}
-    return {"n": args.n, "k": args.k, "mu": args.mu, "nu": args.nu}
-
-
-def _print_table(table: CharTable, out):
+def _table_lines(table: CharTable) -> list[str]:
     width = max(len(str(v)) for row in table.rows for v in row)
     width = max(width, *(len(c) for c in table.col_labels))
     head = " ".join(f"{c:>{width}}" for c in table.col_labels)
     label_w = max(len(r) for r in table.row_labels)
-    print(f"{'':{label_w}}  {head}  mult", file=out)
+    lines = [f"{'':{label_w}}  {head}  mult"]
     for label, row, mult in zip(table.row_labels, table.rows, table.mults):
         cells = " ".join(f"{str(v):>{width}}" for v in row)
-        print(f"{label:{label_w}}  {cells}  {mult}", file=out)
+        lines.append(f"{label:{label_w}}  {cells}  {mult}")
+    return lines
 
 
-def _scan_report(eigen, args) -> dict:
+def _scan(args):
+    """Echo, tensor-square table, positive verdicts and their Hasse edges."""
+    eigen, echo = _eigen_from_args(args)
     table = tensor_square_table(char_table(eigen))
     verdicts = scan_all(table)
+    return echo, table, verdicts, hasse_edges([v.partition for v in verdicts])
+
+
+def cmd_table(args):
+    eigen, echo = _eigen_from_args(args)
+    table = char_table(eigen)
+    rep = feasibility(eigen)
+    kind = rep.imprimitive_kind
+    doc = {
+        "input": echo,
+        "table": table.to_json(),
+        "feasibility": {"primitive": rep.primitive, "imprimitive_kind": kind},
+    }
+    lines = _table_lines(table)
+    lines.append(f"primitive: {rep.primitive}"
+                 + (f" (imprimitive case {kind})" if kind != "none" else ""))
+    return doc, lines, 0
+
+
+def cmd_scan(args):
+    echo, table, verdicts, edges = _scan(args)
     entries = []
     for v in verdicts:
         ft = fused_table(table, v.partition)
@@ -127,73 +153,32 @@ def _scan_report(eigen, args) -> dict:
             "fused_valencies": [value_to_json(x) for x in ft.valency_row()],
             "fused_multiplicities": [value_to_json(x) for x in ft.mults],
         })
-    parts = [v.partition for v in verdicts]
-    edges = [(str(a), str(b)) for a, b in hasse_edges(parts)]
-    return {
-        "input": _echo_input(args),
-        "tool_version": __version__,
+    doc = {
+        "input": echo,
         "count": len(entries),
         "partitions": entries,
-        "lattice_edges": edges,
+        "lattice_edges": [(str(a), str(b)) for a, b in edges],
     }
+    lines = [f"{len(entries)} nontrivial fusion partitions"]
+    lines += [f"  rank {v.fused_rank}: {v.partition}" for v in verdicts]
+    return doc, lines, 0
 
 
-def cmd_table(args, out) -> int:
-    eigen = _eigen_from_args(args)
-    table = char_table(eigen)
-    rep = feasibility(eigen)
-    if args.format == "json":
-        doc = {
-            "input": _echo_input(args),
-            "tool_version": __version__,
-            "table": table.to_json(),
-            "feasibility": {
-                "primitive": rep.primitive,
-                "imprimitive_kind": rep.imprimitive_kind,
-            },
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        _print_table(table, out)
-        kind = rep.imprimitive_kind
-        print(f"primitive: {rep.primitive}"
-              + (f" (imprimitive case {kind})" if kind != "none" else ""), file=out)
-    return 0
-
-
-def cmd_scan(args, out) -> int:
-    eigen = _eigen_from_args(args)
-    doc = _scan_report(eigen, args)
-    if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        print(f"{doc['count']} nontrivial fusion partitions", file=out)
-        for entry in doc["partitions"]:
-            print(f"  rank {entry['rank']}: {entry['partition']}", file=out)
-    return 0
-
-
-def cmd_lattice(args, out) -> int:
-    eigen = _eigen_from_args(args)
-    table = tensor_square_table(char_table(eigen))
-    verdicts = scan_all(table)
-    parts = [v.partition for v in verdicts]
-    edges = hasse_edges(parts)
+def cmd_lattice(args):
+    _, _, verdicts, edges = _scan(args)
     by_rank: dict[int, list[str]] = {}
-    for p in parts:
-        by_rank.setdefault(p.rank, []).append(str(p))
-    print("digraph fusions {", file=out)
-    print("  rankdir=BT;", file=out)
+    for v in verdicts:
+        by_rank.setdefault(v.partition.rank, []).append(str(v.partition))
+    lines = ["digraph fusions {", "  rankdir=BT;"]
     for rank in sorted(by_rank, reverse=True):
         names = " ".join(f'"{t}";' for t in sorted(by_rank[rank]))
-        print(f"  {{ rank=same; {names} }}", file=out)
-    for a, b in edges:
-        print(f'  "{a}" -> "{b}";', file=out)
-    print("}", file=out)
-    return 0
+        lines.append(f"  {{ rank=same; {names} }}")
+    lines += [f'  "{a}" -> "{b}";' for a, b in edges]
+    lines.append("}")
+    return None, lines, 0
 
 
-def cmd_wreath(args, out) -> int:
+def cmd_wreath(args):
     w = classify_wreath(args.orientation)
     doc = {
         "orientation": args.orientation,
@@ -204,10 +189,12 @@ def cmd_wreath(args, out) -> int:
         "never": list(w.never),
         "trivial": list(w.trivial),
     }
-    eigen = _eigen_from_args(args, required=False)
+    lines = [f"{key}: {', '.join(doc[key])}"
+             for key in ("guaranteed", "special_clique_case",
+                         "special_multipartite_case", "never", "trivial")]
+    eigen, echo = _eigen_from_args(args, required=False)
     if eigen is not None:
         table = char_table(eigen)
-        wt = wreath_table(table, args.orientation)
         tensor = tensor_square_table(table)
         base = wreath_partition(args.orientation)
         positives = [
@@ -215,48 +202,34 @@ def cmd_wreath(args, out) -> int:
             if q != base and not q.is_single_block()
             and bm_check(tensor, q).is_fusion
         ]
-        doc["input"] = _echo_input(args)
+        doc["input"] = echo
         doc["input_positive_coarsenings"] = positives
-        if args.format != "json":
-            _print_table(wt, out)
-    if args.format == "json":
-        doc["tool_version"] = __version__
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        for key in ("guaranteed", "special_clique_case",
-                    "special_multipartite_case", "never", "trivial"):
-            print(f"{key}: {', '.join(doc[key])}", file=out)
-        if "input_positive_coarsenings" in doc:
-            print("positive coarsenings for this input:", file=out)
-            for t in doc["input_positive_coarsenings"]:
-                print(f"  {t}", file=out)
-    return 0
+        lines = (_table_lines(wreath_table(table, args.orientation)) + lines
+                 + ["positive coarsenings for this input:"]
+                 + [f"  {t}" for t in positives])
+    return doc, lines, 0
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args):
     result = classify_all()
     summary = result.summary()
-    if args.format == "json":
-        doc = {
-            "tool_version": __version__,
-            "summary": summary,
-            "records": [rec.to_json() for rec in result.records],
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        print("classification of all 4140 partitions", file=out)
-        for key in ("guaranteed", "trivial", "family", "infeasible", "unresolved"):
-            print(f"  {key}: {summary[key]}", file=out)
-        print("  family membership:", file=out)
-        for fid, count in summary["families"].items():
-            if count:
-                parts = result.family_partitions(fid)
-                shown = ", ".join(parts[:6]) + (" ..." if len(parts) > 6 else "")
-                print(f"    {fid}: {count}  [{shown}]", file=out)
-    return 0
+    doc = {
+        "summary": summary,
+        "records": [rec.to_json() for rec in result.records],
+    }
+    lines = ["classification of all 4140 partitions"]
+    for key in ("guaranteed", "trivial", "family", "infeasible", "unresolved"):
+        lines.append(f"  {key}: {summary[key]}")
+    lines.append("  family membership:")
+    for fid, count in summary["families"].items():
+        if count:
+            parts = result.family_partitions(fid)
+            shown = ", ".join(parts[:6]) + (" ..." if len(parts) > 6 else "")
+            lines.append(f"    {fid}: {count}  [{shown}]")
+    return doc, lines, 0
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args):
     if args.graph is None or args.partition is None:
         raise UsageError("verify needs --graph and --partition")
     g = build_graph(args.graph)
@@ -275,27 +248,21 @@ def cmd_verify(args, out) -> int:
     if oracle_ok:
         doc["rank"] = p.rank
         doc["fused_valencies"] = list(result.valencies)
+        line = (f"{g.name} / {p}: fusion of rank {p.rank}, "
+                f"valencies {result.valencies}")
     else:
         doc["witness"] = {
             "classes": (result.i, result.j, result.klass),
             "cells": [list(result.cell_a), list(result.cell_b)],
             "values": [result.value_a, result.value_b],
         }
-    if args.format == "json":
-        doc["tool_version"] = __version__
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        if oracle_ok:
-            print(f"{g.name} / {p}: fusion of rank {p.rank}, "
-                  f"valencies {result.valencies}", file=out)
-        else:
-            print(f"{g.name} / {p}: not a fusion; product of classes "
-                  f"{result.i},{result.j} takes values {result.value_a} and "
-                  f"{result.value_b} on class {result.klass}", file=out)
-    return 0 if criterion.is_fusion == oracle_ok else 2
+        line = (f"{g.name} / {p}: not a fusion; product of classes "
+                f"{result.i},{result.j} takes values {result.value_a} and "
+                f"{result.value_b} on class {result.klass}")
+    return doc, [line], 0 if criterion.is_fusion == oracle_ok else 2
 
 
-def cmd_crosscheck(args, out) -> int:
+def cmd_crosscheck(args):
     if args.graph is None:
         raise UsageError("crosscheck needs --graph")
     g = build_graph(args.graph)
@@ -307,14 +274,10 @@ def cmd_crosscheck(args, out) -> int:
         "positives": report.positives,
         "disagreements": [list(d) for d in report.disagreements],
     }
-    if args.format == "json":
-        doc["tool_version"] = __version__
-        print(json.dumps(doc, indent=2, sort_keys=True), file=out)
-    else:
-        print(f"{report.graph}: {report.checked} partitions checked, "
-              f"{report.positives} fusions, "
-              f"{len(report.disagreements)} disagreements", file=out)
-    return 0 if report.clean else 2
+    line = (f"{report.graph}: {report.checked} partitions checked, "
+            f"{report.positives} fusions, "
+            f"{len(report.disagreements)} disagreements")
+    return doc, [line], 0 if report.clean else 2
 
 
 _COMMANDS = {
@@ -369,7 +332,14 @@ def main(argv=None, out=None) -> int:
         if args.partition is not None and args.command not in ("verify",
                                                                "crosscheck"):
             raise UsageError(f"{args.command} takes no --partition")
-        return _COMMANDS[args.command](args, out)
+        doc, lines, code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            doc = {**doc, "tool_version": __version__}
+            print(json.dumps(doc, indent=2, sort_keys=True), file=out)
+        else:
+            for line in lines:
+                print(line, file=out)
+        return code
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,8 @@ computed once per partition) into the table's lazily built
 Rows are compared through ``CharTable.row_classes``: per mask the table
 records once, as bits, which pairs of rows have equal sums, so a check ANDs
 a few ints and counts the classes of the result instead of hashing exact
-values; the classifier's row-count check reads the same classes.
+values; ``fused_table`` merges rows along the same classes, and the
+classifier's row-count check reads them too.
 
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose
@@ -38,14 +39,16 @@ class NotAFusion(ValueError):
 @dataclass(frozen=True)
 class FusionVerdict:
     partition: SetPartition
-    is_fusion: bool
     distinct_row_count: int
-    fused_rank: int | None
 
-    def __post_init__(self):
-        expected = self.partition.num_blocks + 1
-        if self.is_fusion and self.distinct_row_count != expected:
-            raise ValueError("verdict inconsistent with distinct row count")
+    @property
+    def is_fusion(self) -> bool:
+        """The criterion: one distinct summed row per class."""
+        return self.distinct_row_count == self.partition.rank
+
+    @property
+    def fused_rank(self) -> int | None:
+        return self.partition.rank if self.is_fusion else None
 
 
 def block_masks(table: CharTable, p: SetPartition) -> tuple[int, ...]:
@@ -74,27 +77,24 @@ def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
 
 def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
     """Apply the Bannai-Muzychuk criterion to one partition."""
-    distinct = len(table.row_classes(block_masks(table, p)))
-    is_fusion = distinct == p.num_blocks + 1
-    return FusionVerdict(p, is_fusion, distinct, p.rank if is_fusion else None)
+    return FusionVerdict(p, len(table.row_classes(block_masks(table, p))))
 
 
 def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     """Character table of the fusion named by p.
 
-    Distinct summed rows with merged multiplicities; the valency row comes
-    first, remaining rows sorted by first differing entry, descending.
-    Raises NotAFusion when the criterion fails.
+    One row per row class of the summed table, the class's summed row with
+    its members' multiplicities added; the valency row comes first,
+    remaining rows sorted by first differing entry, descending.  Raises
+    NotAFusion when the criterion fails.
     """
-    rows = summed_rows(table, p)  # checks p against the table
-    merged: dict[tuple, object] = {}
-    for row, mult in zip(rows, table.mults):
-        merged[row] = merged.get(row, 0) + mult
-    if len(merged) != p.num_blocks + 1:
-        raise NotAFusion(f"{p} yields {len(merged)} distinct rows")
-    valency = rows[0]
-    rest = sorted((row for row in merged if row != valency), reverse=True)
-    ordered = [valency] + rest
+    summed = summed_rows(table, p)  # checks p against the table
+    classes = table.row_classes(p.masks)
+    if len(classes) != p.rank:
+        raise NotAFusion(f"{p} yields {len(classes)} distinct rows")
+    # class 0 holds row 0, the valency row
+    merged = [(summed[c[0]], sum(table.mults[i] for i in c)) for c in classes]
+    ordered = merged[:1] + sorted(merged[1:], key=lambda rm: rm[0], reverse=True)
     labels = table.col_labels[1:]  # bit c of a mask is labels[c]
     col_labels = ["identity"] + [
         "+".join(label for c, label in enumerate(labels) if m >> c & 1)
@@ -103,8 +103,8 @@ def fused_table(table: CharTable, p: SetPartition) -> CharTable:
     return CharTable(
         row_labels=tuple(f"row_{i}" for i in range(len(ordered))),
         col_labels=tuple(col_labels),
-        rows=tuple(ordered),
-        mults=tuple(merged[row] for row in ordered),
+        rows=tuple(row for row, _ in ordered),
+        mults=tuple(mult for _, mult in ordered),
     )
 
 

@@ -194,6 +194,13 @@ class SchemeMatrices:
         if (lab != lab.T).any():
             raise BadSpec("labels must be symmetric")
 
+    @classmethod
+    def _trusted(cls, labels: np.ndarray, rank: int, name: str) -> "SchemeMatrices":
+        """A scheme from labels valid by construction, built unchecked."""
+        sm = object.__new__(cls)
+        sm.__dict__.update(labels=labels, rank=rank, name=name)
+        return sm
+
     @property
     def order(self) -> int:
         return self.labels.shape[0]
@@ -219,8 +226,11 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
         block_of[sorted(block)] = b
     lab, side = sm.labels, sm.order ** 2
     tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
-    return SchemeMatrices(block_of.take(tensor.reshape(side, side)),
-                          p.num_blocks + 1, f"{sm.name} fused {p}")
+    # valid labels: only cells ((a, b), (a, b)) pair two diagonal cells,
+    # single_index(0, 0) = 1 sends them to class 0, every other index lies
+    # in a block, and the symmetric sm.labels give a symmetric tensor
+    return SchemeMatrices._trusted(block_of.take(tensor.reshape(side, side)),
+                                   p.num_blocks + 1, f"{sm.name} fused {p}")
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,6 @@ class SetPartition:
     def __repr__(self):
         return f"SetPartition({self})"
 
-    def __lt__(self, other: "SetPartition"):
-        return str(self) < str(other)
-
 
 def parse(text: str, ground: frozenset[int] = DEFAULT_GROUND) -> SetPartition:
     """Parse canonical-or-not partition text like "5|24|37|68|9"."""

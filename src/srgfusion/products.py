@@ -70,9 +70,6 @@ class IndexPermutation:
     name: str
     mapping: tuple[tuple[int, int], ...]
 
-    def __call__(self, x: int) -> int:
-        return dict(self.mapping).get(x, x)
-
     def as_dict(self) -> dict[int, int]:
         d = {x: x for x in range(2, 10)}
         d.update(dict(self.mapping))

@@ -117,6 +117,24 @@ def test_bad_specs():
             build_graph(spec)
 
 
+def _flip_edge(a):
+    a[0, 1] = 1 - a[0, 1]  # (1, 0) keeps its old value
+    return a
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda a: a[:4], "square"),
+    (lambda a: 2 * a, "0/1"),
+    (_flip_edge, "symmetric"),
+    (lambda a: a + np.eye(len(a), dtype=a.dtype), "diagonal"),
+], ids=["non-square", "non-01", "asymmetric", "diagonal"])
+def test_graph01_validates_adjacency(mutate, message):
+    a = build_graph("petersen").adjacency
+    Graph01("petersen", a)
+    with pytest.raises(BadSpec, match=message):
+        Graph01("bad", mutate(a.copy()))
+
+
 def _graph(name, n, edges):
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
@@ -273,6 +291,15 @@ def test_scheme_matrices_validates_labels(mutate, message):
     SchemeMatrices(labels, 3)
     with pytest.raises(BadSpec, match=message):
         SchemeMatrices(mutate(labels.copy()), 3)
+
+
+def test_tensor_fuse_labels_pass_the_checks():
+    """tensor_fuse skips the label checks; its labels pass them anyway."""
+    sm = scheme_matrices(build_graph("petersen"))
+    for p in all_default_partitions():
+        f = tensor_fuse(sm, p)
+        checked = SchemeMatrices(f.labels, f.rank, f.name)
+        assert checked.order == 100 and checked.rank == p.rank
 
 
 @settings(max_examples=80, deadline=None)
