@@ -71,7 +71,6 @@ from .exact import (
     ONE,
     R,
     S,
-    SieveSet,
     _SYM_INDEX,
     _count_roots_open,
     _poly_gcd_1var,
@@ -90,20 +89,12 @@ from .scheme import CharTable
 # equation system as a side relation
 ORTHOGONALITY = (L * (K + R * S) + K * (ONE + R + S + R * S)).normalized()
 
-# strictly positive on the primitive region; used for sign contradictions
-PRIMITIVE_POSITIVE = (
-    ("k", K),
-    ("l", L),
-    ("r", R),
-    ("k-r", K - R),
-    ("-1-s", -(ONE + S)),
-    ("l+1+s", L + 1 + S),
-    ("k+rs", K + R * S),
-    ("k-1", K - 1),
-    ("l-1", L - 1),
-    ("r-s", R - S),
-    ("k-s", K - S),
-)
+# sieve members turned strictly positive on the primitive region, in sieve
+# order; used for sign contradictions
+PRIMITIVE_POSITIVE = tuple(
+    (mem.name, mem.sign * mem.poly) for mem in default_sieve_set().members
+    if mem.name in ("k", "l", "r", "1+s", "k-r", "l+1+s", "k+rs", "r-s", "k-s",
+                    "k-1", "l-1"))
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +634,6 @@ class ProofLeaf:
     points: tuple[tuple[tuple[str, object], ...], ...] = ()  # exact sporadic points
 
 
-def _apply_substitutions(
-    p: MultiPoly, subs: Sequence[SubstitutionRecord]
-) -> MultiPoly:
-    """Denominator-cleared image of p under the substitution chain."""
-    return _apply_substitutions_signed(p, subs, None)[0]
-
-
 def _leaf_point(
     subs: Sequence[SubstitutionRecord], seed: dict | None = None
 ) -> dict | None:
@@ -688,19 +672,18 @@ def _freeze_point(point: dict) -> tuple[tuple[str, object], ...]:
     return tuple(sorted((k, v) for k, v in point.items() if k in ("k", "l", "r", "s")))
 
 
-def _apply_substitutions_signed(
-    p: MultiPoly, subs: Sequence[SubstitutionRecord], sieve: SieveSet | None
-) -> tuple[MultiPoly, int | None]:
-    """Image of p with the sign relation between p and its image.
+def _apply_substitutions(
+    p: MultiPoly, subs: Sequence[SubstitutionRecord]
+) -> tuple[MultiPoly, int]:
+    """Denominator-cleared image of p under the substitution chain, and the
+    sign (+1 or -1) relating p to its image.
 
     Clearing the denominator of var = -num/den multiplies by den**d; when d
     is odd the sign of the image differs from the sign of p by the sign of
-    den.  The second component is +1/-1 when that cumulative sign is known
-    (constant or sieve-certified denominators), else None.  Zero-tests of
-    the image are valid regardless.
+    den, which is constant or read off its sieve certificate.
     """
     out = p
-    sign: int | None = 1
+    sign = 1
     for rec in subs:
         d = out.degree(rec.var)
         if d <= 0:
@@ -713,32 +696,16 @@ def _apply_substitutions_signed(
         for power, coeff in enumerate(out.coefficients(rec.var)):
             acc = acc + coeff * num_powers[power] * den_powers[d - power]
         out = acc
-        if d % 2 and sign is not None:
-            if rec.den.is_constant():
-                c = rec.den.constant_value()
-                sign *= 1 if c > 0 else -1
-            elif rec.den_certificate is not None and sieve is not None:
-                sign *= rec.den_certificate.region_sign(sieve)
-            else:
-                sign = None
+        if d % 2:
+            sign *= (scalar_sign(rec.den.constant_value()) if rec.den.is_constant()
+                     else rec.den_certificate.region_sign())
     return out, sign
 
 
 @lru_cache(maxsize=None)
 def _substitute_one(p: MultiPoly, rec: SubstitutionRecord) -> MultiPoly:
     """Normalized image of p under one elimination step."""
-    return _apply_substitutions(p, (rec,)).normalized()
-
-
-def _substitute_into(
-    polys: Sequence[MultiPoly], rec: SubstitutionRecord
-) -> list[MultiPoly]:
-    out = []
-    for p in polys:
-        q = _substitute_one(p, rec)
-        if not q.is_zero():
-            out.append(q)
-    return list(dict.fromkeys(out))
+    return _apply_substitutions(p, (rec,))[0].normalized()
 
 
 _ELIM_ORDER = ("l", "k", "m", "s", "r")
@@ -854,16 +821,15 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
 
 @lru_cache(maxsize=None)
 def _screen(e: MultiPoly) -> tuple[MultiPoly, ProofLeaf | None]:
-    """Normalized equation and, when it alone contradicts the primitive
-    region, the contradiction leaf (with an empty chain) that says so.
+    """Normalized form of a nonzero equation and, when it alone contradicts
+    the primitive region, the contradiction leaf (with an empty chain) that
+    says so.
 
     The tests run cheapest first: a nonzero constant, a sieve-certified
     polynomial, an orthant-definite one, a univariate one rootless on its
     region interval.
     """
     e = e.normalized()
-    if e.is_zero():
-        return e, None
     if e.is_constant():
         return e, ProofLeaf(
             (), (), "contradiction-unit",
@@ -905,210 +871,201 @@ def _pivot_candidate(
     return 1, a_part, b_part, cert
 
 
+def _run(
+    system: list[MultiPoly],
+    subs: tuple[SubstitutionRecord, ...],
+    assumptions: tuple[MultiPoly, ...],
+    depth: int,
+) -> list[ProofLeaf]:
+    """Leaves of one branch.  The one place a system is normalized and
+    deduplicated: callers pass plain lists, zeros and repeats included."""
+    # constants and sieve-certified members force a contradiction, and
+    # so do definite and region-rootless ones
+    cleaned: list[MultiPoly] = []
+    for e in system:
+        if e.is_zero():
+            continue
+        e, leaf = _screen(e)
+        if leaf is not None:
+            return [replace(leaf, substitutions=subs, assumptions=assumptions)]
+        cleaned.append(e)
+    system = list(dict.fromkeys(cleaned))
+
+    if not system:
+        return [_close_leaf(subs, assumptions, ())]
+    if depth > 40:
+        return [_close_leaf(subs, assumptions, tuple(system))]
+
+    # branch-free linear elimination comes first: a pivot whose leading
+    # coefficient is constant or sieve-certified collapses the system
+    # without splitting
+    pivot = _pick_pivot(system)
+    if pivot is not None:
+        idx, var, a_part, b_part, cert = pivot
+        rec = SubstitutionRecord(var, a_part, b_part, cert)
+        rest = system[:idx] + system[idx + 1:]
+        return _run([_substitute_one(e, rec) for e in rest],
+                    subs + (rec,), assumptions, depth + 1)
+
+    # factor splits: replace one equation by branches over its factors;
+    # every member here failed certify, so each keeps a non-sieve factor
+    for idx, e in enumerate(system):
+        factors = _split_poly(e)
+        if len(factors) > 1 or factors[0] != e:
+            leaves = []
+            rest = system[:idx] + system[idx + 1:]
+            for fac in dict.fromkeys(factors):
+                leaves.extend(_run(rest + [fac], subs, assumptions + (fac,), depth + 1))
+            return leaves
+
+    # univariate subsystems collapse to their gcd
+    reduced = _univariate_gcd_reduce(system)
+    if reduced is not None:
+        return _run(reduced, subs, assumptions, depth + 1)
+
+    # resultants eliminate a variable outright from nonlinear pairs
+    new = _resultant_consequence(system)
+    if new is not None:
+        return _run(system + [new], subs, assumptions, depth + 1)
+    return [_close_leaf(subs, assumptions, tuple(system))]
+
+
+def _pick_pivot(system: list[MultiPoly]):
+    """A linear pivot whose coefficient is constant or sieve-certified."""
+    best = None
+    for var in _ELIM_ORDER:
+        for idx, e in enumerate(system):
+            cand = _pivot_candidate(e, var)
+            if cand is None:
+                continue
+            score = (cand[0], len(e.terms))
+            if best is None or score < best[0]:
+                best = (score, idx, var, cand)
+        if best is not None and best[0][0] == 0:
+            break
+    if best is None:
+        return None
+    _, idx, var, (_, a_part, b_part, cert) = best
+    return idx, var, a_part, b_part, cert
+
+
+def _resultant_consequence(system: list[MultiPoly]) -> MultiPoly | None:
+    """A new, smaller-support consequence obtained as a resultant."""
+    for f, g in itertools.combinations(system, 2):
+        common = sorted(f.symbols() & g.symbols())
+        for var in common:
+            df, dg = f.degree(var), g.degree(var)
+            if df < 1 or dg < 1 or df + dg > _RESULTANT_MAX_SIZE:
+                continue
+            res = _resultant(f, g, var).normalized()
+            if not res.is_zero() and res not in system:
+                target = (f.symbols() | g.symbols()) - {var}
+                if res.symbols() <= target:
+                    return res
+    return None
+
+
+def _close_leaf(
+    subs: tuple[SubstitutionRecord, ...],
+    assumptions: tuple[MultiPoly, ...],
+    residual: tuple[MultiPoly, ...],
+) -> ProofLeaf:
+    # a leaf whose variety misses the primitive region entirely is dead,
+    # whether or not it sits on some family's Zariski closure and
+    # whatever residual equations remain (they only shrink the variety)
+    conflict = _bound_conflict(subs)
+    if conflict is not None:
+        return ProofLeaf(
+            subs, assumptions, "contradiction-bounds",
+            bound_conflict=conflict, residual=tuple(residual),
+        )
+    # each step expresses its variable in symbols no earlier step eliminated
+    free = {"k", "l", "r", "s"} - {rec.var for rec in subs}
+    for e in residual:
+        free |= e.symbols()
+
+    if not free:
+        # fully pinned (residual equations always carry a symbol): one
+        # candidate point
+        point = _leaf_point(subs)
+        if point is not None and _point_feasible(point):
+            return ProofLeaf(
+                subs, assumptions, "sporadic", points=(_freeze_point(point),)
+            )
+        return ProofLeaf(subs, assumptions, "unresolved")
+
+    if residual and len(free) == 1:
+        return _univariate_leaf(subs, assumptions, residual, free.pop())
+
+    if not residual:
+        # positive-dimensional solution: must be a catalogued family
+        fams = []
+        for fam in family_catalog():
+            if fam.point_instances:
+                continue
+            if all(
+                _apply_substitutions(d, subs)[0].is_zero()
+                for d in fam.defining
+            ):
+                fams.append(fam.id)
+        if fams:
+            return ProofLeaf(subs, assumptions, "family", families=tuple(fams))
+    return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
+
+
+def _univariate_leaf(
+    subs: tuple[SubstitutionRecord, ...],
+    assumptions: tuple[MultiPoly, ...],
+    residual: tuple[MultiPoly, ...],
+    var: str,
+) -> ProofLeaf:
+    """Decide a leaf cut out by univariate residual equations exactly.
+
+    The residual gcd, when of degree 1 or 2, has exact roots; each root
+    inside the region interval whose point keeps every forced-positive
+    quantity strictly positive is a sporadic point.  A leaf without such
+    a point stays unresolved.
+    """
+    g: list = []
+    for e in residual:
+        g = _poly_gcd_1var(g, [c.constant_value() for c in e.coefficients(var)])
+    lo, hi = _REGION_INTERVAL[var]
+    points = []
+    for root in _quadratic_roots_exact(g) or ():
+        if (lo is None or root > lo) and (hi is None or root < hi):
+            point = _leaf_point(subs, {var: root})
+            if point is not None and _point_feasible(point):
+                points.append(_freeze_point(point))
+    return ProofLeaf(
+        subs, assumptions, "sporadic" if points else "unresolved",
+        points=tuple(points), residual=tuple(residual),
+    )
+
+
+def _bound_conflict(subs: tuple[SubstitutionRecord, ...]) -> BoundConflict | None:
+    """Find a sign contradiction among forced-positive quantities.
+
+    Each catalogued quantity is strictly positive on the primitive region;
+    its substitution image must then have the tracked sign.
+    """
+    for name, poly in PRIMITIVE_POSITIVE:
+        img, sgn = _apply_substitutions(poly, subs)
+        if img.is_constant():
+            if scalar_sign(img.constant_value()) != sgn:
+                return BoundConflict("constant", (name, img))
+            continue
+        orthant = _orthant_sign(img)
+        if orthant is not None and orthant != sgn:
+            return BoundConflict("image-definite", (name, img, orthant))
+    return None
+
+
 class _Decomposer:
-    """Branch decomposition of an equation system over the primitive region."""
+    """Branch decomposition of an equation system over the primitive region;
+    ``decompose`` is the entry point perfbench traces."""
 
     def decompose(self, eqs: Sequence[MultiPoly]) -> list[ProofLeaf]:
-        system = [e.normalized() for e in eqs if not e.is_zero()]
-        return self._run(list(dict.fromkeys(system)), (), (), 0)
-
-    # -- helpers ------------------------------------------------------------
-
-    def _run(
-        self,
-        system: list[MultiPoly],
-        subs: tuple[SubstitutionRecord, ...],
-        assumptions: tuple[MultiPoly, ...],
-        depth: int,
-    ) -> list[ProofLeaf]:
-        # constants and sieve-certified members force a contradiction, and
-        # so do definite and region-rootless ones
-        cleaned: list[MultiPoly] = []
-        for e in system:
-            e, leaf = _screen(e)
-            if leaf is not None:
-                return [replace(leaf, substitutions=subs, assumptions=assumptions)]
-            if not e.is_zero():
-                cleaned.append(e)
-        system = list(dict.fromkeys(cleaned))
-
-        if not system:
-            return [self._close_leaf(subs, assumptions, ())]
-        if depth > 40:
-            return [self._close_leaf(subs, assumptions, tuple(system))]
-
-        # branch-free linear elimination comes first: a pivot whose leading
-        # coefficient is constant or sieve-certified collapses the system
-        # without splitting
-        pivot = self._pick_pivot(system)
-        if pivot is not None:
-            idx, var, a_part, b_part, cert = pivot
-            rest = system[:idx] + system[idx + 1:]
-            rec = SubstitutionRecord(var, a_part, b_part, cert)
-            return self._run(
-                _substitute_into(rest, rec), subs + (rec,), assumptions, depth + 1
-            )
-
-        # factor splits: replace one equation by branches over its factors;
-        # every member here failed certify, so each keeps a non-sieve factor
-        for idx, e in enumerate(system):
-            factors = _split_poly(e)
-            if len(factors) > 1 or factors[0] != e:
-                leaves = []
-                rest = system[:idx] + system[idx + 1:]
-                for fac in dict.fromkeys(factors):
-                    leaves.extend(self._run(
-                        list(dict.fromkeys(rest + [fac])),
-                        subs, assumptions + (fac,), depth + 1,
-                    ))
-                return leaves
-
-        # univariate subsystems collapse to their gcd
-        reduced = _univariate_gcd_reduce(system)
-        if reduced is not None:
-            return self._run(reduced, subs, assumptions, depth + 1)
-
-        # resultants eliminate a variable outright from nonlinear pairs
-        new = self._resultant_consequence(system)
-        if new is not None:
-            return self._run(
-                list(dict.fromkeys(system + [new])), subs, assumptions, depth + 1
-            )
-        return [self._close_leaf(subs, assumptions, tuple(system))]
-
-    def _pick_pivot(self, system: list[MultiPoly]):
-        """A linear pivot whose coefficient is constant or sieve-certified."""
-        best = None
-        for var in _ELIM_ORDER:
-            for idx, e in enumerate(system):
-                cand = _pivot_candidate(e, var)
-                if cand is None:
-                    continue
-                score = (cand[0], len(e.terms))
-                if best is None or score < best[0]:
-                    best = (score, idx, var, cand)
-            if best is not None and best[0][0] == 0:
-                break
-        if best is None:
-            return None
-        _, idx, var, (_, a_part, b_part, cert) = best
-        return idx, var, a_part, b_part, cert
-
-    def _resultant_consequence(self, system: list[MultiPoly]) -> MultiPoly | None:
-        """A new, smaller-support consequence obtained as a resultant."""
-        for (i, f), (j, g) in itertools.combinations(enumerate(system), 2):
-            common = sorted(f.symbols() & g.symbols())
-            for var in common:
-                df, dg = f.degree(var), g.degree(var)
-                if df < 1 or dg < 1 or df + dg > _RESULTANT_MAX_SIZE:
-                    continue
-                res = _resultant(f, g, var).normalized()
-                if not res.is_zero() and res not in system:
-                    target = (f.symbols() | g.symbols()) - {var}
-                    if res.symbols() <= target:
-                        return res
-        return None
-
-    def _close_leaf(
-        self,
-        subs: tuple[SubstitutionRecord, ...],
-        assumptions: tuple[MultiPoly, ...],
-        residual: tuple[MultiPoly, ...],
-    ) -> ProofLeaf:
-        # a leaf whose variety misses the primitive region entirely is dead,
-        # whether or not it sits on some family's Zariski closure and
-        # whatever residual equations remain (they only shrink the variety)
-        conflict = self._bound_conflict(subs)
-        if conflict is not None:
-            return ProofLeaf(
-                subs, assumptions, "contradiction-bounds",
-                bound_conflict=conflict, residual=tuple(residual),
-            )
-        free: set[str] = set()
-        for name in ("k", "l", "r", "s"):
-            free |= _apply_substitutions(MultiPoly.var(name), subs).symbols()
-        for e in residual:
-            free |= e.symbols()
-
-        if not free:
-            # fully pinned (residual equations always carry a symbol): one
-            # candidate point
-            point = _leaf_point(subs)
-            if point is not None and _point_feasible(point):
-                return ProofLeaf(
-                    subs, assumptions, "sporadic", points=(_freeze_point(point),)
-                )
-            return ProofLeaf(subs, assumptions, "unresolved")
-
-        if residual and len(free) == 1:
-            return self._univariate_leaf(subs, assumptions, residual, free.pop())
-
-        if not residual:
-            # positive-dimensional solution: must be a catalogued family
-            fams = []
-            for fam in family_catalog():
-                if fam.point_instances:
-                    continue
-                if all(
-                    _apply_substitutions(d, subs).is_zero()
-                    for d in fam.defining
-                ):
-                    fams.append(fam.id)
-            if fams:
-                return ProofLeaf(subs, assumptions, "family", families=tuple(fams))
-        return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
-
-    def _univariate_leaf(
-        self,
-        subs: tuple[SubstitutionRecord, ...],
-        assumptions: tuple[MultiPoly, ...],
-        residual: tuple[MultiPoly, ...],
-        var: str,
-    ) -> ProofLeaf:
-        """Decide a leaf cut out by univariate residual equations exactly.
-
-        The residual gcd, when of degree 1 or 2, has exact roots; each root
-        inside the region interval whose point keeps every forced-positive
-        quantity strictly positive is a sporadic point.  A leaf without such
-        a point stays unresolved.
-        """
-        g: list = []
-        for e in residual:
-            g = _poly_gcd_1var(g, [c.constant_value() for c in e.coefficients(var)])
-        lo, hi = _REGION_INTERVAL[var]
-        points = []
-        for root in _quadratic_roots_exact(g) or ():
-            if (lo is None or root > lo) and (hi is None or root < hi):
-                point = _leaf_point(subs, {var: root})
-                if point is not None and _point_feasible(point):
-                    points.append(_freeze_point(point))
-        return ProofLeaf(
-            subs, assumptions, "sporadic" if points else "unresolved",
-            points=tuple(points), residual=tuple(residual),
-        )
-
-    def _bound_conflict(
-        self, subs: tuple[SubstitutionRecord, ...]
-    ) -> BoundConflict | None:
-        """Find a sign contradiction among forced-positive quantities.
-
-        Each catalogued quantity is strictly positive on the primitive
-        region; its substitution image must then have the tracked sign.
-        Images with unknown sign relations are skipped (sound, loses
-        information only).
-        """
-        for name, poly in PRIMITIVE_POSITIVE:
-            img, sgn = _apply_substitutions_signed(poly, subs, default_sieve_set())
-            if sgn is None:
-                continue
-            if img.is_constant():
-                if img.is_zero() or (1 if img.constant_value() > 0 else -1) != sgn:
-                    return BoundConflict("constant", (name, img))
-                continue
-            orthant = _orthant_sign(img)
-            if orthant is not None and orthant != sgn:
-                return BoundConflict("image-definite", (name, img, orthant))
-        return None
+        return _run(list(eqs), (), (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1169,7 @@ def _grouping_system(
 
 @lru_cache(maxsize=None)
 def _decompose_cached(eqs: tuple[MultiPoly, ...]) -> tuple[ProofLeaf, ...]:
-    return tuple(_Decomposer().decompose(list(eqs)))
+    return tuple(_Decomposer().decompose(eqs))
 
 
 def _analyze_grouping(
@@ -1388,7 +1345,7 @@ def _leaf_consequence(
     """
     images = []
     for e in itertools.chain(equations, leaf.assumptions):
-        image = _apply_substitutions(e, leaf.substitutions).normalized()
+        image = _apply_substitutions(e, leaf.substitutions)[0].normalized()
         if image == poly:
             return True
         if not image.is_zero():
@@ -1420,37 +1377,37 @@ def _verify_bound_conflict(leaf: ProofLeaf, equations: Sequence[MultiPoly]) -> b
                 and _leaf_consequence(data[0], leaf, equations))
     if kind in ("constant", "image-definite"):
         # the bound analysis of the stored substitutions must find this conflict
-        return _Decomposer()._bound_conflict(leaf.substitutions) == conflict
+        return _bound_conflict(leaf.substitutions) == conflict
     return False
 
 
 def verify_record(rec: ClassificationRecord) -> bool:
     """Re-check the mechanical content of a classification record.
 
-    Unit contradictions remultiply their sieve certificates; bound
-    conflicts recompute the sign data from the stored substitution chains,
-    and a definite or region-rootless equation must be re-derived from the
-    grouping's equations; row-count certificates re-check pairwise
-    blockedness; every substitution's denominator must be constant or carry
-    a sieve certificate that remultiplies to it.  A GUARANTEED record must
-    name no family and pass the Bannai-Muzychuk criterion on the symbolic
-    table, which the two trivial partitions pass too; any other record must
-    carry the verdict and families ``_verdict`` concludes from its proof,
-    a row-count certificate or at least one grouping.
+    Unit contradictions remultiply their sieve certificates; every
+    substitution's denominator must be a nonzero constant or carry a sieve
+    certificate that remultiplies to it, checked before a leaf's conflict is
+    replayed; bound conflicts recompute the sign data from the stored
+    substitution chains, and a definite or region-rootless equation must be
+    re-derived from the grouping's equations; row-count certificates
+    re-check pairwise blockedness.  A GUARANTEED record must name no family
+    and pass the Bannai-Muzychuk criterion on the symbolic table, which the
+    two trivial partitions pass too; any other record must carry the
+    verdict and families ``_verdict`` concludes from its proof, a row-count
+    certificate or at least one grouping.
     """
-    sieve = default_sieve_set()
     p = rec.partition
-    graph = potential_equality_graph(p)
     m = p.num_blocks + 1
     if rec.trivial != (p.is_discrete() or p.is_single_block()):
         return False
     if rec.verdict == "GUARANTEED":
         # the criterion as bm_check counts it: m distinct summed rows
-        return not rec.families and len(graph.classes) == m
+        return not rec.families and len(potential_equality_graph(p).classes) == m
     if (rec.verdict, rec.families) != _verdict(str(p), rec.groupings):
         return False
     if rec.row_count_certificate is not None:
         cert = rec.row_count_certificate
+        graph = potential_equality_graph(p)
         first_of_row = {row: cls[0] for cls in graph.classes for row in cls}
         firsts = sorted(first_of_row[row] for row in cert.representatives)
         if (cert.required != m or len(set(firsts)) != len(firsts)
@@ -1462,18 +1419,20 @@ def verify_record(rec: ClassificationRecord) -> bool:
         return False
     for ga in rec.groupings:
         for leaf in ga.leaves:
+            for sub in leaf.substitutions:
+                if sub.den.is_constant():
+                    if sub.den.is_zero():
+                        return False
+                    continue
+                cert = sub.den_certificate
+                if cert is None or cert.reconstruct() != sub.den.normalized():
+                    return False
             if leaf.outcome == "contradiction-unit":
                 cert = leaf.unit_certificate
-                if cert is None or cert.reconstruct(sieve) != leaf.unit_poly:
+                if cert is None or cert.reconstruct() != leaf.unit_poly:
                     return False
             elif leaf.outcome == "contradiction-bounds":
                 if not _verify_bound_conflict(leaf, ga.equations):
-                    return False
-            for sub in leaf.substitutions:
-                if sub.den.is_constant():
-                    continue
-                cert = sub.den_certificate
-                if cert is None or cert.reconstruct(sieve) != sub.den.normalized():
                     return False
     return True
 

@@ -31,7 +31,8 @@ Exit codes: 0 success, 1 usage error, 2 a verification mismatch was found.
 Each ``cmd_*(args)`` only builds: it returns ``(doc, lines, code)``, the
 JSON document (None for lattice), the text or DOT lines and the exit code.
 ``main`` alone renders: it adds ``tool_version`` to the document, writes
-JSON or the lines as ``--format`` says, and reports usage errors.  A new
+JSON or the lines as ``--format`` says, and reports usage errors and, as
+``warning: <message>`` lines on stderr, the warnings a command raised.  A new
 command is a builder plus its ``_COMMANDS`` entry.
 """
 
@@ -40,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -332,7 +334,11 @@ def main(argv=None, out=None) -> int:
         if args.partition is not None and args.command not in ("verify",
                                                                "crosscheck"):
             raise UsageError(f"{args.command} takes no --partition")
-        doc, lines, code = _COMMANDS[args.command](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            doc, lines, code = _COMMANDS[args.command](args)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
         if args.format == "json":
             doc = {**doc, "tool_version": __version__}
             print(json.dumps(doc, indent=2, sort_keys=True), file=out)

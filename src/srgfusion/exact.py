@@ -49,7 +49,8 @@ The module also hosts the nonvanishing sieve: an ordered list of
 polynomials, each strictly signed on the primitive parameter region
 (k > r > 0, s < -1, l > -1 - s, for which also k + r*s > 0), together with
 trial division that certifies a polynomial nonzero on that region by
-writing it as a scaled product of sieve members.
+writing it as a scaled product of sieve members.  There is one sieve,
+built at import; a certificate names its members and is read against it.
 """
 
 from __future__ import annotations
@@ -820,19 +821,17 @@ class NonzeroCertificate:
     constant: int | Fraction
     factors: tuple[tuple[str, int], ...]
 
-    def reconstruct(self, sieve: "SieveSet") -> MultiPoly:
+    def reconstruct(self) -> MultiPoly:
         out = MultiPoly.const(self.constant)
-        lookup = {mem.name: mem.poly for mem in sieve.members}
         for name, exp in self.factors:
-            out = out * lookup[name] ** exp
+            out = out * _DEFAULT_SIEVE.by_name[name].poly ** exp
         return out
 
-    def region_sign(self, sieve: "SieveSet") -> int:
+    def region_sign(self) -> int:
         sign = 1 if self.constant > 0 else -1
-        lookup = {mem.name: mem.sign for mem in sieve.members}
         for name, exp in self.factors:
             if exp % 2:
-                sign *= lookup[name]
+                sign *= _DEFAULT_SIEVE.by_name[name].sign
         return sign
 
 
@@ -841,6 +840,7 @@ class SieveSet:
 
     def __init__(self, members: Iterable[SieveMember]):
         self.members = tuple(members)
+        self.by_name = {mem.name: mem for mem in self.members}
         self._cache: dict[MultiPoly, NonzeroCertificate | None] = {}
 
     def certify(self, p: MultiPoly) -> NonzeroCertificate | None:
@@ -887,47 +887,38 @@ class SieveSet:
 _CACHE_MISS = object()
 
 
-def _default_members() -> list[SieveMember]:
-    mk = SieveMember
-    one = ONE
-    items = [
-        mk("k", K, +1, "valency is positive"),
-        mk("l", L, +1, "complement valency is positive"),
-        mk("r", R, +1, "r = 0 only in the complete-multipartite imprimitive case"),
-        mk("1+s", one + S, -1, "s < -1 on the primitive region"),
-        mk("k-r", K - R, +1, "k = r only in the union-of-cliques imprimitive case"),
-        mk("l+1+s", L + 1 + S, +1, "l > -1-s on the primitive region"),
-        mk("k+rs", K + R * S, +1,
-           "nonnegative structure constant; zero only for disconnected graphs"),
-        mk("(1+r)(1+s)", (one + R) * (one + S), -1,
-           "product of a positive and a negative factor"),
-        mk("r-s", R - S, +1, "eigenvalues are ordered r > s"),
-        mk("k-s", K - S, +1, "k > 0 > s"),
-        mk("l+1+r", L + 1 + R, +1, "sum of positives"),
-        mk("1+r", one + R, +1, "r > 0"),
-        mk("1+k", one + K, +1, "k > 0"),
-        mk("1+l", one + L, +1, "l > 0"),
-        # extensions beyond the base list, each strictly signed on the
-        # primitive region
-        mk("s", S, -1, "s < -1 < 0"),
-        mk("k-1", K - 1, +1, "k - 1 >= -(1+r)(1+s) > 0"),
-        mk("l-1", L - 1, +1, "l - 1 >= -rs > 0"),
-        mk("l+r-1", L + R - 1, +1, "l > 1 and r > 0"),
-        mk("k+r-1", K + R - 1, +1, "k > 1 and r > 0"),
-        mk("k-s-2", K - S - 2, +1, "(k-1) + (-1-s) with both parts positive"),
-        mk("l-s-2", L - S - 2, +1, "(l-1) + (-1-s) with both parts positive"),
-        mk("1+k+l", one + K + L, +1, "the order n of the scheme"),
-        mk("k+l-1", K + L - 1, +1, "(k-1) + (l-1) + 1 > 1"),
-    ]
-    return items
-
-
-_DEFAULT_SIEVE: SieveSet | None = None
+# the one sieve: certificates name its members, so it is built once, at import
+_DEFAULT_SIEVE = SieveSet(SieveMember(*member) for member in (
+    ("k", K, +1, "valency is positive"),
+    ("l", L, +1, "complement valency is positive"),
+    ("r", R, +1, "r = 0 only in the complete-multipartite imprimitive case"),
+    ("1+s", ONE + S, -1, "s < -1 on the primitive region"),
+    ("k-r", K - R, +1, "k = r only in the union-of-cliques imprimitive case"),
+    ("l+1+s", L + 1 + S, +1, "l > -1-s on the primitive region"),
+    ("k+rs", K + R * S, +1,
+     "nonnegative structure constant; zero only for disconnected graphs"),
+    ("(1+r)(1+s)", (ONE + R) * (ONE + S), -1,
+     "product of a positive and a negative factor"),
+    ("r-s", R - S, +1, "eigenvalues are ordered r > s"),
+    ("k-s", K - S, +1, "k > 0 > s"),
+    ("l+1+r", L + 1 + R, +1, "sum of positives"),
+    ("1+r", ONE + R, +1, "r > 0"),
+    ("1+k", ONE + K, +1, "k > 0"),
+    ("1+l", ONE + L, +1, "l > 0"),
+    # extensions beyond the base list, each strictly signed on the
+    # primitive region
+    ("s", S, -1, "s < -1 < 0"),
+    ("k-1", K - 1, +1, "k - 1 >= -(1+r)(1+s) > 0"),
+    ("l-1", L - 1, +1, "l - 1 >= -rs > 0"),
+    ("l+r-1", L + R - 1, +1, "l > 1 and r > 0"),
+    ("k+r-1", K + R - 1, +1, "k > 1 and r > 0"),
+    ("k-s-2", K - S - 2, +1, "(k-1) + (-1-s) with both parts positive"),
+    ("l-s-2", L - S - 2, +1, "(l-1) + (-1-s) with both parts positive"),
+    ("1+k+l", ONE + K + L, +1, "the order n of the scheme"),
+    ("k+l-1", K + L - 1, +1, "(k-1) + (l-1) + 1 > 1"),
+))
 
 
 def default_sieve_set() -> SieveSet:
-    global _DEFAULT_SIEVE
-    if _DEFAULT_SIEVE is None:
-        _DEFAULT_SIEVE = SieveSet(_default_members())
+    """The one sieve, whose members every certificate names."""
     return _DEFAULT_SIEVE
-

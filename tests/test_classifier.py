@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from srgfusion.classifier import (
     symbolic_tensor_table,
     verify_record,
     ORTHOGONALITY,
-    _apply_substitutions_signed,
+    _Decomposer,
+    _apply_substitutions,
     _enumerate_groupings,
     _grouping_system,
     _leaf_point,
@@ -402,14 +404,20 @@ def _first_bound_leaf(classification, kind):
     )
 
 
-def _with_conflict(rec, gi, li, conflict):
-    """rec with the bound conflict of leaf li of grouping gi replaced."""
+def _with_leaf(rec, gi, li, leaf):
+    """rec with leaf li of grouping gi replaced."""
     ga = rec.groupings[gi]
     leaves = list(ga.leaves)
-    leaves[li] = dataclasses.replace(leaves[li], bound_conflict=conflict)
+    leaves[li] = leaf
     groupings = list(rec.groupings)
     groupings[gi] = dataclasses.replace(ga, leaves=tuple(leaves))
     return dataclasses.replace(rec, groupings=tuple(groupings))
+
+
+def _with_conflict(rec, gi, li, conflict):
+    """rec with the bound conflict of leaf li of grouping gi replaced."""
+    leaf = rec.groupings[gi].leaves[li]
+    return _with_leaf(rec, gi, li, dataclasses.replace(leaf, bound_conflict=conflict))
 
 
 @pytest.mark.parametrize("kind", ["constant", "image-definite"])
@@ -422,6 +430,31 @@ def test_verify_record_rejects_a_renamed_bound_quantity(classification, kind):
                                   data=("k" if name != "k" else "l", *rest))
     assert verify_record(rec)
     assert not verify_record(_with_conflict(rec, gi, li, renamed))
+
+
+@pytest.mark.parametrize("kind", ["constant", "image-definite"])
+def test_verify_record_checks_denominators_before_the_conflict(classification, kind):
+    """Replaying a sign conflict reads the region sign of each
+    denominator's certificate, so the certificates are checked first: a
+    missing one, one that remultiplies to another polynomial, or a zero
+    denominator makes the record fail to verify, and nothing raises."""
+    rec, gi, li, leaf, si = next(
+        (rec, gi, li, leaf, si)
+        for rec in classification.records
+        for gi, ga in enumerate(rec.groupings)
+        for li, leaf in enumerate(ga.leaves)
+        if leaf.bound_conflict is not None and leaf.bound_conflict.kind == kind
+        for si, sub in enumerate(leaf.substitutions) if not sub.den.is_constant()
+    )
+    sub = leaf.substitutions[si]
+    wrong = default_sieve_set().certify(K * sub.den.normalized())
+    assert verify_record(rec)
+    for forged in (dataclasses.replace(sub, den_certificate=None),
+                   dataclasses.replace(sub, den_certificate=wrong),
+                   dataclasses.replace(sub, den=MultiPoly(), den_certificate=None)):
+        subs = leaf.substitutions[:si] + (forged,) + leaf.substitutions[si + 1:]
+        forged_leaf = dataclasses.replace(leaf, substitutions=subs)
+        assert verify_record(_with_leaf(rec, gi, li, forged_leaf)) is False, forged
 
 
 @pytest.mark.parametrize("kind, data", [
@@ -573,7 +606,7 @@ def test_census_leaf_outcomes_and_bound_kinds(classification):
 @pytest.mark.xfail(strict=True,
                    reason="known bug: _pivot_candidate certifies the normalized "
                           "denominator but SubstitutionRecord.den keeps the raw "
-                          "one, and _apply_substitutions_signed multiplies only "
+                          "one, and _apply_substitutions multiplies only "
                           "by the certificate's region sign, so denominators "
                           "with a negative leading coefficient (-k, -r, ...) "
                           "are tracked with the wrong sign")
@@ -582,8 +615,7 @@ def test_substitution_sign_follows_the_denominator(classification):
     of var times the sign of den; the tracked sign must be the sign of den
     on the primitive region, checked at its point (4, 4, 1, -2)."""
     point = {"k": Fraction(4), "l": Fraction(4), "r": Fraction(1), "s": Fraction(-2)}
-    sieve = default_sieve_set()
-    for mem in sieve.members:
+    for mem in default_sieve_set().members:
         assert scalar_sign(mem.poly.evaluate(point)) == mem.sign, mem.name
     subs = dict.fromkeys(
         sub for rec in classification.records for ga in rec.groupings
@@ -591,7 +623,7 @@ def test_substitution_sign_follows_the_denominator(classification):
         if not sub.den.is_constant())
     assert subs
     for sub in subs:
-        _, tracked = _apply_substitutions_signed(MultiPoly.var(sub.var), (sub,), sieve)
+        _, tracked = _apply_substitutions(MultiPoly.var(sub.var), (sub,))
         assert tracked == scalar_sign(sub.den.evaluate(point)), (sub.var, sub.den)
 
 
@@ -647,6 +679,17 @@ def test_census_records_are_pinned(classification):
     """Every verdict, proof leaf and certificate, byte for byte."""
     digest = hashlib.sha256(repr(classification.records).encode()).hexdigest()
     assert digest == RECORDS_REPR_SHA256
+
+
+def test_decompose_normalizes_the_system_once(classification):
+    """The decomposer takes raw systems: each of 200 census systems, scaled
+    by -2, listed twice and with a zero appended, decomposes into the same
+    leaves as the system itself."""
+    systems = list(dict.fromkeys(
+        ga.equations for rec in classification.records for ga in rec.groupings))
+    for eqs in random.Random(20).sample(systems, 200):
+        raw = [-2 * e for e in eqs] * 2 + [MultiPoly()]
+        assert _Decomposer().decompose(raw) == _Decomposer().decompose(list(eqs)), eqs
 
 
 def _clear_memos():

@@ -267,13 +267,13 @@ def test_normalized_scales_to_primitive_integers():
 def test_sieve_certifies_members_and_products():
     cert = default_sieve_set().certify(K - R)
     assert cert is not None and cert.constant == 1
-    assert cert.reconstruct(default_sieve_set()) == K - R
+    assert cert.reconstruct() == K - R
 
     # 1 + r + s + rs factors as (1+r)(1+s)
     cert = default_sieve_set().certify(ONE + R + S + R * S)
     assert cert is not None
-    assert cert.reconstruct(default_sieve_set()) == ONE + R + S + R * S
-    assert cert.region_sign(default_sieve_set()) == -1
+    assert cert.reconstruct() == ONE + R + S + R * S
+    assert cert.region_sign() == -1
 
 
 def test_sieve_unknown_for_vanishing_quantity():
@@ -371,7 +371,7 @@ def test_certificates_remultiply_exactly():
     for p in probes:
         cert = sieve.certify(p)
         assert cert is not None
-        assert cert.reconstruct(sieve) == p
+        assert cert.reconstruct() == p
 
 
 # -- ring axioms by hypothesis ----------------------------------------------
