@@ -19,8 +19,6 @@ from .exact import (
     MissingSymbol,
     NonzeroCertificate,
     QuadraticValue,
-    SieveMember,
-    SieveSet,
     ZeroInput,
     default_sieve_set,
     quad,

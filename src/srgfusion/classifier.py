@@ -35,9 +35,9 @@ into leaves that either
 
 Any other leaf is unresolved, and so is the partition it belongs to.
 
-The two imprimitive families are handled separately by fusing the fully
-symbolic union-of-cliques table (parameters r, m) and its partner, exactly
-as the rank-3 case analysis reduces to.
+The two imprimitive families are handled separately by fusing their own
+catalogue tables (union of cliques in r, m; complete multipartite in m, s),
+exactly as the rank-3 case analysis reduces to.
 
 Records hold only the proof; one verdict rule, ``_verdict``, concludes the
 verdict and families from it for ``classify_partition`` and again, as a
@@ -123,37 +123,6 @@ def symbolic_tensor_table() -> CharTable:
 
 
 @lru_cache(maxsize=None)
-def imprimitive_base_table(kind: int) -> CharTable:
-    """Symbolic table of the imprimitive families, parameters (r, m).
-
-    kind 1: union of m+1 complete graphs on r+1 vertices (k = r, s = -1).
-    kind 2: the partner with the two graph roles exchanged (r = 0,
-    l = -1-s), written in the same (r, m) parameters.
-    """
-    if kind == 1:
-        rows = (
-            (ONE, R, M * (1 + R)),
-            (ONE, R, -1 - R),
-            (ONE, MultiPoly.const(-1), MultiPoly()),
-        )
-    elif kind == 2:
-        rows = (
-            (ONE, M * (1 + R), R),
-            (ONE, MultiPoly(), MultiPoly.const(-1)),
-            (ONE, -1 - R, R),
-        )
-    else:
-        raise ValueError("kind must be 1 or 2")
-    return CharTable(("chi_0", "chi_1", "chi_2"), ("A0", "A1", "A2"), rows, (1, 1, 1))
-
-
-@lru_cache(maxsize=None)
-def _imprimitive_positive_strings(kind: int) -> frozenset[str]:
-    table = tensor_square_table(imprimitive_base_table(kind))
-    return frozenset(str(v.partition) for v in scan_all(table))
-
-
-@lru_cache(maxsize=None)
 def guaranteed_partition_strings() -> frozenset[str]:
     """The 13 nontrivial partitions fusing for every rank-3 table algebra."""
     return frozenset(str(v.partition) for v in scan_all(symbolic_tensor_table()))
@@ -169,10 +138,12 @@ class FamilySpec:
 
     ``substitution`` maps every one of k, l, r, s to a polynomial in the
     family's free symbols; it satisfies the row-orthogonality relation
-    identically.  ``defining`` generates the family's ideal inside
-    Q[k, l, r, s].  A family whose primitive members form a finite set
-    lists them in ``point_instances`` and is matched by evaluation there
-    instead of by polynomial identity.
+    identically, and applied to the generic table it gives the family's
+    own table (``family_base_table``).  ``defining`` generates the family's
+    ideal inside Q[k, l, r, s].  A family with a single primitive member
+    gives it as ``point``, (name, value) pairs, and is matched by
+    evaluation there instead of by polynomial identity; it attaches only
+    to the partitions its ``source_partitions`` names.
     """
 
     id: str
@@ -180,14 +151,11 @@ class FamilySpec:
     substitution: tuple[tuple[str, MultiPoly], ...]
     defining: tuple[MultiPoly, ...]
     source_partitions: tuple[str, ...] = ()
-    point_instances: tuple[tuple[tuple[str, Fraction], ...], ...] = ()
+    point: tuple[tuple[str, object], ...] = ()
     sample_instances: tuple = ()  # exact (k, l, r, s) tuples for spot checks
 
     def substitution_map(self) -> dict[str, MultiPoly]:
         return dict(self.substitution)
-
-    def points(self) -> list[dict[str, Fraction]]:
-        return [dict(pt) for pt in self.point_instances]
 
 
 def _sub(**kw) -> tuple[tuple[str, MultiPoly], ...]:
@@ -227,11 +195,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "conference parameters: k = l = 2r(1+r), s = -1-r",
             _sub(k=2 * R + 2 * R * R, l=2 * R + 2 * R * R, s=-1 - R),
             (S + R + 1, K - 2 * R - 2 * R * R, L - 2 * R - 2 * R * R),
-            source_partitions=(
-                "27|34|59|6|8", "23|47|59|68",
-                "23|4579|68", "2359|47|68", "23|4678|59", "2347|59|68", "2368|47|59",
-                "234678|59", "234579|68", "2359|4678", "2368|4579",
-            ),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(12), f(12), f(2), f(-3)),
                               _conf_sqrt13()),
         ),
@@ -240,7 +203,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "rook-graph complements: k = s^2, l = -2s, r = 1",
             _sub(k=S * S, l=-2 * S, r=ONE),
             (R - 1, K - S * S, L + 2 * S),
-            source_partitions=("249|37|5|68",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(9), f(6), f(1), f(-3)),
                               (f(16), f(8), f(1), f(-4))),
         ),
@@ -249,7 +211,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "rook graphs: k = 2(1+r), l = (1+r)^2, s = -2",
             _sub(k=2 + 2 * R, l=(1 + R) * (1 + R), s=MultiPoly.const(-2)),
             (S + 2, K - 2 - 2 * R, L - (1 + R) * (1 + R)),
-            source_partitions=("24|357|68|9",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(6), f(9), f(2), f(-2)),
                               (f(8), f(16), f(3), f(-2))),
         ),
@@ -260,9 +221,7 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             _sub(k=3 - S - R, l=5 + S + R),
             (K - 3 + S + R, L - 5 - S - R),
             source_partitions=("249|37|5|68",),
-            point_instances=(
-                (("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
-            ),
+            point=(("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
             sample_instances=((f(4), f(4), f(1), f(-2)),),
         ),
         FamilySpec(
@@ -272,7 +231,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "r <= 2)",
             _sub(k=R * (3 + R), l=3 + R, s=MultiPoly.const(-2)),
             (S + 2, K - R * (3 + R), L - 3 - R),
-            source_partitions=("249|35678",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(10), f(5), f(2), f(-2)),
                               (f(27, 4), f(9, 2), f(3, 2), f(-2))),
         ),
@@ -281,7 +239,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of CLB1: k = 2-s, l = (s-2)(s+1), r = 1",
             _sub(k=2 - S, l=S * S - S - 2, r=ONE),
             (R - 1, K - 2 + S, L - S * S + S + 2),
-            source_partitions=("24689|357",),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(5), f(10), f(1), f(-3)),
                               (f(6), f(18), f(1), f(-4))),
         ),
@@ -291,7 +248,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "(r >= 2; r = 2 is the complement of the folded 5-cube)",
             _sub(k=R * (2 * R + 1), l=(R - 1) * (2 * R + 1), s=-R),
             (S + R, K - R * (2 * R + 1), L - (R - 1) * (2 * R + 1)),
-            source_partitions=("2468|3579",),
             sample_instances=((f(10), f(5), f(2), f(-2)), (f(21), f(14), f(3), f(-3))),
         ),
         FamilySpec(
@@ -299,7 +255,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of CLB2A: k = (s+2)(2s+1), l = (s+1)(2s+1), r = -2-s",
             _sub(k=(S + 2) * (2 * S + 1), l=(S + 1) * (2 * S + 1), r=-2 - S + MultiPoly()),
             (R + S + 2, K - (S + 2) * (2 * S + 1), L - (S + 1) * (2 * S + 1)),
-            source_partitions=("2459|3678",),
             sample_instances=((f(5), f(10), f(1), f(-3)), (f(14), f(21), f(2), f(-4))),
         ),
         FamilySpec(
@@ -309,7 +264,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "matrix-verified addition to the published catalogue",
             _sub(k=R * (2 * R - 1), l=(R + 1) * (2 * R - 1), s=-R),
             (S + R, K - R * (2 * R - 1), L - (R + 1) * (2 * R - 1)),
-            source_partitions=("2468|3579",),
             sample_instances=((f(6), f(9), f(2), f(-2)), (f(15), f(20), f(3), f(-3))),
         ),
         FamilySpec(
@@ -317,7 +271,6 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "switch partner of PLS2A: k = s(2s+3), l = (s+1)(2s+3), r = -2-s",
             _sub(k=S * (2 * S + 3), l=(S + 1) * (2 * S + 3), r=-2 - S + MultiPoly()),
             (R + S + 2, K - S * (2 * S + 3), L - (S + 1) * (2 * S + 3)),
-            source_partitions=("2459|3678",),
             sample_instances=((f(9), f(6), f(1), f(-3)), (f(20), f(15), f(2), f(-4))),
         ),
         FamilySpec(
@@ -330,9 +283,7 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             (K - 4, L - 4, R - 1, S + 2),
             source_partitions=("249|357|68", "25679|348", "267|34589",
                                "267|348|59", "267|34|59|8", "27|348|59|6"),
-            point_instances=(
-                (("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
-            ),
+            point=(("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
             sample_instances=((f(4), f(4), f(1), f(-2)),),
         ),
         FamilySpec(
@@ -342,11 +293,8 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             _sub(k=MultiPoly.const(2), l=MultiPoly.const(2)),
             (K - 2, L - 2, S + R + 1, R * R + R - 1),
             source_partitions=("26|38|49|57", "29|35|48|67"),
-            point_instances=(
-                (("k", f(2)), ("l", f(2)),
-                 ("r", quad(f(-1, 2), f(1, 2), 5)),
-                 ("s", quad(f(-1, 2), f(-1, 2), 5))),
-            ),
+            point=(("k", f(2)), ("l", f(2)), ("r", quad(f(-1, 2), f(1, 2), 5)),
+                   ("s", quad(f(-1, 2), f(-1, 2), 5))),
             sample_instances=(
                 (f(2), f(2), quad(f(-1, 2), f(1, 2), 5), quad(f(-1, 2), f(-1, 2), 5)),
             ),
@@ -361,11 +309,24 @@ def family_by_id(fid: str) -> FamilySpec:
     raise KeyError(fid)
 
 
+def family_base_table(fid: str) -> CharTable:
+    """The generic base table under the family's substitution."""
+    base, sub = symbolic_base_table(), family_by_id(fid).substitution_map()
+    return replace(base, rows=tuple(tuple(e.substitute(sub) for e in row)
+                                    for row in base.rows))
+
+
+@lru_cache(maxsize=None)
+def _imprimitive_positive_strings(fid: str) -> frozenset[str]:
+    table = tensor_square_table(family_base_table(fid))
+    return frozenset(str(v.partition) for v in scan_all(table))
+
+
 @lru_cache(maxsize=None)
 def _family_image_zero(fid: str, poly: MultiPoly) -> bool:
     fam = family_by_id(fid)
-    if fam.point_instances:
-        return all(poly.evaluate(pt) == 0 for pt in fam.points())
+    if fam.point:
+        return poly.evaluate(dict(fam.point)) == 0
     return poly.substitute(fam.substitution_map()).is_zero()
 
 
@@ -484,23 +445,12 @@ def potential_equality_graph(p: SetPartition) -> EqualityGraph:
 # and small recurring combinations
 @lru_cache(maxsize=None)
 def _factor_basis() -> tuple[MultiPoly, ...]:
-    polys = []
-    for fam in family_catalog():
-        polys.extend(fam.defining)
-    extra = [
-        R - 1, S + 2, S + R, R + S + 1, R + S + 2, R + S + 3, R + S + 4,
-        K - L, L - R, K - R * R, L + S,
+    polys = [d for fam in family_catalog() for d in fam.defining] + [
+        R + S + 3, R + S + 4, K - L, L - R, K - R * R, L + S,
         K + S, L - 1 - R, K + 1 + S,
     ]
-    polys.extend(extra)
-    out = []
-    seen = set()
-    for p in polys:
-        n = p.normalized()
-        if not n.is_constant() and n not in seen:
-            seen.add(n)
-            out.append(n)
-    return tuple(out)
+    normal = (p.normalized() for p in polys)
+    return tuple(dict.fromkeys(n for n in normal if not n.is_constant()))
 
 
 def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -1001,7 +951,7 @@ def _close_leaf(
         # positive-dimensional solution: must be a catalogued family
         fams = []
         for fam in family_catalog():
-            if fam.point_instances:
+            if fam.point:
                 continue
             if all(
                 _apply_substitutions(d, subs)[0].is_zero()
@@ -1184,9 +1134,9 @@ def _analyze_grouping(
 
 
 def _imprimitive_families(text: str) -> list[str]:
-    """IMP1 / IMP2 where the partition fuses that family's symbolic table."""
-    return [fid for kind, fid in ((1, "IMP1"), (2, "IMP2"))
-            if text in _imprimitive_positive_strings(kind)]
+    """IMP1 / IMP2 where the partition fuses that family's catalogue table."""
+    return [fid for fid in ("IMP1", "IMP2")
+            if text in _imprimitive_positive_strings(fid)]
 
 
 def _verdict(
@@ -1194,20 +1144,21 @@ def _verdict(
 ) -> tuple[str, tuple[str, ...]]:
     """The verdict and families a non-guaranteed partition's proof concludes.
 
-    IMP1 / IMP2 come from the imprimitive scans and parametric matches
-    attach; a point family attaches only where its ``source_partitions``
-    names the partition, by match or at a sporadic leaf's point.  A grouping
-    is unresolved when a family leaf lies outside its parametric matches, a
-    sporadic point is covered by neither, a leaf is unresolved, or nothing
-    matches and not every leaf is a contradiction.
+    IMP1 / IMP2 come from the scans of their catalogue tables and
+    parametric matches attach; a point family attaches only where its
+    ``source_partitions`` names the partition, by match or at a sporadic
+    leaf on its ``point``.  A grouping is unresolved when a family leaf lies
+    outside its parametric matches, a sporadic point is covered by neither,
+    a leaf is unresolved, or nothing matches and not every leaf is a
+    contradiction.
     """
     families = set(_imprimitive_families(text))
     named = [fam for fam in family_catalog()
-             if fam.point_instances and text in fam.source_partitions]
+             if fam.point and text in fam.source_partitions]
     unresolved = False
     for ga in groupings:
         parametric = {fid for fid in ga.matched_families
-                      if not family_by_id(fid).point_instances}
+                      if not family_by_id(fid).point}
         families |= parametric
         families.update(fam.id for fam in named if fam.id in ga.matched_families)
         attached = False
@@ -1226,8 +1177,8 @@ def _verdict(
                                for d in family_by_id(fid).defining)
                            for fid in parametric):
                         continue
-                    fid = next((fam.id for fam in named if point in fam.points()),
-                               None)
+                    fid = next((fam.id for fam in named
+                                if point == dict(fam.point)), None)
                     if fid is None:
                         unresolved = True
                     else:

@@ -821,10 +821,14 @@ class NonzeroCertificate:
     constant: int | Fraction
     factors: tuple[tuple[str, int], ...]
 
-    def reconstruct(self) -> MultiPoly:
+    def reconstruct(self) -> MultiPoly | None:
+        """The product, or None when a factor names no sieve member."""
         out = MultiPoly.const(self.constant)
         for name, exp in self.factors:
-            out = out * _DEFAULT_SIEVE.by_name[name].poly ** exp
+            mem = _DEFAULT_SIEVE.by_name.get(name)
+            if mem is None:
+                return None
+            out = out * mem.poly ** exp
         return out
 
     def region_sign(self) -> int:
@@ -836,10 +840,11 @@ class NonzeroCertificate:
 
 
 class SieveSet:
-    """Ordered polynomials, each provably nonzero on the primitive region."""
+    """The sieve's ordered polynomials, each provably nonzero on the
+    primitive region; every instance holds the one member list."""
 
-    def __init__(self, members: Iterable[SieveMember]):
-        self.members = tuple(members)
+    def __init__(self):
+        self.members = _SIEVE_MEMBERS
         self.by_name = {mem.name: mem for mem in self.members}
         self._cache: dict[MultiPoly, NonzeroCertificate | None] = {}
 
@@ -887,8 +892,8 @@ class SieveSet:
 _CACHE_MISS = object()
 
 
-# the one sieve: certificates name its members, so it is built once, at import
-_DEFAULT_SIEVE = SieveSet(SieveMember(*member) for member in (
+# the one sieve: certificates name its members, so they are a constant
+_SIEVE_MEMBERS = tuple(SieveMember(*member) for member in (
     ("k", K, +1, "valency is positive"),
     ("l", L, +1, "complement valency is positive"),
     ("r", R, +1, "r = 0 only in the complete-multipartite imprimitive case"),
@@ -917,6 +922,7 @@ _DEFAULT_SIEVE = SieveSet(SieveMember(*member) for member in (
     ("1+k+l", ONE + K + L, +1, "the order n of the scheme"),
     ("k+l-1", K + L - 1, +1, "(k-1) + (l-1) + 1 > 1"),
 ))
+_DEFAULT_SIEVE = SieveSet()
 
 
 def default_sieve_set() -> SieveSet:

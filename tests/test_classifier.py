@@ -29,7 +29,8 @@ from srgfusion.classifier import (
     _leaf_point,
 )
 from srgfusion.exact import (
-    K, ONE, R, S, MultiPoly, QuadraticValue, default_sieve_set, scalar_sign,
+    K, ONE, R, S, MultiPoly, NonzeroCertificate, QuadraticValue,
+    default_sieve_set, scalar_sign,
 )
 from srgfusion.fusion import bm_check, scan_all, summed_rows
 from srgfusion.partitions import all_default_partitions, coarsenings, parse
@@ -183,20 +184,18 @@ def test_family_match_negative():
 
 def test_catalog_satisfies_orthogonality():
     for fam in family_catalog():
-        if fam.point_instances:
-            for pt in fam.points():
-                assert ORTHOGONALITY.evaluate(pt) == 0
+        if fam.point:
+            assert ORTHOGONALITY.evaluate(dict(fam.point)) == 0
         else:
             assert ORTHOGONALITY.substitute(fam.substitution_map()).is_zero()
 
 
 def test_catalog_source_lists_are_the_census_lists(classification):
-    """A family's ``source_partitions`` names exactly the partitions the
-    census attributes to it, parametric families included."""
+    """Only the point families list ``source_partitions``, and each list
+    names exactly the partitions the census attributes to that family."""
     listed = [fam for fam in family_catalog() if fam.source_partitions]
-    assert len(listed) == 12
-    assert {fam.id for fam in family_catalog()} - {fam.id for fam in listed} == {
-        "IMP1", "IMP2"}
+    assert {fam.id for fam in listed} == {"SP9", "SP5", "CR4"}
+    assert all(fam.point for fam in listed)
     for fam in listed:
         assert (sorted(classification.family_partitions(fam.id))
                 == sorted(fam.source_partitions)), fam.id
@@ -338,8 +337,8 @@ def test_completeness_against_instance_scans(classification):
 
 
 def _on_family(fam, point):
-    if fam.point_instances:
-        return any(dict(pt) == point for pt in fam.point_instances)
+    if fam.point:
+        return dict(fam.point) == point
     return all(d.evaluate(point) == 0 for d in fam.defining)
 
 
@@ -455,6 +454,29 @@ def test_verify_record_checks_denominators_before_the_conflict(classification, k
         subs = leaf.substitutions[:si] + (forged,) + leaf.substitutions[si + 1:]
         forged_leaf = dataclasses.replace(leaf, substitutions=subs)
         assert verify_record(_with_leaf(rec, gi, li, forged_leaf)) is False, forged
+
+
+def test_verify_record_rejects_a_certificate_naming_no_member(classification):
+    """A certificate with a factor outside the sieve remultiplies to nothing:
+    on a unit leaf or on a non-constant denominator it makes the record
+    fail to verify, and nothing raises."""
+    rec = classification.record("234579|68")
+    bogus = NonzeroCertificate(1, (("bogus", 1),))
+    assert bogus.reconstruct() is None
+    assert verify_record(rec)
+    gi, li, leaf = next((gi, li, leaf) for gi, ga in enumerate(rec.groupings)
+                        for li, leaf in enumerate(ga.leaves)
+                        if leaf.outcome == "contradiction-unit")
+    forged = dataclasses.replace(leaf, unit_certificate=bogus)
+    assert verify_record(_with_leaf(rec, gi, li, forged)) is False
+    gi, li, leaf, si = next((gi, li, leaf, si) for gi, ga in enumerate(rec.groupings)
+                            for li, leaf in enumerate(ga.leaves)
+                            for si, sub in enumerate(leaf.substitutions)
+                            if not sub.den.is_constant())
+    subs = list(leaf.substitutions)
+    subs[si] = dataclasses.replace(subs[si], den_certificate=bogus)
+    forged = dataclasses.replace(leaf, substitutions=tuple(subs))
+    assert verify_record(_with_leaf(rec, gi, li, forged)) is False
 
 
 @pytest.mark.parametrize("kind, data", [

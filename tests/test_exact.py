@@ -430,3 +430,14 @@ def test_substitute_then_eval_matches_composed_eval(p):
     composed = {"k": Fraction(3), "l": Fraction(9), "r": Fraction(2),
                 "s": Fraction(-3), "m": Fraction(1)}
     assert p.substitute(sub).evaluate(point) == p.evaluate(composed)
+
+
+def test_every_sieve_set_holds_the_one_sieve():
+    """Certificates name the one sieve's members, so ``SieveSet`` takes no
+    member list, every instance holds the same members, and the package
+    does not export it."""
+    import srgfusion
+    assert exact.SieveSet().members is default_sieve_set().members
+    with pytest.raises(TypeError):
+        exact.SieveSet(default_sieve_set().members)
+    assert not {"SieveSet", "SieveMember"} & set(srgfusion.__all__)
