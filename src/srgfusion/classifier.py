@@ -35,9 +35,9 @@ into leaves that either
 
 Any other leaf is unresolved, and so is the partition it belongs to.
 
-The two imprimitive families are handled separately by fusing their own
-catalogue tables (union of cliques in r, m; complete multipartite in m, s),
-exactly as the rank-3 case analysis reduces to.
+The two imprimitive families are handled separately by fusing the fully
+symbolic union-of-cliques table (parameters r, m) and its partner, exactly
+as the rank-3 case analysis reduces to.
 
 Records hold only the proof; one verdict rule, ``_verdict``, concludes the
 verdict and families from it for ``classify_partition`` and again, as a
@@ -123,6 +123,37 @@ def symbolic_tensor_table() -> CharTable:
 
 
 @lru_cache(maxsize=None)
+def imprimitive_base_table(kind: int) -> CharTable:
+    """Symbolic table of the imprimitive families, parameters (r, m).
+
+    kind 1: union of m+1 complete graphs on r+1 vertices (k = r, s = -1).
+    kind 2: the partner with the two graph roles exchanged (r = 0,
+    l = -1-s), written in the same (r, m) parameters.
+    """
+    if kind == 1:
+        rows = (
+            (ONE, R, M * (1 + R)),
+            (ONE, R, -1 - R),
+            (ONE, MultiPoly.const(-1), MultiPoly()),
+        )
+    elif kind == 2:
+        rows = (
+            (ONE, M * (1 + R), R),
+            (ONE, MultiPoly(), MultiPoly.const(-1)),
+            (ONE, -1 - R, R),
+        )
+    else:
+        raise ValueError("kind must be 1 or 2")
+    return CharTable(("chi_0", "chi_1", "chi_2"), ("A0", "A1", "A2"), rows, (1, 1, 1))
+
+
+@lru_cache(maxsize=None)
+def _imprimitive_positive_strings(kind: int) -> frozenset[str]:
+    table = tensor_square_table(imprimitive_base_table(kind))
+    return frozenset(str(v.partition) for v in scan_all(table))
+
+
+@lru_cache(maxsize=None)
 def guaranteed_partition_strings() -> frozenset[str]:
     """The 13 nontrivial partitions fusing for every rank-3 table algebra."""
     return frozenset(str(v.partition) for v in scan_all(symbolic_tensor_table()))
@@ -138,12 +169,11 @@ class FamilySpec:
 
     ``substitution`` maps every one of k, l, r, s to a polynomial in the
     family's free symbols; it satisfies the row-orthogonality relation
-    identically, and applied to the generic table it gives the family's
-    own table (``family_base_table``).  ``defining`` generates the family's
-    ideal inside Q[k, l, r, s].  A family with a single primitive member
-    gives it as ``point``, (name, value) pairs, and is matched by
-    evaluation there instead of by polynomial identity; it attaches only
-    to the partitions its ``source_partitions`` names.
+    identically.  ``defining`` generates the family's ideal inside
+    Q[k, l, r, s].  A family with a single primitive member gives it as
+    ``point``, (name, value) pairs, and is matched by evaluation there
+    instead of by polynomial identity; it attaches only to the partitions
+    its ``source_partitions`` names.
     """
 
     id: str
@@ -307,19 +337,6 @@ def family_by_id(fid: str) -> FamilySpec:
         if fam.id == fid:
             return fam
     raise KeyError(fid)
-
-
-def family_base_table(fid: str) -> CharTable:
-    """The generic base table under the family's substitution."""
-    base, sub = symbolic_base_table(), family_by_id(fid).substitution_map()
-    return replace(base, rows=tuple(tuple(e.substitute(sub) for e in row)
-                                    for row in base.rows))
-
-
-@lru_cache(maxsize=None)
-def _imprimitive_positive_strings(fid: str) -> frozenset[str]:
-    table = tensor_square_table(family_base_table(fid))
-    return frozenset(str(v.partition) for v in scan_all(table))
 
 
 @lru_cache(maxsize=None)
@@ -1134,9 +1151,9 @@ def _analyze_grouping(
 
 
 def _imprimitive_families(text: str) -> list[str]:
-    """IMP1 / IMP2 where the partition fuses that family's catalogue table."""
-    return [fid for fid in ("IMP1", "IMP2")
-            if text in _imprimitive_positive_strings(fid)]
+    """IMP1 / IMP2 where the partition fuses that family's symbolic table."""
+    return [fid for kind, fid in ((1, "IMP1"), (2, "IMP2"))
+            if text in _imprimitive_positive_strings(kind)]
 
 
 def _verdict(
@@ -1144,8 +1161,8 @@ def _verdict(
 ) -> tuple[str, tuple[str, ...]]:
     """The verdict and families a non-guaranteed partition's proof concludes.
 
-    IMP1 / IMP2 come from the scans of their catalogue tables and
-    parametric matches attach; a point family attaches only where its
+    IMP1 / IMP2 come from the imprimitive scans and parametric matches
+    attach; a point family attaches only where its
     ``source_partitions`` names the partition, by match or at a sporadic
     leaf on its ``point``.  A grouping is unresolved when a family leaf lies
     outside its parametric matches, a sporadic point is covered by neither,

@@ -65,9 +65,9 @@ def test_criterion_1_guaranteed_13():
 
 def test_criterion_2_imprimitive_58_family_content():
     """The 13 + 45 imprimitive lists, exact, from the symbolic family scan."""
-    from srgfusion.classifier import family_base_table
+    from srgfusion.classifier import imprimitive_base_table
 
-    got = scan_strings(tensor_square_table(family_base_table("IMP1")))
+    got = scan_strings(tensor_square_table(imprimitive_base_table(1)))
     ok = got == X.IMP_FAMILY_SCAN and len(got) == 58
     # the non-degenerate numeric instances agree exactly
     for r, m in ((2, 3), (3, 2)):
