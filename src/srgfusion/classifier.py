@@ -35,9 +35,11 @@ into leaves that either
 
 Any other leaf is unresolved, and so is the partition it belongs to.
 
-The two imprimitive families are handled separately by fusing the fully
-symbolic union-of-cliques table (parameters r, m) and its partner, exactly
-as the rank-3 case analysis reduces to.
+The two imprimitive families are handled separately, exactly as the
+rank-3 case analysis reduces to: a partition carries IMP1 or IMP2 where it
+fuses that family's own table, ``family_base_table``, the generic table
+under the catalogue substitution.  Both are written in the union-of-cliques
+parameters (r, m), IMP2 as the switch image of IMP1.
 
 Records hold only the proof; one verdict rule, ``_verdict``, concludes the
 verdict and families from it for ``classify_partition`` and again, as a
@@ -122,34 +124,17 @@ def symbolic_tensor_table() -> CharTable:
     return tensor_square_table(symbolic_base_table())
 
 
-@lru_cache(maxsize=None)
-def imprimitive_base_table(kind: int) -> CharTable:
-    """Symbolic table of the imprimitive families, parameters (r, m).
-
-    kind 1: union of m+1 complete graphs on r+1 vertices (k = r, s = -1).
-    kind 2: the partner with the two graph roles exchanged (r = 0,
-    l = -1-s), written in the same (r, m) parameters.
-    """
-    if kind == 1:
-        rows = (
-            (ONE, R, M * (1 + R)),
-            (ONE, R, -1 - R),
-            (ONE, MultiPoly.const(-1), MultiPoly()),
-        )
-    elif kind == 2:
-        rows = (
-            (ONE, M * (1 + R), R),
-            (ONE, MultiPoly(), MultiPoly.const(-1)),
-            (ONE, -1 - R, R),
-        )
-    else:
-        raise ValueError("kind must be 1 or 2")
-    return CharTable(("chi_0", "chi_1", "chi_2"), ("A0", "A1", "A2"), rows, (1, 1, 1))
+def family_base_table(fid: str) -> CharTable:
+    """``symbolic_base_table()`` under the family's ``substitution``."""
+    sub = family_by_id(fid).substitution_map()
+    base = symbolic_base_table()
+    return replace(base, rows=tuple(tuple(x.substitute(sub) for x in row)
+                                    for row in base.rows))
 
 
 @lru_cache(maxsize=None)
-def _imprimitive_positive_strings(kind: int) -> frozenset[str]:
-    table = tensor_square_table(imprimitive_base_table(kind))
+def _imprimitive_positive_strings(fid: str) -> frozenset[str]:
+    table = tensor_square_table(family_base_table(fid))
     return frozenset(str(v.partition) for v in scan_all(table))
 
 
@@ -214,8 +199,9 @@ def family_catalog() -> tuple[FamilySpec, ...]:
         ),
         FamilySpec(
             "IMP2",
-            "complete multipartite: r = 0, l = -1-s, k = -m*s",
-            _sub(k=-M * S, l=-1 - S, r=MultiPoly()),
+            "complete multipartite: r = 0, l = -1-s; as the switch image of "
+            "IMP1, in its symbols, k = m(1+r), l = r, s = -1-r",
+            _sub(k=M * (1 + R), l=R, r=MultiPoly(), s=-1 - R),
             (R, L + 1 + S),
             sample_instances=((f(6), f(2), f(0), f(-3)), (f(4), f(3), f(0), f(-4)),
                               (f(9), f(2), f(0), f(-3))),
@@ -266,11 +252,12 @@ def family_catalog() -> tuple[FamilySpec, ...]:
         ),
         FamilySpec(
             "CLB1S",
-            "switch partner of CLB1: k = 2-s, l = (s-2)(s+1), r = 1",
+            "switch partner of CLB1: k = 2-s, l = (s-2)(s+1), r = 1 (the "
+            "structure constant k+r+s+rs = 3+s caps the family at s >= -3)",
             _sub(k=2 - S, l=S * S - S - 2, r=ONE),
             (R - 1, K - 2 + S, L - S * S + S + 2),
             sample_instances=((f(4), f(4), f(1), f(-2)), (f(5), f(10), f(1), f(-3)),
-                              (f(6), f(18), f(1), f(-4))),
+                              (f(9, 2), f(27, 4), f(1), f(-5, 2))),
         ),
         FamilySpec(
             "CLB2A",
@@ -1093,27 +1080,29 @@ def _enumerate_groupings(
     Class 0, the valency row, stays alone as the first part (all of its
     pairs are blocked); every other part is a clique of mergeable classes.
     """
-    count, target = len(graph.classes), m - 1
     results: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(ci: int, groups: list[list[int]]):
-        # classes ci..count-1 are still to place
-        if len(groups) > target or len(groups) + count - ci < target:
-            return
-        if ci == count:  # the bounds above leave exactly target groups
-            results.append(((0,),) + tuple(tuple(g) for g in groups))
-            return
-        for g in groups:
-            if all(graph.can_merge(ci, cj) for cj in g):
-                g.append(ci)
-                rec(ci + 1, groups)
-                g.pop()
-        groups.append([ci])
-        rec(ci + 1, groups)
-        groups.pop()
-
-    rec(1, [])
+    _place_classes(graph, m - 1, 1, [], results)
     return results
+
+
+def _place_classes(graph: EqualityGraph, target: int, ci: int,
+                   groups: list[list[int]], results: list) -> None:
+    """Place classes ci.. into ``groups``, appending to ``results`` every
+    completion into exactly ``target`` groups."""
+    count = len(graph.classes)
+    if len(groups) > target or len(groups) + count - ci < target:
+        return
+    if ci == count:  # the bounds above leave exactly target groups
+        results.append(((0,),) + tuple(tuple(g) for g in groups))
+        return
+    for g in groups:
+        if all(graph.can_merge(ci, cj) for cj in g):
+            g.append(ci)
+            _place_classes(graph, target, ci + 1, groups, results)
+            g.pop()
+    groups.append([ci])
+    _place_classes(graph, target, ci + 1, groups, results)
+    groups.pop()
 
 
 def _grouping_system(
@@ -1152,8 +1141,8 @@ def _analyze_grouping(
 
 def _imprimitive_families(text: str) -> list[str]:
     """IMP1 / IMP2 where the partition fuses that family's symbolic table."""
-    return [fid for kind, fid in ((1, "IMP1"), (2, "IMP2"))
-            if text in _imprimitive_positive_strings(kind)]
+    return [fid for fid in ("IMP1", "IMP2")
+            if text in _imprimitive_positive_strings(fid)]
 
 
 def _verdict(

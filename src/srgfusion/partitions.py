@@ -142,25 +142,24 @@ def parse(text: str, ground: frozenset[int] = DEFAULT_GROUND) -> SetPartition:
 
 def _rgs_partitions(elements: Sequence[int]):
     """Yield all partitions via restricted-growth strings."""
-    n = len(elements)
-    if n == 0:
+    if not elements:
         yield SetPartition(())
         return
-    rgs = [0] * n
+    yield from _rgs_extend(elements, [0] * len(elements), 1, 0)
 
-    def rec(i: int, maxval: int):
-        if i == n:
-            nblocks = maxval + 1
-            blocks: list[list[int]] = [[] for _ in range(nblocks)]
-            for pos, b in enumerate(rgs):
-                blocks[b].append(elements[pos])
-            yield SetPartition.from_blocks(blocks)
-            return
-        for b in range(maxval + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxval, b))
 
-    yield from rec(1, 0)
+def _rgs_extend(elements: Sequence[int], rgs: list[int], i: int, maxval: int):
+    """Yield the partitions of every restricted-growth string that keeps
+    ``rgs[:i]``, whose largest value is ``maxval``."""
+    if i == len(elements):
+        blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
+        for pos, b in enumerate(rgs):
+            blocks[b].append(elements[pos])
+        yield SetPartition.from_blocks(blocks)
+        return
+    for b in range(maxval + 2):
+        rgs[i] = b
+        yield from _rgs_extend(elements, rgs, i + 1, max(maxval, b))
 
 
 def enumerate_partitions(ground: Iterable[int] = DEFAULT_GROUND) -> list[SetPartition]:

@@ -300,42 +300,27 @@ class FeasibilityReport:
 
 
 def feasibility(e: EigenData) -> FeasibilityReport:
-    """Exact check of the nonnegativity constraints on (k, l, r, s).
+    """Exact check that (k, l, r, s) is a feasible rank-3 table.
 
-    The five checked items
-      (1) l*(k+rs) + k*(1+r+s+rs) = 0
-      (2) k, l >= 1 and k >= r >= 0 > -1 >= s,
-          with s*(k+kr+rl) + (k+kr+kl) = 0
-      (3) l >= -1-s >= 0
-      (4) k+rs >= 0 >= 1+r+s+rs
-      (5) l+1+r+s+rs >= 0 and l-1+rs >= 0
-    come from nonnegativity of the regular matrices of the two basis
-    elements.  Violations are reported, not raised.
+    Three kinds of item are checked: row orthogonality ("1"), the ordering
+    k, l >= 1 and k >= r >= 0 > -1 >= s ("2:..."), and nonnegativity of
+    every structure constant, the entries of the two ``regular_matrices``
+    ("b1[i][j]" and "b2[i][j]").  Violations are reported, not raised.
     """
     k, l, r, s = e.k, e.l, e.r, e.s
-    violations: list[tuple[str, object]] = []
-
-    def check(item: str, value, ok: bool):
-        if not ok:
-            violations.append((item, value))
-
     v1 = l * (k + r * s) + k * (1 + r + s + r * s)
-    check("1", v1, v1 == 0)
-    check("2:k>=1", k, scalar_sign(k - 1) >= 0)
-    check("2:l>=1", l, scalar_sign(l - 1) >= 0)
-    check("2:k>=r", k - r, scalar_sign(k - r) >= 0)
-    check("2:r>=0", r, scalar_sign(r) >= 0)
-    check("2:s<=-1", s, scalar_sign(s + 1) <= 0)
-    v2 = s * (k + k * r + r * l) + (k + k * r + k * l)
-    check("2:s-identity", v2, v2 == 0)
-    check("3:l>=-1-s", l + 1 + s, scalar_sign(l + 1 + s) >= 0)
-    check("4:k+rs>=0", k + r * s, scalar_sign(k + r * s) >= 0)
-    v4 = 1 + r + s + r * s
-    check("4:1+r+s+rs<=0", v4, scalar_sign(v4) <= 0)
-    v5a = l + 1 + r + s + r * s
-    check("5:l+(1+r+s+rs)>=0", v5a, scalar_sign(v5a) >= 0)
-    v5b = l - 1 + r * s
-    check("5:l-1+rs>=0", v5b, scalar_sign(v5b) >= 0)
+    checks = [
+        ("1", v1, v1 == 0),
+        ("2:k>=1", k, scalar_sign(k - 1) >= 0),
+        ("2:l>=1", l, scalar_sign(l - 1) >= 0),
+        ("2:k>=r", k - r, scalar_sign(k - r) >= 0),
+        ("2:r>=0", r, scalar_sign(r) >= 0),
+        ("2:s<=-1", s, scalar_sign(s + 1) <= 0),
+    ]
+    for name, matrix in zip(("b1", "b2"), regular_matrices(e)):
+        checks += [(f"{name}[{i}][{j}]", x, scalar_sign(x) >= 0)
+                   for i, row in enumerate(matrix) for j, x in enumerate(row)]
+    violations = tuple((item, value) for item, value, ok in checks if not ok)
 
     if k == r or s == -1:
         kind = "k=r,s=-1"
@@ -344,14 +329,14 @@ def feasibility(e: EigenData) -> FeasibilityReport:
     else:
         kind = "none"
     primitive = not violations and kind == "none"
-    return FeasibilityReport(primitive, tuple(violations), kind)
+    return FeasibilityReport(primitive, violations, kind)
 
 
 def regular_matrices(e: EigenData) -> tuple[tuple, tuple]:
     """Left regular matrices of the two nontrivial basis elements.
 
-    Entries are the structure constants; all are nonnegative exactly when
-    feasibility holds.  Reading off row 2 of the first matrix recovers
+    Entries are the structure constants, and ``feasibility`` requires each
+    to be nonnegative.  Reading off column 1 of the first matrix recovers
     (mu, nu) = (k+r+s+rs, k+rs).
     """
     k, l, r, s = e.k, e.l, e.r, e.s

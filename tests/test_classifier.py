@@ -1,9 +1,11 @@
 """Symbolic classification: equality graphs, certificates, the full run."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import random
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +15,9 @@ import expected as X
 from srgfusion import classifier
 from srgfusion.classifier import (
     SubstitutionRecord,
+    classify_partition,
     classify_wreath,
+    family_base_table,
     family_by_id,
     family_catalog,
     family_match,
@@ -29,11 +33,13 @@ from srgfusion.classifier import (
     _leaf_point,
 )
 from srgfusion.exact import (
-    K, ONE, R, S, MultiPoly, NonzeroCertificate, QuadraticValue,
+    K, M, ONE, R, S, MultiPoly, NonzeroCertificate, QuadraticValue,
     default_sieve_set, scalar_sign,
 )
 from srgfusion.fusion import bm_check, scan_all, summed_rows
-from srgfusion.partitions import all_default_partitions, coarsenings, parse
+from srgfusion.partitions import (
+    all_default_partitions, coarsenings, enumerate_partitions, parse,
+)
 from srgfusion.products import tensor_square_table
 from srgfusion.scheme import char_table, eigen_from_values
 
@@ -190,6 +196,22 @@ def test_catalog_satisfies_orthogonality():
             assert ORTHOGONALITY.substitute(fam.substitution_map()).is_zero()
 
 
+def test_family_base_table_is_the_imprimitive_hand_table():
+    """The catalogue's IMP1 / IMP2 tables, entry for entry, are the
+    union-of-cliques table in (r, m) and its switch partner."""
+    zero, minus_one = MultiPoly(), MultiPoly.const(-1)
+    assert family_base_table("IMP1").rows == (
+        (ONE, R, M * (1 + R)),
+        (ONE, R, -1 - R),
+        (ONE, minus_one, zero),
+    )
+    assert family_base_table("IMP2").rows == (
+        (ONE, M * (1 + R), R),
+        (ONE, zero, minus_one),
+        (ONE, -1 - R, R),
+    )
+
+
 def test_catalog_source_lists_are_the_census_lists(classification):
     """Only the point families list ``source_partitions``, and each list
     names exactly the partitions the census attributes to that family."""
@@ -209,6 +231,27 @@ def test_catalog_sample_instances_are_feasible_tables():
             e = eigen_from_values(k, l, r, s)
             rep = feasibility(e)
             assert not rep.violations, (fam.id, inst)
+
+
+def test_enumeration_and_classification_leave_no_reference_cycles():
+    """Partition enumeration and a grouping-path classification are freed
+    by reference counting: no srgfusion function or closure cell is left
+    for the cyclic collector."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        enumerate_partitions()
+        coarsenings(parse("24|37|5|68|9"))
+        classify_partition(parse("234579|68"))
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not [o for o in garbage if isinstance(o, types.CellType)]
+    assert not [o.__qualname__ for o in garbage
+                if isinstance(o, types.FunctionType)
+                and o.__module__.startswith("srgfusion")]
 
 
 # -- classification records ----------------------------------------------------

@@ -286,6 +286,8 @@ PINNED_OUTPUTS = {
         (0, "3617f19a8ec4031a", EMPTY),
     "table --n 15 --k 7 --mu 3 --nu 3 --table-algebra":
         (0, "6b4563181e78ca6e", "641fac622ababc84"),
+    "table --eigen 16,448,1,-15":  # mu = k+r+s+rs = -13: not primitive
+        (0, "7b2c72b9ec1b39e9", EMPTY),
     "scan --graph petersen":
         (0, "5dd407b55048c609", EMPTY),
     "scan --graph petersen --format json":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expected as X
-from srgfusion.classifier import imprimitive_base_table, symbolic_tensor_table
+from srgfusion.classifier import family_base_table, symbolic_tensor_table
 from srgfusion import fusion
 from srgfusion.fusion import (
     IndexMismatch,
@@ -164,8 +164,8 @@ def test_summed_rows_match_block_loop_numeric(params):
 
 SYMBOLIC_TABLES = {
     "generic": symbolic_tensor_table,
-    "imprimitive1": lambda: tensor_square_table(imprimitive_base_table(1)),
-    "imprimitive2": lambda: tensor_square_table(imprimitive_base_table(2)),
+    "imprimitive1": lambda: tensor_square_table(family_base_table("IMP1")),
+    "imprimitive2": lambda: tensor_square_table(family_base_table("IMP2")),
 }
 
 
@@ -316,7 +316,7 @@ def test_scan_imprimitive_symbolic_tables(kind):
     fusions plus its 45 family fusions; IMP2's are IMP1's under SWITCH."""
     family = (X.IMP1_45 if kind == 1
               else {str(act(SWITCH, parse(t))) for t in X.IMP1_45})
-    got = scan_strings(tensor_square_table(imprimitive_base_table(kind)))
+    got = scan_strings(tensor_square_table(family_base_table(f"IMP{kind}")))
     assert got == X.GUARANTEED_13 | family
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -100,6 +101,42 @@ def test_feasibility_violation_item1():
     object.__setattr__(e, "g", Fraction(4))
     rep = feasibility(e)
     assert any(item.startswith("1") for item, _ in rep.violations)
+
+
+@pytest.mark.parametrize("klrs", [(16, 448, 1, -15), (1, 11, 0, -12)],
+                         ids=["primitive-ordering", "r=0"])
+def test_feasibility_flags_a_negative_mu(klrs):
+    """mu = k+r+s+rs, the structure constant b1[1][1], is its only fault."""
+    k, l, r, s = klrs
+    rep = feasibility(eigen_from_values(k, l, r, s))
+    assert rep.violations == (("b1[1][1]", k + r + s + r * s),)
+    assert k + r + s + r * s < 0 and not rep.primitive
+
+
+def test_feasibility_is_the_ordering_and_nonnegative_structure_constants():
+    """On a seeded rational grid a report has no violations exactly when
+    k, l >= 1, k >= r >= 0 >= 1+s and every regular-matrix entry is >= 0."""
+    rng = random.Random(22)
+    seen = Counter()
+    for _ in range(600):
+        k = Fraction(rng.randint(1, 480), rng.randint(1, 4))
+        r = Fraction(rng.randint(-4, 56), 4)
+        s = Fraction(rng.randint(-60, 4), 4)
+        if k + r * s == 0:
+            continue
+        l = -k * (1 + r + s + r * s) / (k + r * s)
+        try:
+            e = eigen_from_values(k, l, r, s)
+        except InfeasibleParams:
+            continue
+        ordered = k >= 1 and l >= 1 and k >= r >= 0 and s <= -1
+        entries = [x for b in regular_matrices(e) for row in b for x in row]
+        feasible = ordered and min(entries) >= 0
+        assert (not feasibility(e).violations) == feasible, (k, l, r, s)
+        seen[feasible, ordered, k + r + s + r * s >= 0] += 1
+    # feasible sets, unordered sets, and ordered sets with mu < 0
+    assert seen[True, True, True] and seen[False, False, True]
+    assert seen[False, True, False]
 
 
 def test_char_table_petersen():
