@@ -346,7 +346,7 @@ def main(argv=None, out=None) -> int:
             for line in lines:
                 print(line, file=out)
         return code
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

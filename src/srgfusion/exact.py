@@ -43,7 +43,10 @@ coefficients, each an ``int`` or a ``Fraction``, with no zero last entry
 once trimmed (the zero polynomial is ``[]``).  ``MultiPoly.coefficients``
 reads any polynomial this way, one ``MultiPoly`` per power; the univariate
 kernels below (division with remainder, gcd, Sturm root counts, exact
-rational and quadratic roots) work on the scalar lists.
+rational and quadratic roots) work on the scalar lists.  The gcd and the
+Sturm chain work on integer lists: each input and each remainder is scaled
+by a positive rational to coprime integers, which changes neither the
+monic gcd nor any sign the root count reads.
 
 The module also hosts the nonvanishing sieve: an ordered list of
 polynomials, each strictly signed on the primitive parameter region
@@ -51,13 +54,24 @@ polynomials, each strictly signed on the primitive parameter region
 trial division that certifies a polynomial nonzero on that region by
 writing it as a scaled product of sieve members.  There is one sieve,
 built at import; a certificate names its members and is read against it.
+
+Trial division first tests one integer residue.  Every member is a
+nonconstant primitive polynomial with integer coefficients and is nonzero
+at the integer point P = (k, l, r, s, m) = (1009, 2003, 307, -409, 13);
+building the sieve checks both.  If a member f divides a polynomial g
+with integer coefficients, Gauss's lemma makes the quotient h integral
+too, so g(P) = f(P) * h(P) with h(P) an integer, and f(P) divides g(P).
+``SieveSet.strip`` evaluates its input at P once, tries a member only
+when f(P) divides that residue, and after each quotient divides the
+residue by f(P) exactly.  An input with a ``Fraction`` coefficient skips
+the test, so the test only ever skips divisions that would fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
@@ -130,7 +144,9 @@ class QuadraticValue:
     """Exact element a + b*sqrt(d) of a real quadratic field, b != 0.
 
     Values with b == 0 are never constructed; ``quad`` returns a Fraction
-    instead, so plain rationals and quadratic values mix freely.
+    instead, so plain rationals and quadratic values mix freely.  ``quad``
+    leaves d squarefree, and sums, differences and products keep that d
+    without factoring it again.
     """
 
     __slots__ = ("a", "b", "d")
@@ -158,7 +174,7 @@ class QuadraticValue:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return quad(self.a + oa, self.b + ob, self.d)
+        return _in_field(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
@@ -169,7 +185,7 @@ class QuadraticValue:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return quad(self.a - oa, self.b - ob, self.d)
+        return _in_field(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -178,7 +194,8 @@ class QuadraticValue:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return quad(self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa, self.d)
+        return _in_field(self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa,
+                         self.d)
 
     __rmul__ = __mul__
 
@@ -267,6 +284,18 @@ class QuadraticValue:
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "d": self.d}
+
+
+def _in_field(a: Fraction, b: Fraction, d: int):
+    """``quad(a, b, d)`` for Fractions a, b and the squarefree radicand of
+    an existing value, skipping the normalization it already has."""
+    if not b:
+        return a
+    v = object.__new__(QuadraticValue)
+    object.__setattr__(v, "a", a)
+    object.__setattr__(v, "b", b)
+    object.__setattr__(v, "d", d)
+    return v
 
 
 def scalar_sign(x) -> int:
@@ -543,7 +572,12 @@ class MultiPoly:
             if not _divides(dl_e, rl_e):
                 return None
             # the leading monomial strictly falls, so q stays in order
-            e, c = rl_e - dl_e, _coeff(Fraction(rem.pop(rl_e), dl_c))
+            e, c = rl_e - dl_e, rem.pop(rl_e)
+            if type(c) is int and type(dl_c) is int:
+                whole, r = divmod(c, dl_c)
+                c = Fraction(c, dl_c) if r else whole
+            else:
+                c = _coeff(Fraction(c, dl_c))
             q.append((e, c))
             for e2, c2 in tail:
                 e2 += e
@@ -569,12 +603,8 @@ class MultiPoly:
         if len(ds) > 1:
             raise MixedField(f"assignment mixes radicands {sorted(ds)}")
         total = Fraction(0)
-        for exps, coeff in self.terms:
-            term = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * assignment[SYMBOLS[i]] ** e
-            total = term + total
+        for coeff, image in self._term_images(assignment, 1):
+            total = coeff * image + total
         return total
 
     def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
@@ -582,14 +612,27 @@ class MultiPoly:
         missing = self.symbols() - set(mapping)
         if missing:
             raise MissingSymbol(sorted(missing)[0])
-        total = MultiPoly()
+        acc: dict[int, int | Fraction] = {}
+        get = acc.get
+        for coeff, image in self._term_images(mapping, ONE):
+            for mono, c in image._terms:
+                acc[mono] = get(mono, 0) + coeff * c
+        return MultiPoly._from_terms(acc)
+
+    def _term_images(self, images: Mapping[str, object], one):
+        """(coefficient, product of images[symbol]**exponent) for each term,
+        raising each image to each power once per call; ``one`` is the
+        empty product."""
+        powers: dict[tuple[int, int], object] = {}
         for exps, coeff in self.terms:
-            term = MultiPoly.const(coeff)
+            image = one
             for i, e in enumerate(exps):
                 if e:
-                    term = term * mapping[SYMBOLS[i]] ** e
-            total = total + term
-        return total
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = images[SYMBOLS[i]] ** e
+                    image = power if image is one else image * power
+            yield coeff, image
 
     # -- normal form ---------------------------------------------------------
 
@@ -683,30 +726,63 @@ def _poly_gcd_1var(
     a: Sequence[int | Fraction], b: Sequence[int | Fraction]
 ) -> list[Fraction]:
     """Monic gcd of two coefficient lists; [] when both are zero."""
-    a, b = _trim(a), _trim(b)
+    a, b = _primitive_1var(a), _primitive_1var(b)
     while b:
-        a, b = b, _divmod_1var(a, b)[1]
-    return [c / a[-1] for c in a] if a else []
+        a, b = b, _remainder_1var(a, b)
+    return [Fraction(c, a[-1]) for c in a] if a else []
+
+
+def _primitive_1var(coeffs: Sequence[int | Fraction]) -> list[int]:
+    """Trimmed coefficients times the positive rational that makes them
+    coprime integers; [] for zero."""
+    coeffs = [_coeff(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    return [c // content for c in ints]
+
+
+def _remainder_1var(f: list[int], g: list[int]) -> list[int]:
+    """Remainder of integer lists f by g times a positive rational, primitive.
+
+    Each step scales f by |lead(g)| before cancelling its leading term, so
+    the remainder keeps its sign and no Fraction is formed.
+    """
+    f, n = list(f), len(g) - 1
+    scale, sign = abs(g[-1]), (1 if g[-1] > 0 else -1)
+    while len(f) > n:
+        top = f.pop() * sign
+        shift = len(f) - n
+        f = [c * scale for c in f]
+        for i in range(n):
+            f[shift + i] -= top * g[i]
+        while f and not f[-1]:
+            f.pop()
+    return _primitive_1var(f)
 
 
 def _derivative(coeffs: Sequence[int | Fraction]) -> list[int | Fraction]:
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _eval_coeffs(coeffs: Sequence[int | Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
+def _eval_coeffs(coeffs: Sequence[int | Fraction], x: Fraction) -> int | Fraction:
+    out, x = 0, _coeff(x)
     for c in reversed(coeffs):
         out = out * x + c
     return out
 
 
-def _sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[Fraction]]:
-    chain = [_trim(coeffs)]
-    der = _trim(_derivative(chain[0]))
+def _sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[int]]:
+    """Sturm sequence up to a positive factor per entry, which keeps every
+    sign and so every count of sign variations."""
+    chain = [_primitive_1var(coeffs)]
+    der = _primitive_1var(_derivative(chain[0]))
     if der:
         chain.append(der)
         while len(chain[-1]) > 1:
-            rem = _divmod_1var(chain[-2], chain[-1])[1]
+            rem = _remainder_1var(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append([-c for c in rem])
@@ -791,7 +867,8 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
 
     def divisors(c: Fraction):
         n = abs(int(c * den))
-        return [d for d in range(1, n + 1) if n % d == 0]
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in reversed(small) if d * d != n]
 
     roots = [Fraction(0)] * zeros
     for a in divisors(coeffs[0]):
@@ -847,6 +924,30 @@ class SieveSet:
         self.members = _SIEVE_MEMBERS
         self.by_name = {mem.name: mem for mem in self.members}
         self._cache: dict[MultiPoly, NonzeroCertificate | None] = {}
+        self._monomial_values: dict[int, int] = {}
+        self._member_residues = tuple(self._residue(mem.poly) for mem in self.members)
+        for mem, value in zip(self.members, self._member_residues):
+            coeffs = [c for _, c in mem.poly._terms]
+            if (mem.poly.is_constant() or not value
+                    or Fraction in map(type, coeffs) or gcd(*coeffs) != 1):
+                raise ValueError(f"sieve member {mem.name} breaks the residue "
+                                 f"test: it must be a nonconstant primitive "
+                                 f"integer polynomial, nonzero at "
+                                 f"{_RESIDUE_POINT}")
+
+    def _residue(self, p: MultiPoly) -> int | None:
+        """p at ``_RESIDUE_POINT``, or None when a coefficient is a Fraction."""
+        values = self._monomial_values
+        total = 0
+        for mono, c in p._terms:
+            if type(c) is not int:
+                return None
+            v = values.get(mono)
+            if v is None:
+                v = values[mono] = prod(
+                    x**e for x, e in zip(_RESIDUE_POINT, _unpack(mono)))
+            total += c * v
+        return total
 
     def certify(self, p: MultiPoly) -> NonzeroCertificate | None:
         """Trial-division certificate that p is nonzero on the primitive region.
@@ -869,19 +970,21 @@ class SieveSet:
         """(remainder, (name, exponent) pairs divided out): p divided by sieve
         members until none divides, so p = remainder * their product."""
         rem = p
+        residue = self._residue(p)
         factors: list[tuple[str, int]] = []
         progress = True
         while progress and not rem.is_constant():
             progress = False
-            for mem in self.members:
-                if mem.poly.is_constant():
-                    continue
+            for mem, value in zip(self.members, self._member_residues):
                 count = 0
-                while True:
+                # an exact division needs value | residue (module docstring)
+                while residue is None or residue % value == 0:
                     q = rem.divide_exact(mem.poly)
                     if q is None:
                         break
                     rem = q
+                    if residue is not None:
+                        residue //= value
                     count += 1
                 if count:
                     factors.append((mem.name, count))
@@ -890,6 +993,9 @@ class SieveSet:
 
 
 _CACHE_MISS = object()
+# (k, l, r, s, m) for the residue test in ``SieveSet.strip``; no member
+# vanishes there (checked when the sieve is built)
+_RESIDUE_POINT = (1009, 2003, 307, -409, 13)
 
 
 # the one sieve: certificates name its members, so they are a constant

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import expected as X
+from srgfusion import cli
 from srgfusion.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -255,6 +256,18 @@ def test_usage_errors(capsys):
         assert run_cli(*argv) == (1, "")
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+def test_a_key_error_is_a_bug_not_a_usage_error(monkeypatch, capsys):
+    """Every input error is a ValueError; a KeyError from a command is a
+    bug and propagates instead of printing as a usage error."""
+    def broken(args):
+        raise KeyError("missing entry")
+
+    monkeypatch.setitem(cli._COMMANDS, "table", broken)
+    with pytest.raises(KeyError, match="missing entry"):
+        run_cli("table", "--eigen", "3,6,1,-2")
+    assert capsys.readouterr().err == ""
 
 
 def test_python_dash_m_runs_the_cli():

@@ -2,9 +2,10 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srgfusion import exact
@@ -251,6 +252,12 @@ def test_poly_division_exact_non_integral_quotient():
     q = (6 * K + 4).divide_exact(MultiPoly.const(2))
     assert q == 3 * K + 2
     assert all(type(c) is int for _, c in q.terms)
+    # a negative divisor: the remainder decides int or Fraction per term
+    q = (3 * K + 2 * L).divide_exact(MultiPoly.const(-2))
+    assert q.terms == ((E_K, Fraction(-3, 2)), ((0, 1, 0, 0, 0), -1))
+    assert type(q.terms[1][1]) is int
+    q = (Fraction(1, 2) * K * K + K).divide_exact(Fraction(1, 2) * K)
+    assert q == K + 2 and all(type(c) is int for _, c in q.terms)
 
 
 def test_normalized_scales_to_primitive_integers():
@@ -441,3 +448,183 @@ def test_every_sieve_set_holds_the_one_sieve():
     with pytest.raises(TypeError):
         exact.SieveSet(default_sieve_set().members)
     assert not {"SieveSet", "SieveMember"} & set(srgfusion.__all__)
+
+
+# -- integer fast paths against plain references -----------------------------
+
+def ref_divide(p: MultiPoly, d: MultiPoly) -> MultiPoly | None:
+    """Plain long division on exponent tuples with Fraction coefficients:
+    the quotient when d divides p exactly, else None."""
+    def lead(terms):
+        return max(terms, key=tuple_key)
+
+    rem = {e: Fraction(c) for e, c in p.terms}
+    div = {e: Fraction(c) for e, c in d.terms}
+    d_lead = lead(div)
+    q = {}
+    while rem:
+        r_lead = lead(rem)
+        shift = tuple(a - b for a, b in zip(r_lead, d_lead))
+        if min(shift) < 0:
+            return None
+        c = rem[r_lead] / div[d_lead]
+        q[shift] = c
+        for e, dc in div.items():
+            e = tuple(a + b for a, b in zip(e, shift))
+            rem[e] = rem.get(e, 0) - c * dc
+            if not rem[e]:
+                del rem[e]
+    return MultiPoly(q)
+
+
+def ref_strip(p: MultiPoly):
+    """Plain trial division by each sieve member in turn, repeated until
+    no member divides (``SieveSet.strip`` without the residue test)."""
+    rem, factors, progress = p, [], True
+    while progress and not rem.is_constant():
+        progress = False
+        for mem in default_sieve_set().members:
+            count = 0
+            while (q := ref_divide(rem, mem.poly)) is not None:
+                rem, count = q, count + 1
+            if count:
+                factors.append((mem.name, count))
+                progress = True
+    return rem, tuple(factors)
+
+
+def ref_substitute(p: MultiPoly, mapping) -> MultiPoly:
+    """Term-by-term composition."""
+    total = MultiPoly()
+    for exps, coeff in p.terms:
+        term = MultiPoly.const(coeff)
+        for name, e in zip(exact.SYMBOLS, exps):
+            term = term * mapping[name] ** e
+        total = total + term
+    return total
+
+
+def same_poly(got: MultiPoly, want: MultiPoly) -> bool:
+    """Equal terms with equal coefficient types (int versus Fraction)."""
+    return got == want and coeff_types(got) == coeff_types(want)
+
+
+def nonzero_polys(min_terms):
+    mono = st.tuples(*(st.integers(0, 2) for _ in range(5)))
+    return st.dictionaries(mono, small_coeffs.filter(bool), min_size=min_terms,
+                           max_size=4).map(MultiPoly)
+
+
+@given(nonzero_polys(1), nonzero_polys(2),
+       st.tuples(*(st.integers(0, 2) for _ in range(5))), small_coeffs.filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_divide_exact_matches_plain_long_division(a, d, low, perturbation):
+    product = a * d
+    assert same_poly(product.divide_exact(d), a)
+    assert same_poly(product.divide_exact(d), ref_divide(product, d))
+    # a divisor with two or more terms divides no nonzero monomial, so
+    # adding one below the product's leading term breaks exactness
+    if tuple_key(low) < tuple_key(product.leading()[0]):
+        perturbed = product + MultiPoly({low: perturbation})
+        assert perturbed.divide_exact(d) is None
+        assert ref_divide(perturbed, d) is None
+
+
+_SIEVE_NAMES = [mem.name for mem in default_sieve_set().members]
+
+
+@given(st.dictionaries(st.sampled_from(_SIEVE_NAMES), st.integers(1, 3), max_size=3),
+       nonzero_polys(1), st.sampled_from([1, -3, Fraction(3, 5)]))
+@settings(max_examples=40, deadline=None)
+@example({"k-r": 2, "1+s": 1}, K + S, Fraction(1, 2))
+def test_strip_matches_plain_trial_division(exponents, cofactor, scale):
+    lookup = {mem.name: mem.poly for mem in default_sieve_set().members}
+    p = scale * cofactor
+    for name, exp in exponents.items():
+        p = p * lookup[name] ** exp
+    rem, factors = default_sieve_set().strip(p)
+    want_rem, want_factors = ref_strip(p)
+    assert same_poly(rem, want_rem) and factors == want_factors
+
+
+@given(small_polys(), st.lists(small_polys(), min_size=5, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_term_by_term_composition(p, images):
+    mapping = dict(zip(exact.SYMBOLS, images))
+    assert same_poly(p.substitute(mapping), ref_substitute(p, mapping))
+
+
+def test_residue_preconditions_hold():
+    """Every member has integer coprime coefficients and is nonzero at the
+    residue point, where ``_residue`` is its value; a polynomial with a
+    Fraction coefficient has no residue."""
+    sieve = default_sieve_set()
+    point = dict(zip(exact.SYMBOLS, map(Fraction, exact._RESIDUE_POINT)))
+    for mem in sieve.members:
+        coeffs = [c for _, c in mem.poly.terms]
+        assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1, mem.name
+        value = mem.poly.evaluate(point)
+        assert value != 0 and sieve._residue(mem.poly) == value, mem.name
+    p = K * K * S - 7 * R * M + 3
+    assert sieve._residue(p) == p.evaluate(point)
+    assert sieve._residue(p + Fraction(1, 2) * L) is None
+
+
+@pytest.mark.parametrize("member", [
+    ("unit", ONE, 1, ""),
+    ("k-1009", K - 1009, 1, ""),
+    ("2k", 2 * K, 1, ""),
+    ("k/2", Fraction(1, 2) * K, 1, ""),
+])
+def test_sieve_refuses_a_member_the_residue_test_cannot_use(monkeypatch, member):
+    monkeypatch.setattr(exact, "_SIEVE_MEMBERS", (exact.SieveMember(*member),))
+    with pytest.raises(ValueError, match="residue test"):
+        exact.SieveSet()
+
+
+def ref_evaluate(p: MultiPoly, assignment):
+    """Term-by-term evaluation."""
+    total = Fraction(0)
+    for exps, coeff in p.terms:
+        term = coeff
+        for name, e in zip(exact.SYMBOLS, exps):
+            if e:
+                term = term * assignment[name] ** e
+        total = term + total
+    return total
+
+
+@given(small_polys(), st.sampled_from([
+    {"k": Fraction(2), "l": Fraction(2), "r": GOLDEN_R, "s": GOLDEN_S, "m": Fraction(3)},
+    {"k": Fraction(5), "l": Fraction(-10, 3), "r": Fraction(1), "s": Fraction(-3),
+     "m": Fraction(1, 2)},
+]))
+@settings(max_examples=40, deadline=None)
+def test_evaluate_matches_term_by_term_evaluation(p, point):
+    got, want = p.evaluate(point), ref_evaluate(p, point)
+    assert got == want and type(got) is type(want)
+
+
+quad_parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(quad_parts, quad_parts, quad_parts, quad_parts, st.sampled_from([2, 5, 12, 13]))
+@settings(max_examples=60, deadline=None)
+def test_quadratic_arithmetic_matches_quad(a1, b1, a2, b2, d):
+    """Sums, differences and products within one field equal ``quad`` of
+    the componentwise formulas, with the same type (a Fraction when the
+    irrational part cancels)."""
+    x, y = quad(a1, b1, d), quad(a2, b2, d)
+    if not isinstance(x, QuadraticValue):
+        return
+    d0 = x.d
+    ya, yb = (y.a, y.b) if isinstance(y, QuadraticValue) else (Fraction(y), Fraction(0))
+    for got, want in (
+        (x + y, quad(x.a + ya, x.b + yb, d0)),
+        (x - y, quad(x.a - ya, x.b - yb, d0)),
+        (y - x, quad(ya - x.a, yb - x.b, d0)),
+        (x * y, quad(x.a * ya + x.b * yb * d0, x.a * yb + x.b * ya, d0)),
+        (x + x.conjugate(), quad(2 * x.a, 0, d0)),
+    ):
+        assert got == want and type(got) is type(want)
+        assert not isinstance(got, QuadraticValue) or got.b != 0

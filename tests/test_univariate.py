@@ -25,8 +25,10 @@ from srgfusion.exact import (
     _count_roots_open,
     _divmod_1var,
     _poly_gcd_1var,
+    _primitive_1var,
     _quadratic_roots_exact,
     _rational_roots,
+    _remainder_1var,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -85,7 +87,20 @@ def test_gcd_matches_monic_sympy_gcd(common, a, b):
     got = _poly_gcd_1var(fc, gc)
     want = sympy.Poly(sympy.gcd(f, g), X, domain="QQ").monic().as_expr()
     assert same(to_expr(got), want)
-    assert got[-1] == 1
+    assert got[-1] == 1 and all(type(c) is Fraction for c in got)
+
+
+@given(polys(0, 6), polys(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_integer_remainder_is_a_positive_multiple(f, g):
+    """gcd and Sturm chains divide integer lists; each remainder is the
+    rational remainder times a positive constant, so no sign changes."""
+    want = _divmod_1var(f, g)[1]
+    got = _remainder_1var(_primitive_1var(f), _primitive_1var(g))
+    assert all(type(c) is int for c in got) and len(got) == len(want)
+    if want:
+        ratio = got[-1] / want[-1]
+        assert ratio > 0 and [ratio * c for c in want] == got
 
 
 def test_gcd_of_zero_polynomials():
@@ -170,6 +185,12 @@ def test_rational_roots_cases():
     assert _rational_roots([-4, 0, 1]) == [2, -2]
     assert _rational_roots([1, 0, 1]) == []
     assert _rational_roots([3]) == []
+    # divisors up to the square root, in ascending order: a large prime
+    # root is quick and the roots keep the order the test meets them
+    big = 10**9 + 7
+    assert _rational_roots([-big, 1]) == [big]
+    assert _rational_roots([-3 * big, 3 - 2 * big, 2]) == [f(-3, 2), big]
+    assert _rational_roots([36, 0, -13, 0, 1]) == [2, -2, 3, -3]
 
 
 # -- multivariate kernels ------------------------------------------------------
