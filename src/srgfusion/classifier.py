@@ -59,8 +59,8 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Sequence
+from math import isqrt, prod
+from typing import Iterable, Sequence
 
 from .exact import (
     K,
@@ -71,8 +71,10 @@ from .exact import (
     MultiPoly,
     NonzeroCertificate,
     ONE,
+    QuadraticValue,
     R,
     S,
+    SYMBOLS,
     _SYM_INDEX,
     _count_roots_open,
     _poly_gcd_1var,
@@ -326,12 +328,71 @@ def family_by_id(fid: str) -> FamilySpec:
     raise KeyError(fid)
 
 
+# Family witnesses are family members mapped to the integers mod this
+# prime.  It is 3 mod 4, so a square x has the square root x**((p+1)/4), and
+# 5 is a square mod it, so SP5's golden point has an image too.
+_WITNESS_PRIME = 2**61 - 1
+# the free-symbol values at which a parametric family's witness is taken
+_WITNESS_FREE = {"k": 1009, "l": 2003, "r": 307, "s": -409, "m": 13}
+
+
+def _mod_witness(v) -> int | None:
+    """The image of an exact value under a ring map to the integers mod
+    ``_WITNESS_PRIME``; None for a radicand with no square root there."""
+    p = _WITNESS_PRIME
+    if isinstance(v, QuadraticValue):
+        root = pow(v.d, (p + 1) // 4, p)
+        if (root * root - v.d) % p:
+            return None
+        return (_mod_witness(v.a) + _mod_witness(v.b) * root) % p
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
+class _ImageZero(dict):
+    """Memo of one family: does a polynomial vanish on the family?
+
+    The witness is a member of the family (its point, for a point family)
+    under the ring map of ``_mod_witness``; a polynomial whose image there
+    is nonzero is nonzero on that member, so it does not vanish.  Only the
+    rest are substituted, or evaluated at the point, exactly.
+    """
+
+    def __init__(self, fam: FamilySpec):
+        super().__init__()
+        self.fam = fam
+        member = dict(fam.point) if fam.point else {
+            name: img.evaluate(_WITNESS_FREE) for name, img in fam.substitution}
+        self.witness = tuple(_mod_witness(member.get(name, 0)) for name in SYMBOLS)
+        self.monomials: dict[tuple[int, ...], int] = {}
+
+    def __missing__(self, poly: MultiPoly) -> bool:
+        fam = self.fam
+        if None not in self.witness and self._at_witness(poly):
+            zero = False
+        elif fam.point:
+            zero = poly.evaluate(dict(fam.point)) == 0
+        else:
+            zero = poly.substitute(fam.substitution_map()).is_zero()
+        self[poly] = zero
+        return zero
+
+    def _at_witness(self, poly: MultiPoly) -> int:
+        """poly's image at the witness; monomial images are memoized."""
+        p = _WITNESS_PRIME
+        total = 0
+        for exps, c in poly.terms:
+            v = self.monomials.get(exps)
+            if v is None:
+                v = self.monomials[exps] = prod(
+                    pow(x, e, p) for x, e in zip(self.witness, exps)) % p
+            total += (c if type(c) is int else _mod_witness(c)) * v
+        return total % p
+
+
 @lru_cache(maxsize=None)
-def _family_image_zero(fid: str, poly: MultiPoly) -> bool:
-    fam = family_by_id(fid)
-    if fam.point:
-        return poly.evaluate(dict(fam.point)) == 0
-    return poly.substitute(fam.substitution_map()).is_zero()
+def _family_image_zero(fid: str) -> _ImageZero:
+    """The family's memo; ``family_match`` looks every polynomial up in it."""
+    return _ImageZero(family_by_id(fid))
 
 
 def family_match(
@@ -346,11 +407,20 @@ def family_match(
     parameter set being infinite).  Point families are matched by exact
     evaluation at each primitive member.  Distinctness requires, for every
     pair of merged row classes, at least one difference that does not
-    vanish identically (resp. at each point).
+    vanish identically (resp. at each point).  Each polynomial is decided
+    once per family, in the family's ``_ImageZero`` memo.
     """
-    return (all(_family_image_zero(fam.id, e) for e in equations)
-            and not any(all(_family_image_zero(fam.id, d) for d in diffs)
-                        for diffs in distinctness))
+    zero = _family_image_zero(fam.id)
+    for e in equations:
+        if not zero[e]:
+            return False
+    for diffs in distinctness:
+        for d in diffs:
+            if not zero[d]:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -369,28 +439,28 @@ def _block_difference(a: int, b: int, mask: int) -> MultiPoly:
     return (sums[a][mask] - sums[b][mask]).normalized()
 
 
-# Which row pairs can never merge is kept as bits: bit a*9 + b (a < b) of an
-# int stands for rows a, b of the 9-row symbolic table, the layout of
-# ``CharTable.pair_bits``.
+# Which row pairs can never merge is kept as bits: bits a*9 + b and b*9 + a
+# of an int both stand for rows a, b of the 9-row symbolic table, so the
+# nine bits from a*9 up are the rows that can never merge with row a.
 _ROWS = 9
 # Valency domination blocks row 0 against every other row: merging chi_00
 # with chi_ij would force chi_i(A_a) chi_j(A_b) = chi_0(A_a) chi_0(A_b) in
 # every column, since the valency row dominates termwise; column A_10 or
 # A_01 then requires k = r or k = s, and k - r, k - s are sieve-certified.
-_VALENCY_BLOCKED = sum(1 << b for b in range(1, _ROWS))
+_VALENCY_BLOCKED = sum(1 << b | 1 << b * _ROWS for b in range(1, _ROWS))
 
 
 @lru_cache(maxsize=None)
 def _blocked_pair_bits(mask: int) -> int:
-    """Bit ``a*9 + b`` for each pair of rows 1 <= a < b whose difference on
-    the block ``mask`` carries a sieve certificate.  The sieve memoizes
-    certificates by polynomial."""
+    """Bits ``a*9 + b`` and ``b*9 + a`` for each pair of rows 1 <= a < b
+    whose difference on the block ``mask`` carries a sieve certificate.
+    The sieve memoizes certificates by polynomial."""
     sieve = default_sieve_set()
     bits = 0
     for a, b in itertools.combinations(range(1, _ROWS), 2):
         diff = _block_difference(a, b, mask)
         if not diff.is_zero() and sieve.certify(diff) is not None:
-            bits |= 1 << (a * _ROWS + b)
+            bits |= 1 << (a * _ROWS + b) | 1 << (b * _ROWS + a)
     return bits
 
 
@@ -423,14 +493,22 @@ class EqualityGraph:
     blocked: int
 
     def can_merge(self, ci: int, cj: int) -> bool:
-        return not _pairwise_blocked(
-            sorted((self.classes[ci][0], self.classes[cj][0])), self.blocked)
+        return not self.blocked >> (
+            self.classes[ci][0] * _ROWS + self.classes[cj][0]) & 1
 
     def equations(self, ci: int, cj: int) -> tuple[MultiPoly, ...]:
         """The distinct nonzero block differences of the two classes."""
         a, b = sorted((self.classes[ci][0], self.classes[cj][0]))
-        diffs = (_block_difference(a, b, mask) for mask in self.masks)
-        return tuple(dict.fromkeys(d for d in diffs if not d.is_zero()))
+        return _pair_equations(a, b, self.masks)
+
+
+@lru_cache(maxsize=None)
+def _pair_equations(a: int, b: int, masks: tuple[int, ...]) -> tuple[MultiPoly, ...]:
+    """The distinct nonzero block differences of rows a < b, in block order;
+    a row pair's equations recur across the merge patterns of a partition
+    and across partitions sharing its masks."""
+    diffs = (_block_difference(a, b, mask) for mask in masks)
+    return tuple(dict.fromkeys(d for d in diffs if not d.is_zero()))
 
 
 def potential_equality_graph(p: SetPartition) -> EqualityGraph:
@@ -508,8 +586,9 @@ def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
     progress = True
     while progress and not rem.is_constant():
         progress = False
+        norm = rem.normalized()
         for cand in _factor_basis():
-            if cand == rem.normalized():
+            if cand == norm:
                 continue
             q = rem.divide_exact(cand)
             if q is not None:
@@ -642,14 +721,18 @@ def _apply_substitutions(
         d = out.degree(rec.var)
         if d <= 0:
             continue
-        num_powers, den_powers = [ONE, -rec.num], [ONE, rec.den]
-        for _ in range(d - 1):
-            num_powers.append(num_powers[-1] * num_powers[1])
-            den_powers.append(den_powers[-1] * rec.den)
-        acc = MultiPoly()
-        for power, coeff in enumerate(out.coefficients(rec.var)):
-            acc = acc + coeff * num_powers[power] * den_powers[d - power]
-        out = acc
+        if d == 1:
+            c0, c1 = out.coefficients(rec.var)
+            out = c0 * rec.den - c1 * rec.num
+        else:
+            num_powers, den_powers = [ONE, -rec.num], [ONE, rec.den]
+            for _ in range(d - 1):
+                num_powers.append(num_powers[-1] * num_powers[1])
+                den_powers.append(den_powers[-1] * rec.den)
+            acc = MultiPoly()
+            for power, coeff in enumerate(out.coefficients(rec.var)):
+                acc = acc + coeff * num_powers[power] * den_powers[d - power]
+            out = acc
         if d % 2:
             sign *= (scalar_sign(rec.den.constant_value()) if rec.den.is_constant()
                      else rec.den_certificate.region_sign())
@@ -741,8 +824,12 @@ def _determinant(rows: list[list[MultiPoly]]) -> MultiPoly:
     return out
 
 
-def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
-    """Replace univariate subsystems by their gcd; None when nothing changes."""
+@lru_cache(maxsize=None)
+def _univariate_gcd_reduce(
+    system: tuple[MultiPoly, ...]
+) -> tuple[MultiPoly, ...] | None:
+    """Replace univariate subsystems by their gcd; None when nothing changes.
+    Memoized: the branches of different systems meet in few subsystems."""
     by_var: dict[str, list[int]] = {}
     for idx, e in enumerate(system):
         syms = e.symbols()
@@ -770,7 +857,7 @@ def _univariate_gcd_reduce(system: list[MultiPoly]) -> list[MultiPoly] | None:
             out[idxs[0]] = g
     if not changed:
         return None
-    return [e for idx, e in enumerate(out) if idx not in drop]
+    return tuple(e for idx, e in enumerate(out) if idx not in drop)
 
 
 @lru_cache(maxsize=None)
@@ -808,31 +895,38 @@ def _screen(e: MultiPoly) -> tuple[MultiPoly, ProofLeaf | None]:
 
 
 @lru_cache(maxsize=None)
-def _pivot_candidate(
-    e: MultiPoly, var: str
-) -> tuple[int, MultiPoly, MultiPoly, NonzeroCertificate | None] | None:
-    """(rank, a_part, b_part, certificate) when e = a_part + b_part * var
-    and b_part is constant (rank 0) or sieve-certified (rank 1); else None."""
-    if e.degree(var) != 1:
-        return None
-    a_part, b_part = e.coefficients(var)
-    b_norm = b_part.normalized()
-    if b_norm.is_constant():
-        return 0, a_part, b_part, None
-    cert = default_sieve_set().certify(b_norm)
-    if cert is None:
-        return None
-    return 1, a_part, b_part, cert
+def _pivot_candidates(e: MultiPoly) -> tuple:
+    """Per var of ``_ELIM_ORDER``: ((rank, size), a_part, b_part,
+    certificate) when e = a_part + b_part * var and b_part is constant
+    (rank 0) or sieve-certified (rank 1), size being e's term count; else
+    None."""
+    size = len(e.terms)
+    out = []
+    for var in _ELIM_ORDER:
+        cand = None
+        if e.degree(var) == 1:
+            a_part, b_part = e.coefficients(var)
+            b_norm = b_part.normalized()
+            if b_norm.is_constant():
+                cand = (0, size), a_part, b_part, None
+            else:
+                cert = default_sieve_set().certify(b_norm)
+                if cert is not None:
+                    cand = (1, size), a_part, b_part, cert
+        out.append(cand)
+    return tuple(out)
 
 
 def _run(
-    system: list[MultiPoly],
+    system: Iterable[MultiPoly],
     subs: tuple[SubstitutionRecord, ...],
     assumptions: tuple[MultiPoly, ...],
     depth: int,
 ) -> list[ProofLeaf]:
     """Leaves of one branch.  The one place a system is normalized and
-    deduplicated: callers pass plain lists, zeros and repeats included."""
+    deduplicated: callers pass any iterable, zeros and repeats included.
+    Equations are screened in order and the first contradiction ends the
+    branch, so a lazy iterable is consumed only up to it."""
     # constants and sieve-certified members force a contradiction, and
     # so do definite and region-rootless ones
     cleaned: list[MultiPoly] = []
@@ -858,7 +952,7 @@ def _run(
         idx, var, a_part, b_part, cert = pivot
         rec = SubstitutionRecord(var, a_part, b_part, cert)
         rest = system[:idx] + system[idx + 1:]
-        return _run([_substitute_one(e, rec) for e in rest],
+        return _run((_substitute_one(e, rec) for e in rest),
                     subs + (rec,), assumptions, depth + 1)
 
     # factor splits: replace one equation by branches over its factors;
@@ -873,7 +967,7 @@ def _run(
             return leaves
 
     # univariate subsystems collapse to their gcd
-    reduced = _univariate_gcd_reduce(system)
+    reduced = _univariate_gcd_reduce(tuple(system))
     if reduced is not None:
         return _run(reduced, subs, assumptions, depth + 1)
 
@@ -885,21 +979,21 @@ def _run(
 
 
 def _pick_pivot(system: list[MultiPoly]):
-    """A linear pivot whose coefficient is constant or sieve-certified."""
+    """A linear pivot whose coefficient is constant or sieve-certified:
+    the first of least (rank, size), vars taken in ``_ELIM_ORDER`` up to
+    the first that offers one of rank 0."""
     best = None
-    for var in _ELIM_ORDER:
-        for idx, e in enumerate(system):
-            cand = _pivot_candidate(e, var)
-            if cand is None:
-                continue
-            score = (cand[0], len(e.terms))
-            if best is None or score < best[0]:
-                best = (score, idx, var, cand)
-        if best is not None and best[0][0] == 0:
+    candidates = [_pivot_candidates(e) for e in system]
+    for vi, var in enumerate(_ELIM_ORDER):
+        for idx, cands in enumerate(candidates):
+            cand = cands[vi]
+            if cand is not None and (best is None or cand[0] < best[0][0]):
+                best = (cand, idx, var)
+        if best is not None and best[0][0][0] == 0:
             break
     if best is None:
         return None
-    _, idx, var, (_, a_part, b_part, cert) = best
+    (_, a_part, b_part, cert), idx, var = best
     return idx, var, a_part, b_part, cert
 
 
@@ -1086,23 +1180,47 @@ def _enumerate_groupings(
 
 
 def _place_classes(graph: EqualityGraph, target: int, ci: int,
-                   groups: list[list[int]], results: list) -> None:
+                   groups: list[tuple[int, tuple[int, ...]]], results: list) -> None:
     """Place classes ci.. into ``groups``, appending to ``results`` every
-    completion into exactly ``target`` groups."""
+    completion into exactly ``target`` groups.  A group is (bitmask of its
+    classes' first rows, class indices); class ci joins a group when its
+    first row is blocked with none of the group's."""
     count = len(graph.classes)
     if len(groups) > target or len(groups) + count - ci < target:
         return
     if ci == count:  # the bounds above leave exactly target groups
-        results.append(((0,),) + tuple(tuple(g) for g in groups))
+        results.append(((0,),) + tuple(members for _, members in groups))
         return
-    for g in groups:
-        if all(graph.can_merge(ci, cj) for cj in g):
-            g.append(ci)
+    row = graph.classes[ci][0]
+    blocked = graph.blocked >> row * _ROWS
+    for gi, group in enumerate(groups):
+        rows, members = group
+        if not blocked & rows:
+            groups[gi] = (rows | 1 << row, members + (ci,))
             _place_classes(graph, target, ci + 1, groups, results)
-            g.pop()
-    groups.append([ci])
+            groups[gi] = group
+    groups.append((1 << row, (ci,)))
     _place_classes(graph, target, ci + 1, groups, results)
     groups.pop()
+
+
+def _pairwise_blocked_rows(blocked: int, size: int, candidates: int,
+                           chosen: tuple[int, ...] = ()) -> tuple[int, ...] | None:
+    """The first ``size`` pairwise-blocked rows in increasing lexicographic
+    order, the order ``itertools.combinations`` visits: ``chosen``
+    extended from ``candidates``, a bitmask of rows above it that are
+    blocked with every chosen one."""
+    if len(chosen) == size:
+        return chosen
+    while candidates.bit_count() >= size - len(chosen):
+        low = candidates & -candidates
+        candidates ^= low
+        row = low.bit_length() - 1
+        found = _pairwise_blocked_rows(
+            blocked, size, candidates & blocked >> row * _ROWS, chosen + (row,))
+        if found is not None:
+            return found
+    return None
 
 
 def _grouping_system(
@@ -1222,10 +1340,9 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
     # bits before any merge pattern is enumerated.
     graph = potential_equality_graph(p)
     m = p.num_blocks + 1
-    firsts = tuple(cls[0] for cls in graph.classes)
-    cert = next((RowCountCertificate(combo, m)
-                 for combo in itertools.combinations(firsts, m + 1)
-                 if _pairwise_blocked(combo, graph.blocked)), None)
+    firsts = sum(1 << cls[0] for cls in graph.classes)
+    reps = _pairwise_blocked_rows(graph.blocked, m + 1, firsts)
+    cert = None if reps is None else RowCountCertificate(reps, m)
     analyses: tuple[GroupingAnalysis, ...] = ()
     if cert is None:
         analyses = tuple(_analyze_grouping(graph, g)

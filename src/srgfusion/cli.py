@@ -136,11 +136,17 @@ def cmd_table(args):
     doc = {
         "input": echo,
         "table": table.to_json(),
-        "feasibility": {"primitive": rep.primitive, "imprimitive_kind": kind},
+        "feasibility": {
+            "primitive": rep.primitive,
+            "imprimitive_kind": kind,
+            "violations": [{"item": item, "value": value_to_json(value)}
+                           for item, value in rep.violations],
+        },
     }
     lines = _table_lines(table)
     lines.append(f"primitive: {rep.primitive}"
                  + (f" (imprimitive case {kind})" if kind != "none" else ""))
+    lines += [f"violation: {item} = {value}" for item, value in rep.violations]
     return doc, lines, 0
 
 

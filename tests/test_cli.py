@@ -74,6 +74,19 @@ def test_table_text_and_json():
     assert code == 0
     doc = json.loads(text)
     assert doc["feasibility"]["imprimitive_kind"] == "k=r,s=-1"
+    assert doc["feasibility"]["violations"] == []
+
+
+def test_table_names_each_feasibility_violation():
+    """mu = k + r + s + rs = -13 is the structure constant b1[1][1]; both
+    formats name it with its value."""
+    code, text = run_cli("table", "--eigen", "16,448,1,-15")
+    assert code == 0
+    assert "primitive: False\nviolation: b1[1][1] = -13\n" in text
+    code, text = run_cli("table", "--eigen", "16,448,1,-15", "--format", "json")
+    assert code == 0
+    assert json.loads(text)["feasibility"]["violations"] == [
+        {"item": "b1[1][1]", "value": -13}]
 
 
 def test_eigen_input_imprimitive_scan():
@@ -290,17 +303,17 @@ PINNED_OUTPUTS = {
     "table --n 10 --k 3 --mu 0 --nu 1":
         (0, "1a6ff67753071b7c", EMPTY),
     "table --n 10 --k 3 --mu 0 --nu 1 --format json":
-        (0, "903cb1288de0c28a", EMPTY),
+        (0, "ba23748770012958", EMPTY),
     "table --graph paley13":
         (0, "56d372f02c93c765", EMPTY),
     "table --graph paley13 --format json":
-        (0, "d7446282716d74dc", EMPTY),
+        (0, "b6454e8dcf282dac", EMPTY),
     "table --eigen 2,6,2,-1 --format json":
-        (0, "3617f19a8ec4031a", EMPTY),
+        (0, "53eb2e9e7671c8d4", EMPTY),
     "table --n 15 --k 7 --mu 3 --nu 3 --table-algebra":
         (0, "6b4563181e78ca6e", "641fac622ababc84"),
     "table --eigen 16,448,1,-15":  # mu = k+r+s+rs = -13: not primitive
-        (0, "7b2c72b9ec1b39e9", EMPTY),
+        (0, "87cf563b9b849f57", EMPTY),
     "scan --graph petersen":
         (0, "5dd407b55048c609", EMPTY),
     "scan --graph petersen --format json":
