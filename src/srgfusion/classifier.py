@@ -391,8 +391,17 @@ class _ImageZero(dict):
 
 @lru_cache(maxsize=None)
 def _family_image_zero(fid: str) -> _ImageZero:
-    """The family's memo; ``family_match`` looks every polynomial up in it."""
-    return _ImageZero(family_by_id(fid))
+    """The family's memo; ``family_match`` looks every polynomial up in it.
+
+    The memo is keyed by what the decision depends on, so families at one
+    point (SP9 and CR4) share it and decide each polynomial once.
+    """
+    fam = family_by_id(fid)
+    # the first family in the catalogue with this point (or substitution)
+    # holds the memo
+    key = fam.point or fam.substitution
+    owner = next(f for f in family_catalog() if (f.point or f.substitution) == key)
+    return _ImageZero(fam) if owner is fam else _family_image_zero(owner.id)
 
 
 def family_match(
@@ -408,7 +417,7 @@ def family_match(
     evaluation at each primitive member.  Distinctness requires, for every
     pair of merged row classes, at least one difference that does not
     vanish identically (resp. at each point).  Each polynomial is decided
-    once per family, in the family's ``_ImageZero`` memo.
+    once per point or substitution, in the family's ``_ImageZero`` memo.
     """
     zero = _family_image_zero(fam.id)
     for e in equations:
@@ -532,7 +541,22 @@ def _factor_basis() -> tuple[MultiPoly, ...]:
         K + S, L - 1 - R, K + 1 + S,
     ]
     normal = (p.normalized() for p in polys)
-    return tuple(dict.fromkeys(n for n in normal if not n.is_constant()))
+    basis = tuple(dict.fromkeys(n for n in normal if not n.is_constant()))
+    # the residue test of ``_split_poly`` needs what the sieve's needs
+    # (see the ``exact`` module docstring)
+    for cand in basis:
+        if not _basis_residue(cand):
+            raise ValueError(f"factor-basis member {cand} breaks the residue "
+                             f"test: it must be a primitive integer polynomial, "
+                             f"nonzero at the residue point")
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _basis_residue(cand: MultiPoly) -> int | None:
+    """cand at the sieve's residue point, or None when a coefficient is a
+    Fraction; normalized() makes every basis member primitive."""
+    return default_sieve_set()._residue(cand)
 
 
 def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -581,14 +605,19 @@ def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
     """
     # every sieve member's irreducible factors are members too, so dividing
     # out a basis factor never lets a member divide again
-    rem, _ = default_sieve_set().strip(p.normalized())
+    sieve = default_sieve_set()
+    rem, _ = sieve.strip(p.normalized())
     factors: list[MultiPoly] = []
     progress = True
     while progress and not rem.is_constant():
         progress = False
         norm = rem.normalized()
+        # a division can succeed only where cand(P) divides rem(P), as in
+        # the sieve's residue test; a Fraction coefficient skips the test
+        residue = sieve._residue(rem)
         for cand in _factor_basis():
-            if cand == norm:
+            if cand == norm or (residue is not None
+                                and residue % _basis_residue(cand)):
                 continue
             q = rem.divide_exact(cand)
             if q is not None:

@@ -690,6 +690,24 @@ S = MultiPoly.var("s")
 M = MultiPoly.var("m")
 
 
+def basis_terms(x) -> tuple:
+    """An exact value as (basis key, rational coefficient) pairs.
+
+    A ``MultiPoly`` keys its terms by packed monomial, a ``QuadraticValue``
+    a + b*sqrt(d) by 1 and ("sqrt", d), and an int or ``Fraction`` by 1; all
+    three give 1 the key 0, the packed constant monomial.  Distinct keys
+    stand for elements linearly independent over Q, so two values are
+    equal exactly when their combinations are.
+    """
+    if isinstance(x, MultiPoly):
+        return x._terms
+    if isinstance(x, QuadraticValue):
+        return ((0, x.a), (("sqrt", x.d), x.b))
+    if isinstance(x, (int, Fraction)):
+        return ((0, x),)
+    raise TypeError(f"no exact basis for {type(x).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------

@@ -8,12 +8,19 @@ the number of classes, blocks plus one.
 
 Block sums are looked up, not re-added: ``block_masks`` checks a partition
 against the table and hands back its per-block keys (``SetPartition.masks``,
-computed once per partition) into the table's lazily built
-``CharTable.subset_sums``, which the classifier's block differences read too.
+set by the enumeration) into the table's lazily built column-sum views.
 Rows are compared through ``CharTable.row_classes``: per mask the table
 records once, as bits, which pairs of rows have equal sums, so a check ANDs
-a few ints and counts the classes of the result instead of hashing exact
-values; ``fused_table`` merges rows along the same classes, and the
+a few ints and counts the classes of the result.  The bits compare exact
+integer images of the sums, ``CharTable.subset_images``: every entry is a
+rational combination of basis keys, scaled to integers by the lcm L of the
+denominators, and key number t maps to B**t with B = 2C + 1, C the largest
+per-row sum of absolute scaled coefficients.  Two sums differ by a
+combination with coefficients in [-2C, 2C], which is zero exactly when its
+image is, so a scan adds and compares ints only.  The exact
+``CharTable.subset_sums`` are built only for readers that need the values:
+``summed_rows`` and ``fused_table``, and the classifier's block
+differences.  ``fused_table`` merges rows along the row classes, and the
 classifier's row-count check reads them too.
 
 The check is purely value-based, so the same routine serves numeric tables
@@ -24,6 +31,8 @@ entries are polynomials, and fused tables being re-fused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
 from .partitions import DEFAULT_GROUND, SetPartition, all_default_partitions
 from .scheme import CharTable
 
@@ -118,9 +127,15 @@ def scan_all(table: CharTable) -> list[FusionVerdict]:
     listed.
     """
     out = []
-    for p in all_default_partitions():
-        if 1 < p.num_blocks < len(DEFAULT_GROUND):
-            verdict = bm_check(table, p)
-            if verdict.is_fusion:
-                out.append(verdict)
+    for p in _nontrivial_default_partitions():
+        verdict = bm_check(table, p)
+        if verdict.is_fusion:
+            out.append(verdict)
     return out
+
+
+@lru_cache(maxsize=None)
+def _nontrivial_default_partitions() -> tuple[SetPartition, ...]:
+    """The 4138 partitions of {2,...,9} other than the two trivial ones."""
+    return tuple(p for p in all_default_partitions()
+                 if 1 < p.num_blocks < len(DEFAULT_GROUND))

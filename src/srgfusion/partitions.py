@@ -68,6 +68,23 @@ class SetPartition:
                 self, "_text",
                 "|".join("".join(map(str, block)) for block in self.blocks))
 
+    @classmethod
+    def _from_canonical(cls, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Trusted constructor from nonempty blocks already canonical (each
+        sorted, ordered by minimum, pairwise disjoint), with no checks.
+
+        Sets ``blocks``, the string form and, when every index is at least
+        2, ``masks`` together, in the order the checked path sets them.
+        """
+        p = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(p, "blocks", blocks)
+        if blocks and blocks[0][0] >= 0 and max(b[-1] for b in blocks) <= 9:
+            set_(p, "_text", "|".join("".join(map(str, b)) for b in blocks))
+        if blocks and blocks[0][0] >= 2:
+            set_(p, "masks", tuple(sum(1 << (x - 2) for x in b) for b in blocks))
+        return p
+
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int]]) -> "SetPartition":
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
@@ -82,8 +99,9 @@ class SetPartition:
         """Per block, its indices as bits: index x is bit x - 2.
 
         Fusion candidates partition {2, ..., n}, index 1 being the identity
-        class, so these are keys of ``CharTable.subset_sums``.  Computed
-        once per partition; equality and hashing still see only the blocks.
+        class, so these are keys of ``CharTable.subset_sums``.  The
+        enumeration sets them with the blocks; any other partition computes
+        them once, on first use.  Equality and hashing see only the blocks.
         """
         if self.blocks and self.blocks[0][0] < 2:
             raise ValueError(f"index {self.blocks[0][0]} has no bit, need >= 2")
@@ -152,10 +170,11 @@ def _rgs_extend(elements: Sequence[int], rgs: list[int], i: int, maxval: int):
     """Yield the partitions of every restricted-growth string that keeps
     ``rgs[:i]``, whose largest value is ``maxval``."""
     if i == len(elements):
+        # elements are increasing, so the blocks come out canonical
         blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-        for pos, b in enumerate(rgs):
-            blocks[b].append(elements[pos])
-        yield SetPartition.from_blocks(blocks)
+        for x, b in zip(elements, rgs):
+            blocks[b].append(x)
+        yield SetPartition._from_canonical(tuple(map(tuple, blocks)))
         return
     for b in range(maxval + 2):
         rgs[i] = b

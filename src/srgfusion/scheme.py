@@ -28,10 +28,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .exact import (
     QuadraticValue,
     _quadratic_roots_exact,
+    basis_terms,
     scalar_sign,
     value_to_json,
 )
@@ -184,9 +186,12 @@ def _classes_from_bits(bits: int, n: int) -> tuple[tuple[int, ...], ...]:
 class CharTable:
     """Exact character table: rows of common eigenvalues with multiplicities.
 
-    The column-sum views ``subset_sums`` and ``pair_bits``, and the memo
-    behind ``row_classes``, are built on first use and stay out of
-    equality and hashing.
+    The column-sum views ``subset_sums``, ``subset_images`` and
+    ``pair_bits``, and the memo behind ``row_classes``, are built on first
+    use and stay out of equality and hashing.  ``pair_bits`` compare the
+    exact integer images of the sums (``subset_images`` gives the bound
+    that makes them exact), so a table that is only scanned never builds
+    the exact ``subset_sums``.
     """
 
     row_labels: tuple[str, ...]
@@ -215,9 +220,10 @@ class CharTable:
 
         ``subset_sums[i][mask]`` sums row i over the column positions c with
         bit c-1 set in ``mask`` (entry 0 is unused); each entry is a smaller
-        set's sum plus one entry.  Built on first use; ``fusion.summed_rows``
-        and the classifier's block differences read every block sum here,
-        and ``pair_bits`` records which of them are equal.
+        set's sum plus one entry.  Built on first use, only for readers
+        that need the values: ``fusion.summed_rows`` and the classifier's
+        block differences.  Which sums are equal is read from
+        ``subset_images`` instead.
         """
         out = []
         for row in self.rows:
@@ -228,14 +234,50 @@ class CharTable:
         return tuple(out)
 
     @cached_property
+    def subset_images(self) -> tuple[tuple[int, ...], ...]:
+        """Per row and mask, an exact integer image of ``subset_sums``, so
+        two rows' images on a mask are equal exactly when their sums are
+        (entry 0 is unused); built with int additions only.
+
+        Every entry off the identity column is written over the basis keys
+        of ``exact.basis_terms``; scaled by L, the lcm of all coefficient
+        denominators, the coefficients are integers.  With C the largest
+        per-row sum of their absolute values, no subset sum of a row has a
+        coefficient beyond C in absolute value, so the difference of two
+        subset sums has every coefficient in [-2C, 2C].  Key number t maps
+        to B**t with B = 2C + 1, and a nonzero combination with such
+        coefficients maps to a nonzero int: its top term is at least B**T
+        in absolute value and the terms below it sum to at most
+        2C(B**T - 1)/(B - 1) = B**T - 1.
+        """
+        terms = [[basis_terms(x) for x in row[1:]] for row in self.rows]
+        scale = lcm(*(c.denominator
+                      for row in terms for entry in row for _, c in entry))
+        keys: dict = {}  # basis key -> its number t
+        scaled = [[[(keys.setdefault(key, len(keys)),
+                     c.numerator * (scale // c.denominator)) for key, c in entry]
+                   for entry in row] for row in terms]
+        bound = max((sum(abs(c) for entry in row for _, c in entry)
+                     for row in scaled), default=0)
+        powers = [(2 * bound + 1)**t for t in range(len(keys))]
+        out = []
+        for row in scaled:
+            sums = [0]
+            for entry in row:
+                x = sum(c * powers[t] for t, c in entry)
+                sums += [s + x for s in sums]
+            out.append(tuple(sums))
+        return tuple(out)
+
+    @cached_property
     def pair_bits(self) -> list[int]:
         """Per mask, the pairs of rows with equal sums on it; -1 until used.
 
         With R rows, bit ``i*R + j`` (i < j) of ``pair_bits[mask]`` is set
-        when rows i and j have equal ``subset_sums`` on ``mask``; entry 0
-        compares the identity column ``row[0]``.  ``row_classes`` fills an
-        entry the first time its mask is used, so a fresh table pays only
-        for the masks it is asked about.
+        when rows i and j have equal ``subset_sums`` on ``mask``, read from
+        their ``subset_images``; entry 0 compares the identity column
+        ``row[0]``.  ``row_classes`` fills an entry the first time its mask
+        is used, so a fresh table pays only for the masks it is asked about.
         """
         bits = [-1] * (1 << (len(self.col_labels) - 1))
         bits[0] = _equal_pair_bits([row[0] for row in self.rows])
@@ -258,7 +300,7 @@ class CharTable:
             b = bits[m]
             if b < 0:
                 b = bits[m] = _equal_pair_bits(
-                    [sums[m] for sums in self.subset_sums])
+                    [images[m] for images in self.subset_images])
             key &= b
         classes = self._classes_by_bits.get(key)
         if classes is None:

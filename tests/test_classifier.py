@@ -245,6 +245,24 @@ def test_family_witness_decides_as_exact_substitution(classification):
         assert 0 < vanish < len(polys) // 4, fam.id
 
 
+def test_families_at_one_point_share_a_memo():
+    """SP9 and CR4 sit at one point, so they decide each polynomial once;
+    every other family keeps its own memo."""
+    memos = {fam.id: classifier._family_image_zero(fam.id)
+             for fam in family_catalog()}
+    assert memos["SP9"] is memos["CR4"]
+    assert len(set(map(id, memos.values()))) == len(memos) - 1
+
+
+def test_factor_basis_refuses_a_member_the_residue_test_cannot_use(monkeypatch):
+    # K - 1009 vanishes at the residue point, so its residue divides nothing
+    bad = dataclasses.replace(family_by_id("NEWS1"), id="BAD", defining=(K - 1009,))
+    monkeypatch.setattr(classifier, "family_catalog",
+                        lambda: family_catalog() + (bad,))
+    with pytest.raises(ValueError, match="residue"):
+        classifier._factor_basis.__wrapped__()
+
+
 def test_family_match_negative():
     # the CLB2A system requires s = -r; the conference family has s = -1-r
     g = potential_equality_graph(parse("2468|3579"))

@@ -1,15 +1,19 @@
 """The fusion criterion: single checks, fused tables, full scans."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import expected as X
-from srgfusion.classifier import family_base_table, symbolic_tensor_table
+from srgfusion.classifier import (
+    family_base_table, family_catalog, symbolic_tensor_table,
+)
 from srgfusion import fusion
+from srgfusion.exact import M, ONE, MultiPoly, R, S, quad
 from srgfusion.fusion import (
     IndexMismatch,
     NotAFusion,
@@ -273,6 +277,63 @@ def test_fresh_table_fills_only_the_masks_it_uses():
     assert filled == {0, *p.masks}
 
 
+# entries that often coincide in subset sums: small ints mixed with the same
+# values as Fractions, quadratic values in one field, and polynomials with
+# negative and Fraction coefficients over a few monomials
+_RATIONAL_ENTRY = st.builds(lambda a, as_fraction: Fraction(a, 2) if as_fraction
+                            else a // 2, st.integers(-4, 4), st.booleans())
+_ENTRY_KINDS = {
+    "rational": _RATIONAL_ENTRY,
+    "quadratic": st.builds(lambda a, b: quad(Fraction(a, 2), Fraction(b, 2), 5),
+                           st.integers(-2, 2), st.integers(-2, 2)),
+    "polynomial": st.builds(
+        lambda cs: sum((c * mono for c, mono in zip(cs, (ONE, R, R * S, M))),
+                       MultiPoly()),
+        st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]),
+                 min_size=4, max_size=4)),
+}
+
+
+@settings(max_examples=45, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_ENTRY_KINDS)),
+       nrows=st.integers(2, 5))
+def test_pair_bits_from_images_match_exact_subset_sums(data, kind, nrows):
+    """On 9-column tables of each entry kind, rows pair on a mask exactly
+    when their exact subset sums are equal."""
+    entries = _ENTRY_KINDS[kind]
+    rows = tuple(tuple(data.draw(st.lists(entries, min_size=9, max_size=9)))
+                 for _ in range(nrows))
+    table = CharTable(tuple(map(str, range(nrows))), tuple(map(str, range(9))),
+                      rows, (1,) * nrows)
+    for mask in range(1, 1 << 8):
+        table.row_classes((mask,))
+    sums = table.subset_sums
+    for mask in range(1, 1 << 8):
+        want = sum(1 << (i * nrows + j)
+                   for i, j in itertools.combinations(range(nrows), 2)
+                   if sums[i][mask] == sums[j][mask])
+        assert table.pair_bits[mask] == want, (mask, rows)
+    assert all(type(x) is int for images in table.subset_images for x in images)
+
+
+def test_scans_of_imprimitive_and_rational_tables_need_no_subset_sums():
+    for table in (tensor_square_table(family_base_table("IMP1")),
+                  tensor_for(13, 6, 2, 3)):
+        scan_all(table)
+        assert "subset_images" in vars(table)
+        assert "subset_sums" not in vars(table)
+
+
+def test_default_partitions_carry_masks_from_the_enumeration():
+    for p in all_default_partitions():
+        assert "masks" in vars(p)
+        assert p.masks == tuple(sum(1 << (x - 2) for x in block)
+                                for block in p.blocks)
+    with pytest.raises(ValueError):
+        SetPartition(((0, 1), (2,))).masks
+    assert "masks" not in vars(enumerate_partitions(range(1, 4))[0])
+
+
 def test_scan_all_checks_each_nontrivial_partition_once(petersen, monkeypatch):
     # one bm_check per nontrivial partition: traced call counts rely on it
     seen = []
@@ -334,6 +395,75 @@ def test_scan_named_instances():
     assert scan_strings(tensor_for(6, 9, 2, -2, values=True)) == X.ROOK4_SCAN
     assert scan_strings(tensor_for(16, 10, 6, 6)) == X.CLEBSCHC_SCAN
     assert scan_strings(tensor_for(16, 5, 0, 2)) == X.CLEBSCH_SCAN
+
+
+def _family_partitions() -> dict[str, set[str]]:
+    """Census partitions of each family, from the frozen lists."""
+    out = {"CONF": set(X.CONF_11), "IMP1": set(X.IMP1_45),
+           "IMP2": {str(act(SWITCH, parse(t))) for t in X.IMP1_45},
+           "SP9": set(X.SP9_6), "SP5": set(X.SP5_2)}
+    for fid, text in X.FAMILY_SINGLETONS.items():
+        out.setdefault(fid, set()).add(text)
+    return out
+
+
+def _census_prediction(point: dict) -> set[str]:
+    """The guaranteed partitions plus those of every family whose defining
+    polynomials vanish at the point."""
+    through = {fam.id for fam in family_catalog()
+               if all(d.evaluate(point) == 0 for d in fam.defining)}
+    return set(X.GUARANTEED_13).union(*(texts for fid, texts in
+                                        _family_partitions().items()
+                                        if fid in through))
+
+
+def _primitive(k, l, r, s) -> bool:
+    return k > r > 0 and s < -1 and l > -1 - s
+
+
+def _scan_at(k, l, r, s) -> set[str]:
+    return scan_strings(tensor_square_table(char_table(eigen_from_values(k, l, r, s))))
+
+
+_POSITIVE = st.builds(Fraction, st.integers(1, 40), st.integers(1, 8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(r=_POSITIVE, t=_POSITIVE, u=_POSITIVE)
+def test_scan_at_a_generic_rational_point_is_the_guaranteed_set(r, t, u):
+    """At a primitive rational point on no catalogued family, a table
+    algebra with r > 0, s = -1 - t and k = max(r, -rs) + u, the scan finds
+    exactly the 13 guaranteed fusions."""
+    s = -1 - t
+    k = max(r, -r * s) + u
+    l = -k * (1 + r) * (1 + s) / (k + r * s)  # row orthogonality
+    point = {"k": k, "l": l, "r": r, "s": s}
+    assert _primitive(k, l, r, s)
+    assume(_census_prediction(point) == X.GUARANTEED_13)
+    assert _scan_at(k, l, r, s) == X.GUARANTEED_13
+
+
+_PRIMITIVE_PARAMETRIC = [fam for fam in family_catalog()
+                         if not fam.point and fam.id not in ("IMP1", "IMP2")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam=st.sampled_from(_PRIMITIVE_PARAMETRIC),
+       x=st.builds(Fraction, st.integers(1, 48), st.integers(1, 8)))
+def test_scan_at_a_rational_family_point_is_the_census_prediction(fam, x):
+    """At a primitive rational point of a parametric family, the scan finds
+    the guaranteed fusions and the census partitions of every family
+    through the point.  The family's free symbol is r, drawn in (0, 6), or
+    s, drawn in (-7, -1)."""
+    images = fam.substitution_map()
+    (free,) = set().union(*(images[v].symbols() for v in "klrs"))
+    value = x if free == "r" else -1 - x
+    assume(value < 6 if free == "r" else value > -7)
+    point = {v: images[v].evaluate({free: value}) for v in "klrs"}
+    assume(_primitive(*(point[v] for v in "klrs")))
+    predicted = _census_prediction(point)
+    assert predicted > X.GUARANTEED_13
+    assert _scan_at(*(point[v] for v in "klrs")) == predicted
 
 
 def test_scan_deterministic_order(petersen):
