@@ -187,11 +187,14 @@ class CharTable:
     """Exact character table: rows of common eigenvalues with multiplicities.
 
     The column-sum views ``subset_sums``, ``subset_images`` and
-    ``pair_bits``, and the memo behind ``row_classes``, are built on first
-    use and stay out of equality and hashing.  ``pair_bits`` compare the
-    exact integer images of the sums (``subset_images`` gives the bound
-    that makes them exact), so a table that is only scanned never builds
-    the exact ``subset_sums``.
+    ``pair_bits``, the memo behind ``row_classes`` and ``full_mask`` are
+    built on first use and stay out of equality and hashing.  ``pair_bits``
+    compare the exact integer images of the sums (``subset_images`` gives
+    the bound that makes them exact), so a table that is only scanned never
+    builds the exact ``subset_sums``.  A Bannai-Muzychuk check
+    (``fusion.bm_check``) compares a partition's masks with ``full_mask``,
+    reads ``row_classes`` on them and returns the class count in a
+    ``fusion.FusionVerdict`` tuple.
     """
 
     row_labels: tuple[str, ...]
@@ -213,6 +216,12 @@ class CharTable:
 
     def valency_row(self) -> tuple:
         return self.rows[0]
+
+    @cached_property
+    def full_mask(self) -> int:
+        """The mask of all non-identity columns, one bit per column: the
+        sum of the block masks of any partition of them."""
+        return (1 << (len(self.col_labels) - 1)) - 1
 
     @cached_property
     def subset_sums(self) -> tuple[tuple, ...]:

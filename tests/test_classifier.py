@@ -44,7 +44,7 @@ from srgfusion.fusion import bm_check, scan_all, summed_rows
 from srgfusion.partitions import (
     all_default_partitions, coarsenings, enumerate_partitions, parse,
 )
-from srgfusion.products import tensor_square_table
+from srgfusion.products import FLIP, SWITCH, act, tensor_square_table
 from srgfusion.scheme import char_table, eigen_from_values
 
 
@@ -408,8 +408,6 @@ def test_classification_counts(classification):
 
 
 def test_classification_lists(classification):
-    from srgfusion.products import SWITCH, act
-
     assert set(classification.family_partitions("CONF")) == X.CONF_11
     assert set(classification.family_partitions("IMP1")) == X.IMP1_45
     assert set(classification.family_partitions("IMP2")) == {
@@ -928,6 +926,66 @@ def test_theorem_1_hamming_fusions_carry_every_family_but_sp5(classification):
     ids = {fid for r in family for fid in r.families}
     assert ids == {spec.id for spec in family_catalog()} - {"SP5"}
     assert "CONF" in ids
+
+
+# SWITCH exchanges A_1 and A_2 in both factors, so it maps each family to its
+# partner here and every other family to itself; FLIP maps every family to
+# itself
+SWITCH_FAMILY_PAIRS = (("IMP1", "IMP2"), ("CLB1", "CLB1S"), ("CLB2A", "CLB2B"),
+                       ("PLS2A", "PLS2B"), ("NEWS1", "NEWS2"))
+
+
+def test_census_is_symmetric_under_flip_and_switch(classification):
+    """Verdicts are constant under FLIP and SWITCH, and families follow
+    them, with one exception: CR4 attaches to 249|37|5|68 but not to its
+    SWITCH image 24|357|68|9, though CR4's point (4, 4, 1, -2) lies on
+    NEWS1 and NEWS2 both."""
+    by_text = {str(r.partition): r for r in classification.records}
+    partner = dict(SWITCH_FAMILY_PAIRS)
+    partner.update({b: a for a, b in SWITCH_FAMILY_PAIRS})
+    assert set(partner) <= {fam.id for fam in family_catalog()}
+    unmapped = []
+    for text, rec in by_text.items():
+        for perm, image in ((FLIP, {}), (SWITCH, partner)):
+            other = by_text[str(act(perm, rec.partition))]
+            assert other.verdict == rec.verdict, (perm.name, text)
+            if (sorted(image.get(fid, fid) for fid in rec.families)
+                    != sorted(other.families)):
+                unmapped.append((perm.name, text, str(other.partition)))
+    assert unmapped == [("switch", "249|37|5|68", "24|357|68|9"),
+                        ("switch", "24|357|68|9", "249|37|5|68")]
+    assert by_text["249|37|5|68"].families == ("NEWS1", "CR4")
+    assert by_text["24|357|68|9"].families == ("NEWS2",)
+
+
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    """The join of two partitions given as sets of block masks: each block
+    of b merges the blocks of a it meets."""
+    blocks = list(a)
+    for m in b:
+        rest = [x for x in blocks if not x & m]
+        blocks = rest + [m | sum(x for x in blocks if x & m)]
+    return frozenset(blocks)
+
+
+def test_join_facts_from_the_records(classification):
+    """If p and q are fusions at a point, so is their join.  Guaranteed
+    partitions fuse everywhere, so p is INFEASIBLE when some p v g != p is
+    INFEASIBLE for a guaranteed g, and on a parametric family's generic
+    point the family's partitions and the guaranteed ones are join-closed."""
+    by_masks = {frozenset(r.partition.masks): r for r in classification.records}
+    fusing = {m for m, r in by_masks.items() if r.verdict == "GUARANTEED"}
+    assert len(fusing) == 15  # the 13 and the two trivial partitions
+    forced = [m for m, r in by_masks.items() if r.verdict != "GUARANTEED"
+              and any(j != m and by_masks[j].verdict == "INFEASIBLE"
+                      for j in (_join(m, g) for g in fusing))]
+    assert len(forced) == 2908
+    assert all(by_masks[m].verdict == "INFEASIBLE" for m in forced)
+    for fam in family_catalog():
+        if fam.point:
+            continue
+        closed = fusing | {m for m, r in by_masks.items() if fam.id in r.families}
+        assert all(_join(a, b) in closed for a in closed for b in closed), fam.id
 
 
 # -- wreath classification ------------------------------------------------------

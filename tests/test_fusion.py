@@ -13,8 +13,9 @@ from srgfusion.classifier import (
     family_base_table, family_catalog, symbolic_tensor_table,
 )
 from srgfusion import fusion
-from srgfusion.exact import M, ONE, MultiPoly, R, S, quad
+from srgfusion.exact import K, L, M, ONE, MultiPoly, R, S, quad
 from srgfusion.fusion import (
+    FusionVerdict,
     IndexMismatch,
     NotAFusion,
     block_masks,
@@ -135,6 +136,25 @@ def test_fused_table_examples(petersen):
         fused_table(petersen, parse("249|37|5|68"))
 
 
+def test_fused_table_of_the_symbolic_square_along_flip_is_hamming():
+    """H(2, A), the fusion of the symbolic tensor square along the flip
+    orbits 24|37|5|68|9: its polynomial rows do not compare, so they keep
+    the row-class order chi_00, chi_01, chi_02, chi_11, chi_12, chi_22."""
+    p = parse("24|37|5|68|9")
+    h = fused_table(symbolic_tensor_table(), p)
+    assert len(h.rows) == 6
+    assert h.valency_row() == (ONE, 2 * K, 2 * L, K * K, 2 * K * L, L * L)
+    # the symbolic table carries multiplicity 1 per row: a class's count
+    assert h.mults == (1, 2, 2, 1, 2, 1)
+    r2 = -1 - R
+    assert h.rows[3] == (ONE, 2 * R, 2 * r2, R * R, 2 * R * r2, r2 * r2)
+    # at the Petersen graph's point the rows are the numeric fused table's
+    point = {"k": 3, "l": 6, "r": 1, "s": -2}
+    numeric = fused_table(tensor_for(10, 3, 0, 1), p)
+    assert {tuple(x.evaluate(point) for x in row) for row in h.rows} == set(
+        numeric.rows)
+
+
 def summed_rows_by_block_loop(table, p):
     """Reference: add each block's columns afresh, in increasing position."""
     out = []
@@ -218,6 +238,23 @@ def test_bm_check_matches_block_loop_wreath_and_refused(petersen):
         assert len(table.col_labels) == 5
         for p in enumerate_partitions(range(2, 6)):
             assert_bm_check_matches_reference(table, p)
+
+
+@pytest.mark.parametrize("name", ["generic", "paley13", "petersen"])
+def test_verdicts_count_row_classes_and_agree_with_fused_table(name):
+    """On a rational, a quadratic and the symbolic table, every verdict
+    counts the row classes of its masks, and a partition is a fusion, with
+    its rank, exactly when ``fused_table`` builds its table."""
+    table = REFERENCE_TABLES[name]()
+    for p in all_default_partitions():
+        v = bm_check(table, p)
+        assert v == FusionVerdict(p, len(table.row_classes(p.masks))), str(p)
+        try:
+            fused = fused_table(table, p)
+        except NotAFusion:
+            assert not v.is_fusion and v.fused_rank is None, str(p)
+        else:
+            assert v.is_fusion and v.fused_rank == len(fused.rows) == p.rank, str(p)
 
 
 def test_bm_check_compares_identity_column_and_exact_values():
