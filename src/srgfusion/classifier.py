@@ -35,11 +35,14 @@ into leaves that either
 
 Any other leaf is unresolved, and so is the partition it belongs to.
 
-The two imprimitive families are handled separately, exactly as the
-rank-3 case analysis reduces to: a partition carries IMP1 or IMP2 where it
-fuses that family's own table, ``family_base_table``, the generic table
-under the catalogue substitution.  Both are written in the union-of-cliques
-parameters (r, m), IMP2 as the switch image of IMP1.
+Every family is decided on its own table, ``family_base_table``: the
+generic table under the catalogue substitution, or at a point family's
+point.  A merge pattern matches a family where that table's row classes
+are the pattern's merged rows.  The two imprimitive families are handled
+separately, exactly as the rank-3 case analysis reduces to: a partition
+carries IMP1 or IMP2 where it fuses that family's table.  Both are written
+in the union-of-cliques parameters (r, m), IMP2 as the switch image of
+IMP1.
 
 Records hold only the proof; one verdict rule, ``_verdict``, concludes the
 verdict and families from it for ``classify_partition`` and again, as a
@@ -59,7 +62,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .exact import (
@@ -71,10 +74,8 @@ from .exact import (
     MultiPoly,
     NonzeroCertificate,
     ONE,
-    QuadraticValue,
     R,
     S,
-    SYMBOLS,
     _SYM_INDEX,
     _count_roots_open,
     _poly_gcd_1var,
@@ -127,17 +128,25 @@ def symbolic_tensor_table() -> CharTable:
 
 
 def family_base_table(fid: str) -> CharTable:
-    """``symbolic_base_table()`` under the family's ``substitution``."""
-    sub = family_by_id(fid).substitution_map()
+    """``symbolic_base_table()`` under the family's ``substitution``, or
+    evaluated at its ``point`` for a point family."""
+    fam = family_by_id(fid)
+    point, sub = dict(fam.point), fam.substitution_map()
     base = symbolic_base_table()
-    return replace(base, rows=tuple(tuple(x.substitute(sub) for x in row)
-                                    for row in base.rows))
+    return replace(base, rows=tuple(
+        tuple(x.evaluate(point) if point else x.substitute(sub) for x in row)
+        for row in base.rows))
+
+
+@lru_cache(maxsize=None)
+def _family_tensor_table(fid: str) -> CharTable:
+    # keyed by the id: a key of substitution polynomials is rehashed per call
+    return tensor_square_table(family_base_table(fid))
 
 
 @lru_cache(maxsize=None)
 def _imprimitive_positive_strings(fid: str) -> frozenset[str]:
-    table = tensor_square_table(family_base_table(fid))
-    return frozenset(str(v.partition) for v in scan_all(table))
+    return frozenset(str(v.partition) for v in scan_all(_family_tensor_table(fid)))
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +167,9 @@ class FamilySpec:
     family's free symbols; it satisfies the row-orthogonality relation
     identically.  ``defining`` generates the family's ideal inside
     Q[k, l, r, s].  A family with a single primitive member gives it as
-    ``point``, (name, value) pairs, and is matched by evaluation there
-    instead of by polynomial identity; it attaches only to the partitions
-    its ``source_partitions`` names.
+    ``point``, (name, value) pairs, and its table ``family_base_table`` is
+    the generic one evaluated there instead of substituted; it attaches
+    only to the partitions its ``source_partitions`` names.
     """
 
     id: str
@@ -328,108 +337,17 @@ def family_by_id(fid: str) -> FamilySpec:
     raise KeyError(fid)
 
 
-# Family witnesses are family members mapped to the integers mod this
-# prime.  It is 3 mod 4, so a square x has the square root x**((p+1)/4), and
-# 5 is a square mod it, so SP5's golden point has an image too.
-_WITNESS_PRIME = 2**61 - 1
-# the free-symbol values at which a parametric family's witness is taken
-_WITNESS_FREE = {"k": 1009, "l": 2003, "r": 307, "s": -409, "m": 13}
-
-
-def _mod_witness(v) -> int | None:
-    """The image of an exact value under a ring map to the integers mod
-    ``_WITNESS_PRIME``; None for a radicand with no square root there."""
-    p = _WITNESS_PRIME
-    if isinstance(v, QuadraticValue):
-        root = pow(v.d, (p + 1) // 4, p)
-        if (root * root - v.d) % p:
-            return None
-        return (_mod_witness(v.a) + _mod_witness(v.b) * root) % p
-    return v.numerator * pow(v.denominator, -1, p) % p
-
-
-class _ImageZero(dict):
-    """Memo of one family: does a polynomial vanish on the family?
-
-    The witness is a member of the family (its point, for a point family)
-    under the ring map of ``_mod_witness``; a polynomial whose image there
-    is nonzero is nonzero on that member, so it does not vanish.  Only the
-    rest are substituted, or evaluated at the point, exactly.
-    """
-
-    def __init__(self, fam: FamilySpec):
-        super().__init__()
-        self.fam = fam
-        member = dict(fam.point) if fam.point else {
-            name: img.evaluate(_WITNESS_FREE) for name, img in fam.substitution}
-        self.witness = tuple(_mod_witness(member.get(name, 0)) for name in SYMBOLS)
-        self.monomials: dict[tuple[int, ...], int] = {}
-
-    def __missing__(self, poly: MultiPoly) -> bool:
-        fam = self.fam
-        if None not in self.witness and self._at_witness(poly):
-            zero = False
-        elif fam.point:
-            zero = poly.evaluate(dict(fam.point)) == 0
-        else:
-            zero = poly.substitute(fam.substitution_map()).is_zero()
-        self[poly] = zero
-        return zero
-
-    def _at_witness(self, poly: MultiPoly) -> int:
-        """poly's image at the witness; monomial images are memoized."""
-        p = _WITNESS_PRIME
-        total = 0
-        for exps, c in poly.terms:
-            v = self.monomials.get(exps)
-            if v is None:
-                v = self.monomials[exps] = prod(
-                    pow(x, e, p) for x, e in zip(self.witness, exps)) % p
-            total += (c if type(c) is int else _mod_witness(c)) * v
-        return total % p
-
-
-@lru_cache(maxsize=None)
-def _family_image_zero(fid: str) -> _ImageZero:
-    """The family's memo; ``family_match`` looks every polynomial up in it.
-
-    The memo is keyed by what the decision depends on, so families at one
-    point (SP9 and CR4) share it and decide each polynomial once.
-    """
-    fam = family_by_id(fid)
-    # the first family in the catalogue with this point (or substitution)
-    # holds the memo
-    key = fam.point or fam.substitution
-    owner = next(f for f in family_catalog() if (f.point or f.substitution) == key)
-    return _ImageZero(fam) if owner is fam else _family_image_zero(owner.id)
-
-
 def family_match(
-    equations: Sequence[MultiPoly],
-    distinctness: Sequence[Sequence[MultiPoly]],
-    fam: FamilySpec,
+    masks: tuple[int, ...], merged: tuple[tuple[int, ...], ...], fam: FamilySpec
 ) -> bool:
-    """Does the family satisfy the equations while keeping rows distinct?
+    """Does the family's own tensor table group its rows on these blocks
+    exactly as ``merged``, the rows of a merge pattern's groups?
 
-    Parametric families are matched by polynomial identity under their
-    substitution (equivalent to vanishing at every member, the admissible
-    parameter set being infinite).  Point families are matched by exact
-    evaluation at each primitive member.  Distinctness requires, for every
-    pair of merged row classes, at least one difference that does not
-    vanish identically (resp. at each point).  Each polynomial is decided
-    once per point or substitution, in the family's ``_ImageZero`` memo.
+    That is the grouping's equations vanishing on the family, under its
+    substitution (or at its point), while every two groups keep a block
+    where they differ.
     """
-    zero = _family_image_zero(fam.id)
-    for e in equations:
-        if not zero[e]:
-            return False
-    for diffs in distinctness:
-        for d in diffs:
-            if not zero[d]:
-                break
-        else:
-            return False
-    return True
+    return _family_tensor_table(fam.id).row_classes(masks) == merged
 
 
 # ---------------------------------------------------------------------------
@@ -1254,20 +1172,14 @@ def _pairwise_blocked_rows(blocked: int, size: int, candidates: int,
 
 def _grouping_system(
     graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[MultiPoly, ...], list[tuple[MultiPoly, ...]]]:
-    """Equations forcing each group of classes equal, and distinctness sets.
-
-    Returns (equations, distinctness) where distinctness holds, per pair of
-    groups, the first classes' block differences that must not all vanish.
-    """
+) -> tuple[MultiPoly, ...]:
+    """Equations forcing each group of classes equal."""
     # ORTHOGONALITY and every pair equation are already normalized and nonzero
     eqs: list[MultiPoly] = [ORTHOGONALITY]
     for group in grouping:
         for a, b in itertools.combinations(group, 2):
             eqs.extend(graph.equations(a, b))
-    distinctness = [graph.equations(g[0], h[0])
-                    for g, h in itertools.combinations(grouping, 2)]
-    return tuple(dict.fromkeys(eqs)), distinctness
+    return tuple(dict.fromkeys(eqs))
 
 
 @lru_cache(maxsize=None)
@@ -1278,11 +1190,11 @@ def _decompose_cached(eqs: tuple[MultiPoly, ...]) -> tuple[ProofLeaf, ...]:
 def _analyze_grouping(
     graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
 ) -> GroupingAnalysis:
-    eqs, distinctness = _grouping_system(graph, grouping)
-    matches = tuple(fam.id for fam in family_catalog()
-                    if family_match(eqs, distinctness, fam))
+    eqs = _grouping_system(graph, grouping)
     merged = tuple(tuple(sorted(row for ci in group for row in graph.classes[ci]))
                    for group in grouping)
+    matches = tuple(fam.id for fam in family_catalog()
+                    if family_match(graph.masks, merged, fam))
     return GroupingAnalysis(merged, eqs, matches, _decompose_cached(eqs))
 
 

@@ -219,39 +219,43 @@ def test_row_count_certificate_is_the_first_pairwise_blocked_combination():
     assert checked == 4125
 
 
-def test_family_witness_decides_as_exact_substitution(classification):
-    """Each family's memo first evaluates at its witness, a family member
-    mapped to the integers mod a prime, SP5's golden point included; on
-    every equation a census pair of classes gives, each family decides as
-    exact substitution (or evaluation at its point) does."""
-    polys = {ORTHOGONALITY}
+def test_family_match_decides_as_exact_substitution(classification):
+    """On every (grouping, family) pair of the census, the row classes of
+    the family's own table decide as exact substitution (or evaluation at
+    the family's point) does: every equation of the grouping vanishes on
+    the family, and every two merged groups keep a block difference that
+    does not."""
+    vanishes: dict = {}
+
+    def zero(poly, fam):
+        key = (fam.id, poly)
+        if key not in vanishes:
+            vanishes[key] = (poly.evaluate(dict(fam.point)) == 0 if fam.point
+                             else poly.substitute(fam.substitution_map()).is_zero())
+        return vanishes[key]
+
+    pairs, matched = 0, Counter()
     for rec in classification.records:
-        if rec.groupings:
-            graph = potential_equality_graph(rec.partition)
-            for ci, cj in itertools.combinations(range(len(graph.classes)), 2):
-                polys.update(graph.equations(ci, cj))
-    assert len(polys) > 500
-    for fam in family_catalog():
-        memo = classifier._ImageZero(fam)
-        assert None not in memo.witness, fam.id
-        vanish = 0
-        for poly in polys:
-            if fam.point:
-                exact = poly.evaluate(dict(fam.point)) == 0
-            else:
-                exact = poly.substitute(fam.substitution_map()).is_zero()
-            assert memo[poly] == exact, (fam.id, poly)
-            vanish += exact
-        assert 0 < vanish < len(polys) // 4, fam.id
-
-
-def test_families_at_one_point_share_a_memo():
-    """SP9 and CR4 sit at one point, so they decide each polynomial once;
-    every other family keeps its own memo."""
-    memos = {fam.id: classifier._family_image_zero(fam.id)
-             for fam in family_catalog()}
-    assert memos["SP9"] is memos["CR4"]
-    assert len(set(map(id, memos.values()))) == len(memos) - 1
+        if not rec.groupings:
+            continue
+        graph = potential_equality_graph(rec.partition)
+        groupings = _enumerate_groupings(graph, rec.partition.num_blocks + 1)
+        for grouping, ga in zip(groupings, rec.groupings, strict=True):
+            eqs = _grouping_system(graph, grouping)
+            for fam in family_catalog():
+                want = all(zero(e, fam) for e in eqs) and all(
+                    not all(zero(d, fam) for d in graph.equations(g[0], h[0]))
+                    for g, h in itertools.combinations(grouping, 2))
+                assert family_match(graph.masks, ga.merge_classes, fam) == want, (
+                    str(rec.partition), fam.id)
+                assert (fam.id in ga.matched_families) == want
+                matched[fam.id] += want
+                pairs += 1
+    assert pairs == 34020
+    # IMP1 / IMP2 attach by their scans; each other family matches somewhere
+    assert +matched == {"CONF": 11, "NEWS1": 1, "NEWS2": 1, "CR4": 21,
+                        "CLB1": 1, "CLB1S": 1, "CLB2A": 1, "CLB2B": 1,
+                        "PLS2A": 1, "PLS2B": 1, "SP9": 21, "SP5": 13}
 
 
 def test_factor_basis_refuses_a_member_the_residue_test_cannot_use(monkeypatch):
@@ -266,9 +270,12 @@ def test_factor_basis_refuses_a_member_the_residue_test_cannot_use(monkeypatch):
 def test_family_match_negative():
     # the CLB2A system requires s = -r; the conference family has s = -1-r
     g = potential_equality_graph(parse("2468|3579"))
-    for grouping in _enumerate_groupings(g, 3):
-        eqs, dist = _grouping_system(g, grouping)
-        assert not family_match(eqs, dist, family_by_id("CONF"))
+    groupings = _enumerate_groupings(g, 3)
+    assert groupings
+    for grouping in groupings:
+        merged = tuple(tuple(sorted(row for ci in group for row in g.classes[ci]))
+                       for group in grouping)
+        assert not family_match(g.masks, merged, family_by_id("CONF"))
 
 
 def test_catalog_satisfies_orthogonality():
@@ -304,6 +311,21 @@ def test_catalog_source_lists_are_the_census_lists(classification):
     for fam in listed:
         assert (sorted(classification.family_partitions(fam.id))
                 == sorted(fam.source_partitions)), fam.id
+
+
+def test_sp9_and_sp5_source_lists_are_data_of_their_point_tables(classification):
+    """SP9's and SP5's hand-kept lists are the non-guaranteed fusions of
+    their own point tables whose census record carries no parametric
+    family.  CR4 shares SP9's point and so its fusions, but its one
+    partition also carries NEWS1: this rule does not give its list."""
+    guaranteed = guaranteed_partition_strings()
+    for fid in ("SP9", "SP5", "CR4"):
+        table = tensor_square_table(family_base_table(fid))
+        fusing = {str(v.partition) for v in scan_all(table)} - guaranteed
+        derived = sorted(text for text in fusing if all(
+            family_by_id(f).point for f in classification.record(text).families))
+        assert (derived == sorted(family_by_id(fid).source_partitions)) == (
+            fid != "CR4"), fid
 
 
 def test_catalog_sample_instances_are_feasible_tables():
@@ -886,6 +908,10 @@ def test_cache_stats_of_a_cold_census(monkeypatch):
     monkeypatch.setattr(classifier, "_enumerate_groupings",
                         lambda g, m: enumerated.append(g)
                         or enumerate_groupings(g, m))
+    matches = []
+    family_match = classifier.family_match
+    monkeypatch.setattr(classifier, "family_match",
+                        lambda *args: matches.append(args) or family_match(*args))
     records = classifier.classify_all.__wrapped__().records
     stats = classifier.cache_stats()
     assert len(records) == 4140
@@ -895,9 +921,13 @@ def test_cache_stats_of_a_cold_census(monkeypatch):
     assert stats["_decompose_cached"] == (100, 2330, 2330)
     for name in ("_screen", "_pivot_candidates", "_substitute_one",
                  "_block_difference", "_blocked_pair_bits", "_pair_equations",
-                 "_family_image_zero", "_univariate_gcd_reduce"):
+                 "_family_tensor_table", "_univariate_gcd_reduce"):
         hits, misses, size = stats[name]
         assert hits > misses == size > 0, (name, stats[name])
+    # one table per catalogue family, SP9 and CR4 each building their own
+    assert stats["_family_tensor_table"][1] == 14
+    # perfbench's traced census pins the same count by wrapping the name
+    assert len(matches) == 34020
 
 
 def test_classify_all_idempotent(classification):
@@ -986,6 +1016,40 @@ def test_join_facts_from_the_records(classification):
             continue
         closed = fusing | {m for m, r in by_masks.items() if fam.id in r.families}
         assert all(_join(a, b) in closed for a in closed for b in closed), fam.id
+
+
+def test_join_keeps_each_family_on_a_family_of_the_join(classification):
+    """Where p is FAMILY and q = p v g != p is not guaranteed for a
+    guaranteed g, q fuses wherever p does: each family of p, under its
+    substitution or at its point, satisfies the defining polynomials of some
+    family of q.  Only three SP9 partitions join onto a record without their
+    own family, CONF's 234678|59, and (4, 4, 1, -2) lies on CONF."""
+    def on(fam, variety):
+        if fam.point:
+            return all(d.evaluate(dict(fam.point)) == 0 for d in variety.defining)
+        sub = fam.substitution_map()
+        return all(d.substitute(sub).is_zero() for d in variety.defining)
+
+    by_masks = {frozenset(r.partition.masks): r for r in classification.records}
+    fusing = [m for m, r in by_masks.items() if r.verdict == "GUARANTEED"]
+    pairs, elsewhere = 0, set()
+    for m, rec in by_masks.items():
+        if rec.verdict != "FAMILY":
+            continue
+        for g in fusing:
+            q = _join(m, g)
+            joined = by_masks[q]
+            if q == m or joined.verdict == "GUARANTEED":
+                continue
+            pairs += 1
+            for fid in rec.families:
+                assert any(on(family_by_id(fid), family_by_id(h))
+                           for h in joined.families), (str(rec.partition), fid)
+                if fid not in joined.families:
+                    elsewhere.add((str(rec.partition), fid, str(joined.partition)))
+    assert pairs == 367
+    assert elsewhere == {(text, "SP9", "234678|59")
+                         for text in ("267|348|59", "267|34|59|8", "27|348|59|6")}
 
 
 # -- wreath classification ------------------------------------------------------
