@@ -362,8 +362,8 @@ def _block_difference(a: int, b: int, mask: int) -> MultiPoly:
     (rows, mask) because the same differences recur across thousands of
     partitions.
     """
-    sums = symbolic_tensor_table().subset_sums
-    return (sums[a][mask] - sums[b][mask]).normalized()
+    sums = symbolic_tensor_table().mask_sums(mask)
+    return (sums[a] - sums[b]).normalized()
 
 
 # Which row pairs can never merge is kept as bits: bits a*9 + b and b*9 + a
@@ -591,12 +591,16 @@ class BoundConflict:
 
     ``definite``: an equation whose terms all share one sign on the region
     orthant; ``no-region-root``: a univariate equation with no root inside
-    its region interval; ``constant`` / ``image-definite``: a forced-positive
-    quantity whose image under the substitution chain is a constant, resp.
-    an orthant-definite polynomial, of the wrong sign.
+    its region interval; ``no-feasible-root``: data (var, roots), the exact
+    roots of the leaf's univariate residual, none of which pins a point
+    inside the primitive region; ``constant`` / ``image-definite``: a
+    forced-positive quantity whose image under the substitution chain is a
+    constant, resp. an orthant-definite polynomial, of the wrong sign.
     """
 
-    kind: str  # "definite" | "no-region-root" | "constant" | "image-definite"
+    # "definite" | "no-region-root" | "no-feasible-root" | "constant"
+    # | "image-definite"
+    kind: str
     data: tuple
 
 
@@ -1018,23 +1022,49 @@ def _univariate_leaf(
 
     The residual gcd, when of degree 1 or 2, has exact roots; each root
     inside the region interval whose point keeps every forced-positive
-    quantity strictly positive is a sporadic point.  A leaf without such
-    a point stays unresolved.
+    quantity strictly positive is a sporadic point.  When the roots are
+    known and the chain pins a point at each root inside the interval, a
+    leaf without a sporadic point is a ``no-feasible-root`` contradiction;
+    otherwise it stays unresolved.
     """
+    roots = _residual_roots(residual, var)
+    points, decided = _feasible_root_points(subs, var, roots or ())
+    if points:
+        return ProofLeaf(subs, assumptions, "sporadic", points=points,
+                         residual=tuple(residual))
+    if roots is not None and decided:
+        return ProofLeaf(
+            subs, assumptions, "contradiction-bounds",
+            bound_conflict=BoundConflict("no-feasible-root", (var, tuple(roots))),
+            residual=tuple(residual),
+        )
+    return ProofLeaf(subs, assumptions, "unresolved", residual=tuple(residual))
+
+
+def _residual_roots(residual: Sequence[MultiPoly], var: str) -> list | None:
+    """Exact real roots of the gcd of equations univariate in ``var``; None
+    unless the gcd has degree 1 or 2."""
     g: list = []
     for e in residual:
         g = _poly_gcd_1var(g, [c.constant_value() for c in e.coefficients(var)])
+    return _quadratic_roots_exact(g)
+
+
+def _feasible_root_points(
+    subs: Sequence[SubstitutionRecord], var: str, roots: Sequence
+) -> tuple[tuple[tuple[tuple[str, object], ...], ...], bool]:
+    """The feasible points the chain pins at the roots inside ``var``'s
+    region interval, and whether it pins a point at every such root."""
     lo, hi = _REGION_INTERVAL[var]
-    points = []
-    for root in _quadratic_roots_exact(g) or ():
+    points, decided = [], True
+    for root in roots:
         if (lo is None or root > lo) and (hi is None or root < hi):
             point = _leaf_point(subs, {var: root})
-            if point is not None and _point_feasible(point):
+            if point is None:
+                decided = False
+            elif _point_feasible(point):
                 points.append(_freeze_point(point))
-    return ProofLeaf(
-        subs, assumptions, "sporadic" if points else "unresolved",
-        points=tuple(points), residual=tuple(residual),
-    )
+    return tuple(points), decided
 
 
 def _bound_conflict(subs: tuple[SubstitutionRecord, ...]) -> BoundConflict | None:
@@ -1390,6 +1420,16 @@ def _verify_bound_conflict(leaf: ProofLeaf, equations: Sequence[MultiPoly]) -> b
     if kind == "no-region-root":
         return (_rootless_on_region(data[0])
                 and _leaf_consequence(data[0], leaf, equations))
+    if kind == "no-feasible-root":
+        # the roots are those of the residual's gcd, every residual equation
+        # follows from the grouping's, and no root pins a feasible point
+        var, roots = data
+        return (bool(leaf.residual)
+                and all(e.symbols() == {var} for e in leaf.residual)
+                and _residual_roots(leaf.residual, var) == list(roots)
+                and _feasible_root_points(leaf.substitutions, var, roots) == ((), True)
+                and all(_leaf_consequence(e, leaf, equations)
+                        for e in leaf.residual))
     if kind in ("constant", "image-definite"):
         # the bound analysis of the stored substitutions must find this conflict
         return _bound_conflict(leaf.substitutions) == conflict

@@ -19,11 +19,12 @@ rational combination of basis keys, scaled to integers by the lcm L of the
 denominators, and key number t maps to B**t with B = 2C + 1, C the largest
 per-row sum of absolute scaled coefficients.  Two sums differ by a
 combination with coefficients in [-2C, 2C], which is zero exactly when its
-image is, so a scan adds and compares ints only.  The exact
-``CharTable.subset_sums`` are built only for readers that need the values:
-``summed_rows`` and ``fused_table``, and the classifier's block
-differences.  ``fused_table`` merges rows along the row classes, and the
-classifier's row-count check reads them too.
+image is, so a scan adds and compares ints only.  Readers that need the
+exact sums read them per block from ``CharTable.mask_sums``, which adds a
+mask's sums the first time it is asked for: ``summed_rows`` and
+``fused_table``, and the classifier's block differences.  ``fused_table``
+merges rows along the row classes, and the classifier's row-count check
+reads them too.
 
 A check returns a ``FusionVerdict``, a named tuple of the partition and
 its distinct-row count, so a call costs a mask lookup, a few ANDs and one
@@ -73,7 +74,8 @@ class FusionVerdict(NamedTuple):
 
 
 def block_masks(table: CharTable, p: SetPartition) -> tuple[int, ...]:
-    """Keys of p's blocks in ``table.subset_sums``: index x is bit x - 2.
+    """Keys of p's blocks in the table's column-sum views, such as
+    ``table.mask_sums``: index x is bit x - 2.
 
     Raises IndexMismatch unless p partitions the non-identity columns
     2..ncols: with no index below 2 (tested first, since such a partition
@@ -90,11 +92,8 @@ def block_masks(table: CharTable, p: SetPartition) -> tuple[int, ...]:
 
 def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
     """Rows of the table with columns summed per class (identity first)."""
-    masks = block_masks(table, p)
-    return [
-        (row[0],) + tuple(sums[m] for m in masks)
-        for row, sums in zip(table.rows, table.subset_sums)
-    ]
+    columns = map(table.mask_sums, block_masks(table, p))
+    return list(zip((row[0] for row in table.rows), *columns))
 
 
 def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
@@ -102,8 +101,11 @@ def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
 
     The verdict carries the number of row classes on p's masks; p gives a
     fusion when that is its rank.  Raises IndexMismatch as ``block_masks``.
+    The verdict is built by ``tuple.__new__``, skipping the named tuple's
+    Python-level ``__new__``.
     """
-    return FusionVerdict(p, len(table.row_classes(block_masks(table, p))))
+    return tuple.__new__(
+        FusionVerdict, (p, len(table.row_classes(block_masks(table, p)))))
 
 
 def fused_table(table: CharTable, p: SetPartition) -> CharTable:

@@ -99,7 +99,7 @@ class SetPartition:
         """Per block, its indices as bits: index x is bit x - 2.
 
         Fusion candidates partition {2, ..., n}, index 1 being the identity
-        class, so these are keys of ``CharTable.subset_sums``.  The
+        class, so these are the masks ``CharTable.mask_sums`` takes.  The
         enumeration sets them with the blocks; any other partition computes
         them once, on first use.  Equality and hashing see only the blocks.
         """

@@ -186,15 +186,18 @@ def _classes_from_bits(bits: int, n: int) -> tuple[tuple[int, ...], ...]:
 class CharTable:
     """Exact character table: rows of common eigenvalues with multiplicities.
 
-    The column-sum views ``subset_sums``, ``subset_images`` and
+    The column-sum views ``mask_sums``, ``subset_images`` and
     ``pair_bits``, the memo behind ``row_classes`` and ``full_mask`` are
-    built on first use and stay out of equality and hashing.  ``pair_bits``
-    compare the exact integer images of the sums (``subset_images`` gives
-    the bound that makes them exact), so a table that is only scanned never
-    builds the exact ``subset_sums``.  A Bannai-Muzychuk check
-    (``fusion.bm_check``) compares a partition's masks with ``full_mask``,
-    reads ``row_classes`` on them and returns the class count in a
-    ``fusion.FusionVerdict`` tuple.
+    built on first use and stay out of equality and hashing.  A mask is a
+    set of non-identity columns, bit c - 1 for column c.  ``mask_sums``
+    gives the exact sums of every row on one mask, computed the first time
+    that mask is asked for, so a reader pays only for the masks it uses.
+    ``pair_bits`` compare exact integer images of the sums instead
+    (``subset_images``, built for all masks at once, gives the bound that
+    makes them exact), so a table that is only scanned adds no exact
+    values.  A Bannai-Muzychuk check (``fusion.bm_check``) compares a
+    partition's masks with ``full_mask``, reads ``row_classes`` on them and
+    returns the class count in a ``fusion.FusionVerdict`` tuple.
     """
 
     row_labels: tuple[str, ...]
@@ -223,30 +226,38 @@ class CharTable:
         sum of the block masks of any partition of them."""
         return (1 << (len(self.col_labels) - 1)) - 1
 
-    @cached_property
-    def subset_sums(self) -> tuple[tuple, ...]:
-        """Per row, the sum over every nonempty set of non-identity columns.
+    def mask_sums(self, mask: int) -> tuple:
+        """The sum of each row over the columns of ``mask``, one entry per row.
 
-        ``subset_sums[i][mask]`` sums row i over the column positions c with
-        bit c-1 set in ``mask`` (entry 0 is unused); each entry is a smaller
-        set's sum plus one entry.  Built on first use, only for readers
-        that need the values: ``fusion.summed_rows`` and the classifier's
-        block differences.  Which sums are equal is read from
-        ``subset_images`` instead.
+        ``mask`` is a nonzero set of non-identity columns, bit c - 1 for
+        column c.  Filled on first use and memoized: the sums on a mask are
+        those on the mask without its lowest bit plus that bit's column, one
+        addition per row, so a fresh mask fills itself and the masks left by
+        dropping its lowest bits one at a time.
         """
-        out = []
-        for row in self.rows:
-            sums = [None]
-            for bit, x in enumerate(row[1:]):
-                sums += [sums[m] + x if m else x for m in range(1 << bit)]
-            out.append(tuple(sums))
-        return tuple(out)
+        sums = self._mask_sums[mask]
+        if sums is None:
+            low = mask & -mask
+            col = low.bit_length()
+            if mask == low:
+                sums = tuple(row[col] for row in self.rows)
+            else:
+                sums = tuple(s + row[col] for s, row in
+                             zip(self.mask_sums(mask ^ low), self.rows))
+            self._mask_sums[mask] = sums
+        return sums
+
+    @cached_property
+    def _mask_sums(self) -> list:
+        """``mask_sums`` per mask, None until used; entry 0 is unused."""
+        return [None] * (1 << (len(self.col_labels) - 1))
 
     @cached_property
     def subset_images(self) -> tuple[tuple[int, ...], ...]:
-        """Per row and mask, an exact integer image of ``subset_sums``, so
-        two rows' images on a mask are equal exactly when their sums are
-        (entry 0 is unused); built with int additions only.
+        """Per row and mask, an exact integer image of the row's sum on the
+        mask (``mask_sums``), so two rows' images on a mask are equal exactly
+        when their sums are (entry 0 is unused); built with int additions
+        only.
 
         Every entry off the identity column is written over the basis keys
         of ``exact.basis_terms``; scaled by L, the lcm of all coefficient
@@ -283,8 +294,8 @@ class CharTable:
         """Per mask, the pairs of rows with equal sums on it; -1 until used.
 
         With R rows, bit ``i*R + j`` (i < j) of ``pair_bits[mask]`` is set
-        when rows i and j have equal ``subset_sums`` on ``mask``, read from
-        their ``subset_images``; entry 0 compares the identity column
+        when rows i and j have equal ``mask_sums(mask)``, read from their
+        ``subset_images``; entry 0 compares the identity column
         ``row[0]``.  ``row_classes`` fills an entry the first time its mask
         is used, so a fresh table pays only for the masks it is asked about.
         """

@@ -38,7 +38,7 @@ from srgfusion.classifier import (
 )
 from srgfusion.exact import (
     K, M, ONE, R, S, MultiPoly, NonzeroCertificate, QuadraticValue,
-    default_sieve_set, scalar_sign,
+    default_sieve_set, quad, scalar_sign,
 )
 from srgfusion.fusion import bm_check, scan_all, summed_rows
 from srgfusion.partitions import (
@@ -106,15 +106,18 @@ def test_equality_graph_classes_group_equal_summed_rows():
 def test_blocked_row_bits_match_the_equality_graph():
     """On every partition, two classes can merge exactly when neither is
     the valency row and no block difference of their first rows is
-    sieve-certified, checked here on the table's subset sums directly."""
-    sums = symbolic_tensor_table().subset_sums
+    sieve-certified, checked here on block sums of the table's rows."""
+    rows = symbolic_tensor_table().rows
     sieve = default_sieve_set()
     certified = {}
+
+    def block_sum(a, mask):
+        return sum(rows[a][c] for c in range(1, 9) if mask >> (c - 1) & 1)
 
     def block_certified(a, b, mask):
         key = (a, b, mask)
         if key not in certified:
-            diff = (sums[a][mask] - sums[b][mask]).normalized()
+            diff = (block_sum(a, mask) - block_sum(b, mask)).normalized()
             certified[key] = (not diff.is_zero()
                               and sieve.certify(diff) is not None)
         return certified[key]
@@ -641,6 +644,40 @@ def test_verify_record_rejects_a_bound_equation_not_from_the_leaf(
     assert not verify_record(_with_conflict(rec, gi, li, forged))
 
 
+def test_no_feasible_root_leaf_resolves_a_shuffled_system(classification,
+                                                          monkeypatch):
+    """Shuffled after ORTHOGONALITY (seeded per grouping), the equations of
+    ``29|3457|6|8`` reach a leaf whose residual is s^2 + s - 1.  Both
+    golden-ratio roots are exact and neither pins a feasible point, so the
+    leaf is a ``no-feasible-root`` contradiction: the census verdict stands
+    and the record verifies.  A forged root list does not verify."""
+    grouping_system = classifier._grouping_system
+
+    def shuffled(graph, grouping):
+        first, *rest = grouping_system(graph, grouping)
+        random.Random(f"4:{grouping}").shuffle(rest)
+        return (first, *rest)
+
+    monkeypatch.setattr(classifier, "_grouping_system", shuffled)
+    rec = classify_partition(parse("29|3457|6|8"))
+    census = classification.record("29|3457|6|8")
+    assert (rec.verdict, rec.families) == (census.verdict, census.families)
+    assert rec.verdict == "INFEASIBLE" and rec.groupings != census.groupings
+    assert verify_record(rec)
+    gi, li, leaf = next(
+        (gi, li, leaf) for gi, ga in enumerate(rec.groupings)
+        for li, leaf in enumerate(ga.leaves)
+        if leaf.bound_conflict is not None
+        and leaf.bound_conflict.kind == "no-feasible-root")
+    assert leaf.residual == (S * S + S - 1,)
+    var, roots = leaf.bound_conflict.data
+    golden = {quad(Fraction(-1, 2), Fraction(b, 2), 5) for b in (1, -1)}
+    assert var == "s" and set(roots) == golden
+    for forged in (roots[:1], (Fraction(-2),) + roots[1:], ()):
+        conflict = dataclasses.replace(leaf.bound_conflict, data=("s", forged))
+        assert not verify_record(_with_conflict(rec, gi, li, conflict)), forged
+
+
 def test_verify_record_rejects_a_representative_of_an_unblocked_class(
     classification
 ):
@@ -875,6 +912,38 @@ def test_records_do_not_depend_on_the_hash_seed():
     assert len(outputs) == 1, outputs
     grouping, _ = outputs.pop().split()
     assert int(grouping) == 71
+
+
+# A cold first verdict on the row-count path: which exact block sums of the
+# symbolic table it adds.
+_COLD_MASK_SUMS = """
+from srgfusion.classifier import classify_partition, symbolic_tensor_table
+from srgfusion.partitions import parse
+p = parse("2|3|4567|89")
+rec = classify_partition(p)
+assert rec.row_count_certificate is not None and not rec.groupings
+sums = symbolic_tensor_table()._mask_sums
+print(*p.masks, "/", *(m for m, row in enumerate(sums) if row is not None))
+"""
+
+
+def test_cold_row_count_verdict_adds_only_its_blocks_sums():
+    """A fresh interpreter's first verdict fills the symbolic table's
+    ``mask_sums`` on the partition's masks and on the masks left by dropping
+    their lowest bits, nothing else."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _COLD_MASK_SUMS],
+                          capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    masks, filled = (list(map(int, half.split()))
+                     for half in proc.stdout.split("/"))
+    want = set()
+    for m in masks:
+        while m:
+            want.add(m)
+            m &= m - 1
+    assert sorted(want) == filled == [1, 2, 32, 48, 56, 60, 128, 192]
 
 
 def test_decompose_normalizes_the_system_once(classification):

@@ -314,6 +314,28 @@ def test_fresh_table_fills_only_the_masks_it_uses():
     assert filled == {0, *p.masks}
 
 
+def lower_bit_prefixes(masks):
+    """Each mask and the masks left by dropping its lowest bits one at a
+    time: what ``CharTable.mask_sums`` fills for them."""
+    out = set()
+    for m in masks:
+        while m:
+            out.add(m)
+            m &= m - 1
+    return out
+
+
+def test_fused_table_fills_only_its_masks_sums():
+    table = tensor_for(10, 3, 0, 1)
+    p = parse("23|47|5689")
+    assert fused_table(table, p).order == table.order
+    assert len(table._mask_sums) == 1 << 8
+    filled = {m for m, sums in enumerate(table._mask_sums) if sums is not None}
+    assert filled == lower_bit_prefixes(p.masks) == {
+        0b11, 0b10, 0b100100, 0b100000, 0b11011000, 0b11010000, 0b11000000,
+        0b10000000}
+
+
 # entries that often coincide in subset sums: small ints mixed with the same
 # values as Fractions, quadratic values in one field, and polynomials with
 # negative and Fraction coefficients over a few monomials
@@ -335,8 +357,9 @@ _ENTRY_KINDS = {
 @given(data=st.data(), kind=st.sampled_from(sorted(_ENTRY_KINDS)),
        nrows=st.integers(2, 5))
 def test_pair_bits_from_images_match_exact_subset_sums(data, kind, nrows):
-    """On 9-column tables of each entry kind, rows pair on a mask exactly
-    when their exact subset sums are equal."""
+    """On 9-column tables of each entry kind, ``mask_sums`` is each row
+    summed directly over the mask's columns, and rows pair on a mask
+    exactly when those sums are equal."""
     entries = _ENTRY_KINDS[kind]
     rows = tuple(tuple(data.draw(st.lists(entries, min_size=9, max_size=9)))
                  for _ in range(nrows))
@@ -344,21 +367,36 @@ def test_pair_bits_from_images_match_exact_subset_sums(data, kind, nrows):
                       rows, (1,) * nrows)
     for mask in range(1, 1 << 8):
         table.row_classes((mask,))
-    sums = table.subset_sums
     for mask in range(1, 1 << 8):
+        columns = [c for c in range(1, 9) if mask >> (c - 1) & 1]
+        sums = [sum(row[c] for c in columns) for row in rows]
+        assert table.mask_sums(mask) == tuple(sums), (mask, rows)
         want = sum(1 << (i * nrows + j)
                    for i, j in itertools.combinations(range(nrows), 2)
-                   if sums[i][mask] == sums[j][mask])
+                   if sums[i] == sums[j])
         assert table.pair_bits[mask] == want, (mask, rows)
     assert all(type(x) is int for images in table.subset_images for x in images)
 
 
 def test_scans_of_imprimitive_and_rational_tables_need_no_subset_sums():
+    """A scan compares integer images and adds no exact sums, and finds the
+    partitions whose rows, summed here per block, have rank distinct rows."""
     for table in (tensor_square_table(family_base_table("IMP1")),
                   tensor_for(13, 6, 2, 3)):
-        scan_all(table)
+        got = scan_strings(table)
         assert "subset_images" in vars(table)
-        assert "subset_sums" not in vars(table)
+        assert "_mask_sums" not in vars(table)
+        block_sums = {}
+        for p in all_default_partitions():
+            for block in p.blocks:
+                if block not in block_sums:
+                    block_sums[block] = tuple(sum(row[x - 1] for x in block)
+                                              for row in table.rows)
+        want = {str(p) for p in all_default_partitions()
+                if 1 < p.num_blocks < 8 and p.rank == len(set(zip(
+                    (row[0] for row in table.rows),
+                    *(block_sums[block] for block in p.blocks))))}
+        assert got == want
 
 
 def test_default_partitions_carry_masks_from_the_enumeration():
