@@ -10,16 +10,16 @@ Block sums are looked up, not re-added: ``block_masks`` checks a partition
 against the table, one int compare of its masks' sum with
 ``CharTable.full_mask``, and hands back its per-block keys
 (``SetPartition.masks``, set by the enumeration) into the table's lazily
-built column-sum views.  Rows are compared through
-``CharTable.row_classes``: per mask the table records once, as bits, which
-pairs of rows have equal sums, so a check ANDs a few ints and counts the
-classes of the result.  The bits compare exact
-integer images of the sums, ``CharTable.subset_images``: every entry is a
-rational combination of basis keys, scaled to integers by the lcm L of the
-denominators, and key number t maps to B**t with B = 2C + 1, C the largest
-per-row sum of absolute scaled coefficients.  Two sums differ by a
-combination with coefficients in [-2C, 2C], which is zero exactly when its
-image is, so a scan adds and compares ints only.  Readers that need the
+built column-sum views.  Rows are compared through ``CharTable.pair_bits``:
+per mask the table records once, as bits, which pairs of rows have equal
+sums, so a check ANDs a few ints and looks up the number of classes of the
+result.  The bits compare exact integer images of the sums,
+``CharTable.subset_images``: every entry is a rational combination of
+basis keys, scaled to integers by the lcm L of the denominators, and key
+number t maps to B**t with B = 2C + 1, C the largest per-row sum of
+absolute scaled coefficients.  Two sums differ by a combination with
+coefficients in [-2C, 2C], which is zero exactly when its image is, so a
+scan adds and compares ints only.  Readers that need the
 exact sums read them per block from ``CharTable.mask_sums``, which adds a
 mask's sums the first time it is asked for: ``summed_rows`` and
 ``fused_table``, and the classifier's block differences.  ``fused_table``
@@ -27,8 +27,10 @@ merges rows along the row classes, and the classifier's row-count check
 reads them too.
 
 A check returns a ``FusionVerdict``, a named tuple of the partition and
-its distinct-row count, so a call costs a mask lookup, a few ANDs and one
-tuple; ``scan_all`` compares the count with the rank itself.
+its distinct-row count.  ``bm_check`` does it in one pass with no call on
+a warm table: the ground test, the AND of the identity column's pair bits
+with each mask's, one lookup of the AND in ``CharTable.class_counts`` and
+one tuple.  ``scan_all`` compares the count with the rank itself.
 
 The check is purely value-based, so the same routine serves numeric tables
 (Fraction / quadratic-irrational entries), fully symbolic tables whose
@@ -73,21 +75,27 @@ class FusionVerdict(NamedTuple):
         return self.partition.rank if self.is_fusion else None
 
 
+def _ground_mismatch(table: CharTable, p: SetPartition) -> IndexMismatch:
+    return IndexMismatch(f"partition ground {sorted(p.ground)} vs columns "
+                         f"2..{len(table.col_labels)}")
+
+
 def block_masks(table: CharTable, p: SetPartition) -> tuple[int, ...]:
     """Keys of p's blocks in the table's column-sum views, such as
     ``table.mask_sums``: index x is bit x - 2.
 
     Raises IndexMismatch unless p partitions the non-identity columns
-    2..ncols: with no index below 2 (tested first, since such a partition
-    has no masks), the disjoint masks sum to ``table.full_mask`` exactly
-    when the ground is that set.
+    2..ncols: with no index below 2 (``p.masks`` raises ValueError for
+    one), the disjoint masks sum to ``table.full_mask`` exactly when the
+    ground is that set.
     """
-    if (p.blocks and p.blocks[0][0] < 2) or sum(p.masks) != table.full_mask:
-        raise IndexMismatch(
-            f"partition ground {sorted(p.ground)} vs columns "
-            f"2..{len(table.col_labels)}"
-        )
-    return p.masks
+    try:
+        masks = p.masks
+    except ValueError:
+        raise _ground_mismatch(table, p) from None
+    if sum(masks) != table.full_mask:
+        raise _ground_mismatch(table, p)
+    return masks
 
 
 def summed_rows(table: CharTable, p: SetPartition) -> list[tuple]:
@@ -100,12 +108,33 @@ def bm_check(table: CharTable, p: SetPartition) -> FusionVerdict:
     """Apply the Bannai-Muzychuk criterion to one partition.
 
     The verdict carries the number of row classes on p's masks; p gives a
-    fusion when that is its rank.  Raises IndexMismatch as ``block_masks``.
-    The verdict is built by ``tuple.__new__``, skipping the named tuple's
-    Python-level ``__new__``.
+    fusion when that is its rank.  One pass, with no call on a warm table:
+    the ground test of ``block_masks`` (the same IndexMismatch), the AND
+    of ``pair_bits[0]`` with each mask's pair bits (a mask not yet filled
+    goes through ``CharTable.fill_pair_bits``, as in ``row_classes``), and
+    the AND's class count from ``CharTable.class_counts``.  A count not
+    there yet is ``len(table.row_classes(masks))``, so every verdict agrees
+    with ``row_classes``.  The verdict is built by ``tuple.__new__``,
+    skipping the named tuple's Python-level ``__new__``.
     """
-    return tuple.__new__(
-        FusionVerdict, (p, len(table.row_classes(block_masks(table, p)))))
+    try:
+        masks = p.masks
+    except ValueError:
+        raise _ground_mismatch(table, p) from None
+    if sum(masks) != table.full_mask:
+        raise _ground_mismatch(table, p)
+    bits = table.pair_bits
+    key = bits[0]
+    for m in masks:
+        b = bits[m]
+        if b < 0:
+            b = table.fill_pair_bits(m)
+        key &= b
+    try:
+        count = table.class_counts[key]
+    except KeyError:
+        count = table.class_counts[key] = len(table.row_classes(masks))
+    return tuple.__new__(FusionVerdict, (p, count))
 
 
 def fused_table(table: CharTable, p: SetPartition) -> CharTable:

@@ -187,17 +187,21 @@ class CharTable:
     """Exact character table: rows of common eigenvalues with multiplicities.
 
     The column-sum views ``mask_sums``, ``subset_images`` and
-    ``pair_bits``, the memo behind ``row_classes`` and ``full_mask`` are
-    built on first use and stay out of equality and hashing.  A mask is a
-    set of non-identity columns, bit c - 1 for column c.  ``mask_sums``
-    gives the exact sums of every row on one mask, computed the first time
-    that mask is asked for, so a reader pays only for the masks it uses.
-    ``pair_bits`` compare exact integer images of the sums instead
-    (``subset_images``, built for all masks at once, gives the bound that
-    makes them exact), so a table that is only scanned adds no exact
-    values.  A Bannai-Muzychuk check (``fusion.bm_check``) compares a
-    partition's masks with ``full_mask``, reads ``row_classes`` on them and
-    returns the class count in a ``fusion.FusionVerdict`` tuple.
+    ``pair_bits``, the memos behind ``row_classes``, the ``class_counts``
+    memo and ``full_mask`` are built on first use and stay out of equality
+    and hashing.  A mask is a set of non-identity columns, bit c - 1 for
+    column c.  ``mask_sums`` gives the exact sums of every row on one
+    mask, computed the first time that mask is asked for, so a reader pays
+    only for the masks it uses.  ``pair_bits`` compare exact integer images
+    of the sums instead (``subset_images``, built for all masks at once,
+    gives the bound that makes them exact), so a table that is only
+    scanned adds no exact values; a mask's pair bits are filled by
+    ``fill_pair_bits``, the one helper ``row_classes`` and
+    ``fusion.bm_check`` share.  A Bannai-Muzychuk check compares a
+    partition's masks with ``full_mask``, ANDs their pair bits and reads
+    the class count of the AND from ``class_counts``, a ``{AND: count}``
+    memo beside the ``{AND: classes}`` memo of ``row_classes``; a missing
+    count is filled from ``row_classes``, so the two memos cannot disagree.
     """
 
     row_labels: tuple[str, ...]
@@ -296,8 +300,9 @@ class CharTable:
         With R rows, bit ``i*R + j`` (i < j) of ``pair_bits[mask]`` is set
         when rows i and j have equal ``mask_sums(mask)``, read from their
         ``subset_images``; entry 0 compares the identity column
-        ``row[0]``.  ``row_classes`` fills an entry the first time its mask
-        is used, so a fresh table pays only for the masks it is asked about.
+        ``row[0]``.  ``fill_pair_bits`` fills an entry the first time its
+        mask is used, by ``row_classes`` or ``fusion.bm_check``, so a fresh
+        table pays only for the masks it is asked about.
         """
         bits = [-1] * (1 << (len(self.col_labels) - 1))
         bits[0] = _equal_pair_bits([row[0] for row in self.rows])
@@ -310,17 +315,16 @@ class CharTable:
         their sums on each of ``masks`` are equal, which is when their pair
         bit survives the AND over entry 0 and the masks' ``pair_bits``.
         Classes are ordered by their first row.  The grouping is memoized
-        per table by that AND, which has at most Bell(R) values; the
-        Bannai-Muzychuk check counts the classes and the classifier's
-        row-count check pairs up their first rows.
+        per table by that AND, which has at most Bell(R) values;
+        ``fusion.bm_check`` keeps their count per AND in ``class_counts``
+        and the classifier's row-count check pairs up their first rows.
         """
         bits = self.pair_bits
         key = bits[0]
         for m in masks:
             b = bits[m]
             if b < 0:
-                b = bits[m] = _equal_pair_bits(
-                    [images[m] for images in self.subset_images])
+                b = self.fill_pair_bits(m)
             key &= b
         classes = self._classes_by_bits.get(key)
         if classes is None:
@@ -328,8 +332,22 @@ class CharTable:
                 key, len(self.rows))
         return classes
 
+    def fill_pair_bits(self, mask: int) -> int:
+        """Compute ``pair_bits[mask]`` from ``subset_images``, store it and
+        return it: the one fill for every reader of ``pair_bits``."""
+        b = self.pair_bits[mask] = _equal_pair_bits(
+            [images[mask] for images in self.subset_images])
+        return b
+
     @cached_property
     def _classes_by_bits(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        return {}
+
+    @cached_property
+    def class_counts(self) -> dict[int, int]:
+        """Per AND of pair bits, the number of its row classes: the memo
+        ``fusion.bm_check`` reads, filled there with the length of
+        ``row_classes`` on the masks that gave the AND."""
         return {}
 
     def to_json(self) -> dict:

@@ -257,6 +257,31 @@ def test_verdicts_count_row_classes_and_agree_with_fused_table(name):
             assert v.is_fusion and v.fused_rank == len(fused.rows) == p.rank, str(p)
 
 
+@pytest.mark.parametrize("name", ["generic", "paley13", "petersen"])
+def test_verdicts_do_not_depend_on_fill_order(name):
+    """``bm_check``'s count memo and ``row_classes``' classes memo agree
+    whichever of them a fresh table fills first: checks first, or row
+    classes (and a few fused tables) first."""
+    table = REFERENCE_TABLES[name]()
+    ps = all_default_partitions()
+
+    checked = dataclasses.replace(table)
+    assert "pair_bits" not in vars(checked)
+    verdicts = [bm_check(checked, p) for p in ps]
+    classes = [checked.row_classes(p.masks) for p in ps]
+
+    read = dataclasses.replace(table)
+    assert "pair_bits" not in vars(read)
+    assert [read.row_classes(p.masks) for p in ps] == classes
+    fusions = [p for p, c in zip(ps, classes) if len(c) == p.rank]
+    for p in fusions[::max(1, len(fusions) // 4)]:
+        assert len(fused_table(read, p).rows) == p.rank, str(p)
+    verdicts_after = [bm_check(read, p) for p in ps]
+
+    for p, first, after, c in zip(ps, verdicts, verdicts_after, classes):
+        assert first == after == FusionVerdict(p, len(c)), str(p)
+
+
 def test_bm_check_compares_identity_column_and_exact_values():
     # rows that agree off the identity column must still count apart, and
     # equal values of different types (1, Fraction(1)) must count together
