@@ -26,6 +26,14 @@ words, uint16 for n^2 = 256), which no entry can exceed.  A product is
 tested without sorting the cells: the first row-major cell of each class
 gives a per-class value table, and the product must equal the table looked
 up at every cell's label.  No floating point is used.
+
+The value tables all lie in the head rows, row 0 up to the last row that
+holds some class's first cell; for a fused SRG every class meets row 0, so
+the head is row 0.  One batched popcount screens the head of every product
+first.  Most candidate partitions fail it, and a refutation then multiplies
+in full only the pairs before the first failing one; its witness needs the
+failing product only on the cells below the head in classes smaller than
+the head's smallest bad class.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -210,6 +219,15 @@ class SchemeMatrices:
         """The int64 0/1 class matrices, derived from the labels."""
         return tuple((self.labels == k).astype(np.int64) for k in range(self.rank))
 
+    @cached_property
+    def square_index(self) -> np.ndarray:
+        """Tensor class of every cell of the tensor square, an n^2 x n^2
+        array of the labels' dtype: cell ((a, b), (c, d)) holds
+        single_index(labels[a, c], labels[b, d]).  Built once per scheme."""
+        lab, side = self.labels, self.order ** 2
+        tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
+        return tensor.reshape(side, side)
+
     def valencies(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
 
@@ -224,12 +242,10 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     block_of = np.zeros(10, dtype=np.int8)  # single_index(0, 0) = 1 stays 0
     for b, block in enumerate(p.blocks, 1):
         block_of[sorted(block)] = b
-    lab, side = sm.labels, sm.order ** 2
-    tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
     # valid labels: only cells ((a, b), (a, b)) pair two diagonal cells,
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
-    return SchemeMatrices._trusted(block_of.take(tensor.reshape(side, side)),
+    return SchemeMatrices._trusted(block_of.take(sm.square_index),
                                    p.num_blocks + 1, f"{sm.name} fused {p}")
 
 
@@ -253,12 +269,13 @@ class FailureWitness:
 
 
 def _pack_rows(m: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix as bits: word w of row r sits at [w, r]."""
-    rows, cols = m.shape
+    """Rows of a 0/1 matrix, or of a stack of them, as bits: word w of row
+    r sits at [w, r], or at [w, t, r] for the t-th matrix of a stack."""
+    cols = m.shape[-1]
     words = -(-cols // 64)
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
-    packed[:, :-(-cols // 8)] = np.packbits(m.astype(np.uint8), axis=1)
-    return np.ascontiguousarray(packed.view(np.uint64).T)
+    packed = np.zeros((*m.shape[:-1], 8 * words), dtype=np.uint8)
+    packed[..., :-(-cols // 8)] = np.packbits(m, axis=-1)
+    return np.ascontiguousarray(np.moveaxis(packed.view(np.uint64), -1, 0))
 
 
 # cells of the product formed per row chunk; bounds the temporaries
@@ -285,6 +302,30 @@ def product01(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _popcount_product(_pack_rows(a), _pack_rows(b.T)).astype(np.int64)
 
 
+def _first_bad(bad: np.ndarray, classes: np.ndarray) -> tuple[int, int]:
+    """The smallest class with a bad cell, and the position of its first bad
+    cell, given the bad mask and the class of each cell, both in row-major
+    order."""
+    c = int(classes[bad].min())
+    return c, int(np.argmax(bad & (classes == c)))
+
+
+def _popcount_cells(a_rows: np.ndarray, b_cols: np.ndarray, cells: np.ndarray,
+                    dtype) -> np.ndarray:
+    """The entries of a @ b at the row-major positions ``cells`` alone, from
+    the packed rows of a and the packed columns of b, in ``dtype``.  Two
+    gathered operands of at most _CHUNK_CELLS / 2 words each are live at a
+    time."""
+    out = np.empty(len(cells), dtype=dtype)
+    step = max(1, _CHUNK_CELLS // (2 * len(a_rows)))
+    for s in range(0, len(cells), step):
+        rows, cols = np.divmod(cells[s:s + step], b_cols.shape[1])
+        both = a_rows.take(rows, axis=1)
+        both &= b_cols.take(cols, axis=1)
+        out[s:s + step] = np.bitwise_count(both).sum(axis=0, dtype=dtype)
+    return out
+
+
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     """Decide whether the matrices span an algebra, by support constancy.
 
@@ -301,6 +342,18 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     class.  Products are uint8 or uint16 (see _popcount_product); the
     intersection numbers and witness values are Python ints.
 
+    The head rows, row 0 up to the last row holding some class's first
+    cell, are screened first: one popcount product of the stacked head rows
+    of every multiplied class against all their columns fills every value
+    table and shows which pairs go wrong there.  The head is row 0 alone
+    when every class meets row 0, as in every tensor fusion of an SRG.
+    Pairs before the first one that fails the screen are multiplied in
+    full, on the rows below the head.  The failing pair's witness class is
+    the smallest bad class of its head unless a smaller class goes wrong
+    below it, so only the cells below the head in smaller classes are
+    counted; the first bad cell of the head's class lies in the head, as
+    the head comes first in row-major order.
+
     Two kinds of product need no matrix work, and neither can hold the
     first inconsistency:
     - M_0 = I, so p[0][j][k] is 1 when j = k and 0 otherwise.
@@ -316,35 +369,74 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     d, n = sm.rank, sm.order
     valencies = sm.valencies()
     flat = lab.ravel()
-    # the first row-major cell of each present class
+    # the first row-major cell of each present class: in row 0 if the class
+    # meets it, else looked for in the whole matrix
+    hits = lab[0] == np.arange(d, dtype=lab.dtype)[:, None]
     present, first = [], []
-    for k in range(d):
-        at = int(np.argmax(flat == k))
-        if flat[at] == k:
+    for k, (at, hit) in enumerate(zip(hits.argmax(axis=1).tolist(),
+                                      hits.any(axis=1).tolist())):
+        if not hit:
+            at = int(np.argmax(flat == k))
+            hit = flat[at] == k
+        if hit:
             present.append(k)
             first.append(at)
-    # the classes are symmetric, so packed rows are also packed columns
-    packed = {k: _pack_rows(lab == k) for k in range(1, d - 1)}
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
     for j in present:
         p[0][j][j] = p[j][0][j] = 1
-    for i in range(1, d - 1):
-        for j in range(i, d - 1):
-            vals = _popcount_product(packed[i], packed[j]).ravel()
-            firsts = vals[first]
-            value_of = np.zeros(d, dtype=vals.dtype)
-            value_of[present] = firsts
-            bad = vals != value_of.take(flat)
+    m = d - 2  # classes 1..d-2 are multiplied
+    if m > 0:
+        head = max(first) // n + 1
+        cut = head * n  # cells in the head rows
+        # the classes are symmetric, so packed rows are also packed columns:
+        # packed[:, i - 1] holds M_i
+        packed = _pack_rows(lab == np.arange(1, d - 1, dtype=lab.dtype)[:, None, None])
+        words = len(packed)
+        screen = _popcount_product(packed[:, :, :head].reshape(words, m * head),
+                                   packed.reshape(words, m * n))
+        # heads[i - 1, j - 1] is the head of M_i M_j, row-major; value_of
+        # keeps the product's dtype, so the compares stay narrow
+        heads = screen.reshape(m, head, m, n).swapaxes(1, 2).reshape(m, m, cut)
+        value_of = np.zeros((m, m, d), dtype=heads.dtype)
+        value_of[:, :, present] = heads[:, :, first]
+        head_bad = heads != value_of[:, :, flat[:cut]]
+        failing = head_bad.any(axis=2).tolist()
+        pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
+        stop = next((t for t, (i, j) in enumerate(pairs)
+                     if failing[i - 1][j - 1]), len(pairs))
+        below = flat[cut:]
+
+        def witness(i, j, c, at, value):
+            return FailureWitness(
+                i, j, c, divmod(first[present.index(c)], n), divmod(int(at), n),
+                int(value_of[i - 1, j - 1, c]), int(value))
+
+        # the pairs that pass the screen, below the head
+        for i, j in pairs[:stop]:
+            rest = _popcount_product(packed[:, i - 1, head:],
+                                     packed[:, j - 1]).ravel()
+            bad = rest != value_of[i - 1, j - 1].take(below)
             if bad.any():
-                c = int(flat[bad].min())
-                at = int(np.argmax(bad & (flat == c)))
-                return FailureWitness(
-                    i, j, c,
-                    divmod(first[present.index(c)], n), divmod(at, n),
-                    int(value_of[c]), int(vals[at]),
-                )
-            for k, value in zip(present, firsts.tolist()):
-                p[i][j][k] = p[j][i][k] = value
+                c, at = _first_bad(bad, below)
+                return witness(i, j, c, cut + at, rest[at])
+        if stop < len(pairs):
+            i, j = pairs[stop]
+            table = value_of[i - 1, j - 1]
+            c, at = _first_bad(head_bad[i - 1, j - 1], flat[:cut])
+            # a smaller class may go wrong only below the head
+            cells = np.flatnonzero(below < c)
+            cells += cut
+            classes = flat[cells]
+            counts = _popcount_cells(packed[:, i - 1], packed[:, j - 1], cells,
+                                     table.dtype)
+            bad = counts != table.take(classes)
+            if bad.any():
+                c, t = _first_bad(bad, classes)
+                return witness(i, j, c, cells[t], counts[t])
+            return witness(i, j, c, at, heads[i - 1, j - 1, at])
+        values = value_of.tolist()
+        for i, j in pairs:
+            p[i][j] = p[j][i] = values[i - 1][j - 1]
     last = d - 1
     for i in range(1, d):
         for k in present:

@@ -447,6 +447,97 @@ def test_verify_scheme_matches_all_pairs_reference_rook4():
         IntersectionTensor, FailureWitness}
 
 
+def cycles_scheme(sizes, edge_classes, rank):
+    """Labels of a disjoint union of cycles, numbered in turn: the edges of
+    cycle t lie in class edge_classes[t], every non-edge in the last class."""
+    n = sum(sizes)
+    labels = np.full((n, n), rank - 1, dtype=np.int8)
+    np.fill_diagonal(labels, 0)
+    start = 0
+    for size, klass in zip(sizes, edge_classes):
+        for x in range(size):
+            u, v = start + x, start + (x + 1) % size
+            labels[u, v] = labels[v, u] = klass
+        start += size
+    return SchemeMatrices(labels, rank)
+
+
+def assert_matches_reference(sm):
+    got = verify_scheme(sm)
+    assert got == all_pairs_verify(sm)
+    if isinstance(got, FailureWitness):
+        fields = (got.i, got.j, got.klass, *got.cell_a, *got.cell_b,
+                  got.value_a, got.value_b)
+        assert all(type(v) is int for v in fields), got
+    return got
+
+
+@pytest.mark.parametrize("sizes,classes,rank,witness", [
+    # row 0 sees only the triangle, where every edge has one common
+    # neighbour and every non-edge none: the screen passes, and the
+    # hexagon's first edge fails below the head
+    ((3, 6), (1, 1), 3, FailureWitness(1, 1, 1, (0, 1), (3, 4), 1, 0)),
+    # row 0 is the head and shows the non-edges bad (1 or 0 common
+    # neighbours); the edges, a smaller class, go wrong only below it,
+    # on the triangle
+    ((5, 3), (1, 1), 3, FailureWitness(1, 1, 1, (0, 1), (5, 6), 0, 1)),
+    # the triangle's class 2 misses row 0, so the head is rows 0..5, and
+    # the diagonal goes wrong inside it
+    ((5, 3), (1, 2), 4, FailureWitness(1, 1, 0, (0, 0), (5, 5), 2, 0)),
+    # class 1 is empty
+    ((5, 3), (2, 2), 4, FailureWitness(2, 2, 2, (0, 1), (5, 6), 0, 1)),
+], ids=["tail", "smaller-below-head", "several-head-rows", "empty-class"])
+def test_verify_scheme_head_screen_witnesses(sizes, classes, rank, witness):
+    assert assert_matches_reference(cycles_scheme(sizes, classes, rank)) == witness
+
+
+def test_verify_scheme_with_an_empty_class():
+    """Petersen's basis with an empty class between the edges and the
+    non-edges still spans an algebra, with that class's numbers 0."""
+    base = scheme_matrices(build_graph("petersen")).labels
+    sm = SchemeMatrices(np.where(base == 2, 3, base).astype(np.int8), 4)
+    got = assert_matches_reference(sm)
+    assert isinstance(got, IntersectionTensor)
+    assert got.valencies == (1, 3, 0, 6)
+    assert got.p[1][1] == (3, 0, 0, 1)
+
+
+def test_verify_scheme_matches_reference_on_random_labels():
+    """Seeded symmetric labels whose row 0 takes a random subset of the
+    classes, so that classes miss row 0 (a head of several rows) or are
+    empty; the sweep reaches witnesses both in and below the head."""
+    rng = random.Random(31)
+    below_head = set()
+    for _ in range(400):
+        n, rank = rng.randint(3, 9), rng.randint(3, 6)
+        row0 = rng.sample(range(1, rank), rng.randint(1, rank - 1))
+        labels = np.zeros((n, n), dtype=np.int8)
+        for x, y in itertools.combinations(range(n), 2):
+            labels[x, y] = labels[y, x] = rng.choice(row0) if x == 0 else \
+                rng.randrange(1, rank)
+        got = assert_matches_reference(SchemeMatrices(labels, rank))
+        if isinstance(got, FailureWitness):
+            flat = labels.ravel()
+            last_head_row = max(int(np.argmax(flat == k))
+                                for k in set(flat.tolist())) // n
+            below_head.add(got.cell_b[0] > last_head_row)
+    assert below_head == {False, True}
+
+
+def test_tensor_fuse_alternating_base_schemes():
+    """Each base scheme keeps its own square index: fusing petersen and
+    paley5 in turn on the same partitions matches the Kronecker reference."""
+    schemes = [scheme_matrices(build_graph(s)) for s in ("petersen", "paley5")]
+    for p in random.Random(5).sample(all_default_partitions(), 12):
+        for sm in schemes:
+            got, want = tensor_fuse(sm, p).matrices, kron_fuse(sm, p)
+            assert len(got) == len(want)
+            assert all((a == b).all() for a, b in zip(got, want)), (sm.name, str(p))
+    for sm in schemes:
+        assert sm.square_index is sm.square_index
+        assert sm.square_index.shape == (sm.order ** 2,) * 2
+
+
 def test_verify_scheme_examples():
     sm = scheme_matrices(build_graph("petersen"))
     res = verify_scheme(tensor_fuse(sm, parse("2347|5689")))
