@@ -64,19 +64,16 @@ from .fusion import (
     fused_table,
     scan_all,
 )
-from .classifier import (
+from .catalogue import (
     ClassificationRecord,
     FamilySpec,
-    classify_all,
-    classify_partition,
-    classify_wreath,
     family_catalog,
     family_match,
     guaranteed_partition_strings,
     potential_equality_graph,
     symbolic_tensor_table,
-    verify_record,
 )
+from .checker import verify_record
 from .oracle import (
     BadSpec,
     Graph01,
@@ -91,4 +88,15 @@ from .oracle import (
     verify_scheme,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the prover loads on first use, so importing the checker loads none of it
+_PROVER = ("classify_all", "classify_partition", "classify_wreath")
+
+
+def __getattr__(name):
+    if name in _PROVER:
+        from . import classifier
+        return getattr(classifier, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_PROVER)

@@ -3,8 +3,10 @@
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -16,11 +18,9 @@ from pathlib import Path
 import pytest
 
 import expected as X
-from srgfusion import classifier
-from srgfusion.classifier import (
+from srgfusion import catalogue, classifier, decompose
+from srgfusion.catalogue import (
     SubstitutionRecord,
-    classify_partition,
-    classify_wreath,
     family_base_table,
     family_by_id,
     family_catalog,
@@ -28,14 +28,18 @@ from srgfusion.classifier import (
     guaranteed_partition_strings,
     potential_equality_graph,
     symbolic_tensor_table,
-    verify_record,
     ORTHOGONALITY,
-    _Decomposer,
     _apply_substitutions,
-    _enumerate_groupings,
-    _grouping_system,
     _leaf_point,
 )
+from srgfusion.checker import verify_record
+from srgfusion.classifier import (
+    classify_partition,
+    classify_wreath,
+    _enumerate_groupings,
+    _grouping_system,
+)
+from srgfusion.decompose import _Decomposer
 from srgfusion.exact import (
     K, M, ONE, R, S, MultiPoly, NonzeroCertificate, QuadraticValue,
     default_sieve_set, quad, scalar_sign,
@@ -264,10 +268,10 @@ def test_family_match_decides_as_exact_substitution(classification):
 def test_factor_basis_refuses_a_member_the_residue_test_cannot_use(monkeypatch):
     # K - 1009 vanishes at the residue point, so its residue divides nothing
     bad = dataclasses.replace(family_by_id("NEWS1"), id="BAD", defining=(K - 1009,))
-    monkeypatch.setattr(classifier, "family_catalog",
+    monkeypatch.setattr(decompose, "family_catalog",
                         lambda: family_catalog() + (bad,))
     with pytest.raises(ValueError, match="residue"):
-        classifier._factor_basis.__wrapped__()
+        decompose._factor_basis.__wrapped__()
 
 
 def test_family_match_negative():
@@ -746,22 +750,28 @@ def test_verify_record_replays_the_verdict(classification, text, change):
                           "equations or merge_classes to the partition")
 def test_verify_record_ties_a_grouping_to_its_partition(classification):
     """A grouping's equations and merge pattern must be the partition's own:
-    swapping the equations for k - r with one leaf certifying it, or
-    claiming a merge of all eight nonvalency rows, must not verify."""
+    swapping the equations for k - r with one leaf certifying it, claiming
+    a merge of all eight nonvalency rows, or keeping only one of a
+    partition's two groupings must not verify."""
     rec = classification.record("234579|6|8")
     assert rec.verdict == "INFEASIBLE" and len(rec.groupings) == 1
     assert verify_record(rec)
     ga = rec.groupings[0]
-    leaf = classifier.ProofLeaf(
+    leaf = catalogue.ProofLeaf(
         (), (), "contradiction-unit", unit_poly=K - R,
         unit_certificate=default_sieve_set().certify(K - R))
     forgeries = [
-        dataclasses.replace(ga, equations=(K - R,), leaves=(leaf,)),
-        dataclasses.replace(ga, merge_classes=((0,), tuple(range(1, 9)))),
-    ]
+        dataclasses.replace(rec, groupings=(forged,)) for forged in (
+            dataclasses.replace(ga, equations=(K - R,), leaves=(leaf,)),
+            dataclasses.replace(ga, merge_classes=((0,), tuple(range(1, 9)))),
+        )]
+    two = classification.record("23457|689")
+    assert two.verdict == "INFEASIBLE" and len(two.groupings) == 2
+    assert verify_record(two)
+    forgeries += [dataclasses.replace(two, groupings=(kept,))
+                  for kept in two.groupings]
     for forged in forgeries:
-        assert forged != ga
-        assert not verify_record(dataclasses.replace(rec, groupings=(forged,)))
+        assert not verify_record(forged)
 
 
 def test_verify_record_checks_guaranteed_records(classification):
@@ -890,6 +900,7 @@ def test_census_records_are_pinned(classification):
 # as a fresh interpreter classifies them.
 _SLICE_DIGEST = """
 import hashlib
+import io
 from srgfusion.classifier import classify_partition
 from srgfusion.partitions import all_default_partitions
 records = [classify_partition(p) for p in all_default_partitions()[:400]]
@@ -946,6 +957,63 @@ def test_cold_row_count_verdict_adds_only_its_blocks_sums():
     assert sorted(want) == filled == [1, 2, 32, 48, 56, 60, 128, 192]
 
 
+# Every lru_cache of every package module, and the ones holding anything,
+# after the imports a CLI run makes.
+_COLD_MEMOS = """
+import sys
+import srgfusion, srgfusion.cli
+memos = {f"{name}.{attr}": value
+         for name, module in list(sys.modules.items())
+         if name.split(".")[0] == "srgfusion"
+         for attr, value in vars(module).items()
+         if getattr(value, "__module__", None) == name
+         and hasattr(value, "cache_info")}
+print(len(memos), *(key for key, memo in memos.items() if memo.cache_info().currsize))
+"""
+
+
+def test_import_leaves_every_memo_empty():
+    """Importing the package and its CLI fills no ``lru_cache`` in any
+    module, so a census after import starts cold wherever a memo lives."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _COLD_MEMOS],
+                          capture_output=True, text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["20"]
+
+
+# Verify records in an interpreter that loads the checker and no prover.
+_CHECK_ALONE = """
+import pickle, sys
+from srgfusion import checker
+records = pickle.load(sys.stdin.buffer)
+accepted = sum(map(checker.verify_record, records))
+print(accepted, *sorted({"srgfusion.decompose", "srgfusion.classifier"}
+                        & set(sys.modules)))
+"""
+
+
+def test_checker_runs_without_the_prover(classification):
+    """``import srgfusion.checker`` loads neither ``decompose`` nor
+    ``classifier``, and that checker alone accepts all 4140 census records,
+    handed over pickled."""
+    buf = io.BytesIO()
+    pickler = pickle.Pickler(buf)
+    # the exact values are immutable and carry no pickle support of their own
+    pickler.dispatch_table = {
+        MultiPoly: lambda p: (MultiPoly, (p.terms,)),
+        QuadraticValue: lambda q: (QuadraticValue, (q.a, q.b, q.d)),
+    }
+    pickler.dump(classification.records)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _CHECK_ALONE],
+                          input=buf.getvalue(), capture_output=True,
+                          check=False, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["4140"]
+
+
 def test_decompose_normalizes_the_system_once(classification):
     """The decomposer takes raw systems: each of 200 census systems, scaled
     by -2, listed twice and with a zero appended, decomposes into the same
@@ -960,9 +1028,9 @@ def test_decompose_normalizes_the_system_once(classification):
 def _clear_memos():
     """Empty every classifier memo but classify_all's, which keeps the
     session's result."""
-    for name in classifier.cache_stats():
+    for name, memo in classifier._memos().items():
         if name != "classify_all":
-            getattr(classifier, name).cache_clear()
+            memo.cache_clear()
 
 
 def test_verify_record_does_not_depend_on_memo_state(classification):

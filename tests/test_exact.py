@@ -292,7 +292,7 @@ def test_sieve_unknown_for_vanishing_quantity():
 
 def _non_sieve_basis():
     """Factor-basis polynomials that no sieve member divides."""
-    from srgfusion.classifier import _factor_basis
+    from srgfusion.decompose import _factor_basis
     members = [mem.poly for mem in default_sieve_set().members]
     return [f for f in _factor_basis()
             if all(f.divide_exact(mem) is None for mem in members)]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import expected as X
-from srgfusion.classifier import (
+from srgfusion.catalogue import (
     family_base_table, family_catalog, symbolic_tensor_table,
 )
 from srgfusion import fusion

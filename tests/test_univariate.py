@@ -15,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srgfusion.classifier import _poly_sqrt, _resultant
+from srgfusion.catalogue import _resultant
+from srgfusion.decompose import _poly_sqrt
 from srgfusion.exact import (
     SYMBOLS,
     K,
