@@ -30,36 +30,18 @@ from .catalogue import (
     _residual_roots, _resultant, _rootless_on_region, family_catalog,
 )
 from .exact import (
-    K, L, MultiPoly, NonzeroCertificate, R, S, _SYM_INDEX, _poly_gcd_1var,
-    _rational_roots, default_sieve_set,
+    MultiPoly, NonzeroCertificate, R, S, _SYM_INDEX, _poly_gcd_1var,
+    _rational_roots, _trial_divide, _trial_divisors, default_sieve_set,
 )
 
 
-# polynomials worth splitting on beyond the sieve: family-defining factors
-# and small recurring combinations
+# polynomials worth splitting on beyond the sieve, as divisors for
+# ``_trial_divide``: family-defining factors and one recurring combination
 @lru_cache(maxsize=None)
-def _factor_basis() -> tuple[MultiPoly, ...]:
-    polys = [d for fam in family_catalog() for d in fam.defining] + [
-        R + S + 3, R + S + 4, K - L, L - R, K - R * R, L + S,
-        K + S, L - 1 - R, K + 1 + S,
-    ]
+def _factor_basis() -> tuple[tuple[MultiPoly, int], ...]:
+    polys = [d for fam in family_catalog() for d in fam.defining] + [R + S + 4]
     normal = (p.normalized() for p in polys)
-    basis = tuple(dict.fromkeys(n for n in normal if not n.is_constant()))
-    # the residue test of ``_split_poly`` needs what the sieve's needs
-    # (see the ``exact`` module docstring)
-    for cand in basis:
-        if not _basis_residue(cand):
-            raise ValueError(f"factor-basis member {cand} breaks the residue "
-                             f"test: it must be a primitive integer polynomial, "
-                             f"nonzero at the residue point")
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _basis_residue(cand: MultiPoly) -> int | None:
-    """cand at the sieve's residue point, or None when a coefficient is a
-    Fraction; normalized() makes every basis member primitive."""
-    return default_sieve_set()._residue(cand)
+    return _trial_divisors(dict.fromkeys(n for n in normal if not n.is_constant()))
 
 
 def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:
@@ -108,26 +90,10 @@ def _split_poly(p: MultiPoly) -> tuple[MultiPoly, ...]:
     """
     # every sieve member's irreducible factors are members too, so dividing
     # out a basis factor never lets a member divide again
-    sieve = default_sieve_set()
-    rem, _ = sieve.strip(p.normalized())
-    factors: list[MultiPoly] = []
-    progress = True
-    while progress and not rem.is_constant():
-        progress = False
-        norm = rem.normalized()
-        # a division can succeed only where cand(P) divides rem(P), as in
-        # the sieve's residue test; a Fraction coefficient skips the test
-        residue = sieve._residue(rem)
-        for cand in _factor_basis():
-            if cand == norm or (residue is not None
-                                and residue % _basis_residue(cand)):
-                continue
-            q = rem.divide_exact(cand)
-            if q is not None:
-                factors.append(cand)
-                rem = q
-                progress = True
-                break
+    rem, _ = default_sieve_set().strip(p.normalized())
+    basis = _factor_basis()
+    rem, found = _trial_divide(rem, basis)
+    factors = [basis[i][0] for i, e in found for _ in range(e)]
     if not rem.is_constant():
         syms = rem.symbols()
         if len(syms) == 1:

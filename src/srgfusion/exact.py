@@ -55,16 +55,18 @@ trial division that certifies a polynomial nonzero on that region by
 writing it as a scaled product of sieve members.  There is one sieve,
 built at import; a certificate names its members and is read against it.
 
-Trial division first tests one integer residue.  Every member is a
+Trial division first tests one integer residue.  Every divisor is a
 nonconstant primitive polynomial with integer coefficients and is nonzero
 at the integer point P = (k, l, r, s, m) = (1009, 2003, 307, -409, 13);
-building the sieve checks both.  If a member f divides a polynomial g
+``_trial_divisors`` checks both.  If a divisor f divides a polynomial g
 with integer coefficients, Gauss's lemma makes the quotient h integral
 too, so g(P) = f(P) * h(P) with h(P) an integer, and f(P) divides g(P).
-``SieveSet.strip`` evaluates its input at P once, tries a member only
+``_trial_divide`` evaluates its input at P once, tries a divisor only
 when f(P) divides that residue, and after each quotient divides the
 residue by f(P) exactly.  An input with a ``Fraction`` coefficient skips
-the test, so the test only ever skips divisions that would fail.
+the test, so the test only ever skips divisions that would fail.  The
+sieve and the prover's factor basis both divide this way, each over its
+own ordered divisor list.
 """
 
 from __future__ import annotations
@@ -160,6 +162,9 @@ class QuadraticValue:
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticValue is immutable")
+
+    def __reduce__(self):
+        return QuadraticValue, (self.a, self.b, self.d)
 
     def _coerce(self, other) -> tuple[Fraction, Fraction]:
         if isinstance(other, QuadraticValue):
@@ -391,6 +396,9 @@ class MultiPoly:
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        return MultiPoly, (self.terms,)
 
     # -- constructors -------------------------------------------------------
 
@@ -898,8 +906,64 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the nonvanishing sieve
+# trial division and the nonvanishing sieve
 # ---------------------------------------------------------------------------
+
+# (k, l, r, s, m) for the residue test (module docstring); no divisor
+# vanishes there (checked by ``_trial_divisors``)
+_RESIDUE_POINT = (1009, 2003, 307, -409, 13)
+_MONOMIAL_VALUES: dict[int, int] = {}
+
+
+def _residue(p: MultiPoly) -> int | None:
+    """p at ``_RESIDUE_POINT``, or None when a coefficient is a Fraction."""
+    total = 0
+    for mono, c in p._terms:
+        if type(c) is not int:
+            return None
+        v = _MONOMIAL_VALUES.get(mono)
+        if v is None:
+            v = _MONOMIAL_VALUES[mono] = prod(
+                x**e for x, e in zip(_RESIDUE_POINT, _unpack(mono)))
+        total += c * v
+    return total
+
+
+def _trial_divisors(polys: Iterable[MultiPoly]) -> tuple[tuple[MultiPoly, int], ...]:
+    """(divisor, residue) pairs in the order given, for ``_trial_divide``.
+
+    Raises ValueError for a divisor the residue test cannot use: each must
+    be a nonconstant primitive integer polynomial, nonzero at the point.
+    """
+    divisors = tuple((p, _residue(p)) for p in polys)
+    for p, value in divisors:
+        if p.is_constant() or not value or gcd(*(c for _, c in p._terms)) != 1:
+            raise ValueError(f"{p} breaks the residue test: it must be a "
+                             f"nonconstant primitive integer polynomial, "
+                             f"nonzero at {_RESIDUE_POINT}")
+    return divisors
+
+
+def _trial_divide(p: MultiPoly, divisors: Sequence[tuple[MultiPoly, int]]
+                  ) -> tuple[MultiPoly, tuple[tuple[int, int], ...]]:
+    """(remainder, (index, exponent) pairs): p divided by each divisor in
+    turn as often as it goes, so p = remainder * the product.  One pass
+    suffices: a divisor that misses p misses every quotient of p too."""
+    rem, residue = p, _residue(p)
+    found: list[tuple[int, int]] = []
+    for i, (d, value) in enumerate(divisors):
+        count = 0
+        # an exact division needs value | residue (module docstring)
+        while (residue is None or residue % value == 0) and not rem.is_constant():
+            q = rem.divide_exact(d)
+            if q is None:
+                break
+            rem, count = q, count + 1
+            residue = None if residue is None else residue // value
+        if count:
+            found.append((i, count))
+    return rem, tuple(found)
+
 
 @dataclass(frozen=True)
 class SieveMember:
@@ -942,30 +1006,7 @@ class SieveSet:
         self.members = _SIEVE_MEMBERS
         self.by_name = {mem.name: mem for mem in self.members}
         self._cache: dict[MultiPoly, NonzeroCertificate | None] = {}
-        self._monomial_values: dict[int, int] = {}
-        self._member_residues = tuple(self._residue(mem.poly) for mem in self.members)
-        for mem, value in zip(self.members, self._member_residues):
-            coeffs = [c for _, c in mem.poly._terms]
-            if (mem.poly.is_constant() or not value
-                    or Fraction in map(type, coeffs) or gcd(*coeffs) != 1):
-                raise ValueError(f"sieve member {mem.name} breaks the residue "
-                                 f"test: it must be a nonconstant primitive "
-                                 f"integer polynomial, nonzero at "
-                                 f"{_RESIDUE_POINT}")
-
-    def _residue(self, p: MultiPoly) -> int | None:
-        """p at ``_RESIDUE_POINT``, or None when a coefficient is a Fraction."""
-        values = self._monomial_values
-        total = 0
-        for mono, c in p._terms:
-            if type(c) is not int:
-                return None
-            v = values.get(mono)
-            if v is None:
-                v = values[mono] = prod(
-                    x**e for x, e in zip(_RESIDUE_POINT, _unpack(mono)))
-            total += c * v
-        return total
+        self._divisors = _trial_divisors(mem.poly for mem in self.members)
 
     def certify(self, p: MultiPoly) -> NonzeroCertificate | None:
         """Trial-division certificate that p is nonzero on the primitive region.
@@ -987,33 +1028,11 @@ class SieveSet:
     def strip(self, p: MultiPoly) -> tuple[MultiPoly, tuple[tuple[str, int], ...]]:
         """(remainder, (name, exponent) pairs divided out): p divided by sieve
         members until none divides, so p = remainder * their product."""
-        rem = p
-        residue = self._residue(p)
-        factors: list[tuple[str, int]] = []
-        progress = True
-        while progress and not rem.is_constant():
-            progress = False
-            for mem, value in zip(self.members, self._member_residues):
-                count = 0
-                # an exact division needs value | residue (module docstring)
-                while residue is None or residue % value == 0:
-                    q = rem.divide_exact(mem.poly)
-                    if q is None:
-                        break
-                    rem = q
-                    if residue is not None:
-                        residue //= value
-                    count += 1
-                if count:
-                    factors.append((mem.name, count))
-                    progress = True
-        return rem, tuple(factors)
+        rem, found = _trial_divide(p, self._divisors)
+        return rem, tuple((self.members[i].name, e) for i, e in found)
 
 
 _CACHE_MISS = object()
-# (k, l, r, s, m) for the residue test in ``SieveSet.strip``; no member
-# vanishes there (checked when the sieve is built)
-_RESIDUE_POINT = (1009, 2003, 307, -409, 13)
 
 
 # the one sieve: certificates name its members, so they are a constant

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import hashlib
-import io
 import itertools
 import os
 import pickle
@@ -682,6 +681,36 @@ def test_no_feasible_root_leaf_resolves_a_shuffled_system(classification,
         assert not verify_record(_with_conflict(rec, gi, li, conflict)), forged
 
 
+def test_census_holds_under_shuffled_equations(classification, monkeypatch):
+    """Shuffled after ORTHOGONALITY (seeded per seed and grouping), the
+    equations of every grouping-path partition reach the census verdict
+    and families under seeds 1-5.  The one exception, seed 2's
+    ``245|38|67|9``, stays UNRESOLVED; the unresolved count may only fall."""
+    grouping_system = classifier._grouping_system
+    grouping_path = [rec for rec in classification.records if rec.groupings]
+    assert len(grouping_path) == 471
+    unresolved = []
+    try:
+        for seed in range(1, 6):
+            def shuffled(graph, grouping, seed=seed):
+                first, *rest = grouping_system(graph, grouping)
+                random.Random(f"{seed}:{grouping}").shuffle(rest)
+                return (first, *rest)
+
+            monkeypatch.setattr(classifier, "_grouping_system", shuffled)
+            for census in grouping_path:
+                rec = classify_partition(census.partition)
+                if rec.verdict == "UNRESOLVED":
+                    unresolved.append((seed, str(rec.partition)))
+                    continue
+                assert (rec.verdict, rec.families) == (
+                    census.verdict, census.families), (seed, str(rec.partition))
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    assert set(unresolved) <= {(2, "245|38|67|9")}
+
+
 def test_verify_record_rejects_a_representative_of_an_unblocked_class(
     classification
 ):
@@ -980,7 +1009,7 @@ def test_import_leaves_every_memo_empty():
                           capture_output=True, text=True, check=False,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["20"]
+    assert proc.stdout.split() == ["19"]
 
 
 # Verify records in an interpreter that loads the checker and no prover.
@@ -998,20 +1027,22 @@ def test_checker_runs_without_the_prover(classification):
     """``import srgfusion.checker`` loads neither ``decompose`` nor
     ``classifier``, and that checker alone accepts all 4140 census records,
     handed over pickled."""
-    buf = io.BytesIO()
-    pickler = pickle.Pickler(buf)
-    # the exact values are immutable and carry no pickle support of their own
-    pickler.dispatch_table = {
-        MultiPoly: lambda p: (MultiPoly, (p.terms,)),
-        QuadraticValue: lambda q: (QuadraticValue, (q.a, q.b, q.d)),
-    }
-    pickler.dump(classification.records)
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _CHECK_ALONE],
-                          input=buf.getvalue(), capture_output=True,
-                          check=False, env=dict(os.environ, PYTHONPATH=src))
+                          input=pickle.dumps(classification.records),
+                          capture_output=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().split() == ["4140"]
+
+
+def test_census_records_survive_a_pickle_round_trip(classification):
+    """Records pickle with no help: each unpickled record equals its
+    original, hashes the same and verifies."""
+    records = pickle.loads(pickle.dumps(classification.records))
+    assert records == classification.records
+    assert list(map(hash, records)) == list(map(hash, classification.records))
+    assert all(map(verify_record, records))
 
 
 def test_decompose_normalizes_the_system_once(classification):

@@ -291,11 +291,14 @@ def test_sieve_unknown_for_vanishing_quantity():
 
 
 def _non_sieve_basis():
-    """Factor-basis polynomials that no sieve member divides."""
+    """Factor-basis polynomials that no sieve member divides, in basis order."""
     from srgfusion.decompose import _factor_basis
     members = [mem.poly for mem in default_sieve_set().members]
-    return [f for f in _factor_basis()
+    return [f for f, _ in _factor_basis()
             if all(f.divide_exact(mem) is None for mem in members)]
+
+
+_NON_SIEVE_BASIS = _non_sieve_basis()
 
 
 # the one composite member, (1+r)(1+s), strips as its factors 1+s and 1+r
@@ -305,7 +308,7 @@ _IRREDUCIBLE_MEMBERS = [mem for mem in default_sieve_set().members
 
 @given(st.dictionaries(st.sampled_from([mem.name for mem in _IRREDUCIBLE_MEMBERS]),
                        st.integers(1, 3), max_size=4),
-       st.one_of(st.just(ONE), st.sampled_from(_non_sieve_basis())),
+       st.one_of(st.just(ONE), st.sampled_from(_NON_SIEVE_BASIS)),
        st.sampled_from([1, -2, Fraction(3, 5)]))
 @settings(max_examples=60, deadline=None)
 def test_sieve_strip_returns_the_non_sieve_factor(exponents, factor, scale):
@@ -325,6 +328,30 @@ def test_sieve_strip_returns_the_non_sieve_factor(exponents, factor, scale):
         product = product * lookup[name] ** exp
     assert product == p
     assert (sieve.certify(p) is not None) == rem.is_constant()
+
+
+@given(st.dictionaries(st.integers(0, len(_NON_SIEVE_BASIS) - 1),
+                       st.integers(1, 2), min_size=1, max_size=3),
+       st.dictionaries(st.sampled_from([mem.name for mem in _IRREDUCIBLE_MEMBERS]),
+                       st.integers(1, 2), max_size=3),
+       st.sampled_from([1, -2, Fraction(3, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_split_poly_returns_the_basis_factors_in_basis_order(basis_exps,
+                                                            sieve_exps, scale):
+    """A scaled product of non-sieve basis members, some repeated, and sieve
+    members splits into exactly those basis members, each as often as it
+    was multiplied in, in basis order; the sieve factors and the scalar
+    are dropped."""
+    from srgfusion.decompose import _split_poly
+    lookup = {mem.name: mem.poly for mem in default_sieve_set().members}
+    p = MultiPoly.const(scale)
+    for i, exp in basis_exps.items():
+        p = p * _NON_SIEVE_BASIS[i] ** exp
+    for name, exp in sieve_exps.items():
+        p = p * lookup[name] ** exp
+    want = tuple(_NON_SIEVE_BASIS[i] for i in sorted(basis_exps)
+                 for _ in range(basis_exps[i]))
+    assert _split_poly.__wrapped__(p) == want
 
 
 def test_sieve_strip_splits_the_composite_member():
@@ -558,16 +585,15 @@ def test_residue_preconditions_hold():
     """Every member has integer coprime coefficients and is nonzero at the
     residue point, where ``_residue`` is its value; a polynomial with a
     Fraction coefficient has no residue."""
-    sieve = default_sieve_set()
     point = dict(zip(exact.SYMBOLS, map(Fraction, exact._RESIDUE_POINT)))
-    for mem in sieve.members:
+    for mem in default_sieve_set().members:
         coeffs = [c for _, c in mem.poly.terms]
         assert all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1, mem.name
         value = mem.poly.evaluate(point)
-        assert value != 0 and sieve._residue(mem.poly) == value, mem.name
+        assert value != 0 and exact._residue(mem.poly) == value, mem.name
     p = K * K * S - 7 * R * M + 3
-    assert sieve._residue(p) == p.evaluate(point)
-    assert sieve._residue(p + Fraction(1, 2) * L) is None
+    assert exact._residue(p) == p.evaluate(point)
+    assert exact._residue(p + Fraction(1, 2) * L) is None
 
 
 @pytest.mark.parametrize("member", [
