@@ -36,12 +36,16 @@ from .exact import (
 
 
 # polynomials worth splitting on beyond the sieve, as divisors for
-# ``_trial_divide``: family-defining factors and one recurring combination
+# ``_trial_divide``: family-defining factors and one recurring combination.
+# Sieve members are left out: ``_split_poly`` strips them first, so they
+# never divide what reaches the basis.
 @lru_cache(maxsize=None)
 def _factor_basis() -> tuple[tuple[MultiPoly, int], ...]:
     polys = [d for fam in family_catalog() for d in fam.defining] + [R + S + 4]
+    members = {mem.poly.normalized() for mem in default_sieve_set().members}
     normal = (p.normalized() for p in polys)
-    return _trial_divisors(dict.fromkeys(n for n in normal if not n.is_constant()))
+    return _trial_divisors(dict.fromkeys(
+        n for n in normal if not n.is_constant() and n not in members))
 
 
 def _poly_sqrt(p: MultiPoly) -> MultiPoly | None:

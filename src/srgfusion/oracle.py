@@ -34,6 +34,19 @@ first.  Most candidate partitions fail it, and a refutation then multiplies
 in full only the pairs before the first failing one; its witness needs the
 failing product only on the cells below the head in classes smaller than
 the head's smallest bad class.
+
+Every graph construction here comes from a group that is transitive on its
+vertices: Z_q shifts for paley, Z_m x Z_m for rook and latin, Z_2^4 for
+clebsch, Z_c x Z_s for cliques and multipartite, S_5 on 2-subsets for
+petersen, and a complement keeps its base's group.  Each carries its
+group's generators, checked once to be label-preserving permutations, and
+a scheme is transitive when the orbit of vertex 0 under them is every
+vertex.  The tensor square inherits sigma x id and id x sigma, which keep
+every fused labelling and whose orbit of (0, 0) is V x V.  Such a group
+carries row 0 onto every row, class by class, so a product constant per
+class on row 0 is constant everywhere, and the smallest class that goes
+wrong anywhere goes wrong on row 0 first: the head screen alone decides a
+transitive scheme, with the same intersection numbers and the same witness.
 """
 
 from __future__ import annotations
@@ -60,12 +73,49 @@ class BadSpec(ValueError):
     """Unknown or invalid graph construction request."""
 
 
+def _check_automorphisms(m: np.ndarray, automorphisms, what: str) -> None:
+    """Raise BadSpec unless each array is a permutation sigma of the
+    vertices with m[sigma[x], sigma[y]] == m[x, y] for every cell."""
+    n = len(m)
+    for sigma in automorphisms:
+        valid = (isinstance(sigma, np.ndarray) and sigma.shape == (n,)
+                 and np.issubdtype(sigma.dtype, np.integer)
+                 and ((0 <= sigma) & (sigma < n)).all())
+        hit = np.zeros(n, dtype=bool)
+        if valid:
+            hit[sigma] = True
+        if not (valid and hit.all()):
+            raise BadSpec("an automorphism must be an integer array permuting "
+                          f"0..{n - 1}")
+        if (m.take(sigma, axis=0).take(sigma, axis=1) != m).any():
+            raise BadSpec(f"an automorphism must preserve the {what}")
+
+
+def _orbit_is_everything(automorphisms, n: int) -> bool:
+    """Whether the orbit of vertex 0 under the group the permutations
+    generate is every vertex; a finite group's orbit is the closure under
+    the generators alone."""
+    reached = np.zeros(n, dtype=bool)
+    reached[:1] = True
+    frontier = reached
+    while frontier.any() and automorphisms:
+        grown = reached.copy()
+        for sigma in automorphisms:
+            grown[sigma[frontier]] = True
+        frontier = grown & ~reached
+        reached = grown
+    return bool(reached.all())
+
+
 @dataclass(frozen=True)
 class Graph01:
-    """Simple graph as a dense 0/1 adjacency matrix."""
+    """Simple graph as a dense 0/1 adjacency matrix, with optional
+    automorphisms: permutation arrays sigma of the vertices that map
+    each edge {x, y} to the edge {sigma[x], sigma[y]}."""
 
     name: str
     adjacency: np.ndarray
+    automorphisms: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         a = self.adjacency
@@ -77,31 +127,37 @@ class Graph01:
             raise BadSpec("adjacency must be symmetric")
         if np.diagonal(a).any():
             raise BadSpec("diagonal must be zero")
+        _check_automorphisms(a, self.automorphisms, "adjacency")
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
 
-def _relation(name: str, adjacent: np.ndarray) -> Graph01:
+def _relation(name: str, adjacent: np.ndarray, automorphisms) -> Graph01:
     """The graph on vertices 0..n-1 joined where the boolean n x n
-    ``adjacent`` holds off the diagonal."""
+    ``adjacent`` holds off the diagonal, with the generators of a group
+    of its automorphisms."""
     a = adjacent.astype(np.int64)
     np.fill_diagonal(a, 0)
-    return Graph01(name, a)
+    return Graph01(name, a, tuple(automorphisms))
 
 
 def union_cliques(copies: int, size: int) -> Graph01:
-    """Disjoint union of ``copies`` complete graphs on ``size`` vertices."""
+    """Disjoint union of ``copies`` complete graphs on ``size`` vertices;
+    Z_copies x Z_size shifts the cliques and the vertices within each."""
     if copies < 2 or size < 2:
         raise BadSpec("need at least two cliques of size at least two")
-    clique = np.arange(copies * size) // size
-    return _relation(f"union_cliques({copies},{size})", clique[:, None] == clique)
+    v = np.arange(copies * size)
+    clique, place = divmod(v, size)
+    return _relation(f"union_cliques({copies},{size})", clique[:, None] == clique,
+                     ((v + size) % v.size, clique * size + (place + 1) % size))
 
 
 def complete_multipartite(parts: int, size: int) -> Graph01:
     g = union_cliques(parts, size)
-    return _relation(f"complete_multipartite({parts},{size})", g.adjacency == 0)
+    return _relation(f"complete_multipartite({parts},{size})", g.adjacency == 0,
+                     g.automorphisms)
 
 
 def _is_prime(q: int) -> bool:
@@ -115,44 +171,57 @@ def paley(q: int) -> Graph01:
     x = np.arange(q)
     square = np.zeros(q, dtype=bool)
     square[x * x % q] = True
-    return _relation(f"paley({q})", square[(x[:, None] - x) % q])
+    return _relation(f"paley({q})", square[(x[:, None] - x) % q], [(x + 1) % q])
+
+
+def _grid(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Row and column of each cell i * m + j of an m x m grid, and the row
+    and column shifts of Z_m x Z_m on the cells."""
+    i, j = divmod(np.arange(m * m), m)
+    return i, j, ((i + 1) % m * m + j, i * m + (j + 1) % m)
 
 
 def rook(m: int) -> Graph01:
     """m x m rook's graph: cells of a grid, adjacent in the same row or column."""
     if m < 2:
         raise BadSpec("rook needs m >= 2")
-    i, j = divmod(np.arange(m * m), m)
-    return _relation(f"rook({m})", (i[:, None] == i) | (j[:, None] == j))
+    i, j, shifts = _grid(m)
+    return _relation(f"rook({m})", (i[:, None] == i) | (j[:, None] == j), shifts)
 
 
 def clebsch() -> Graph01:
-    """Folded 5-cube: 4-bit strings adjacent at Hamming distance 1 or 4."""
+    """Folded 5-cube: 4-bit strings adjacent at Hamming distance 1 or 4;
+    flipping a bit keeps every distance."""
     x = np.arange(16)
     d = np.bitwise_count(x[:, None] ^ x)
-    return _relation("clebsch", (d == 1) | (d == 4))
+    return _relation("clebsch", (d == 1) | (d == 4), [x ^ (1 << b) for b in range(4)])
 
 
 def petersen() -> Graph01:
-    """Kneser graph on 2-subsets of a 5-set, adjacent when disjoint."""
-    pair = np.array([(1 << u) | (1 << v)
-                     for u, v in itertools.combinations(range(5), 2)])
-    return _relation("petersen", (pair[:, None] & pair) == 0)
+    """Kneser graph on 2-subsets of a 5-set, adjacent when disjoint; S_5,
+    generated by a transposition and a 5-cycle, permutes the 2-subsets."""
+    pairs = list(itertools.combinations(range(5), 2))
+    pair = np.array([(1 << u) | (1 << v) for u, v in pairs])
+    vertex = {mask: t for t, mask in enumerate(pair.tolist())}
+    moves = [np.array([vertex[(1 << pi[u]) | (1 << pi[v])] for u, v in pairs])
+             for pi in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    return _relation("petersen", (pair[:, None] & pair) == 0, moves)
 
 
 def latin_square_graph(m: int) -> Graph01:
     """Cells of the cyclic-group Cayley table, adjacent when they share a
-    row, column, or symbol; strongly regular with mu = nu for every m >= 4."""
+    row, column, or symbol; strongly regular with mu = nu for every m >= 4.
+    The grid shifts move every symbol (i + j) mod m by the same step."""
     if m < 4:
         raise BadSpec("latin_square_graph needs m >= 4")
-    i, j = divmod(np.arange(m * m), m)
+    i, j, shifts = _grid(m)
     symbol = (i + j) % m
     return _relation(f"latin_square_graph({m})", (i[:, None] == i)
-                     | (j[:, None] == j) | (symbol[:, None] == symbol))
+                     | (j[:, None] == j) | (symbol[:, None] == symbol), shifts)
 
 
 def complement(g: Graph01) -> Graph01:
-    return _relation(f"complement({g.name})", g.adjacency == 0)
+    return _relation(f"complement({g.name})", g.adjacency == 0, g.automorphisms)
 
 
 # spec patterns; the integer groups are the builder's arguments
@@ -185,11 +254,14 @@ class SchemeMatrices:
     """A symmetric scheme of ``rank`` classes as one class-label matrix:
     ``labels[x, y]`` is the class of cell (x, y) and class 0 is the
     diagonal.  Labels cannot overlap and always cover every cell, so the
-    class matrices are 0/1 with supports partitioning all-ones."""
+    class matrices are 0/1 with supports partitioning all-ones.
+    ``automorphisms`` are permutation arrays sigma of the vertices with
+    labels[sigma[x], sigma[y]] == labels[x, y], each checked once here."""
 
     labels: np.ndarray
     rank: int
     name: str = ""
+    automorphisms: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         lab = self.labels
@@ -202,17 +274,45 @@ class SchemeMatrices:
             raise BadSpec("class 0 must be exactly the diagonal")
         if (lab != lab.T).any():
             raise BadSpec("labels must be symmetric")
+        _check_automorphisms(lab, self.automorphisms, "labels")
 
     @classmethod
-    def _trusted(cls, labels: np.ndarray, rank: int, name: str) -> "SchemeMatrices":
-        """A scheme from labels valid by construction, built unchecked."""
+    def _trusted(cls, labels: np.ndarray, rank: int, name: str,
+                 automorphisms: tuple[np.ndarray, ...], transitive: bool | None = None
+                 ) -> "SchemeMatrices":
+        """A scheme from labels and automorphisms valid by construction,
+        built unchecked; ``transitive``, when known, fills the cache."""
         sm = object.__new__(cls)
-        sm.__dict__.update(labels=labels, rank=rank, name=name)
+        sm.__dict__.update(labels=labels, rank=rank, name=name,
+                           automorphisms=automorphisms)
+        if transitive is not None:
+            sm.__dict__["transitive"] = transitive
         return sm
 
     @property
     def order(self) -> int:
         return self.labels.shape[0]
+
+    @cached_property
+    def transitive(self) -> bool:
+        """Whether the automorphisms move vertex 0 to every vertex.  The
+        group they generate then carries row 0 of the labels onto every
+        row, so row 0 decides verify_scheme."""
+        return _orbit_is_everything(self.automorphisms, self.order)
+
+    @cached_property
+    def square_automorphisms(self) -> tuple[np.ndarray, ...]:
+        """sigma x id and id x sigma on the tensor square, vertex (a, b) at
+        a * n + b, for each automorphism sigma.  They map cell
+        ((a, b), (c, d)) to ((sigma a, b), (sigma c, d)) or to
+        ((a, sigma b), (c, sigma d)), whose square_index pairs the same
+        labels, so they keep every fused labelling.  Their orbit of (0, 0)
+        is the base orbit of 0 squared: all of V x V exactly when the base
+        scheme is transitive."""
+        n = self.order
+        vertex = np.arange(n * n).reshape(n, n)
+        return tuple(move for sigma in self.automorphisms
+                     for move in (vertex[sigma].ravel(), vertex[:, sigma].ravel()))
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -246,7 +346,8 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
     return SchemeMatrices._trusted(block_of.take(sm.square_index),
-                                   p.num_blocks + 1, f"{sm.name} fused {p}")
+                                   p.num_blocks + 1, f"{sm.name} fused {p}",
+                                   sm.square_automorphisms, sm.transitive)
 
 
 @dataclass(frozen=True)
@@ -354,6 +455,15 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     counted; the first bad cell of the head's class lies in the head, as
     the head comes first in row-major order.
 
+    A transitive scheme (``sm.transitive``) is decided by the screen alone.
+    An automorphism g with g(0) = x maps cell (0, y) to (x, g(y)) with the
+    same label and the same entry of every product, and every cell of row x
+    is such an image.  So every class meets row 0, the head is row 0, a
+    product that passes there passes everywhere, and the smallest class
+    bad anywhere is bad on row 0, whose first bad cell comes first in
+    row-major order.  Nothing below the head is multiplied or gathered, and
+    the result equals that of the same labels with no automorphisms.
+
     Two kinds of product need no matrix work, and neither can hold the
     first inconsistency:
     - M_0 = I, so p[0][j][k] is 1 when j = k and 0 otherwise.
@@ -404,7 +514,8 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
         pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
         stop = next((t for t, (i, j) in enumerate(pairs)
                      if failing[i - 1][j - 1]), len(pairs))
-        below = flat[cut:]
+        # the head of a transitive scheme, row 0, decides every product
+        below = None if sm.transitive else flat[cut:]
 
         def witness(i, j, c, at, value):
             return FailureWitness(
@@ -412,7 +523,7 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
                 int(value_of[i - 1, j - 1, c]), int(value))
 
         # the pairs that pass the screen, below the head
-        for i, j in pairs[:stop]:
+        for i, j in pairs[:stop] if below is not None else ():
             rest = _popcount_product(packed[:, i - 1, head:],
                                      packed[:, j - 1]).ravel()
             bad = rest != value_of[i - 1, j - 1].take(below)
@@ -421,18 +532,19 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
                 return witness(i, j, c, cut + at, rest[at])
         if stop < len(pairs):
             i, j = pairs[stop]
-            table = value_of[i - 1, j - 1]
             c, at = _first_bad(head_bad[i - 1, j - 1], flat[:cut])
-            # a smaller class may go wrong only below the head
-            cells = np.flatnonzero(below < c)
-            cells += cut
-            classes = flat[cells]
-            counts = _popcount_cells(packed[:, i - 1], packed[:, j - 1], cells,
-                                     table.dtype)
-            bad = counts != table.take(classes)
-            if bad.any():
-                c, t = _first_bad(bad, classes)
-                return witness(i, j, c, cells[t], counts[t])
+            if below is not None:
+                # a smaller class may go wrong only below the head
+                table = value_of[i - 1, j - 1]
+                cells = np.flatnonzero(below < c)
+                cells += cut
+                classes = flat[cells]
+                counts = _popcount_cells(packed[:, i - 1], packed[:, j - 1],
+                                         cells, table.dtype)
+                bad = counts != table.take(classes)
+                if bad.any():
+                    c, t = _first_bad(bad, classes)
+                    return witness(i, j, c, cells[t], counts[t])
             return witness(i, j, c, at, heads[i - 1, j - 1, at])
         values = value_of.tolist()
         for i, j in pairs:
@@ -461,7 +573,8 @@ def _srg_scheme(g: Graph01) -> tuple[SchemeMatrices, SrgParams]:
     """
     labels = (2 - g.adjacency).astype(np.int8)
     np.fill_diagonal(labels, 0)
-    sm = SchemeMatrices(labels, 3, g.name)
+    # valid labels of a valid graph, whose automorphisms keep them
+    sm = SchemeMatrices._trusted(labels, 3, g.name, g.automorphisms)
     result = verify_scheme(sm)
     if isinstance(result, FailureWitness):
         raise NotStronglyRegular(

@@ -301,6 +301,11 @@ def _non_sieve_basis():
 _NON_SIEVE_BASIS = _non_sieve_basis()
 
 
+def test_factor_basis_holds_no_sieve_member():
+    from srgfusion.decompose import _factor_basis
+    assert _NON_SIEVE_BASIS == [f for f, _ in _factor_basis()]
+
+
 # the one composite member, (1+r)(1+s), strips as its factors 1+s and 1+r
 _IRREDUCIBLE_MEMBERS = [mem for mem in default_sieve_set().members
                         if mem.name != "(1+r)(1+s)"]

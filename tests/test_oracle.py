@@ -135,6 +135,59 @@ def test_graph01_validates_adjacency(mutate, message):
         Graph01("bad", mutate(a.copy()))
 
 
+def _swap01(n):
+    sigma = np.arange(n)
+    sigma[:2] = 1, 0
+    return sigma
+
+
+@pytest.mark.parametrize("holder", ["graph", "scheme"])
+@pytest.mark.parametrize("automorphism,message", [
+    (lambda n: np.zeros(n, dtype=np.int64), "permuting"),
+    (lambda n: np.arange(n - 1), "permuting"),
+    (lambda n: np.arange(n) - 1, "permuting"),  # -1 must not wrap to n - 1
+    (lambda n: np.arange(n, dtype=np.float64), "permuting"),
+    (lambda n: list(range(n)), "permuting"),
+    # petersen has no two vertices with the same neighbours
+    (_swap01, "preserve"),
+], ids=["not-injective", "short", "negative", "float", "list", "breaks-adjacency"])
+def test_automorphisms_are_checked(holder, automorphism, message):
+    g = build_graph("petersen")
+    sm = scheme_matrices(g)
+    bad = (*g.automorphisms, automorphism(g.n))
+    with pytest.raises(BadSpec, match=message):
+        if holder == "graph":
+            Graph01("bad", g.adjacency, bad)
+        else:
+            SchemeMatrices(sm.labels, 3, "bad", bad)
+
+
+# every pinned construction and the complement of each
+_CONSTRUCTIONS = sorted({spec for s in ADJACENCY_SHA256
+                         for spec in (s, "complement:" + s.removeprefix("complement:"))})
+
+
+@pytest.mark.parametrize("spec", _CONSTRUCTIONS)
+def test_every_construction_is_transitive(spec):
+    g = build_graph(spec)
+    assert g.automorphisms
+    checked = Graph01(g.name, g.adjacency, g.automorphisms)  # checks them
+    assert scheme_matrices(checked).transitive
+
+
+def test_row_shift_alone_is_not_transitive():
+    """rook4's row shift moves vertex 0 only along its column, so the
+    scheme takes the full path, which still matches the reference."""
+    g = build_graph("rook4")
+    sm = scheme_matrices(Graph01("rook4 rows", g.adjacency, g.automorphisms[:1]))
+    assert sm.automorphisms and not sm.transitive
+    parts = [parse(t) for t in ("2468|3579", "249|37|5|68", "2|3|456|789",
+                                "23|47|5689")]
+    assert not any(tensor_fuse(sm, p).transitive for p in parts)
+    assert verdict_kinds_matching_reference(sm, parts) == {
+        IntersectionTensor, FailureWitness}
+
+
 def _graph(name, n, edges):
     a = np.zeros((n, n), dtype=np.int64)
     for u, v in edges:
@@ -294,12 +347,16 @@ def test_scheme_matrices_validates_labels(mutate, message):
 
 
 def test_tensor_fuse_labels_pass_the_checks():
-    """tensor_fuse skips the label checks; its labels pass them anyway."""
+    """tensor_fuse skips the label checks; its labels pass them anyway, and
+    so do its automorphisms sigma x id and id x sigma, whose orbit makes
+    the fused scheme transitive as the flag it hands on says."""
     sm = scheme_matrices(build_graph("petersen"))
     for p in all_default_partitions():
         f = tensor_fuse(sm, p)
-        checked = SchemeMatrices(f.labels, f.rank, f.name)
+        checked = SchemeMatrices(f.labels, f.rank, f.name, f.automorphisms)
         assert checked.order == 100 and checked.rank == p.rank
+        assert len(checked.automorphisms) == 2 * len(sm.automorphisms)
+    assert f.transitive and checked.transitive  # recomputed from the orbit
 
 
 @settings(max_examples=80, deadline=None)
@@ -445,6 +502,27 @@ def test_verify_scheme_matches_all_pairs_reference_rook4():
     positives = [parse(t) for t in sorted(X.ROOK4_SCAN)]
     assert verdict_kinds_matching_reference(sm, positives + negatives) == {
         IntersectionTensor, FailureWitness}
+
+
+@pytest.mark.parametrize("spec,sample", [
+    ("paley5", None), ("rook3", None),
+    ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6),
+])
+def test_transitive_schemes_match_the_full_path(spec, sample):
+    """The row-0 decision of a transitive fused scheme returns exactly what
+    the same labels return with no automorphisms, witnesses included."""
+    sm, parts = reference_cases(spec, sample)
+    if sample is not None:  # and a fusion of every graph
+        parts = [parse("2|3|456|789"), *parts]
+    seen = set()
+    for p in parts:
+        f = tensor_fuse(sm, p)
+        plain = SchemeMatrices(f.labels, f.rank)
+        assert f.transitive and not plain.transitive
+        got = verify_scheme(f)
+        assert got == verify_scheme(plain), (spec, str(p))
+        seen.add(type(got))
+    assert seen == {IntersectionTensor, FailureWitness}
 
 
 def cycles_scheme(sizes, edge_classes, rank):
