@@ -74,29 +74,26 @@ from .catalogue import (
     symbolic_tensor_table,
 )
 from .checker import verify_record
-from .oracle import (
-    BadSpec,
-    Graph01,
-    IntersectionTensor,
-    NotStronglyRegular,
-    SchemeMatrices,
-    build_graph,
-    cross_check,
-    scheme_matrices,
-    srg_params,
-    tensor_fuse,
-    verify_scheme,
-)
 
 # the prover loads on first use, so importing the checker loads none of it
 _PROVER = ("classify_all", "classify_partition", "classify_wreath")
+# so does the matrix oracle, and NumPy with it
+_ORACLE = ("BadSpec", "Graph01", "IntersectionTensor", "NotStronglyRegular",
+           "SchemeMatrices", "build_graph", "cross_check", "scheme_matrices",
+           "srg_params", "tensor_fuse", "verify_scheme")
 
 
 def __getattr__(name):
     if name in _PROVER:
         from . import classifier
         return getattr(classifier, name)
+    if name == "oracle" or name in _ORACLE:
+        # import_module, as ``from . import oracle`` would call back here
+        import importlib
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_PROVER)
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["oracle", *_ORACLE]) + list(_PROVER)

@@ -48,15 +48,6 @@ from . import __version__
 from .classifier import classify_all, classify_wreath
 from .exact import value_to_json
 from .fusion import bm_check, fused_table, scan_all
-from .oracle import (
-    IntersectionTensor,
-    _srg_scheme,
-    build_graph,
-    cross_check,
-    srg_params,
-    tensor_fuse,
-    verify_scheme,
-)
 from .partitions import coarsenings, hasse_edges, parse
 from .products import tensor_square_table, wreath_partition, wreath_table
 from .scheme import (
@@ -99,6 +90,8 @@ def _eigen_from_args(args, required=True):
         return (eigen_from_values(k, l, r, s, integral=integral),
                 {"eigen": args.eigen})
     if args.graph is not None:
+        # the oracle, and NumPy with it, loads only for a named graph
+        from .oracle import build_graph, srg_params
         return (eigen_from_params(srg_params(build_graph(args.graph)),
                                   integral=integral),
                 {"graph": args.graph})
@@ -240,6 +233,8 @@ def cmd_classify(args):
 def cmd_verify(args):
     if args.graph is None or args.partition is None:
         raise UsageError("verify needs --graph and --partition")
+    from .oracle import (IntersectionTensor, _srg_scheme, build_graph,
+                         tensor_fuse, verify_scheme)
     g = build_graph(args.graph)
     p = parse(args.partition)
     sm, params = _srg_scheme(g)
@@ -273,6 +268,7 @@ def cmd_verify(args):
 def cmd_crosscheck(args):
     if args.graph is None:
         raise UsageError("crosscheck needs --graph")
+    from .oracle import build_graph, cross_check
     g = build_graph(args.graph)
     partitions = None if args.partition is None else [parse(args.partition)]
     report = cross_check(g, partitions)

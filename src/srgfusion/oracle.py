@@ -14,7 +14,8 @@ of the class that contains cell (x, y), so each 0/1 class matrix is a level
 set of the labels.  Fusing the tensor square needs no Kronecker products:
 cell ((a, b), (c, d)) lies in tensor class single_index(L[a, c], L[b, d]),
 and a 10-entry table maps that to its block.  Labels are int8, since a
-fused scheme has at most nine classes.
+fused scheme has at most nine classes.  A fused scheme holds its base and
+that table, and builds its n^2 x n^2 labels only when they are read.
 
 Only the products that can fail are formed: those with the identity are
 known, and the last class is J minus the others, so its products follow
@@ -27,13 +28,12 @@ tested without sorting the cells: the first row-major cell of each class
 gives a per-class value table, and the product must equal the table looked
 up at every cell's label.  No floating point is used.
 
-The value tables all lie in the head rows, row 0 up to the last row that
-holds some class's first cell; for a fused SRG every class meets row 0, so
-the head is row 0.  One batched popcount screens the head of every product
-first.  Most candidate partitions fail it, and a refutation then multiplies
-in full only the pairs before the first failing one; its witness needs the
-failing product only on the cells below the head in classes smaller than
-the head's smallest bad class.
+The tensor classes are disjoint, so the packed rows of a fused class are
+the OR of the packed rows of the tensor classes in its block.  A base
+scheme caches one such bitmap per tensor class 2..9, built on its first
+tensor_fuse one class at a time; each fusion then ORs them in place into
+one preallocated array, and neither the fused labels nor their packing
+are formed.
 
 Every graph construction here comes from a group that is transitive on its
 vertices: Z_q shifts for paley, Z_m x Z_m for rook and latin, Z_2^4 for
@@ -45,8 +45,11 @@ vertex.  The tensor square inherits sigma x id and id x sigma, which keep
 every fused labelling and whose orbit of (0, 0) is V x V.  Such a group
 carries row 0 onto every row, class by class, so a product constant per
 class on row 0 is constant everywhere, and the smallest class that goes
-wrong anywhere goes wrong on row 0 first: the head screen alone decides a
-transitive scheme, with the same intersection numbers and the same witness.
+wrong anywhere goes wrong on row 0 first.  Row 0 of the products and the
+row-0 labels therefore decide a transitive scheme, with the intersection
+numbers and the witness of a full check.  Labels without such generators,
+which only hand-built schemes have, are multiplied in full as a plain
+reference.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fusion import IndexMismatch, bm_check, fused_table
+from .fusion import IndexMismatch, bm_check
 from .partitions import SetPartition, all_default_partitions
 from .products import single_index, tensor_square_table
 from .scheme import SrgParams, char_table, eigen_from_params
@@ -107,11 +110,12 @@ def _orbit_is_everything(automorphisms, n: int) -> bool:
     return bool(reached.all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph01:
     """Simple graph as a dense 0/1 adjacency matrix, with optional
     automorphisms: permutation arrays sigma of the vertices that map
-    each edge {x, y} to the edge {sigma[x], sigma[y]}."""
+    each edge {x, y} to the edge {sigma[x], sigma[y]}.  Graphs compare
+    and hash by identity."""
 
     name: str
     adjacency: np.ndarray
@@ -249,14 +253,15 @@ def build_graph(spec: str) -> Graph01:
     raise BadSpec(f"unknown graph spec {spec!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeMatrices:
     """A symmetric scheme of ``rank`` classes as one class-label matrix:
     ``labels[x, y]`` is the class of cell (x, y) and class 0 is the
     diagonal.  Labels cannot overlap and always cover every cell, so the
     class matrices are 0/1 with supports partitioning all-ones.
     ``automorphisms`` are permutation arrays sigma of the vertices with
-    labels[sigma[x], sigma[y]] == labels[x, y], each checked once here."""
+    labels[sigma[x], sigma[y]] == labels[x, y], each checked once here.
+    Schemes compare and hash by identity."""
 
     labels: np.ndarray
     rank: int
@@ -277,21 +282,21 @@ class SchemeMatrices:
         _check_automorphisms(lab, self.automorphisms, "labels")
 
     @classmethod
-    def _trusted(cls, labels: np.ndarray, rank: int, name: str,
-                 automorphisms: tuple[np.ndarray, ...], transitive: bool | None = None
-                 ) -> "SchemeMatrices":
-        """A scheme from labels and automorphisms valid by construction,
-        built unchecked; ``transitive``, when known, fills the cache."""
+    def _trusted(cls, **fields) -> "SchemeMatrices":
+        """A scheme from fields valid by construction, built unchecked; a
+        field may also fill a cache, such as ``transitive``."""
         sm = object.__new__(cls)
-        sm.__dict__.update(labels=labels, rank=rank, name=name,
-                           automorphisms=automorphisms)
-        if transitive is not None:
-            sm.__dict__["transitive"] = transitive
+        sm.__dict__.update(fields)
         return sm
 
     @property
     def order(self) -> int:
-        return self.labels.shape[0]
+        return len(self.row0)
+
+    @cached_property
+    def row0(self) -> np.ndarray:
+        """The labels of row 0."""
+        return self.labels[0]
 
     @cached_property
     def transitive(self) -> bool:
@@ -328,26 +333,65 @@ class SchemeMatrices:
         tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
         return tensor.reshape(side, side)
 
+    @cached_property
+    def tensor_bits(self) -> tuple[np.ndarray, ...]:
+        """Packed rows (see _pack_rows) of the tensor classes 2..9 of the
+        tensor square, class t at t - 2.  Packed one class at a time, so
+        one n^2 x n^2 boolean temporary is live."""
+        index = self.square_index
+        return tuple(_pack_rows(index == t) for t in range(2, 10))
+
+    @cached_property
+    def class_bits(self) -> np.ndarray:
+        """Packed rows of the classes 1..rank-2, the ones verify_scheme
+        multiplies: word w of row r of class i sits at [w, i - 1, r]."""
+        lab = self.labels
+        return _pack_rows(lab == np.arange(1, self.rank - 1,
+                                           dtype=lab.dtype)[:, None, None])
+
     def valencies(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
+        return tuple(np.bincount(self.row0, minlength=self.rank).tolist())
+
+
+class _FusedSquare(SchemeMatrices):
+    """A fusion of the tensor square of the scheme ``base``, held as the
+    10-entry block map ``block_of``, the row-0 labels and the packed
+    classes that tensor_fuse ORs; the labels are built when first read."""
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.block_of.take(self.base.square_index)
 
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     """Candidate basis of the fused tensor square: identity class plus one
-    class per partition block, the union of its Kronecker classes."""
+    class per partition block, the union of its Kronecker classes.  The
+    packed rows of the classes verify_scheme multiplies, every block but
+    the last, are ORs of the base's tensor-class bitmaps."""
     if sm.rank != 3:
         raise IndexMismatch("tensor fusion needs a rank-3 scheme")
     if p.ground != frozenset(range(2, 10)):
         raise IndexMismatch(f"partition ground {sorted(p.ground)}")
-    block_of = np.zeros(10, dtype=np.int8)  # single_index(0, 0) = 1 stays 0
+    last = p.num_blocks
+    tensor_bits = sm.tensor_bits
+    bits = np.zeros((len(tensor_bits[0]), last - 1, sm.order ** 2), dtype=np.uint64)
+    block_of = [0] * 10  # single_index(0, 0) = 1 stays 0
     for b, block in enumerate(p.blocks, 1):
-        block_of[sorted(block)] = b
+        for t in block:
+            block_of[t] = b
+        if b < last:
+            fused = bits[:, b - 1]
+            for t in block:
+                fused |= tensor_bits[t - 2]  # in place, through the view
+    block_of = np.array(block_of, dtype=np.int8)
     # valid labels: only cells ((a, b), (a, b)) pair two diagonal cells,
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
-    return SchemeMatrices._trusted(block_of.take(sm.square_index),
-                                   p.num_blocks + 1, f"{sm.name} fused {p}",
-                                   sm.square_automorphisms, sm.transitive)
+    return _FusedSquare._trusted(
+        rank=last + 1, name=f"{sm.name} fused {p}",
+        automorphisms=sm.square_automorphisms, transitive=sm.transitive,
+        base=sm, block_of=block_of, row0=block_of.take(sm.square_index[0]),
+        class_bits=bits)
 
 
 @dataclass(frozen=True)
@@ -398,33 +442,21 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def product01(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact int64 product a @ b of two 0/1 matrices, by popcounts."""
-    return _popcount_product(_pack_rows(a), _pack_rows(b.T)).astype(np.int64)
-
-
-def _first_bad(bad: np.ndarray, classes: np.ndarray) -> tuple[int, int]:
-    """The smallest class with a bad cell, and the position of its first bad
-    cell, given the bad mask and the class of each cell, both in row-major
-    order."""
-    c = int(classes[bad].min())
-    return c, int(np.argmax(bad & (classes == c)))
-
-
-def _popcount_cells(a_rows: np.ndarray, b_cols: np.ndarray, cells: np.ndarray,
-                    dtype) -> np.ndarray:
-    """The entries of a @ b at the row-major positions ``cells`` alone, from
-    the packed rows of a and the packed columns of b, in ``dtype``.  Two
-    gathered operands of at most _CHUNK_CELLS / 2 words each are live at a
-    time."""
-    out = np.empty(len(cells), dtype=dtype)
-    step = max(1, _CHUNK_CELLS // (2 * len(a_rows)))
-    for s in range(0, len(cells), step):
-        rows, cols = np.divmod(cells[s:s + step], b_cols.shape[1])
-        both = a_rows.take(rows, axis=1)
-        both &= b_cols.take(cols, axis=1)
-        out[s:s + step] = np.bitwise_count(both).sum(axis=0, dtype=dtype)
-    return out
+def _products(sm: SchemeMatrices, pairs):
+    """The products M_i M_j of ``pairs``, in order, as (pairs, stack) with
+    one row of the stack per pair: row 0 of every product from one
+    popcount for a transitive scheme, else each whole product in turn,
+    its cells in row-major order.  The classes are symmetric, so their
+    packed rows are also their packed columns."""
+    bits = sm.class_bits
+    words, m, n = bits.shape
+    if sm.transitive:
+        rows = _popcount_product(bits[:, :, 0], bits.reshape(words, m * n))
+        yield pairs, rows.reshape(m * m, n)[[(i - 1) * m + j - 1 for i, j in pairs]]
+    else:
+        for i, j in pairs:
+            yield [(i, j)], _popcount_product(bits[:, i - 1],
+                                              bits[:, j - 1]).reshape(1, n * n)
 
 
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
@@ -432,37 +464,28 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
 
     For each product M_i M_j and each class M_k, all entries of the product
     over the support of M_k must agree; the common values are then the
-    intersection numbers.  Pairs (i, j), i <= j, and classes k are scanned
-    in order, and the first inconsistency is returned as a witness.
+    intersection numbers.  Pairs (i, j), i <= j, are scanned in order, and
+    the first that goes wrong gives the witness: its smallest class with a
+    bad cell, cell_a that class's first cell and cell_b its first bad cell
+    in row-major order, the order of a scan of the cells class by class.
 
     Each product is read at the first row-major cell of every class, which
     fills a value table indexed by class, and compared with that table at
-    every cell's label.  On a mismatch the witness class is the smallest
-    class with a bad cell, cell_a is its first cell and cell_b its first
-    bad cell in row-major order: the order of a scan of the cells class by
-    class.  Products are uint8 or uint16 (see _popcount_product); the
-    intersection numbers and witness values are Python ints.
+    every cell's label.  Products are uint8 or uint16 (see
+    _popcount_product); the intersection numbers and witness values are
+    Python ints.
 
-    The head rows, row 0 up to the last row holding some class's first
-    cell, are screened first: one popcount product of the stacked head rows
-    of every multiplied class against all their columns fills every value
-    table and shows which pairs go wrong there.  The head is row 0 alone
-    when every class meets row 0, as in every tensor fusion of an SRG.
-    Pairs before the first one that fails the screen are multiplied in
-    full, on the rows below the head.  The failing pair's witness class is
-    the smallest bad class of its head unless a smaller class goes wrong
-    below it, so only the cells below the head in smaller classes are
-    counted; the first bad cell of the head's class lies in the head, as
-    the head comes first in row-major order.
-
-    A transitive scheme (``sm.transitive``) is decided by the screen alone.
-    An automorphism g with g(0) = x maps cell (0, y) to (x, g(y)) with the
+    A transitive scheme (``sm.transitive``) is decided on row 0 alone.  An
+    automorphism g with g(0) = x maps cell (0, y) to (x, g(y)) with the
     same label and the same entry of every product, and every cell of row x
-    is such an image.  So every class meets row 0, the head is row 0, a
-    product that passes there passes everywhere, and the smallest class
-    bad anywhere is bad on row 0, whose first bad cell comes first in
-    row-major order.  Nothing below the head is multiplied or gathered, and
-    the result equals that of the same labels with no automorphisms.
+    is such an image.  So every class that has a cell has its first cell
+    on row 0, a product that passes on row 0 passes everywhere, and the
+    smallest class bad anywhere is bad on row 0, whose first bad cell comes
+    first in row-major order.  The valencies and the value tables come from
+    the row-0 labels, and row 0 of every product from one popcount of the
+    row-0 bits of the multiplied classes against all their columns.  The
+    result equals that of the same labels with no automorphisms, which are
+    multiplied in full, pair by pair.
 
     Two kinds of product need no matrix work, and neither can hold the
     first inconsistency:
@@ -475,83 +498,35 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
       v_i minus the sum of the p[i][t][k].
     Empty classes have no cells to check and keep p = 0.
     """
-    lab = sm.labels
     d, n = sm.rank, sm.order
     valencies = sm.valencies()
-    flat = lab.ravel()
-    # the first row-major cell of each present class: in row 0 if the class
-    # meets it, else looked for in the whole matrix
-    hits = lab[0] == np.arange(d, dtype=lab.dtype)[:, None]
-    present, first = [], []
-    for k, (at, hit) in enumerate(zip(hits.argmax(axis=1).tolist(),
-                                      hits.any(axis=1).tolist())):
-        if not hit:
-            at = int(np.argmax(flat == k))
-            hit = flat[at] == k
-        if hit:
-            present.append(k)
-            first.append(at)
+    cells = sm.row0 if sm.transitive else sm.labels.ravel()
+    hits = cells == np.arange(d, dtype=cells.dtype)[:, None]
+    present = np.flatnonzero(hits.any(axis=1))
+    first = hits.argmax(axis=1)  # the first cell of each present class
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for j in present:
+    for j in present.tolist():
         p[0][j][j] = p[j][0][j] = 1
-    m = d - 2  # classes 1..d-2 are multiplied
-    if m > 0:
-        head = max(first) // n + 1
-        cut = head * n  # cells in the head rows
-        # the classes are symmetric, so packed rows are also packed columns:
-        # packed[:, i - 1] holds M_i
-        packed = _pack_rows(lab == np.arange(1, d - 1, dtype=lab.dtype)[:, None, None])
-        words = len(packed)
-        screen = _popcount_product(packed[:, :, :head].reshape(words, m * head),
-                                   packed.reshape(words, m * n))
-        # heads[i - 1, j - 1] is the head of M_i M_j, row-major; value_of
-        # keeps the product's dtype, so the compares stay narrow
-        heads = screen.reshape(m, head, m, n).swapaxes(1, 2).reshape(m, m, cut)
-        value_of = np.zeros((m, m, d), dtype=heads.dtype)
-        value_of[:, :, present] = heads[:, :, first]
-        head_bad = heads != value_of[:, :, flat[:cut]]
-        failing = head_bad.any(axis=2).tolist()
-        pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
-        stop = next((t for t, (i, j) in enumerate(pairs)
-                     if failing[i - 1][j - 1]), len(pairs))
-        # the head of a transitive scheme, row 0, decides every product
-        below = None if sm.transitive else flat[cut:]
-
-        def witness(i, j, c, at, value):
-            return FailureWitness(
-                i, j, c, divmod(first[present.index(c)], n), divmod(int(at), n),
-                int(value_of[i - 1, j - 1, c]), int(value))
-
-        # the pairs that pass the screen, below the head
-        for i, j in pairs[:stop] if below is not None else ():
-            rest = _popcount_product(packed[:, i - 1, head:],
-                                     packed[:, j - 1]).ravel()
-            bad = rest != value_of[i - 1, j - 1].take(below)
-            if bad.any():
-                c, at = _first_bad(bad, below)
-                return witness(i, j, c, cut + at, rest[at])
-        if stop < len(pairs):
-            i, j = pairs[stop]
-            c, at = _first_bad(head_bad[i - 1, j - 1], flat[:cut])
-            if below is not None:
-                # a smaller class may go wrong only below the head
-                table = value_of[i - 1, j - 1]
-                cells = np.flatnonzero(below < c)
-                cells += cut
-                classes = flat[cells]
-                counts = _popcount_cells(packed[:, i - 1], packed[:, j - 1],
-                                         cells, table.dtype)
-                bad = counts != table.take(classes)
-                if bad.any():
-                    c, t = _first_bad(bad, classes)
-                    return witness(i, j, c, cells[t], counts[t])
-            return witness(i, j, c, at, heads[i - 1, j - 1, at])
-        values = value_of.tolist()
-        for i, j in pairs:
-            p[i][j] = p[j][i] = values[i - 1][j - 1]
+    # classes 1..d-2 are multiplied
+    pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
+    for chunk, products in _products(sm, pairs) if pairs else ():
+        # value_of keeps the products' dtype, so the compares stay narrow
+        value_of = np.zeros((len(chunk), d), dtype=products.dtype)
+        value_of[:, present] = products[:, first[present]]
+        bad = products != value_of[:, cells]
+        failing = bad.any(axis=1)
+        if failing.any():
+            t = int(failing.argmax())
+            c = int(cells[bad[t]].min())
+            at = int(np.argmax(bad[t] & (cells == c)))
+            return FailureWitness(*chunk[t], c, divmod(int(first[c]), n),
+                                  divmod(at, n), int(value_of[t, c]),
+                                  int(products[t, at]))
+        for (i, j), values in zip(chunk, value_of.tolist()):
+            p[i][j] = p[j][i] = values
     last = d - 1
     for i in range(1, d):
-        for k in present:
+        for k in present.tolist():
             p[i][last][k] = p[last][i][k] = valencies[i] - sum(
                 p[i][t][k] for t in range(last))
     return IntersectionTensor(
@@ -574,7 +549,8 @@ def _srg_scheme(g: Graph01) -> tuple[SchemeMatrices, SrgParams]:
     labels = (2 - g.adjacency).astype(np.int8)
     np.fill_diagonal(labels, 0)
     # valid labels of a valid graph, whose automorphisms keep them
-    sm = SchemeMatrices._trusted(labels, 3, g.name, g.automorphisms)
+    sm = SchemeMatrices._trusted(labels=labels, rank=3, name=g.name,
+                                 automorphisms=g.automorphisms)
     result = verify_scheme(sm)
     if isinstance(result, FailureWitness):
         raise NotStronglyRegular(
@@ -628,12 +604,3 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
             disagreements.append((str(p), criterion, oracle))
     return CrossCheckReport(g.name, len(partitions), positives, tuple(disagreements))
 
-
-def fused_valencies_match(g: Graph01, p: SetPartition) -> bool:
-    """Oracle fused valencies equal the fused character table's valency row."""
-    sm, params = _srg_scheme(g)
-    result = verify_scheme(tensor_fuse(sm, p))
-    if not isinstance(result, IntersectionTensor):
-        return False
-    table = tensor_square_table(char_table(eigen_from_params(params)))
-    return result.valencies == fused_table(table, p).valency_row()

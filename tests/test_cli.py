@@ -293,6 +293,28 @@ def test_python_dash_m_runs_the_cli():
     assert (0, proc.stdout) == run_cli(*argv)
 
 
+def test_classify_and_scan_do_not_load_numpy():
+    """The oracle, and NumPy with it, loads only for a command given a
+    named graph; the package's oracle names still resolve."""
+    code = "\n".join([
+        "import io, sys",
+        "import srgfusion, srgfusion.cli as cli",
+        "for argv in (['classify', '--format', 'json'], ['scan', '--n', '10',",
+        "             '--k', '3', '--mu', '0', '--nu', '1']):",
+        "    assert cli.main(argv, out=io.StringIO()) == 0",
+        "assert 'numpy' not in sys.modules",
+        "from srgfusion import verify_scheme",
+        "assert verify_scheme is srgfusion.oracle.verify_scheme",
+        "print(','.join(srgfusion.__all__))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    import srgfusion
+    assert proc.stdout.strip() == ",".join(srgfusion.__all__)
+
+
 # Every invocation below mapped to (exit code, sha256 of stdout, sha256 of
 # stderr), each digest cut to 16 hex digits.  Together they cover each
 # command in each format it accepts and the usage errors; any change to a

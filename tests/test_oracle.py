@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import expected as X
 from srgfusion import cli, oracle
-from srgfusion.fusion import scan_all
+from srgfusion.fusion import fused_table, scan_all
 from srgfusion.oracle import (
     BadSpec,
     FailureWitness,
@@ -22,8 +22,6 @@ from srgfusion.oracle import (
     SchemeMatrices,
     build_graph,
     cross_check,
-    fused_valencies_match,
-    product01,
     scheme_matrices,
     srg_params,
     tensor_fuse,
@@ -359,6 +357,13 @@ def test_tensor_fuse_labels_pass_the_checks():
     assert f.transitive and checked.transitive  # recomputed from the orbit
 
 
+def product01(a, b):
+    """Exact int64 product a @ b of two 0/1 matrices, by the oracle's
+    popcount kernel."""
+    return oracle._popcount_product(oracle._pack_rows(a),
+                                    oracle._pack_rows(b.T)).astype(np.int64)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 150), st.integers(1, 150), st.integers(1, 150),
        st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.5, 0.95]))
@@ -506,23 +511,56 @@ def test_verify_scheme_matches_all_pairs_reference_rook4():
 
 @pytest.mark.parametrize("spec,sample", [
     ("paley5", None), ("rook3", None),
-    ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6),
+    ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6), ("rook6", 2),
 ])
 def test_transitive_schemes_match_the_full_path(spec, sample):
-    """The row-0 decision of a transitive fused scheme returns exactly what
-    the same labels return with no automorphisms, witnesses included."""
+    """The row-0 decision of a transitive fused scheme, from the base's
+    tensor-class bitmaps, returns exactly what the same labels return with
+    no automorphisms, witnesses included, and never builds the fused
+    labels."""
     sm, parts = reference_cases(spec, sample)
     if sample is not None:  # and a fusion of every graph
         parts = [parse("2|3|456|789"), *parts]
     seen = set()
     for p in parts:
         f = tensor_fuse(sm, p)
-        plain = SchemeMatrices(f.labels, f.rank)
-        assert f.transitive and not plain.transitive
         got = verify_scheme(f)
+        assert f.transitive and "labels" not in f.__dict__
+        plain = SchemeMatrices(f.labels, f.rank)
+        assert not plain.transitive
         assert got == verify_scheme(plain), (spec, str(p))
         seen.add(type(got))
     assert seen == {IntersectionTensor, FailureWitness}
+
+
+@pytest.mark.parametrize("spec", ["petersen", "rook4"])
+def test_tensor_class_bitmaps_are_cached_on_the_base(spec):
+    """Tensor class single_index(a, b) pairs the class-a cells of one
+    factor with the class-b cells of the other: n^2 v_a v_b cells.  Its
+    bitmap is built once per base, on the first fusion, not by
+    scheme_matrices."""
+    sm = scheme_matrices(build_graph(spec))
+    assert "tensor_bits" not in sm.__dict__
+    tensor_fuse(sm, parse("2|3|456|789"))
+    bits = sm.tensor_bits
+    tensor_fuse(sm, parse("2468|3579"))
+    assert sm.tensor_bits is bits
+    n, v = sm.order, sm.valencies()
+    for a, b in itertools.product(range(3), repeat=2):
+        t = single_index(a, b)
+        if t >= 2:
+            assert int(np.bitwise_count(bits[t - 2]).sum()) == n * n * v[a] * v[b]
+
+
+def test_graphs_and_schemes_compare_by_identity():
+    g = build_graph("petersen")
+    sm = scheme_matrices(g)
+    f = tensor_fuse(sm, parse("2347|5689"))
+    for x, twin in ((g, build_graph("petersen")), (sm, scheme_matrices(g)),
+                    (f, tensor_fuse(sm, parse("2347|5689")))):
+        assert x == x and x != twin  # neither compares arrays
+        assert hash(x) == hash(x) and len({x, x, twin}) == 2
+    assert "labels" not in f.__dict__
 
 
 def cycles_scheme(sizes, edge_classes, rank):
@@ -552,15 +590,14 @@ def assert_matches_reference(sm):
 
 @pytest.mark.parametrize("sizes,classes,rank,witness", [
     # row 0 sees only the triangle, where every edge has one common
-    # neighbour and every non-edge none: the screen passes, and the
-    # hexagon's first edge fails below the head
+    # neighbour and every non-edge none: row 0 passes, and the hexagon's
+    # first edge fails below it
     ((3, 6), (1, 1), 3, FailureWitness(1, 1, 1, (0, 1), (3, 4), 1, 0)),
-    # row 0 is the head and shows the non-edges bad (1 or 0 common
-    # neighbours); the edges, a smaller class, go wrong only below it,
-    # on the triangle
+    # row 0 shows the non-edges bad (1 or 0 common neighbours); the edges,
+    # a smaller class, go wrong only below it, on the triangle
     ((5, 3), (1, 1), 3, FailureWitness(1, 1, 1, (0, 1), (5, 6), 0, 1)),
-    # the triangle's class 2 misses row 0, so the head is rows 0..5, and
-    # the diagonal goes wrong inside it
+    # the triangle's class 2 misses row 0, so its first cell lies on row 5,
+    # and the diagonal goes wrong there
     ((5, 3), (1, 2), 4, FailureWitness(1, 1, 0, (0, 0), (5, 5), 2, 0)),
     # class 1 is empty
     ((5, 3), (2, 2), 4, FailureWitness(2, 2, 2, (0, 1), (5, 6), 0, 1)),
@@ -582,8 +619,9 @@ def test_verify_scheme_with_an_empty_class():
 
 def test_verify_scheme_matches_reference_on_random_labels():
     """Seeded symmetric labels whose row 0 takes a random subset of the
-    classes, so that classes miss row 0 (a head of several rows) or are
-    empty; the sweep reaches witnesses both in and below the head."""
+    classes, so that classes miss row 0 or are empty; the sweep reaches
+    witnesses both in and below the rows holding each class's first
+    cell."""
     rng = random.Random(31)
     below_head = set()
     for _ in range(400):
@@ -649,6 +687,16 @@ def test_unfused_tensor_square_intersection_numbers():
             assert weighted == res.valencies[i] * res.valencies[j]
 
 
+def fused_valencies_match(g, p):
+    """Oracle fused valencies equal the fused character table's valency row."""
+    sm, params = oracle._srg_scheme(g)
+    result = oracle.verify_scheme(oracle.tensor_fuse(sm, p))
+    if not isinstance(result, IntersectionTensor):
+        return False
+    table = tensor_square_table(char_table(eigen_from_params(params)))
+    return result.valencies == fused_table(table, p).valency_row()
+
+
 def test_fused_valencies_match_table():
     g = build_graph("petersen")
     for text in ("2347|5689", "2|3|456|789", "23|47|5689"):
@@ -665,7 +713,6 @@ def test_strong_regularity_checked_once(monkeypatch):
         return verify_scheme(sm)
 
     monkeypatch.setattr(oracle, "verify_scheme", counted)
-    monkeypatch.setattr(cli, "verify_scheme", counted)
     g = build_graph("petersen")
     ps = [parse(t) for t in ("2347|5689", "249|37|5|68", "2|3|456|789")]
     assert cross_check(g, ps).clean
