@@ -35,21 +35,17 @@ tensor_fuse one class at a time; each fusion then ORs them in place into
 one preallocated array, and neither the fused labels nor their packing
 are formed.
 
-Every graph construction here comes from a group that is transitive on its
-vertices: Z_q shifts for paley, Z_m x Z_m for rook and latin, Z_2^4 for
-clebsch, Z_c x Z_s for cliques and multipartite, S_5 on 2-subsets for
-petersen, and a complement keeps its base's group.  Each carries its
-group's generators, checked once to be label-preserving permutations, and
-a scheme is transitive when the orbit of vertex 0 under them is every
-vertex.  The tensor square inherits sigma x id and id x sigma, which keep
-every fused labelling and whose orbit of (0, 0) is V x V.  Such a group
-carries row 0 onto every row, class by class, so a product constant per
-class on row 0 is constant everywhere, and the smallest class that goes
-wrong anywhere goes wrong on row 0 first.  Row 0 of the products and the
-row-0 labels therefore decide a transitive scheme, with the intersection
-numbers and the witness of a full check.  Labels without such generators,
-which only hand-built schemes have, are multiplied in full as a plain
-reference.
+A graph's basis {I, A, J-I-A} is a scheme exactly when the graph is
+strongly regular, and the tensor product of two schemes is a scheme: every
+product of two tensor classes is a combination of tensor classes.  So once
+the base passes its own check, every product of two fused classes is
+constant on each tensor class, and in a scheme each class has the same
+valency at every vertex, so every nonempty tensor class meets row 0.  Row 0
+of the products and the row-0 labels therefore decide a fused square, with
+the intersection numbers and the witness of a full check.  Each base
+caches its own verdict, reached by multiplying in full, and tensor_fuse
+refuses a base that fails it.  Any other labels are multiplied in full, as
+a plain reference.
 """
 
 from __future__ import annotations
@@ -76,50 +72,15 @@ class BadSpec(ValueError):
     """Unknown or invalid graph construction request."""
 
 
-def _check_automorphisms(m: np.ndarray, automorphisms, what: str) -> None:
-    """Raise BadSpec unless each array is a permutation sigma of the
-    vertices with m[sigma[x], sigma[y]] == m[x, y] for every cell."""
-    n = len(m)
-    for sigma in automorphisms:
-        valid = (isinstance(sigma, np.ndarray) and sigma.shape == (n,)
-                 and np.issubdtype(sigma.dtype, np.integer)
-                 and ((0 <= sigma) & (sigma < n)).all())
-        hit = np.zeros(n, dtype=bool)
-        if valid:
-            hit[sigma] = True
-        if not (valid and hit.all()):
-            raise BadSpec("an automorphism must be an integer array permuting "
-                          f"0..{n - 1}")
-        if (m.take(sigma, axis=0).take(sigma, axis=1) != m).any():
-            raise BadSpec(f"an automorphism must preserve the {what}")
-
-
-def _orbit_is_everything(automorphisms, n: int) -> bool:
-    """Whether the orbit of vertex 0 under the group the permutations
-    generate is every vertex; a finite group's orbit is the closure under
-    the generators alone."""
-    reached = np.zeros(n, dtype=bool)
-    reached[:1] = True
-    frontier = reached
-    while frontier.any() and automorphisms:
-        grown = reached.copy()
-        for sigma in automorphisms:
-            grown[sigma[frontier]] = True
-        frontier = grown & ~reached
-        reached = grown
-    return bool(reached.all())
-
-
 @dataclass(frozen=True, eq=False)
 class Graph01:
-    """Simple graph as a dense 0/1 adjacency matrix, with optional
-    automorphisms: permutation arrays sigma of the vertices that map
-    each edge {x, y} to the edge {sigma[x], sigma[y]}.  Graphs compare
-    and hash by identity."""
+    """Simple graph as a dense 0/1 adjacency matrix.  No construction is
+    trusted to be strongly regular: the basis {I, A, J - I - A} is checked
+    to be a scheme (see _srg_scheme), and that check is what lets row 0
+    decide its fused squares.  Graphs compare and hash by identity."""
 
     name: str
     adjacency: np.ndarray
-    automorphisms: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         a = self.adjacency
@@ -131,37 +92,31 @@ class Graph01:
             raise BadSpec("adjacency must be symmetric")
         if np.diagonal(a).any():
             raise BadSpec("diagonal must be zero")
-        _check_automorphisms(a, self.automorphisms, "adjacency")
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
 
-def _relation(name: str, adjacent: np.ndarray, automorphisms) -> Graph01:
+def _relation(name: str, adjacent: np.ndarray) -> Graph01:
     """The graph on vertices 0..n-1 joined where the boolean n x n
-    ``adjacent`` holds off the diagonal, with the generators of a group
-    of its automorphisms."""
+    ``adjacent`` holds off the diagonal."""
     a = adjacent.astype(np.int64)
     np.fill_diagonal(a, 0)
-    return Graph01(name, a, tuple(automorphisms))
+    return Graph01(name, a)
 
 
 def union_cliques(copies: int, size: int) -> Graph01:
-    """Disjoint union of ``copies`` complete graphs on ``size`` vertices;
-    Z_copies x Z_size shifts the cliques and the vertices within each."""
+    """Disjoint union of ``copies`` complete graphs on ``size`` vertices."""
     if copies < 2 or size < 2:
         raise BadSpec("need at least two cliques of size at least two")
-    v = np.arange(copies * size)
-    clique, place = divmod(v, size)
-    return _relation(f"union_cliques({copies},{size})", clique[:, None] == clique,
-                     ((v + size) % v.size, clique * size + (place + 1) % size))
+    clique = np.arange(copies * size) // size
+    return _relation(f"union_cliques({copies},{size})", clique[:, None] == clique)
 
 
 def complete_multipartite(parts: int, size: int) -> Graph01:
     g = union_cliques(parts, size)
-    return _relation(f"complete_multipartite({parts},{size})", g.adjacency == 0,
-                     g.automorphisms)
+    return _relation(f"complete_multipartite({parts},{size})", g.adjacency == 0)
 
 
 def _is_prime(q: int) -> bool:
@@ -175,57 +130,49 @@ def paley(q: int) -> Graph01:
     x = np.arange(q)
     square = np.zeros(q, dtype=bool)
     square[x * x % q] = True
-    return _relation(f"paley({q})", square[(x[:, None] - x) % q], [(x + 1) % q])
+    return _relation(f"paley({q})", square[(x[:, None] - x) % q])
 
 
-def _grid(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Row and column of each cell i * m + j of an m x m grid, and the row
-    and column shifts of Z_m x Z_m on the cells."""
-    i, j = divmod(np.arange(m * m), m)
-    return i, j, ((i + 1) % m * m + j, i * m + (j + 1) % m)
+def _grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each cell i * m + j of an m x m grid."""
+    return divmod(np.arange(m * m), m)
 
 
 def rook(m: int) -> Graph01:
     """m x m rook's graph: cells of a grid, adjacent in the same row or column."""
     if m < 2:
         raise BadSpec("rook needs m >= 2")
-    i, j, shifts = _grid(m)
-    return _relation(f"rook({m})", (i[:, None] == i) | (j[:, None] == j), shifts)
+    i, j = _grid(m)
+    return _relation(f"rook({m})", (i[:, None] == i) | (j[:, None] == j))
 
 
 def clebsch() -> Graph01:
-    """Folded 5-cube: 4-bit strings adjacent at Hamming distance 1 or 4;
-    flipping a bit keeps every distance."""
+    """Folded 5-cube: 4-bit strings adjacent at Hamming distance 1 or 4."""
     x = np.arange(16)
     d = np.bitwise_count(x[:, None] ^ x)
-    return _relation("clebsch", (d == 1) | (d == 4), [x ^ (1 << b) for b in range(4)])
+    return _relation("clebsch", (d == 1) | (d == 4))
 
 
 def petersen() -> Graph01:
-    """Kneser graph on 2-subsets of a 5-set, adjacent when disjoint; S_5,
-    generated by a transposition and a 5-cycle, permutes the 2-subsets."""
-    pairs = list(itertools.combinations(range(5), 2))
-    pair = np.array([(1 << u) | (1 << v) for u, v in pairs])
-    vertex = {mask: t for t, mask in enumerate(pair.tolist())}
-    moves = [np.array([vertex[(1 << pi[u]) | (1 << pi[v])] for u, v in pairs])
-             for pi in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
-    return _relation("petersen", (pair[:, None] & pair) == 0, moves)
+    """Kneser graph on 2-subsets of a 5-set, adjacent when disjoint."""
+    pair = np.array([(1 << u) | (1 << v)
+                     for u, v in itertools.combinations(range(5), 2)])
+    return _relation("petersen", (pair[:, None] & pair) == 0)
 
 
 def latin_square_graph(m: int) -> Graph01:
     """Cells of the cyclic-group Cayley table, adjacent when they share a
-    row, column, or symbol; strongly regular with mu = nu for every m >= 4.
-    The grid shifts move every symbol (i + j) mod m by the same step."""
+    row, column, or symbol; strongly regular with mu = nu for every m >= 4."""
     if m < 4:
         raise BadSpec("latin_square_graph needs m >= 4")
-    i, j, shifts = _grid(m)
+    i, j = _grid(m)
     symbol = (i + j) % m
     return _relation(f"latin_square_graph({m})", (i[:, None] == i)
-                     | (j[:, None] == j) | (symbol[:, None] == symbol), shifts)
+                     | (j[:, None] == j) | (symbol[:, None] == symbol))
 
 
 def complement(g: Graph01) -> Graph01:
-    return _relation(f"complement({g.name})", g.adjacency == 0, g.automorphisms)
+    return _relation(f"complement({g.name})", g.adjacency == 0)
 
 
 # spec patterns; the integer groups are the builder's arguments
@@ -259,14 +206,11 @@ class SchemeMatrices:
     ``labels[x, y]`` is the class of cell (x, y) and class 0 is the
     diagonal.  Labels cannot overlap and always cover every cell, so the
     class matrices are 0/1 with supports partitioning all-ones.
-    ``automorphisms`` are permutation arrays sigma of the vertices with
-    labels[sigma[x], sigma[y]] == labels[x, y], each checked once here.
     Schemes compare and hash by identity."""
 
     labels: np.ndarray
     rank: int
     name: str = ""
-    automorphisms: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         lab = self.labels
@@ -279,12 +223,11 @@ class SchemeMatrices:
             raise BadSpec("class 0 must be exactly the diagonal")
         if (lab != lab.T).any():
             raise BadSpec("labels must be symmetric")
-        _check_automorphisms(lab, self.automorphisms, "labels")
 
     @classmethod
     def _trusted(cls, **fields) -> "SchemeMatrices":
         """A scheme from fields valid by construction, built unchecked; a
-        field may also fill a cache, such as ``transitive``."""
+        field may also fill a cache, such as ``row0``."""
         sm = object.__new__(cls)
         sm.__dict__.update(fields)
         return sm
@@ -299,25 +242,10 @@ class SchemeMatrices:
         return self.labels[0]
 
     @cached_property
-    def transitive(self) -> bool:
-        """Whether the automorphisms move vertex 0 to every vertex.  The
-        group they generate then carries row 0 of the labels onto every
-        row, so row 0 decides verify_scheme."""
-        return _orbit_is_everything(self.automorphisms, self.order)
-
-    @cached_property
-    def square_automorphisms(self) -> tuple[np.ndarray, ...]:
-        """sigma x id and id x sigma on the tensor square, vertex (a, b) at
-        a * n + b, for each automorphism sigma.  They map cell
-        ((a, b), (c, d)) to ((sigma a, b), (sigma c, d)) or to
-        ((a, sigma b), (c, sigma d)), whose square_index pairs the same
-        labels, so they keep every fused labelling.  Their orbit of (0, 0)
-        is the base orbit of 0 squared: all of V x V exactly when the base
-        scheme is transitive."""
-        n = self.order
-        vertex = np.arange(n * n).reshape(n, n)
-        return tuple(move for sigma in self.automorphisms
-                     for move in (vertex[sigma].ravel(), vertex[:, sigma].ravel()))
+    def verdict(self) -> IntersectionTensor | FailureWitness:
+        """verify_scheme(self), computed once: whether the labels are a
+        scheme, and tensor_fuse's licence to decide a fused square on row 0."""
+        return verify_scheme(self)
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -354,9 +282,10 @@ class SchemeMatrices:
 
 
 class _FusedSquare(SchemeMatrices):
-    """A fusion of the tensor square of the scheme ``base``, held as the
-    10-entry block map ``block_of``, the row-0 labels and the packed
-    classes that tensor_fuse ORs; the labels are built when first read."""
+    """A fusion of the tensor square of the verified scheme ``base``, held
+    as the 10-entry block map ``block_of``, the row-0 labels and the packed
+    classes that tensor_fuse ORs; the labels are built when first read.
+    verify_scheme decides it on row 0."""
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -367,8 +296,10 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     """Candidate basis of the fused tensor square: identity class plus one
     class per partition block, the union of its Kronecker classes.  The
     packed rows of the classes verify_scheme multiplies, every block but
-    the last, are ORs of the base's tensor-class bitmaps."""
-    if sm.rank != 3:
+    the last, are ORs of the base's tensor-class bitmaps.  A rank-3
+    labelling that is not a scheme is refused, so that row 0 never decides
+    the square of one."""
+    if sm.rank != 3 or isinstance(sm.verdict, FailureWitness):
         raise IndexMismatch("tensor fusion needs a rank-3 scheme")
     if p.ground != frozenset(range(2, 10)):
         raise IndexMismatch(f"partition ground {sorted(p.ground)}")
@@ -388,10 +319,8 @@ def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
     return _FusedSquare._trusted(
-        rank=last + 1, name=f"{sm.name} fused {p}",
-        automorphisms=sm.square_automorphisms, transitive=sm.transitive,
-        base=sm, block_of=block_of, row0=block_of.take(sm.square_index[0]),
-        class_bits=bits)
+        rank=last + 1, name=f"{sm.name} fused {p}", base=sm, block_of=block_of,
+        row0=block_of.take(sm.square_index[0]), class_bits=bits)
 
 
 @dataclass(frozen=True)
@@ -443,16 +372,20 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
 
 
 def _products(sm: SchemeMatrices, pairs):
-    """The products M_i M_j of ``pairs``, in order, as (pairs, stack) with
-    one row of the stack per pair: row 0 of every product from one
-    popcount for a transitive scheme, else each whole product in turn,
-    its cells in row-major order.  The classes are symmetric, so their
-    packed rows are also their packed columns."""
+    """The products M_i M_j of ``pairs``, every (i, j) with 1 <= i <= j <=
+    rank - 2 in order, as (pairs, stack) with one row of the stack per
+    pair: for a fused square, which row 0 decides (see verify_scheme), row
+    0 of every product, one popcount per i over all j >= i; else each whole
+    product in turn, its cells in row-major order.  The classes are
+    symmetric, so their packed rows are also their packed columns."""
     bits = sm.class_bits
     words, m, n = bits.shape
-    if sm.transitive:
-        rows = _popcount_product(bits[:, :, 0], bits.reshape(words, m * n))
-        yield pairs, rows.reshape(m * m, n)[[(i - 1) * m + j - 1 for i, j in pairs]]
+    if isinstance(sm, _FusedSquare):
+        # an entry counts at most n <= 64 * words bits
+        narrow = np.min_scalar_type(64 * words)
+        yield pairs, np.concatenate([
+            np.bitwise_count(bits[:, i, 0, None, None] & bits[:, i:]).sum(
+                axis=0, dtype=narrow) for i in range(m)])
     else:
         for i, j in pairs:
             yield [(i, j)], _popcount_product(bits[:, i - 1],
@@ -475,17 +408,20 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     _popcount_product); the intersection numbers and witness values are
     Python ints.
 
-    A transitive scheme (``sm.transitive``) is decided on row 0 alone.  An
-    automorphism g with g(0) = x maps cell (0, y) to (x, g(y)) with the
-    same label and the same entry of every product, and every cell of row x
-    is such an image.  So every class that has a cell has its first cell
-    on row 0, a product that passes on row 0 passes everywhere, and the
-    smallest class bad anywhere is bad on row 0, whose first bad cell comes
-    first in row-major order.  The valencies and the value tables come from
-    the row-0 labels, and row 0 of every product from one popcount of the
-    row-0 bits of the multiplied classes against all their columns.  The
-    result equals that of the same labels with no automorphisms, which are
-    multiplied in full, pair by pair.
+    A fused square (tensor_fuse's result) is decided on row 0 alone.  Its
+    base passed this check, so the base is a scheme and so is its tensor
+    square: a product of two fused classes is a sum of products of tensor
+    classes, each a combination of tensor classes, so it is constant on
+    every tensor class.  A nonempty tensor class has the same positive
+    valency at every vertex, so it meets row 0.  Hence every class that has
+    a cell has its first cell on row 0, a product that passes on row 0
+    passes everywhere, and a bad class has a bad tensor class, which meets
+    row 0, so the smallest bad class is bad on row 0, whose first bad cell
+    comes first in row-major order.  The valencies and the value tables come
+    from the row-0 labels, and row 0 of every product M_i M_j, j >= i, from
+    one popcount of the row-0 bits of M_i against the columns of those M_j.
+    The result equals that of the same labels as a plain SchemeMatrices,
+    which is multiplied in full, pair by pair.
 
     Two kinds of product need no matrix work, and neither can hold the
     first inconsistency:
@@ -500,7 +436,7 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     """
     d, n = sm.rank, sm.order
     valencies = sm.valencies()
-    cells = sm.row0 if sm.transitive else sm.labels.ravel()
+    cells = sm.row0 if isinstance(sm, _FusedSquare) else sm.labels.ravel()
     hits = cells == np.arange(d, dtype=cells.dtype)[:, None]
     present = np.flatnonzero(hits.any(axis=1))
     first = hits.argmax(axis=1)  # the first cell of each present class
@@ -542,16 +478,16 @@ def _srg_scheme(g: Graph01) -> tuple[SchemeMatrices, SrgParams]:
     """The rank-3 basis {I, A, J - I - A} as labels 0, 1, 2, a scheme iff g
     is strongly regular, and (n, k, mu, nu) read off its intersection numbers.
 
-    One ``verify_scheme`` call multiplies A by itself and checks A^2 on the
-    diagonal (the degrees), then on the adjacent and the non-adjacent pairs;
-    a failure raises with the witness pair of cells it found.
+    One ``verify_scheme`` call, cached as the scheme's ``verdict``,
+    multiplies A by itself and checks A^2 on the diagonal (the degrees),
+    then on the adjacent and the non-adjacent pairs; a failure raises with
+    the witness pair of cells it found.
     """
     labels = (2 - g.adjacency).astype(np.int8)
     np.fill_diagonal(labels, 0)
-    # valid labels of a valid graph, whose automorphisms keep them
-    sm = SchemeMatrices._trusted(labels=labels, rank=3, name=g.name,
-                                 automorphisms=g.automorphisms)
-    result = verify_scheme(sm)
+    # valid labels of a valid graph
+    sm = SchemeMatrices._trusted(labels=labels, rank=3, name=g.name)
+    result = sm.verdict
     if isinstance(result, FailureWitness):
         raise NotStronglyRegular(
             f"{g.name}: {_PAIRS[result.klass]} pairs {result.cell_a} and "

@@ -75,17 +75,6 @@ class IndexPermutation:
         d.update(dict(self.mapping))
         return d
 
-    def compose(self, other: "IndexPermutation") -> "IndexPermutation":
-        """self after other."""
-        d = self.as_dict()
-        e = other.as_dict()
-        comp = tuple(sorted((x, d[e[x]]) for x in range(2, 10) if d[e[x]] != x))
-        return IndexPermutation(f"{self.name}*{other.name}", comp)
-
-    def is_involution(self) -> bool:
-        d = self.as_dict()
-        return all(d[d[x]] == x for x in d)
-
 
 def _perm_from_index_map(name: str, f) -> IndexPermutation:
     """The permutation A_ij -> A_f(i, j) of the single indices."""

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import expected as X
 from srgfusion import cli, oracle
-from srgfusion.fusion import fused_table, scan_all
+from srgfusion.fusion import IndexMismatch, fused_table, scan_all
 from srgfusion.oracle import (
     BadSpec,
     FailureWitness,
@@ -131,59 +131,6 @@ def test_graph01_validates_adjacency(mutate, message):
     Graph01("petersen", a)
     with pytest.raises(BadSpec, match=message):
         Graph01("bad", mutate(a.copy()))
-
-
-def _swap01(n):
-    sigma = np.arange(n)
-    sigma[:2] = 1, 0
-    return sigma
-
-
-@pytest.mark.parametrize("holder", ["graph", "scheme"])
-@pytest.mark.parametrize("automorphism,message", [
-    (lambda n: np.zeros(n, dtype=np.int64), "permuting"),
-    (lambda n: np.arange(n - 1), "permuting"),
-    (lambda n: np.arange(n) - 1, "permuting"),  # -1 must not wrap to n - 1
-    (lambda n: np.arange(n, dtype=np.float64), "permuting"),
-    (lambda n: list(range(n)), "permuting"),
-    # petersen has no two vertices with the same neighbours
-    (_swap01, "preserve"),
-], ids=["not-injective", "short", "negative", "float", "list", "breaks-adjacency"])
-def test_automorphisms_are_checked(holder, automorphism, message):
-    g = build_graph("petersen")
-    sm = scheme_matrices(g)
-    bad = (*g.automorphisms, automorphism(g.n))
-    with pytest.raises(BadSpec, match=message):
-        if holder == "graph":
-            Graph01("bad", g.adjacency, bad)
-        else:
-            SchemeMatrices(sm.labels, 3, "bad", bad)
-
-
-# every pinned construction and the complement of each
-_CONSTRUCTIONS = sorted({spec for s in ADJACENCY_SHA256
-                         for spec in (s, "complement:" + s.removeprefix("complement:"))})
-
-
-@pytest.mark.parametrize("spec", _CONSTRUCTIONS)
-def test_every_construction_is_transitive(spec):
-    g = build_graph(spec)
-    assert g.automorphisms
-    checked = Graph01(g.name, g.adjacency, g.automorphisms)  # checks them
-    assert scheme_matrices(checked).transitive
-
-
-def test_row_shift_alone_is_not_transitive():
-    """rook4's row shift moves vertex 0 only along its column, so the
-    scheme takes the full path, which still matches the reference."""
-    g = build_graph("rook4")
-    sm = scheme_matrices(Graph01("rook4 rows", g.adjacency, g.automorphisms[:1]))
-    assert sm.automorphisms and not sm.transitive
-    parts = [parse(t) for t in ("2468|3579", "249|37|5|68", "2|3|456|789",
-                                "23|47|5689")]
-    assert not any(tensor_fuse(sm, p).transitive for p in parts)
-    assert verdict_kinds_matching_reference(sm, parts) == {
-        IntersectionTensor, FailureWitness}
 
 
 def _graph(name, n, edges):
@@ -345,16 +292,12 @@ def test_scheme_matrices_validates_labels(mutate, message):
 
 
 def test_tensor_fuse_labels_pass_the_checks():
-    """tensor_fuse skips the label checks; its labels pass them anyway, and
-    so do its automorphisms sigma x id and id x sigma, whose orbit makes
-    the fused scheme transitive as the flag it hands on says."""
+    """tensor_fuse skips the label checks; its labels pass them anyway."""
     sm = scheme_matrices(build_graph("petersen"))
     for p in all_default_partitions():
         f = tensor_fuse(sm, p)
-        checked = SchemeMatrices(f.labels, f.rank, f.name, f.automorphisms)
+        checked = SchemeMatrices(f.labels, f.rank, f.name)
         assert checked.order == 100 and checked.rank == p.rank
-        assert len(checked.automorphisms) == 2 * len(sm.automorphisms)
-    assert f.transitive and checked.transitive  # recomputed from the orbit
 
 
 def product01(a, b):
@@ -509,28 +452,69 @@ def test_verify_scheme_matches_all_pairs_reference_rook4():
         IntersectionTensor, FailureWitness}
 
 
-@pytest.mark.parametrize("spec,sample", [
-    ("paley5", None), ("rook3", None),
-    ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6), ("rook6", 2),
-])
-def test_transitive_schemes_match_the_full_path(spec, sample):
-    """The row-0 decision of a transitive fused scheme, from the base's
-    tensor-class bitmaps, returns exactly what the same labels return with
-    no automorphisms, witnesses included, and never builds the fused
-    labels."""
-    sm, parts = reference_cases(spec, sample)
-    if sample is not None:  # and a fusion of every graph
-        parts = [parse("2|3|456|789"), *parts]
+def row0_kinds_matching_full_path(sm, parts):
+    """Assert that the row-0 decision of each fused square, from the
+    base's tensor-class bitmaps, returns exactly what its labels return as
+    a plain scheme multiplied in full, witnesses included, and never builds
+    the fused labels; return the result types seen."""
     seen = set()
     for p in parts:
         f = tensor_fuse(sm, p)
         got = verify_scheme(f)
-        assert f.transitive and "labels" not in f.__dict__
+        assert "labels" not in f.__dict__
         plain = SchemeMatrices(f.labels, f.rank)
-        assert not plain.transitive
-        assert got == verify_scheme(plain), (spec, str(p))
+        assert got == verify_scheme(plain), (sm.name, str(p))
         seen.add(type(got))
-    assert seen == {IntersectionTensor, FailureWitness}
+    return seen
+
+
+@pytest.mark.parametrize("spec,sample", [
+    ("paley5", None), ("rook3", None),
+    ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6), ("rook6", 2),
+])
+def test_fused_squares_match_the_full_path(spec, sample):
+    sm, parts = reference_cases(spec, sample)
+    if sample is not None:  # and a fusion of every graph
+        parts = [parse("2|3|456|789"), *parts]
+    assert row0_kinds_matching_full_path(sm, parts) == {
+        IntersectionTensor, FailureWitness}
+
+
+def chang_graph():
+    """T(8), the 2-subsets of an 8-set adjacent when they meet, Seidel
+    switched on the four 2-subsets {0, 1}, {2, 3}, {4, 5}, {6, 7} of a
+    perfect matching: adjacency flips between those four and the rest."""
+    pairs = list(itertools.combinations(range(8), 2))
+    meet = np.array([[len({*u} & {*v}) == 1 for v in pairs] for u in pairs])
+    matched = np.array([u[1] == u[0] + 1 and u[0] % 2 == 0 for u in pairs])
+    return Graph01("chang", (meet ^ (matched[:, None] ^ matched)).astype(np.int64))
+
+
+def test_chang_graph_is_decided_on_row_0():
+    """A Chang graph shares T(8)'s parameters but has no vertex-transitive
+    group: its vertices lie in 32 or 36 four-cliques.  Row 0 still decides
+    its fused squares, since its basis is a scheme."""
+    g = chang_graph()
+    assert srg_params(g) == SrgParams(28, 12, 6, 4)
+    a = g.adjacency
+    cliques = {int(np.trace(np.linalg.matrix_power(a[np.ix_(row, row)], 3))) // 6
+               for row in a.astype(bool)}  # triangles among the neighbours
+    assert cliques == {32, 36}
+    parts = [parse("2|3|456|789"),
+             *random.Random(7).sample(all_default_partitions(), 6)]
+    assert row0_kinds_matching_full_path(scheme_matrices(g), parts) == {
+        IntersectionTensor, FailureWitness}
+
+
+def test_tensor_fuse_refuses_labels_that_are_not_a_scheme():
+    """C6's labels have rank 3 but fail the scheme check, so row 0 may not
+    decide their square."""
+    labels = (2 - cycle(6).adjacency).astype(np.int8)
+    np.fill_diagonal(labels, 0)
+    sm = SchemeMatrices(labels, 3, "C6")
+    assert isinstance(sm.verdict, FailureWitness)
+    with pytest.raises(IndexMismatch, match="rank-3 scheme"):
+        tensor_fuse(sm, parse("2|3|456|789"))
 
 
 @pytest.mark.parametrize("spec", ["petersen", "rook4"])
