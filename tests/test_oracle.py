@@ -472,7 +472,7 @@ def row0_kinds_matching_full_path(sm, parts):
     ("paley5", None), ("rook3", None),
     ("clebsch", 20), ("complement:rook4", 20), ("latin5", 6), ("rook6", 2),
 ])
-def test_fused_squares_match_the_full_path(spec, sample):
+def test_transitive_schemes_match_the_full_path(spec, sample):
     sm, parts = reference_cases(spec, sample)
     if sample is not None:  # and a fusion of every graph
         parts = [parse("2|3|456|789"), *parts]
