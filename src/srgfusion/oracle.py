@@ -17,35 +17,29 @@ and a 10-entry table maps that to its block.  Labels are int8, since a
 fused scheme has at most nine classes.  A fused scheme holds its base and
 that table, and builds its n^2 x n^2 labels only when they are read.
 
-Only the products that can fail are formed: those with the identity are
-known, and the last class is J minus the others, so its products follow
-from the rest.  Each product of two 0/1 class matrices is exact integer
-work: entry (r, c) is the popcount of row r of the left factor AND column
-c of the right, both packed into uint64 words.  The popcounts accumulate in
-the narrowest unsigned type that holds 64 bits per word (uint8 up to three
-words, uint16 for n^2 = 256), which no entry can exceed.  A product is
-tested without sorting the cells: the first row-major cell of each class
-gives a per-class value table, and the product must equal the table looked
-up at every cell's label.  No floating point is used.
-
-The tensor classes are disjoint, so the packed rows of a fused class are
-the OR of the packed rows of the tensor classes in its block.  A base
-scheme caches one such bitmap per tensor class 2..9, built on its first
-tensor_fuse one class at a time; each fusion then ORs them in place into
-one preallocated array, and neither the fused labels nor their packing
-are formed.
+Plain labels are multiplied in full, and only the products that can fail
+are formed: those with the identity are known, and the last class is J
+minus the others, so its products follow from the rest.  Each product of
+two 0/1 class matrices is exact integer work: entry (r, c) is the popcount
+of row r of the left factor AND column c of the right, both packed into
+uint64 words.  The popcounts accumulate in the narrowest unsigned type that
+holds 64 bits per word (uint8 up to three words, uint16 for 256 columns),
+which no entry can exceed.  A product is tested without sorting the cells:
+the first row-major cell of each class gives a per-class value table, and
+the product must equal the table looked up at every cell's label.  No
+floating point is used.
 
 A graph's basis {I, A, J-I-A} is a scheme exactly when the graph is
-strongly regular, and the tensor product of two schemes is a scheme: every
-product of two tensor classes is a combination of tensor classes.  So once
-the base passes its own check, every product of two fused classes is
-constant on each tensor class, and in a scheme each class has the same
-valency at every vertex, so every nonempty tensor class meets row 0.  Row 0
-of the products and the row-0 labels therefore decide a fused square, with
-the intersection numbers and the witness of a full check.  Each base
-caches its own verdict, reached by multiplying in full, and tensor_fuse
-refuses a base that fails it.  Any other labels are multiplied in full, as
-a plain reference.
+strongly regular.  Each base caches its own verdict, reached by
+multiplying in full, and tensor_fuse refuses a base that fails it.  A
+fused square of a verified base needs no matrix: the Kronecker rule
+(A_a x A_b)(A_c x A_d) = A_a A_c x A_b A_d gives the tensor square's
+structure constants p_ac^e p_bd^f from the base's intersection numbers, so
+a product of two fused classes is constant on each tensor class, at the
+sum of those constants over the two blocks.  In a scheme each class has
+the same valency at every vertex, so every nonempty tensor class meets row
+0.  The block sums at one cell per tensor class therefore decide a fused
+square, with the intersection numbers and the witness of a full check.
 """
 
 from __future__ import annotations
@@ -76,7 +70,7 @@ class BadSpec(ValueError):
 class Graph01:
     """Simple graph as a dense 0/1 adjacency matrix.  No construction is
     trusted to be strongly regular: the basis {I, A, J - I - A} is checked
-    to be a scheme (see _srg_scheme), and that check is what lets row 0
+    to be a scheme (see _srg_scheme), which lets its intersection numbers
     decide its fused squares.  Graphs compare and hash by identity."""
 
     name: str
@@ -244,7 +238,7 @@ class SchemeMatrices:
     @cached_property
     def verdict(self) -> IntersectionTensor | FailureWitness:
         """verify_scheme(self), computed once: whether the labels are a
-        scheme, and tensor_fuse's licence to decide a fused square on row 0."""
+        scheme, and so tensor_fuse's licence to use its numbers."""
         return verify_scheme(self)
 
     @property
@@ -256,18 +250,33 @@ class SchemeMatrices:
     def square_index(self) -> np.ndarray:
         """Tensor class of every cell of the tensor square, an n^2 x n^2
         array of the labels' dtype: cell ((a, b), (c, d)) holds
-        single_index(labels[a, c], labels[b, d]).  Built once per scheme."""
+        single_index(labels[a, c], labels[b, d]).  Built once per scheme,
+        and only when a fused square's labels are read."""
         lab, side = self.labels, self.order ** 2
         tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
         return tensor.reshape(side, side)
 
     @cached_property
-    def tensor_bits(self) -> tuple[np.ndarray, ...]:
-        """Packed rows (see _pack_rows) of the tensor classes 2..9 of the
-        tensor square, class t at t - 2.  Packed one class at a time, so
-        one n^2 x n^2 boolean temporary is live."""
-        index = self.square_index
-        return tuple(_pack_rows(index == t) for t in range(2, 10))
+    def square_constants(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+        """Row 0 of the tensor square of this verified rank-3 scheme, from
+        its intersection numbers, built once: (P, cells, classes).
+        ``classes`` holds single_index(e, f) of each tensor class that
+        meets row 0, in the order of its first row-0 cell, first_e * n +
+        first_f, which ``cells`` holds (first_e is base class e's first
+        row-0 cell; a class that misses row 0 is empty).  P[s - 1, t - 1, r]
+        = p_ac^e p_bd^f, for s = single_index(a, b), t = single_index(c, d)
+        and (e, f) the r-th class, is the coefficient of A_e x A_f in
+        (A_a x A_b)(A_c x A_d) = A_a A_c x A_b A_d: that product's value on
+        every cell of the class."""
+        p = np.array(self.verdict.p, dtype=np.int64)
+        # single_index(i, j) - 1 = 3j + i: the second factor's class first
+        constants = np.einsum("ace,bdf->badcfe", p, p).reshape(9, 9, 9)
+        row0, n = self.row0.tolist(), self.order
+        first = {e: row0.index(e) for e in range(3) if e in row0}
+        cells, classes = zip(*sorted((first[e] * n + first[f], single_index(e, f))
+                                     for e in first for f in first))
+        classes = np.array(classes)
+        return constants[:, :, classes - 1], cells, classes
 
     @cached_property
     def class_bits(self) -> np.ndarray:
@@ -283,9 +292,9 @@ class SchemeMatrices:
 
 class _FusedSquare(SchemeMatrices):
     """A fusion of the tensor square of the verified scheme ``base``, held
-    as the 10-entry block map ``block_of``, the row-0 labels and the packed
-    classes that tensor_fuse ORs; the labels are built when first read.
-    verify_scheme decides it on row 0."""
+    as the partition's ``blocks`` and the 10-entry block map ``block_of``
+    from single index to class.  verify_scheme decides it from the base's
+    square_constants; the n^2 x n^2 labels are built only when read."""
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -294,33 +303,23 @@ class _FusedSquare(SchemeMatrices):
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     """Candidate basis of the fused tensor square: identity class plus one
-    class per partition block, the union of its Kronecker classes.  The
-    packed rows of the classes verify_scheme multiplies, every block but
-    the last, are ORs of the base's tensor-class bitmaps.  A rank-3
-    labelling that is not a scheme is refused, so that row 0 never decides
-    the square of one."""
+    class per partition block, the union of its Kronecker classes, held as
+    the block map alone.  A rank-3 labelling that is not a scheme is
+    refused, so that its constants never decide the square of one."""
     if sm.rank != 3 or isinstance(sm.verdict, FailureWitness):
         raise IndexMismatch("tensor fusion needs a rank-3 scheme")
     if p.ground != frozenset(range(2, 10)):
         raise IndexMismatch(f"partition ground {sorted(p.ground)}")
-    last = p.num_blocks
-    tensor_bits = sm.tensor_bits
-    bits = np.zeros((len(tensor_bits[0]), last - 1, sm.order ** 2), dtype=np.uint64)
     block_of = [0] * 10  # single_index(0, 0) = 1 stays 0
     for b, block in enumerate(p.blocks, 1):
         for t in block:
             block_of[t] = b
-        if b < last:
-            fused = bits[:, b - 1]
-            for t in block:
-                fused |= tensor_bits[t - 2]  # in place, through the view
-    block_of = np.array(block_of, dtype=np.int8)
     # valid labels: only cells ((a, b), (a, b)) pair two diagonal cells,
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
     return _FusedSquare._trusted(
-        rank=last + 1, name=f"{sm.name} fused {p}", base=sm, block_of=block_of,
-        row0=block_of.take(sm.square_index[0]), class_bits=bits)
+        rank=p.num_blocks + 1, name=f"{sm.name} fused {p}", base=sm,
+        blocks=p.blocks, block_of=np.array(block_of, dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -372,24 +371,45 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
 
 
 def _products(sm: SchemeMatrices, pairs):
-    """The products M_i M_j of ``pairs``, every (i, j) with 1 <= i <= j <=
-    rank - 2 in order, as (pairs, stack) with one row of the stack per
-    pair: for a fused square, which row 0 decides (see verify_scheme), row
-    0 of every product, one popcount per i over all j >= i; else each whole
-    product in turn, its cells in row-major order.  The classes are
-    symmetric, so their packed rows are also their packed columns."""
+    """Each product M_i M_j of ``pairs`` in turn, in full: its cells in
+    row-major order, from _popcount_product.  The classes are symmetric,
+    so their packed rows are also their packed columns.  A fused square
+    needs no product (see verify_scheme)."""
     bits = sm.class_bits
-    words, m, n = bits.shape
-    if isinstance(sm, _FusedSquare):
-        # an entry counts at most n <= 64 * words bits
-        narrow = np.min_scalar_type(64 * words)
-        yield pairs, np.concatenate([
-            np.bitwise_count(bits[:, i, 0, None, None] & bits[:, i:]).sum(
-                axis=0, dtype=narrow) for i in range(m)])
-    else:
-        for i, j in pairs:
-            yield [(i, j)], _popcount_product(bits[:, i - 1],
-                                              bits[:, j - 1]).reshape(1, n * n)
+    for i, j in pairs:
+        yield _popcount_product(bits[:, i - 1], bits[:, j - 1]).ravel()
+
+
+def _fused_verdict(f: _FusedSquare) -> IntersectionTensor | FailureWitness:
+    """verify_scheme of a fused square, from block sums of its base's
+    square_constants."""
+    constants, cells, classes = f.base.square_constants
+    d = f.rank
+    # member[k, s - 1] says s lies in class k; q[i, j, r] is row 0 of
+    # M_i M_j on the r-th tensor class to meet row 0: the constants summed
+    # over block i, then over block j
+    member = f.block_of[1:] == np.arange(d, dtype=np.int8)[:, None]
+    q = member @ (member @ constants.reshape(9, -1)).reshape(d, 9, -1)
+    klass = f.block_of[classes].tolist()
+    rep = {}  # each class that meets row 0, at its earliest tensor class
+    for r, k in enumerate(klass):
+        rep.setdefault(k, r)
+    bad = q != q[:, :, [rep[k] for k in klass]]
+    # a symmetric base commutes, so q and the failing pairs are symmetric
+    # and the first failing pair in row-major order has i <= j
+    failing = bad.any(axis=2).ravel()
+    if failing.any():
+        i, j = divmod(int(failing.argmax()), d)
+        c = min(k for k, b in zip(klass, bad[i, j]) if b)
+        at = next(r for r, k in enumerate(klass) if k == c and bad[i, j, r])
+        return FailureWitness(i, j, c, (0, cells[rep[c]]), (0, cells[at]),
+                              int(q[i, j, rep[c]]), int(q[i, j, at]))
+    values = np.zeros((d, d, d), dtype=np.int64)
+    values[:, :, list(rep)] = q[:, :, list(rep.values())]
+    return IntersectionTensor(
+        tuple(tuple(map(tuple, plane)) for plane in values.tolist()),
+        tuple(np.diagonal(q[:, :, 0]).tolist()),
+    )
 
 
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
@@ -402,29 +422,12 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     bad cell, cell_a that class's first cell and cell_b its first bad cell
     in row-major order, the order of a scan of the cells class by class.
 
-    Each product is read at the first row-major cell of every class, which
-    fills a value table indexed by class, and compared with that table at
-    every cell's label.  Products are uint8 or uint16 (see
-    _popcount_product); the intersection numbers and witness values are
-    Python ints.
-
-    A fused square (tensor_fuse's result) is decided on row 0 alone.  Its
-    base passed this check, so the base is a scheme and so is its tensor
-    square: a product of two fused classes is a sum of products of tensor
-    classes, each a combination of tensor classes, so it is constant on
-    every tensor class.  A nonempty tensor class has the same positive
-    valency at every vertex, so it meets row 0.  Hence every class that has
-    a cell has its first cell on row 0, a product that passes on row 0
-    passes everywhere, and a bad class has a bad tensor class, which meets
-    row 0, so the smallest bad class is bad on row 0, whose first bad cell
-    comes first in row-major order.  The valencies and the value tables come
-    from the row-0 labels, and row 0 of every product M_i M_j, j >= i, from
-    one popcount of the row-0 bits of M_i against the columns of those M_j.
-    The result equals that of the same labels as a plain SchemeMatrices,
-    which is multiplied in full, pair by pair.
-
-    Two kinds of product need no matrix work, and neither can hold the
-    first inconsistency:
+    Plain labels are multiplied in full.  Each product is read at the first
+    row-major cell of every class, which fills a value table indexed by
+    class, and compared with that table at every cell's label.  Products
+    are uint8 or uint16 (see _popcount_product); the intersection numbers
+    and witness values are Python ints.  Two kinds of product need no
+    matrix work, and neither can hold the first inconsistency:
     - M_0 = I, so p[0][j][k] is 1 when j = k and 0 otherwise.
     - The classes sum to J, so M_i M_{d-1} = M_i J - sum_{t<d-1} M_i M_t.
       M_i J = v_i J because M_i has constant row sums: for i < d-1 they are
@@ -433,10 +436,27 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
       leave of n.  Once every M_i M_t with t < d-1 passes, p[i][d-1][k] is
       v_i minus the sum of the p[i][t][k].
     Empty classes have no cells to check and keep p = 0.
+
+    A fused square (tensor_fuse's result) needs no matrix at all.  Its
+    base passed this check, so it is a scheme, and (A_a x A_b)(A_c x A_d)
+    = A_a A_c x A_b A_d has coefficient p_ac^e p_bd^f on the tensor class
+    A_e x A_f: the base's square_constants.  A product of two fused classes
+    is the sum of these over their blocks, so two block sums give it on
+    every tensor class, and it is constant there.  A nonempty tensor class
+    has the same positive valency at every vertex, so it meets row 0, and
+    its first cell is (first_e, first_f) of the base's row 0.  So a product
+    passes exactly when, on each class, it agrees with its value at the
+    class's earliest tensor class; the smallest bad class is bad on row 0,
+    and its first bad cell is the first row-0 cell of a bad tensor class.
+    Every pair is summed, the identity's and the last class's included,
+    and none of those can fail first; the result equals that of the same
+    labels as a plain SchemeMatrices, which is multiplied in full.
     """
+    if isinstance(sm, _FusedSquare):
+        return _fused_verdict(sm)
     d, n = sm.rank, sm.order
     valencies = sm.valencies()
-    cells = sm.row0 if isinstance(sm, _FusedSquare) else sm.labels.ravel()
+    cells = sm.labels.ravel()
     hits = cells == np.arange(d, dtype=cells.dtype)[:, None]
     present = np.flatnonzero(hits.any(axis=1))
     first = hits.argmax(axis=1)  # the first cell of each present class
@@ -445,21 +465,18 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
         p[0][j][j] = p[j][0][j] = 1
     # classes 1..d-2 are multiplied
     pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
-    for chunk, products in _products(sm, pairs) if pairs else ():
-        # value_of keeps the products' dtype, so the compares stay narrow
-        value_of = np.zeros((len(chunk), d), dtype=products.dtype)
-        value_of[:, present] = products[:, first[present]]
-        bad = products != value_of[:, cells]
-        failing = bad.any(axis=1)
-        if failing.any():
-            t = int(failing.argmax())
-            c = int(cells[bad[t]].min())
-            at = int(np.argmax(bad[t] & (cells == c)))
-            return FailureWitness(*chunk[t], c, divmod(int(first[c]), n),
-                                  divmod(at, n), int(value_of[t, c]),
-                                  int(products[t, at]))
-        for (i, j), values in zip(chunk, value_of.tolist()):
-            p[i][j] = p[j][i] = values
+    for (i, j), product in zip(pairs, _products(sm, pairs)):
+        # value_of keeps the product's dtype, so the compares stay narrow
+        value_of = np.zeros(d, dtype=product.dtype)
+        value_of[present] = product[first[present]]
+        bad = product != value_of[cells]
+        if bad.any():
+            c = int(cells[bad].min())
+            at = int(np.argmax(bad & (cells == c)))
+            return FailureWitness(i, j, c, divmod(int(first[c]), n),
+                                  divmod(at, n), int(value_of[c]),
+                                  int(product[at]))
+        p[i][j] = p[j][i] = value_of.tolist()
     last = d - 1
     for i in range(1, d):
         for k in present.tolist():
@@ -524,7 +541,10 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
 
     For each partition, the table-side verdict comes from column sums of
     the exact tensor-square character table; the matrix side from support
-    constancy of the class products of the fused tensor square.
+    constancy of the class products of the fused tensor square, which
+    verify_scheme reads as block sums of the Kronecker constants p_ac^e
+    p_bd^f of the graph's verified basis.  The base is multiplied once, so
+    a partition costs the same at every n.
     """
     sm, params = _srg_scheme(g)
     table = tensor_square_table(char_table(eigen_from_params(params)))

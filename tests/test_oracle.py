@@ -453,8 +453,8 @@ def test_verify_scheme_matches_all_pairs_reference_rook4():
 
 
 def row0_kinds_matching_full_path(sm, parts):
-    """Assert that the row-0 decision of each fused square, from the
-    base's tensor-class bitmaps, returns exactly what its labels return as
+    """Assert that the decision of each fused square, from block sums of
+    the base's square constants, returns exactly what its labels return as
     a plain scheme multiplied in full, witnesses included, and never builds
     the fused labels; return the result types seen."""
     seen = set()
@@ -517,23 +517,47 @@ def test_tensor_fuse_refuses_labels_that_are_not_a_scheme():
         tensor_fuse(sm, parse("2|3|456|789"))
 
 
-@pytest.mark.parametrize("spec", ["petersen", "rook4"])
-def test_tensor_class_bitmaps_are_cached_on_the_base(spec):
-    """Tensor class single_index(a, b) pairs the class-a cells of one
-    factor with the class-b cells of the other: n^2 v_a v_b cells.  Its
-    bitmap is built once per base, on the first fusion, not by
-    scheme_matrices."""
-    sm = scheme_matrices(build_graph(spec))
-    assert "tensor_bits" not in sm.__dict__
+@pytest.mark.parametrize("spec", ["petersen", "paley5", "complete3"])
+def test_square_constants_are_row_0_of_kronecker_products(spec):
+    """The constants p_ac^e p_bd^f, built once per base on its first
+    fusion, are row 0 of the int64 product (A_a x A_b)(A_c x A_d) on every
+    row-0 cell of A_e x A_f, and the tensor classes that meet row 0 are
+    listed by their first cell (complete3's non-edges are empty)."""
+    sm, _ = reference_cases(spec, None)
+    assert "square_constants" not in sm.__dict__
     tensor_fuse(sm, parse("2|3|456|789"))
-    bits = sm.tensor_bits
+    built = sm.square_constants
     tensor_fuse(sm, parse("2468|3579"))
-    assert sm.tensor_bits is bits
-    n, v = sm.order, sm.valencies()
-    for a, b in itertools.product(range(3), repeat=2):
-        t = single_index(a, b)
-        if t >= 2:
-            assert int(np.bitwise_count(bits[t - 2]).sum()) == n * n * v[a] * v[b]
+    assert sm.square_constants is built
+    constants, cells, classes = built
+    mats = sm.matrices
+    kron = {single_index(a, b): np.kron(mats[a], mats[b])
+            for a, b in itertools.product(range(3), repeat=2)}
+    row0 = {u: np.flatnonzero(k[0]) for u, k in kron.items()}
+    met = sorted((row0[u][0], u) for u in kron if row0[u].size)
+    assert list(zip(cells, classes.tolist())) == met
+    assert len(met) == (9 if spec != "complete3" else 4)
+    for (s, x), (t, y) in itertools.product(kron.items(), repeat=2):
+        product = (x @ y)[0]
+        for r, u in enumerate(classes.tolist()):
+            assert (product[row0[u]] == constants[s - 1, t - 1, r]).all()
+
+
+@pytest.mark.parametrize("spec", ["rook6", "paley37"])
+def test_fused_squares_are_decided_without_square_arrays(spec):
+    """Deciding a fused square, fusion or refutation, builds neither the
+    base's square_index nor the fused labels, nor any n^2 x n^2 array."""
+    sm = scheme_matrices(build_graph(spec))
+    side = sm.order ** 2
+    kinds = set()
+    for text in ("2|3|456|789", "249|37|5|68"):
+        f = tensor_fuse(sm, parse(text))
+        kinds.add(type(verify_scheme(f)))
+        assert "labels" not in f.__dict__
+        assert "square_index" not in sm.__dict__
+        assert all(v.size < side * side for x in (sm, f)
+                   for v in vars(x).values() if isinstance(v, np.ndarray))
+    assert kinds == {IntersectionTensor, FailureWitness}
 
 
 def test_graphs_and_schemes_compare_by_identity():
