@@ -17,10 +17,9 @@ and a 10-entry table maps that to its block.  Labels are int8, since a
 fused scheme has at most nine classes.  A fused scheme holds its base and
 that table, and builds its n^2 x n^2 labels only when they are read.
 
-Plain labels are multiplied in full, and only the products that can fail
-are formed: those with the identity are known, and the last class is J
-minus the others, so its products follow from the rest.  Each product of
-two 0/1 class matrices is exact integer work: entry (r, c) is the popcount
+Plain labels are multiplied in full: every product of two classes other
+than the identity, whose products are known.  Each product of two 0/1
+class matrices is exact integer work: entry (r, c) is the popcount
 of row r of the left factor AND column c of the right, both packed into
 uint64 words.  The popcounts accumulate in the narrowest unsigned type that
 holds 64 bits per word (uint8 up to three words, uint16 for 256 columns),
@@ -78,10 +77,10 @@ class Graph01:
 
     def __post_init__(self):
         a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise BadSpec("adjacency must be square")
-        if ((a != 0) & (a != 1)).any():
-            raise BadSpec("adjacency entries must be 0/1")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise BadSpec("adjacency must be a nonempty square array")
+        if not np.issubdtype(a.dtype, np.integer) or ((a != 0) & (a != 1)).any():
+            raise BadSpec("adjacency entries must be integers 0/1")
         if (a != a.T).any():
             raise BadSpec("adjacency must be symmetric")
         if np.diagonal(a).any():
@@ -208,8 +207,8 @@ class SchemeMatrices:
 
     def __post_init__(self):
         lab = self.labels
-        if lab.ndim != 2 or lab.shape[0] != lab.shape[1]:
-            raise BadSpec("labels must be a square array")
+        if lab.ndim != 2 or lab.shape[0] != lab.shape[1] or not lab.size:
+            raise BadSpec("labels must be a nonempty square array")
         if (not np.issubdtype(lab.dtype, np.integer)
                 or lab.min() < 0 or lab.max() >= self.rank):
             raise BadSpec(f"labels must be integers in 0..{self.rank - 1}")
@@ -220,20 +219,14 @@ class SchemeMatrices:
 
     @classmethod
     def _trusted(cls, **fields) -> "SchemeMatrices":
-        """A scheme from fields valid by construction, built unchecked; a
-        field may also fill a cache, such as ``row0``."""
+        """A scheme from fields valid by construction, built unchecked."""
         sm = object.__new__(cls)
         sm.__dict__.update(fields)
         return sm
 
     @property
     def order(self) -> int:
-        return len(self.row0)
-
-    @cached_property
-    def row0(self) -> np.ndarray:
-        """The labels of row 0."""
-        return self.labels[0]
+        return len(self.labels)
 
     @cached_property
     def verdict(self) -> IntersectionTensor | FailureWitness:
@@ -245,16 +238,6 @@ class SchemeMatrices:
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The int64 0/1 class matrices, derived from the labels."""
         return tuple((self.labels == k).astype(np.int64) for k in range(self.rank))
-
-    @cached_property
-    def square_index(self) -> np.ndarray:
-        """Tensor class of every cell of the tensor square, an n^2 x n^2
-        array of the labels' dtype: cell ((a, b), (c, d)) holds
-        single_index(labels[a, c], labels[b, d]).  Built once per scheme,
-        and only when a fused square's labels are read."""
-        lab, side = self.labels, self.order ** 2
-        tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
-        return tensor.reshape(side, side)
 
     @cached_property
     def square_constants(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
@@ -271,23 +254,15 @@ class SchemeMatrices:
         p = np.array(self.verdict.p, dtype=np.int64)
         # single_index(i, j) - 1 = 3j + i: the second factor's class first
         constants = np.einsum("ace,bdf->badcfe", p, p).reshape(9, 9, 9)
-        row0, n = self.row0.tolist(), self.order
-        first = {e: row0.index(e) for e in range(3) if e in row0}
+        head, n = self.labels[0].tolist(), self.order
+        first = {e: head.index(e) for e in range(3) if e in head}
         cells, classes = zip(*sorted((first[e] * n + first[f], single_index(e, f))
                                      for e in first for f in first))
         classes = np.array(classes)
         return constants[:, :, classes - 1], cells, classes
 
-    @cached_property
-    def class_bits(self) -> np.ndarray:
-        """Packed rows of the classes 1..rank-2, the ones verify_scheme
-        multiplies: word w of row r of class i sits at [w, i - 1, r]."""
-        lab = self.labels
-        return _pack_rows(lab == np.arange(1, self.rank - 1,
-                                           dtype=lab.dtype)[:, None, None])
-
     def valencies(self) -> tuple[int, ...]:
-        return tuple(np.bincount(self.row0, minlength=self.rank).tolist())
+        return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
 
 
 class _FusedSquare(SchemeMatrices):
@@ -296,9 +271,15 @@ class _FusedSquare(SchemeMatrices):
     from single index to class.  verify_scheme decides it from the base's
     square_constants; the n^2 x n^2 labels are built only when read."""
 
+    @property
+    def order(self) -> int:
+        return self.base.order ** 2
+
     @cached_property
     def labels(self) -> np.ndarray:
-        return self.block_of.take(self.base.square_index)
+        lab = self.base.labels
+        tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
+        return self.block_of.take(tensor.reshape(self.order, self.order))
 
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
@@ -370,16 +351,6 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _products(sm: SchemeMatrices, pairs):
-    """Each product M_i M_j of ``pairs`` in turn, in full: its cells in
-    row-major order, from _popcount_product.  The classes are symmetric,
-    so their packed rows are also their packed columns.  A fused square
-    needs no product (see verify_scheme)."""
-    bits = sm.class_bits
-    for i, j in pairs:
-        yield _popcount_product(bits[:, i - 1], bits[:, j - 1]).ravel()
-
-
 def _fused_verdict(f: _FusedSquare) -> IntersectionTensor | FailureWitness:
     """verify_scheme of a fused square, from block sums of its base's
     square_constants."""
@@ -422,20 +393,15 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     bad cell, cell_a that class's first cell and cell_b its first bad cell
     in row-major order, the order of a scan of the cells class by class.
 
-    Plain labels are multiplied in full.  Each product is read at the first
-    row-major cell of every class, which fills a value table indexed by
-    class, and compared with that table at every cell's label.  Products
-    are uint8 or uint16 (see _popcount_product); the intersection numbers
-    and witness values are Python ints.  Two kinds of product need no
-    matrix work, and neither can hold the first inconsistency:
-    - M_0 = I, so p[0][j][k] is 1 when j = k and 0 otherwise.
-    - The classes sum to J, so M_i M_{d-1} = M_i J - sum_{t<d-1} M_i M_t.
-      M_i J = v_i J because M_i has constant row sums: for i < d-1 they are
-      the diagonal of M_i M_i (M_i is symmetric and 0/1), checked on the
-      identity class earlier in the scan, and M_{d-1} has what the others
-      leave of n.  Once every M_i M_t with t < d-1 passes, p[i][d-1][k] is
-      v_i minus the sum of the p[i][t][k].
-    Empty classes have no cells to check and keep p = 0.
+    Plain labels are multiplied in full, every pair 1 <= i <= j <= d-1;
+    M_0 = I needs no product, since p[0][j][k] is 1 when j = k and 0
+    otherwise.  Each product is read at the first row-major cell of every
+    class, which fills a value table indexed by class, and compared with
+    that table at every cell's label.  The classes are symmetric, so their
+    packed rows are also their packed columns.  Products are uint8 or
+    uint16 (see _popcount_product); the intersection numbers and witness
+    values are Python ints.  Empty classes have no cells to check and keep
+    p = 0.
 
     A fused square (tensor_fuse's result) needs no matrix at all.  Its
     base passed this check, so it is a scheme, and (A_a x A_b)(A_c x A_d)
@@ -448,14 +414,13 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     passes exactly when, on each class, it agrees with its value at the
     class's earliest tensor class; the smallest bad class is bad on row 0,
     and its first bad cell is the first row-0 cell of a bad tensor class.
-    Every pair is summed, the identity's and the last class's included,
-    and none of those can fail first; the result equals that of the same
-    labels as a plain SchemeMatrices, which is multiplied in full.
+    Every pair is summed, the identity's included, which cannot fail
+    first; the result equals that of the same labels as a plain
+    SchemeMatrices, which is multiplied in full.
     """
     if isinstance(sm, _FusedSquare):
         return _fused_verdict(sm)
     d, n = sm.rank, sm.order
-    valencies = sm.valencies()
     cells = sm.labels.ravel()
     hits = cells == np.arange(d, dtype=cells.dtype)[:, None]
     present = np.flatnonzero(hits.any(axis=1))
@@ -463,13 +428,13 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     p = [[[0] * d for _ in range(d)] for _ in range(d)]
     for j in present.tolist():
         p[0][j][j] = p[j][0][j] = 1
-    # classes 1..d-2 are multiplied
-    pairs = [(i, j) for i in range(1, d - 1) for j in range(i, d - 1)]
-    for (i, j), product in zip(pairs, _products(sm, pairs)):
+    bits = _pack_rows(hits[1:].reshape(d - 1, n, n))
+    for i, j in itertools.combinations_with_replacement(range(1, d), 2):
+        product = _popcount_product(bits[:, i - 1], bits[:, j - 1]).ravel()
         # value_of keeps the product's dtype, so the compares stay narrow
         value_of = np.zeros(d, dtype=product.dtype)
         value_of[present] = product[first[present]]
-        bad = product != value_of[cells]
+        bad = product != value_of.take(cells)
         if bad.any():
             c = int(cells[bad].min())
             at = int(np.argmax(bad & (cells == c)))
@@ -477,14 +442,9 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
                                   divmod(at, n), int(value_of[c]),
                                   int(product[at]))
         p[i][j] = p[j][i] = value_of.tolist()
-    last = d - 1
-    for i in range(1, d):
-        for k in present.tolist():
-            p[i][last][k] = p[last][i][k] = valencies[i] - sum(
-                p[i][t][k] for t in range(last))
     return IntersectionTensor(
         tuple(tuple(tuple(row) for row in plane) for plane in p),
-        valencies,
+        sm.valencies(),
     )
 
 

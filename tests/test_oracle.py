@@ -125,7 +125,11 @@ def _flip_edge(a):
     (lambda a: 2 * a, "0/1"),
     (_flip_edge, "symmetric"),
     (lambda a: a + np.eye(len(a), dtype=a.dtype), "diagonal"),
-], ids=["non-square", "non-01", "asymmetric", "diagonal"])
+    (lambda a: a.astype(np.float64), "integers"),
+    (lambda a: a.astype(bool), "integers"),
+    (lambda a: a[:0, :0], "nonempty"),
+], ids=["non-square", "non-01", "asymmetric", "diagonal", "float", "bool",
+        "empty"])
 def test_graph01_validates_adjacency(mutate, message):
     a = build_graph("petersen").adjacency
     Graph01("petersen", a)
@@ -282,8 +286,9 @@ def _relabel(value, mirror=True):
     (lambda lab: lab + np.eye(len(lab), dtype=lab.dtype), "diagonal"),
     (_relabel(0), "diagonal"),
     (_relabel(2, mirror=False), "symmetric"),
+    (lambda lab: lab[:0, :0], "nonempty"),
 ], ids=["rank", "negative", "float", "non-square", "diagonal",
-        "zero-off-diagonal", "asymmetric"])
+        "zero-off-diagonal", "asymmetric", "empty"])
 def test_scheme_matrices_validates_labels(mutate, message):
     labels = scheme_matrices(build_graph("paley5")).labels
     SchemeMatrices(labels, 3)
@@ -545,16 +550,16 @@ def test_square_constants_are_row_0_of_kronecker_products(spec):
 
 @pytest.mark.parametrize("spec", ["rook6", "paley37"])
 def test_fused_squares_are_decided_without_square_arrays(spec):
-    """Deciding a fused square, fusion or refutation, builds neither the
-    base's square_index nor the fused labels, nor any n^2 x n^2 array."""
+    """Deciding a fused square, fusion or refutation, or reading its order
+    builds neither the fused labels nor any n^2 x n^2 array."""
     sm = scheme_matrices(build_graph(spec))
     side = sm.order ** 2
     kinds = set()
     for text in ("2|3|456|789", "249|37|5|68"):
         f = tensor_fuse(sm, parse(text))
         kinds.add(type(verify_scheme(f)))
+        assert f.order == side
         assert "labels" not in f.__dict__
-        assert "square_index" not in sm.__dict__
         assert all(v.size < side * side for x in (sm, f)
                    for v in vars(x).values() if isinstance(v, np.ndarray))
     assert kinds == {IntersectionTensor, FailureWitness}
@@ -649,17 +654,14 @@ def test_verify_scheme_matches_reference_on_random_labels():
 
 
 def test_tensor_fuse_alternating_base_schemes():
-    """Each base scheme keeps its own square index: fusing petersen and
-    paley5 in turn on the same partitions matches the Kronecker reference."""
+    """Fusing petersen and paley5 in turn on the same partitions matches
+    each base's Kronecker reference."""
     schemes = [scheme_matrices(build_graph(s)) for s in ("petersen", "paley5")]
     for p in random.Random(5).sample(all_default_partitions(), 12):
         for sm in schemes:
             got, want = tensor_fuse(sm, p).matrices, kron_fuse(sm, p)
             assert len(got) == len(want)
             assert all((a == b).all() for a, b in zip(got, want)), (sm.name, str(p))
-    for sm in schemes:
-        assert sm.square_index is sm.square_index
-        assert sm.square_index.shape == (sm.order ** 2,) * 2
 
 
 def test_verify_scheme_examples():
