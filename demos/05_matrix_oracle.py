@@ -2,10 +2,10 @@
 
 For a concrete graph every fusion verdict can be checked with no character
 theory at all.  The graph's basis {I, A, J-I-A} is multiplied once, which
-proves it a scheme and gives its intersection numbers p_ac^e.  A product of
-two fused classes of the tensor square is then a block sum of the
-Kronecker constants p_ac^e p_bd^f, and it must be constant on every fused
-class; no matrix of the tensor square is formed.  This script verifies a
+proves it a scheme and gives its intersection numbers p_ac^e.  Its
+KroneckerSquare then decides every fused square from those numbers alone
+(see srgfusion.products.KroneckerSquare for the rule); no matrix of the
+tensor square is formed.  This script verifies a
 positive and a negative case on the Petersen graph and then runs the
 exhaustive criterion-versus-matrix comparison over all 4140 partitions of
 the pentagon.

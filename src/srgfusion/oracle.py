@@ -15,30 +15,14 @@ set of the labels.  Fusing the tensor square needs no Kronecker products:
 cell ((a, b), (c, d)) lies in tensor class single_index(L[a, c], L[b, d]),
 and a 10-entry table maps that to its block.  Labels are int8, since a
 fused scheme has at most nine classes.  A fused scheme holds its base and
-that table, and builds its n^2 x n^2 labels only when they are read.
-
-Plain labels are multiplied in full: every product of two classes other
-than the identity, whose products are known.  Each product of two 0/1
-class matrices is exact integer work: entry (r, c) is the popcount
-of row r of the left factor AND column c of the right, both packed into
-uint64 words.  The popcounts accumulate in the narrowest unsigned type that
-holds 64 bits per word (uint8 up to three words, uint16 for 256 columns),
-which no entry can exceed.  A product is tested without sorting the cells:
-the first row-major cell of each class gives a per-class value table, and
-the product must equal the table looked up at every cell's label.  No
-floating point is used.
+partition, and builds its n^2 x n^2 labels only when they are read.
 
 A graph's basis {I, A, J-I-A} is a scheme exactly when the graph is
 strongly regular.  Each base caches its own verdict, reached by
-multiplying in full, and tensor_fuse refuses a base that fails it.  A
-fused square of a verified base needs no matrix: the Kronecker rule
-(A_a x A_b)(A_c x A_d) = A_a A_c x A_b A_d gives the tensor square's
-structure constants p_ac^e p_bd^f from the base's intersection numbers, so
-a product of two fused classes is constant on each tensor class, at the
-sum of those constants over the two blocks.  In a scheme each class has
-the same valency at every vertex, so every nonempty tensor class meets row
-0.  The block sums at one cell per tensor class therefore decide a fused
-square, with the intersection numbers and the witness of a full check.
+multiplying its labels in full, by exact popcounts of packed rows with no
+floating point, and tensor_fuse refuses a base that fails it.  A fused
+square of a verified base needs no matrix: the base's KroneckerSquare
+decides it from its intersection numbers (see verify_scheme).
 """
 
 from __future__ import annotations
@@ -53,7 +37,8 @@ import numpy as np
 
 from .fusion import IndexMismatch, bm_check
 from .partitions import SetPartition, all_default_partitions
-from .products import single_index, tensor_square_table
+from .products import (IntersectionTensor, KroneckerSquare, single_index,
+                       tensor_square_table)
 from .scheme import SrgParams, char_table, eigen_from_params
 
 
@@ -240,26 +225,21 @@ class SchemeMatrices:
         return tuple((self.labels == k).astype(np.int64) for k in range(self.rank))
 
     @cached_property
-    def square_constants(self) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-        """Row 0 of the tensor square of this verified rank-3 scheme, from
-        its intersection numbers, built once: (P, cells, classes).
-        ``classes`` holds single_index(e, f) of each tensor class that
-        meets row 0, in the order of its first row-0 cell, first_e * n +
-        first_f, which ``cells`` holds (first_e is base class e's first
-        row-0 cell; a class that misses row 0 is empty).  P[s - 1, t - 1, r]
-        = p_ac^e p_bd^f, for s = single_index(a, b), t = single_index(c, d)
-        and (e, f) the r-th class, is the coefficient of A_e x A_f in
-        (A_a x A_b)(A_c x A_d) = A_a A_c x A_b A_d: that product's value on
-        every cell of the class."""
-        p = np.array(self.verdict.p, dtype=np.int64)
-        # single_index(i, j) - 1 = 3j + i: the second factor's class first
-        constants = np.einsum("ace,bdf->badcfe", p, p).reshape(9, 9, 9)
+    def row0_cells(self) -> dict[int, int]:
+        """single_index(e, f) -> first_e * n + first_f, in cell order: the
+        first row-0 cell of each tensor class of this rank-3 scheme's square
+        that meets row 0, where base class e first meets it at first_e."""
         head, n = self.labels[0].tolist(), self.order
         first = {e: head.index(e) for e in range(3) if e in head}
-        cells, classes = zip(*sorted((first[e] * n + first[f], single_index(e, f))
-                                     for e in first for f in first))
-        classes = np.array(classes)
-        return constants[:, :, classes - 1], cells, classes
+        cells = sorted((first[e] * n + first[f], single_index(e, f))
+                       for e in first for f in first)
+        return {s: cell for cell, s in cells}
+
+    @cached_property
+    def square(self) -> KroneckerSquare:
+        """The KroneckerSquare of this verified rank-3 scheme's intersection
+        numbers, over the tensor classes of row0_cells, built once."""
+        return KroneckerSquare(self.verdict.p, self.row0_cells)
 
     def valencies(self) -> tuple[int, ...]:
         return tuple(np.bincount(self.labels[0], minlength=self.rank).tolist())
@@ -267,9 +247,8 @@ class SchemeMatrices:
 
 class _FusedSquare(SchemeMatrices):
     """A fusion of the tensor square of the verified scheme ``base``, held
-    as the partition's ``blocks`` and the 10-entry block map ``block_of``
-    from single index to class.  verify_scheme decides it from the base's
-    square_constants; the n^2 x n^2 labels are built only when read."""
+    as its ``partition``.  verify_scheme decides it by the base's square;
+    the n^2 x n^2 labels are built only when read."""
 
     @property
     def order(self) -> int:
@@ -277,38 +256,28 @@ class _FusedSquare(SchemeMatrices):
 
     @cached_property
     def labels(self) -> np.ndarray:
+        block_of = np.zeros(10, dtype=np.int8)  # single_index(0, 0) = 1 stays 0
+        for b, block in enumerate(self.partition.blocks, 1):
+            block_of[list(block)] = b
         lab = self.base.labels
         tensor = single_index(lab[:, None, :, None], lab[None, :, None, :])
-        return self.block_of.take(tensor.reshape(self.order, self.order))
+        return block_of.take(tensor.reshape(self.order, self.order))
 
 
 def tensor_fuse(sm: SchemeMatrices, p: SetPartition) -> SchemeMatrices:
     """Candidate basis of the fused tensor square: identity class plus one
     class per partition block, the union of its Kronecker classes, held as
-    the block map alone.  A rank-3 labelling that is not a scheme is
-    refused, so that its constants never decide the square of one."""
+    the partition alone.  A rank-3 labelling that is not a scheme is
+    refused, so that its numbers never decide the square of one."""
     if sm.rank != 3 or isinstance(sm.verdict, FailureWitness):
         raise IndexMismatch("tensor fusion needs a rank-3 scheme")
     if p.ground != frozenset(range(2, 10)):
         raise IndexMismatch(f"partition ground {sorted(p.ground)}")
-    block_of = [0] * 10  # single_index(0, 0) = 1 stays 0
-    for b, block in enumerate(p.blocks, 1):
-        for t in block:
-            block_of[t] = b
     # valid labels: only cells ((a, b), (a, b)) pair two diagonal cells,
     # single_index(0, 0) = 1 sends them to class 0, every other index lies
     # in a block, and the symmetric sm.labels give a symmetric tensor
-    return _FusedSquare._trusted(
-        rank=p.num_blocks + 1, name=f"{sm.name} fused {p}", base=sm,
-        blocks=p.blocks, block_of=np.array(block_of, dtype=np.int8))
-
-
-@dataclass(frozen=True)
-class IntersectionTensor:
-    """Structure constants p[i][j][k] with M_i M_j = sum_k p[i][j][k] M_k."""
-
-    p: tuple[tuple[tuple[int, ...], ...], ...]
-    valencies: tuple[int, ...]
+    return _FusedSquare._trusted(rank=p.num_blocks + 1, partition=p, base=sm,
+                                 name=f"{sm.name} fused {p}")
 
 
 @dataclass(frozen=True)
@@ -351,38 +320,6 @@ def _popcount_product(a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fused_verdict(f: _FusedSquare) -> IntersectionTensor | FailureWitness:
-    """verify_scheme of a fused square, from block sums of its base's
-    square_constants."""
-    constants, cells, classes = f.base.square_constants
-    d = f.rank
-    # member[k, s - 1] says s lies in class k; q[i, j, r] is row 0 of
-    # M_i M_j on the r-th tensor class to meet row 0: the constants summed
-    # over block i, then over block j
-    member = f.block_of[1:] == np.arange(d, dtype=np.int8)[:, None]
-    q = member @ (member @ constants.reshape(9, -1)).reshape(d, 9, -1)
-    klass = f.block_of[classes].tolist()
-    rep = {}  # each class that meets row 0, at its earliest tensor class
-    for r, k in enumerate(klass):
-        rep.setdefault(k, r)
-    bad = q != q[:, :, [rep[k] for k in klass]]
-    # a symmetric base commutes, so q and the failing pairs are symmetric
-    # and the first failing pair in row-major order has i <= j
-    failing = bad.any(axis=2).ravel()
-    if failing.any():
-        i, j = divmod(int(failing.argmax()), d)
-        c = min(k for k, b in zip(klass, bad[i, j]) if b)
-        at = next(r for r, k in enumerate(klass) if k == c and bad[i, j, r])
-        return FailureWitness(i, j, c, (0, cells[rep[c]]), (0, cells[at]),
-                              int(q[i, j, rep[c]]), int(q[i, j, at]))
-    values = np.zeros((d, d, d), dtype=np.int64)
-    values[:, :, list(rep)] = q[:, :, list(rep.values())]
-    return IntersectionTensor(
-        tuple(tuple(map(tuple, plane)) for plane in values.tolist()),
-        tuple(np.diagonal(q[:, :, 0]).tolist()),
-    )
-
-
 def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     """Decide whether the matrices span an algebra, by support constancy.
 
@@ -403,23 +340,21 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
     values are Python ints.  Empty classes have no cells to check and keep
     p = 0.
 
-    A fused square (tensor_fuse's result) needs no matrix at all.  Its
-    base passed this check, so it is a scheme, and (A_a x A_b)(A_c x A_d)
-    = A_a A_c x A_b A_d has coefficient p_ac^e p_bd^f on the tensor class
-    A_e x A_f: the base's square_constants.  A product of two fused classes
-    is the sum of these over their blocks, so two block sums give it on
-    every tensor class, and it is constant there.  A nonempty tensor class
-    has the same positive valency at every vertex, so it meets row 0, and
-    its first cell is (first_e, first_f) of the base's row 0.  So a product
-    passes exactly when, on each class, it agrees with its value at the
-    class's earliest tensor class; the smallest bad class is bad on row 0,
-    and its first bad cell is the first row-0 cell of a bad tensor class.
-    Every pair is summed, the identity's included, which cannot fail
-    first; the result equals that of the same labels as a plain
-    SchemeMatrices, which is multiplied in full.
+    A fused square (tensor_fuse's result) needs no matrix: the base's
+    square, a products.KroneckerSquare, gives each product of fused classes
+    on every tensor class.  A nonempty tensor class has the same valency at
+    every vertex of a scheme, so it meets row 0; with the tensor classes in
+    the order of their first row-0 cells, the witness is then that of the
+    same labels as a plain SchemeMatrices.
     """
     if isinstance(sm, _FusedSquare):
-        return _fused_verdict(sm)
+        got = sm.base.square.fuse(sm.partition)
+        if isinstance(got, IntersectionTensor):
+            return got
+        i, j, c, at_a, at_b, value_a, value_b = got
+        cells = [*sm.base.row0_cells.values()]
+        return FailureWitness(i, j, c, (0, cells[at_a]), (0, cells[at_b]),
+                              value_a, value_b)
     d, n = sm.rank, sm.order
     cells = sm.labels.ravel()
     hits = cells == np.arange(d, dtype=cells.dtype)[:, None]
@@ -442,10 +377,8 @@ def verify_scheme(sm: SchemeMatrices) -> IntersectionTensor | FailureWitness:
                                   divmod(at, n), int(value_of[c]),
                                   int(product[at]))
         p[i][j] = p[j][i] = value_of.tolist()
-    return IntersectionTensor(
-        tuple(tuple(tuple(row) for row in plane) for plane in p),
-        sm.valencies(),
-    )
+    return IntersectionTensor(tuple(tuple(map(tuple, plane)) for plane in p),
+                              sm.valencies())
 
 
 _PAIRS = ("diagonal", "adjacent", "non-adjacent")
@@ -500,11 +433,10 @@ def cross_check(g: Graph01, partitions=None) -> CrossCheckReport:
     """Compare the character-table criterion against matrix verification.
 
     For each partition, the table-side verdict comes from column sums of
-    the exact tensor-square character table; the matrix side from support
-    constancy of the class products of the fused tensor square, which
-    verify_scheme reads as block sums of the Kronecker constants p_ac^e
-    p_bd^f of the graph's verified basis.  The base is multiplied once, so
-    a partition costs the same at every n.
+    the exact tensor-square character table; the matrix side from
+    verify_scheme of the fused tensor square, which the KroneckerSquare of
+    the graph's verified basis decides.  The base is multiplied once, so a
+    partition costs the same at every n.
     """
     sm, params = _srg_scheme(g)
     table = tensor_square_table(char_table(eigen_from_params(params)))

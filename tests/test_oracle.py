@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import expected as X
 from srgfusion import cli, oracle
-from srgfusion.fusion import IndexMismatch, fused_table, scan_all
+from srgfusion.fusion import IndexMismatch, bm_check, fused_table, scan_all
 from srgfusion.oracle import (
     BadSpec,
     FailureWitness,
@@ -524,28 +524,71 @@ def test_tensor_fuse_refuses_labels_that_are_not_a_scheme():
 
 @pytest.mark.parametrize("spec", ["petersen", "paley5", "complete3"])
 def test_square_constants_are_row_0_of_kronecker_products(spec):
-    """The constants p_ac^e p_bd^f, built once per base on its first
-    fusion, are row 0 of the int64 product (A_a x A_b)(A_c x A_d) on every
-    row-0 cell of A_e x A_f, and the tensor classes that meet row 0 are
-    listed by their first cell (complete3's non-edges are empty)."""
+    """The constants p_ac^e p_bd^f of the base's square, built once per
+    base on its first fusion, are row 0 of the int64 product
+    (A_a x A_b)(A_c x A_d) on every row-0 cell of A_e x A_f, and the tensor
+    classes that meet row 0 are listed by their first cell (complete3's
+    non-edges are empty)."""
     sm, _ = reference_cases(spec, None)
-    assert "square_constants" not in sm.__dict__
-    tensor_fuse(sm, parse("2|3|456|789"))
-    built = sm.square_constants
-    tensor_fuse(sm, parse("2468|3579"))
-    assert sm.square_constants is built
-    constants, cells, classes = built
+    assert "square" not in sm.__dict__
+    verify_scheme(tensor_fuse(sm, parse("2|3|456|789")))
+    built = sm.square
+    verify_scheme(tensor_fuse(sm, parse("2468|3579")))
+    assert sm.square is built
     mats = sm.matrices
     kron = {single_index(a, b): np.kron(mats[a], mats[b])
             for a, b in itertools.product(range(3), repeat=2)}
     row0 = {u: np.flatnonzero(k[0]) for u, k in kron.items()}
     met = sorted((row0[u][0], u) for u in kron if row0[u].size)
-    assert list(zip(cells, classes.tolist())) == met
+    assert [(cell, u) for u, cell in sm.row0_cells.items()] == met
+    assert built.classes == tuple(u for _, u in met)
     assert len(met) == (9 if spec != "complete3" else 4)
     for (s, x), (t, y) in itertools.product(kron.items(), repeat=2):
         product = (x @ y)[0]
-        for r, u in enumerate(classes.tolist()):
-            assert (product[row0[u]] == constants[s - 1, t - 1, r]).all()
+        for r, u in enumerate(built.classes):
+            assert (product[row0[u]] == built.constants[s, t][r]).all()
+
+
+def test_fused_verdicts_hold_python_ints():
+    """The fused path's intersection numbers, valencies and witness fields
+    are Python ints, as the plain path's are."""
+    sm = scheme_matrices(build_graph("petersen"))
+    for p in all_default_partitions():
+        got = verify_scheme(tensor_fuse(sm, p))
+        if isinstance(got, FailureWitness):
+            fields = (got.i, got.j, got.klass, *got.cell_a, *got.cell_b,
+                      got.value_a, got.value_b)
+        else:
+            fields = (*(x for plane in got.p for row in plane for x in row),
+                      *got.valencies)
+        assert all(type(v) is int for v in fields), (str(p), got)
+
+
+def test_census_positives_are_confirmed_by_multiplying_fused_matrices(
+        classification):
+    """Every GUARANTEED and FAMILY partition of the census fuses on the
+    first of six graphs whose criterion fuses it, and there its fused
+    labels, multiplied in full as a plain scheme, give the same
+    intersection numbers as the Kronecker decision."""
+    graphs = []
+    for spec in ("paley5", "rook3", "clebsch", "rook4", "cliques3x4",
+                 "multipartite3x4"):
+        g = build_graph(spec)
+        graphs.append((spec, scheme_matrices(g), tensor_square_table(
+            char_table(eigen_from_params(srg_params(g))))))
+    confirmed = dict.fromkeys([spec for spec, _, _ in graphs], 0)
+    positives = [rec.partition for rec in classification.records
+                 if rec.verdict in ("GUARANTEED", "FAMILY")]
+    assert len(positives) == 130
+    for p in positives:
+        spec, sm, _ = next(g for g in graphs if bm_check(g[2], p).is_fusion)
+        f = tensor_fuse(sm, p)
+        got = verify_scheme(SchemeMatrices(f.labels, f.rank))
+        assert isinstance(got, IntersectionTensor), (spec, str(p))
+        assert got == verify_scheme(f), (spec, str(p))
+        confirmed[spec] += 1
+    assert confirmed == {"paley5": 28, "rook3": 10, "clebsch": 1, "rook4": 1,
+                         "cliques3x4": 45, "multipartite3x4": 45}
 
 
 @pytest.mark.parametrize("spec", ["rook6", "paley37"])

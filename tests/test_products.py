@@ -5,18 +5,24 @@ from fractions import Fraction
 import pytest
 
 from expected import GUARANTEED_13, GUARANTEED_FLIP_FIXED, GUARANTEED_FLIP_PAIRS
+from srgfusion.catalogue import guaranteed_partition_strings
+from srgfusion.exact import K, L, ONE, R, S, MultiPoly
 from srgfusion.fusion import bm_check, fused_table
 from srgfusion.partitions import all_default_partitions, parse
 from srgfusion.products import (
     FLIP,
     SWITCH,
+    IntersectionTensor,
+    KroneckerSquare,
     act,
     single_index,
     tensor_square_table,
     wreath_partition,
     wreath_table,
 )
-from srgfusion.scheme import SrgParams, char_table, eigen_from_params, eigen_from_values
+from srgfusion.scheme import (
+    SrgParams, char_table, eigen_from_params, eigen_from_values, regular_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,3 +126,44 @@ def test_guaranteed_positive_across_battery():
         tt = tensor_square_table(t)
         for text in GUARANTEED_13:
             assert bm_check(tt, parse(text)).is_fusion, (t.rows, text)
+
+
+def kronecker_fusions(p) -> set[str]:
+    """The partitions whose square the Kronecker block sums of p fuse."""
+    square = KroneckerSquare(p, range(1, 10))
+    return {str(q) for q in all_default_partitions()
+            if isinstance(square.fuse(q), IntersectionTensor)}
+
+
+@pytest.mark.parametrize("params", [
+    (10, 3, 0, 1), (13, 6, 2, 3), (5, 2, 0, 1), (9, 4, 1, 2), (16, 6, 2, 2),
+    (16, 5, 0, 2), (9, 2, 1, 0),
+], ids=["petersen", "paley13", "pentagon", "rook3", "rook4", "clebsch", "imp22"])
+def test_kronecker_square_of_rational_p_matches_the_criterion(params):
+    """Rational p from parameters alone, with no graph, fuse exactly the
+    partitions the character-table criterion fuses; paley13 and pentagon
+    have irrational eigenvalues but rational p."""
+    e = eigen_from_params(SrgParams(*params))
+    one, zero = Fraction(1), Fraction(0)
+    identity = tuple(tuple(one if i == j else zero for i in range(3))
+                     for j in range(3))
+    # b1[i][j] = p_1j^i and b2[i][j] = p_2j^i
+    p = (identity, *(tuple(zip(*b)) for b in regular_matrices(e)))
+    assert all(type(x) is Fraction for plane in p for row in plane for x in row)
+    table = tensor_square_table(char_table(e))
+    assert kronecker_fusions(p) == {
+        str(q) for q in all_default_partitions() if bm_check(table, q).is_fusion}
+
+
+def test_kronecker_square_of_symbolic_p_fuses_the_guaranteed_partitions():
+    """With p in k, l, r, s, lambda = k + r + s + rs and mu = k + rs, the
+    block sums that are identically constant, by plain ==, are exactly
+    those of the guaranteed partitions and the two trivial ones."""
+    lam, mu, zero = K + R + S + R * S, K + R * S, MultiPoly.const(0)
+    p11, p12 = (K, lam, mu), (zero, K - lam - ONE, K - mu)
+    p22 = (L, L - K + lam + ONE, L - K + mu - ONE)
+    unit = tuple(tuple(ONE if e == j else zero for e in range(3))
+                 for j in range(3))
+    p = (unit, (unit[1], p11, p12), (unit[2], p12, p22))
+    assert kronecker_fusions(p) == guaranteed_partition_strings() | {
+        "23456789", "2|3|4|5|6|7|8|9"}
