@@ -32,8 +32,8 @@ from typing import Sequence
 
 from .exact import (
     K, L, M, MissingSymbol, MixedField, MultiPoly, NonzeroCertificate, ONE, R,
-    S, _SYM_INDEX, _count_roots_open, _poly_gcd_1var, _quadratic_roots_exact,
-    default_sieve_set, quad, scalar_sign,
+    S, _DEG_SHIFT, _MAX_EXP, _SHIFTS, _SYM_INDEX, _count_roots_open,
+    _poly_gcd_1var, _quadratic_roots_exact, default_sieve_set, quad, scalar_sign,
 )
 from .fusion import block_masks, scan_all
 from .partitions import SetPartition
@@ -553,28 +553,28 @@ def _apply_substitutions(
     """Denominator-cleared image of p under the substitution chain, and the
     sign (+1 or -1) relating p to its image.
 
-    Clearing the denominator of var = -num/den multiplies by den**d; when d
-    is odd the sign of the image differs from the sign of p by the sign of
-    den, which is constant or read off its sieve certificate.
+    One pass per step var = -num/den, d the degree of var: each term
+    c*x*var**j adds c*x*(-num)**j*den**(d-j) to one accumulator, canonicalized
+    once, and an image past total degree 255 raises ``OverflowError``.  For
+    odd d the image's sign is p's times den's, constant or certified.
     """
-    out = p
-    sign = 1
+    out, sign = p, 1
     for rec in subs:
-        d = out.degree(rec.var)
-        if d <= 0:
+        shift = _SHIFTS[_SYM_INDEX[rec.var]]
+        powers = [e >> shift & _MAX_EXP for e, _ in out._terms]
+        if not (d := max(powers, default=0)):
             continue
-        if d == 1:
-            c0, c1 = out.coefficients(rec.var)
-            out = c0 * rec.den - c1 * rec.num
-        else:
-            num_powers, den_powers = [ONE, -rec.num], [ONE, rec.den]
-            for _ in range(d - 1):
-                num_powers.append(num_powers[-1] * num_powers[1])
-                den_powers.append(den_powers[-1] * rec.den)
-            acc = MultiPoly()
-            for power, coeff in enumerate(out.coefficients(rec.var)):
-                acc = acc + coeff * num_powers[power] * den_powers[d - power]
-            out = acc
+        neg, den, unit = -rec.num, rec.den, (1 << shift) + (1 << _DEG_SHIFT)
+        products = [(neg ** j * den ** (d - j) if 0 < j < d else
+                     neg ** d if j else den ** d)._terms for j in range(d + 1)]
+        acc: dict = {}
+        for (e, c), j in zip(out._terms, powers):
+            e -= j * unit
+            for e2, c2 in products[j]:
+                acc[e + e2] = acc.get(e + e2, 0) + c * c2
+        if max(acc, default=0) >> _DEG_SHIFT > _MAX_EXP:
+            raise OverflowError(f"image degree exceeds {_MAX_EXP}")
+        out = MultiPoly._from_terms(acc)
         if d % 2:
             sign *= (scalar_sign(rec.den.constant_value()) if rec.den.is_constant()
                      else rec.den_certificate.region_sign())
