@@ -31,9 +31,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from .exact import (
-    K, L, M, MissingSymbol, MixedField, MultiPoly, NonzeroCertificate, ONE, R,
-    S, _DEG_SHIFT, _MAX_EXP, _SHIFTS, _SYM_INDEX, _count_roots_open,
-    _poly_gcd_1var, _quadratic_roots_exact, default_sieve_set, quad, scalar_sign,
+    K, L, M, SYMBOLS, MissingSymbol, MixedField, MultiPoly, NonzeroCertificate,
+    ONE, R, S, _count_roots_open, _poly_gcd_1var, _quadratic_roots_exact,
+    default_sieve_set, quad, scalar_sign,
 )
 from .fusion import block_masks, scan_all
 from .partitions import SetPartition
@@ -62,7 +62,7 @@ _REGION_INTERVAL: dict[str, tuple[Fraction | None, Fraction | None]] = {
     "m": (Fraction(0), None),
 }
 # exponent positions of the symbols negative on the whole region
-_NEGATIVE = tuple(_SYM_INDEX[var] for var, (_, hi) in _REGION_INTERVAL.items()
+_NEGATIVE = tuple(SYMBOLS.index(var) for var, (_, hi) in _REGION_INTERVAL.items()
                   if hi is not None and hi <= 0)
 
 
@@ -393,10 +393,6 @@ class EqualityGraph:
     classes: tuple[tuple[int, ...], ...]
     blocked: int
 
-    def can_merge(self, ci: int, cj: int) -> bool:
-        return not self.blocked >> (
-            self.classes[ci][0] * _ROWS + self.classes[cj][0]) & 1
-
     def equations(self, ci: int, cj: int) -> tuple[MultiPoly, ...]:
         """The distinct nonzero block differences of the two classes."""
         a, b = sorted((self.classes[ci][0], self.classes[cj][0]))
@@ -553,28 +549,13 @@ def _apply_substitutions(
     """Denominator-cleared image of p under the substitution chain, and the
     sign (+1 or -1) relating p to its image.
 
-    One pass per step var = -num/den, d the degree of var: each term
-    c*x*var**j adds c*x*(-num)**j*den**(d-j) to one accumulator, canonicalized
-    once, and an image past total degree 255 raises ``OverflowError``.  For
-    odd d the image's sign is p's times den's, constant or certified.
+    Each step var = -num/den is one ``MultiPoly.eliminate``, which returns
+    the degree d of var; for odd d the image's sign is p's times den's,
+    constant or certified.
     """
     out, sign = p, 1
     for rec in subs:
-        shift = _SHIFTS[_SYM_INDEX[rec.var]]
-        powers = [e >> shift & _MAX_EXP for e, _ in out._terms]
-        if not (d := max(powers, default=0)):
-            continue
-        neg, den, unit = -rec.num, rec.den, (1 << shift) + (1 << _DEG_SHIFT)
-        products = [(neg ** j * den ** (d - j) if 0 < j < d else
-                     neg ** d if j else den ** d)._terms for j in range(d + 1)]
-        acc: dict = {}
-        for (e, c), j in zip(out._terms, powers):
-            e -= j * unit
-            for e2, c2 in products[j]:
-                acc[e + e2] = acc.get(e + e2, 0) + c * c2
-        if max(acc, default=0) >> _DEG_SHIFT > _MAX_EXP:
-            raise OverflowError(f"image degree exceeds {_MAX_EXP}")
-        out = MultiPoly._from_terms(acc)
+        out, d = out.eliminate(rec.var, rec.num, rec.den)
         if d % 2:
             sign *= (scalar_sign(rec.den.constant_value()) if rec.den.is_constant()
                      else rec.den_certificate.region_sign())
@@ -679,6 +660,9 @@ def _verdict(
     a leaf is unresolved, or nothing matches and not every leaf is a
     contradiction.
     """
+    if not groupings:
+        imp = tuple(_imprimitive_families(text))
+        return "FAMILY" if imp else "INFEASIBLE", imp
     families = set(_imprimitive_families(text))
     named = [fam for fam in family_catalog()
              if fam.point and text in fam.source_partitions]

@@ -30,7 +30,7 @@ from .catalogue import (
     _residual_roots, _resultant, _rootless_on_region, family_catalog,
 )
 from .exact import (
-    MultiPoly, NonzeroCertificate, R, S, _SYM_INDEX, _poly_gcd_1var,
+    SYMBOLS, MultiPoly, NonzeroCertificate, R, S, _poly_gcd_1var,
     _rational_roots, _trial_divide, _trial_divisors, default_sieve_set,
 )
 
@@ -161,9 +161,9 @@ def _univariate_gcd_reduce(
             coeffs = _poly_gcd_1var(
                 coeffs, [c.constant_value() for c in system[idx].coefficients(var)]
             )
-        vi = _SYM_INDEX[var]
+        vi = SYMBOLS.index(var)
         g = MultiPoly({
-            tuple(power if i == vi else 0 for i in range(len(_SYM_INDEX))): c
+            tuple(power if i == vi else 0 for i in range(len(SYMBOLS))): c
             for power, c in enumerate(coeffs)
         }).normalized()
         if any(system[idx] != g for idx in idxs):

@@ -36,17 +36,19 @@ guard bit and never reaches the next field.  Exponents and total degrees
 are at most 255, so no field ever carries into its guard: the constructor
 raises ``ValueError`` for an exponent vector beyond that, and a product
 whose total degree would exceed 255 raises ``OverflowError``.
-``MultiPoly.terms`` decodes each monomial back to an exponent 5-tuple.
+``MultiPoly.terms`` decodes each monomial back to an exponent 5-tuple.  No
+other module reads the packed form: a chain step var = -num/den, which
+edits exponents in place, is the method ``MultiPoly.eliminate``.
 
 Polynomials in one symbol also have a scalar form: an ascending list of
-coefficients, each an ``int`` or a ``Fraction``, with no zero last entry
-once trimmed (the zero polynomial is ``[]``).  ``MultiPoly.coefficients``
-reads any polynomial this way, one ``MultiPoly`` per power; the univariate
-kernels below (division with remainder, gcd, Sturm root counts, exact
-rational and quadratic roots) work on the scalar lists.  The gcd and the
-Sturm chain work on integer lists: each input and each remainder is scaled
-by a positive rational to coprime integers, which changes neither the
-monic gcd nor any sign the root count reads.
+``int`` or ``Fraction`` coefficients (the zero polynomial is ``[]``).
+``MultiPoly.coefficients`` reads any polynomial this way, one
+``MultiPoly`` per power.  The univariate kernels below (gcd, Sturm root
+counts, exact rational and quadratic roots) first scale their input by a
+positive rational to coprime integers, ``_primitive_1var``, and then work
+on integer lists only: each remainder is scaled the same way, and a root
+p/q on an interval end divides out exactly as q*x - p.  No scaling
+changes a monic gcd, a root or any sign the root count reads.
 
 The module also hosts the nonvanishing sieve: an ordered list of
 polynomials, each strictly signed on the primitive parameter region
@@ -103,6 +105,11 @@ def _coeff(c) -> int | Fraction:
     raise TypeError(f"exact scalars are int or Fraction, not {type(c).__name__}")
 
 
+def _fraction(c) -> Fraction:
+    """``c`` as a Fraction, through ``_coeff`` unless it is one already."""
+    return c if type(c) is Fraction else Fraction(_coeff(c))
+
+
 # ---------------------------------------------------------------------------
 # quadratic irrationals
 # ---------------------------------------------------------------------------
@@ -131,12 +138,12 @@ def quad(a, b=0, d: int = 0):
     ``d`` is normalized squarefree; a perfect-square radicand folds into the
     rational part.
     """
-    a = Fraction(_coeff(a))
-    b = Fraction(_coeff(b))
-    if b == 0:
+    a, b = _fraction(a), _fraction(b)
+    if not b:
         return a
     c, d0 = _squarefree_split(d)
-    b = b * c
+    if c != 1:
+        b *= c
     if d0 == 1:
         return a + b
     return QuadraticValue(a, b, d0)
@@ -146,9 +153,8 @@ class QuadraticValue:
     """Exact element a + b*sqrt(d) of a real quadratic field, b != 0.
 
     Values with b == 0 are never constructed; ``quad`` returns a Fraction
-    instead, so plain rationals and quadratic values mix freely.  ``quad``
-    leaves d squarefree, and sums, differences and products keep that d
-    without factoring it again.
+    instead, so plain rationals and quadratic values mix freely.  Every
+    arithmetic result is built by ``quad``, so d is always squarefree.
     """
 
     __slots__ = ("a", "b", "d")
@@ -156,8 +162,8 @@ class QuadraticValue:
     def __init__(self, a: Fraction, b: Fraction, d: int):
         if not isinstance(d, int):
             raise TypeError(f"radicand must be int, not {type(d).__name__}")
-        object.__setattr__(self, "a", Fraction(_coeff(a)))
-        object.__setattr__(self, "b", Fraction(_coeff(b)))
+        object.__setattr__(self, "a", _fraction(a))
+        object.__setattr__(self, "b", _fraction(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, *args):
@@ -166,31 +172,31 @@ class QuadraticValue:
     def __reduce__(self):
         return QuadraticValue, (self.a, self.b, self.d)
 
-    def _coerce(self, other) -> tuple[Fraction, Fraction]:
+    def _coerce(self, other) -> tuple[int | Fraction, int | Fraction]:
         if isinstance(other, QuadraticValue):
             if other.d != self.d:
                 raise MixedField(f"sqrt({self.d}) and sqrt({other.d}) do not mix")
             return other.a, other.b
         if isinstance(other, (int, Fraction)):
-            return Fraction(other), Fraction(0)
+            return other, 0
         return NotImplemented, None
 
     def __add__(self, other):
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return _in_field(self.a + oa, self.b + ob, self.d)
+        return quad(self.a + oa, self.b + ob, self.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticValue(-self.a, -self.b, self.d)
+        return quad(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return _in_field(self.a - oa, self.b - ob, self.d)
+        return quad(self.a - oa, self.b - ob, self.d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -199,13 +205,13 @@ class QuadraticValue:
         oa, ob = self._coerce(other)
         if oa is NotImplemented:
             return NotImplemented
-        return _in_field(self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa,
-                         self.d)
+        return quad(self.a * oa + self.b * ob * self.d, self.a * ob + self.b * oa,
+                    self.d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "QuadraticValue":
-        return QuadraticValue(self.a, -self.b, self.d)
+        return quad(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.b * self.b * self.d
@@ -221,13 +227,13 @@ class QuadraticValue:
         n = oa * oa - ob * ob * other.d
         if n == 0:
             raise ZeroDivisionError
-        return self * QuadraticValue(oa / n, -ob / n, other.d)
+        return self * quad(oa / n, -ob / n, other.d)
 
     def __rtruediv__(self, other):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError
-        return QuadraticValue(self.a / n, -self.b / n, self.d) * other
+        return quad(self.a / n, -self.b / n, self.d) * other
 
     def __pow__(self, e: int):
         if e < 0:
@@ -289,18 +295,6 @@ class QuadraticValue:
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "d": self.d}
-
-
-def _in_field(a: Fraction, b: Fraction, d: int):
-    """``quad(a, b, d)`` for Fractions a, b and the squarefree radicand of
-    an existing value, skipping the normalization it already has."""
-    if not b:
-        return a
-    v = object.__new__(QuadraticValue)
-    object.__setattr__(v, "a", a)
-    object.__setattr__(v, "b", b)
-    object.__setattr__(v, "d", d)
-    return v
 
 
 def scalar_sign(x) -> int:
@@ -627,18 +621,39 @@ class MultiPoly:
                 acc[mono] = get(mono, 0) + coeff * c
         return MultiPoly._from_terms(acc)
 
+    def eliminate(self, var: str, num: "MultiPoly", den: "MultiPoly"
+                  ) -> tuple["MultiPoly", int]:
+        """(den**d * self at var = -num/den, d), d the degree of var in self.
+
+        One pass: each term c*x*var**j adds c*x*(-num)**j*den**(d-j) to one
+        accumulator, canonicalized once; an image past total degree 255
+        raises ``OverflowError``.
+        """
+        shift = _SHIFTS[_SYM_INDEX[var]]
+        powers = [e >> shift & _MAX_EXP for e, _ in self._terms]
+        if not (d := max(powers, default=0)):
+            return self, 0
+        neg, unit = -num, (1 << shift) + (1 << _DEG_SHIFT)
+        products = [(neg ** j * den ** (d - j) if 0 < j < d else
+                     neg ** d if j else den ** d)._terms for j in range(d + 1)]
+        acc: dict[int, int | Fraction] = {}
+        get = acc.get
+        for (e, c), j in zip(self._terms, powers):
+            e -= j * unit
+            for e2, c2 in products[j]:
+                acc[e + e2] = get(e + e2, 0) + c * c2
+        if max(acc, default=0) >> _DEG_SHIFT > _MAX_EXP:
+            raise OverflowError(f"image degree exceeds {_MAX_EXP}")
+        return MultiPoly._from_terms(acc), d
+
     def _term_images(self, images: Mapping[str, object], one):
-        """(coefficient, product of images[symbol]**exponent) for each term,
-        raising each image to each power once per call; ``one`` is the
-        empty product."""
-        powers: dict[tuple[int, int], object] = {}
+        """(coefficient, product of images[symbol]**exponent) for each term;
+        ``one`` is the empty product."""
         for exps, coeff in self.terms:
             image = one
-            for i, e in enumerate(exps):
+            for name, e in zip(SYMBOLS, exps):
                 if e:
-                    power = powers.get((i, e))
-                    if power is None:
-                        power = powers[i, e] = images[SYMBOLS[i]] ** e
+                    power = images[name] ** e
                     image = power if image is one else image * power
             yield coeff, image
 
@@ -720,34 +735,6 @@ def basis_terms(x) -> tuple:
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
-def _trim(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Ascending coefficient list without trailing zeros (zero is [])."""
-    out = [Fraction(_coeff(c)) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _divmod_1var(
-    f: Sequence[int | Fraction], g: Sequence[int | Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of f by a nonzero g, both trimmed."""
-    f, g = _trim(f), _trim(g)
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g):
-        factor = f[-1] / g[-1]
-        shift = len(f) - len(g)
-        q[shift] = factor
-        for i in range(len(g) - 1):
-            f[shift + i] -= factor * g[i]
-        f.pop()
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f
-
-
 def _poly_gcd_1var(
     a: Sequence[int | Fraction], b: Sequence[int | Fraction]
 ) -> list[Fraction]:
@@ -760,7 +747,8 @@ def _poly_gcd_1var(
 
 def _primitive_1var(coeffs: Sequence[int | Fraction]) -> list[int]:
     """Trimmed coefficients times the positive rational that makes them
-    coprime integers; [] for zero."""
+    coprime integers; [] for zero.  Every kernel reads its input this way,
+    so a float coefficient raises ``TypeError``."""
     coeffs = [_coeff(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -789,22 +777,18 @@ def _remainder_1var(f: list[int], g: list[int]) -> list[int]:
     return _primitive_1var(f)
 
 
-def _derivative(coeffs: Sequence[int | Fraction]) -> list[int | Fraction]:
-    return [c * i for i, c in enumerate(coeffs)][1:]
-
-
-def _eval_coeffs(coeffs: Sequence[int | Fraction], x: Fraction) -> int | Fraction:
+def _eval_coeffs(coeffs: Sequence[int], x: Fraction) -> int | Fraction:
     out, x = 0, _coeff(x)
     for c in reversed(coeffs):
         out = out * x + c
     return out
 
 
-def _sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[int]]:
-    """Sturm sequence up to a positive factor per entry, which keeps every
-    sign and so every count of sign variations."""
-    chain = [_primitive_1var(coeffs)]
-    der = _primitive_1var(_derivative(chain[0]))
+def _sturm_chain(f: list[int]) -> list[list[int]]:
+    """Sturm sequence of a primitive list up to a positive factor per entry,
+    which keeps every sign and so every count of sign variations."""
+    chain = [f]
+    der = _primitive_1var([c * i for i, c in enumerate(f)][1:])
     if der:
         chain.append(der)
         while len(chain[-1]) > 1:
@@ -815,22 +799,14 @@ def _sturm_chain(coeffs: Sequence[int | Fraction]) -> list[list[int]]:
     return chain
 
 
-def _sign_variations_at(chain, x: Fraction | None, at_pos_inf: bool = False) -> int:
+def _sign_variations(chain: list[list[int]], x: Fraction | None, inf: int) -> int:
+    """Sign changes along the chain at x, or at inf * infinity for x None."""
     signs = []
-    for coeffs in chain:
-        if not coeffs:
-            continue
-        if x is None:
-            lead = coeffs[-1]
-            sgn = (1 if lead > 0 else -1)
-            if not at_pos_inf and (len(coeffs) - 1) % 2:
-                sgn = -sgn
-        else:
-            v = _eval_coeffs(coeffs, x)
-            sgn = (v > 0) - (v < 0)
-        if sgn:
-            signs.append(sgn)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    for f in chain:
+        v = f[-1] * inf ** (len(f) - 1) if x is None else _eval_coeffs(f, x)
+        if v:
+            signs.append(v > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _count_roots_open(coeffs: Sequence[int | Fraction], lo, hi) -> int:
@@ -838,20 +814,23 @@ def _count_roots_open(coeffs: Sequence[int | Fraction], lo, hi) -> int:
 
     A None end is unbounded.
     """
-    sf = _trim(coeffs)
+    f = _primitive_1var(coeffs)
     # deflate exact roots sitting on a finite endpoint so Sturm applies
-    for endpoint in (lo, hi):
-        if endpoint is not None:
-            while len(sf) > 1 and _eval_coeffs(sf, endpoint) == 0:
-                sf = _divmod_1var(sf, [-endpoint, Fraction(1)])[0]
-    if len(sf) <= 1:
+    for end in (lo, hi):
+        if end is not None:
+            p, q = end.numerator, end.denominator
+            while len(f) > 1 and _eval_coeffs(f, end) == 0:
+                # f = (q*x - p) * g, with g integral and primitive by Gauss's
+                # lemma, so g's coefficients divide out exactly, top first
+                g, carry = [], 0
+                for c in reversed(f[1:]):
+                    carry = (c + p * carry) // q
+                    g.append(carry)
+                f = g[::-1]
+    if len(f) <= 1:
         return 0
-    chain = _sturm_chain(sf)
-    va = (_sign_variations_at(chain, None, at_pos_inf=False)
-          if lo is None else _sign_variations_at(chain, lo))
-    vb = (_sign_variations_at(chain, None, at_pos_inf=True)
-          if hi is None else _sign_variations_at(chain, hi))
-    return va - vb
+    chain = _sturm_chain(f)
+    return _sign_variations(chain, lo, -1) - _sign_variations(chain, hi, 1)
 
 
 def _quadratic_roots_exact(coeffs: Sequence[int | Fraction]):
@@ -860,20 +839,17 @@ def _quadratic_roots_exact(coeffs: Sequence[int | Fraction]):
     Roots are Fractions or quadratic irrationals, a quadratic's larger root
     first when its leading coefficient is positive; None for other degrees.
     """
-    coeffs = _trim(coeffs)
+    coeffs = _primitive_1var(coeffs)
     if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
+        return [Fraction(-coeffs[0], coeffs[1])]
     if len(coeffs) == 3:
         c, b, a = coeffs
         disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        # sqrt(n/d) = sqrt(n*d)/d, and quad() folds a square n*d back into Q
-        half_root = Fraction(1, 2 * disc.denominator) / a if disc else 0
-        return [
-            quad(-b / (2 * a), sgn * half_root, disc.numerator * disc.denominator)
-            for sgn in (1, -1)
-        ]
+        # quad() folds a square discriminant back into Q
+        return [quad(Fraction(-b, 2 * a), Fraction(sgn if disc else 0, 2 * a), disc)
+                for sgn in (1, -1)]
     return None
 
 
@@ -883,19 +859,18 @@ def _rational_roots(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
     Zero comes first, once per factor x; the other roots follow once each,
     in the order the rational root test meets them.
     """
-    coeffs = _trim(coeffs)
+    coeffs = _primitive_1var(coeffs)
     zeros = 0
     while coeffs[zeros] == 0:
         zeros += 1
     coeffs = coeffs[zeros:]
-    # candidates p/q have p | const and q | lead once coefficients are integral
-    den = lcm(*(c.denominator for c in coeffs))
 
-    def divisors(c: Fraction):
-        n = abs(int(c * den))
+    def divisors(n: int):
+        n = abs(n)
         small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
         return small + [n // d for d in reversed(small) if d * d != n]
 
+    # candidates p/q have p | const and q | lead
     roots = [Fraction(0)] * zeros
     for a in divisors(coeffs[0]):
         for b in divisors(coeffs[-1]):

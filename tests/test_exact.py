@@ -1,8 +1,10 @@
 """Exact arithmetic layer: quadratic values, polynomials, the sieve."""
 
+import ast
 import itertools
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from srgfusion import exact
 from srgfusion.exact import (
     K, L, M, MultiPoly, MixedField, MissingSymbol, ONE, R, S, ZeroInput,
     default_sieve_set, quad,
-    QuadraticValue, _trim,
+    QuadraticValue, _primitive_1var,
 )
 
 GOLDEN_R = quad(Fraction(-1, 2), Fraction(1, 2), 5)
@@ -73,7 +75,7 @@ def test_floats_never_enter_quadratic_arithmetic():
     with pytest.raises(TypeError):
         quad(0.5, 1, 2)
     with pytest.raises(TypeError):
-        _trim([0.5])
+        _primitive_1var([0.5])
     for parts in ((0.5, 1, 2), (1, 0.5, 2), (1, 1, 2.0)):
         with pytest.raises(TypeError):
             QuadraticValue(*parts)
@@ -207,6 +209,28 @@ def test_exponent_width_limits():
     top = K**255
     assert top.degree() == 255 and top.terms == (((255, 0, 0, 0, 0), 1),)
     assert (K * L * R * S * M) ** 51 == MultiPoly({(51,) * 5: 1})
+
+
+PACKED_PRIVATES = {"_SHIFTS", "_DEG_SHIFT", "_MAX_EXP", "_GUARDS", "_SYM_INDEX",
+                   "_pack", "_unpack"}
+
+
+def test_only_exact_knows_the_packed_layout():
+    """No other package module imports a private of the packed monomial
+    format or reads a polynomial's packed ``_terms``."""
+    offenders = []
+    for path in sorted(Path(exact.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & PACKED_PRIVATES
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr} & (PACKED_PRIVATES | {"_terms"})
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert offenders == []
 
 
 def test_divide_exact_rejects_on_lowest_monomials_first(monkeypatch):

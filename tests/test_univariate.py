@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srgfusion.catalogue import _resultant
@@ -24,7 +24,6 @@ from srgfusion.exact import (
     MultiPoly,
     QuadraticValue,
     _count_roots_open,
-    _divmod_1var,
     _poly_gcd_1var,
     _primitive_1var,
     _quadratic_roots_exact,
@@ -57,6 +56,14 @@ def to_expr(coeffs) -> "sympy.Expr":
     return sum((rational(c) * X**i for i, c in enumerate(coeffs)), sympy.Integer(0))
 
 
+def from_expr(expr) -> list[Fraction]:
+    """Ascending Fraction coefficients of a polynomial in x; [] for zero."""
+    poly = sympy.Poly(expr, X)
+    if poly.is_zero:
+        return []
+    return [Fraction(str(c)) for c in reversed(poly.all_coeffs())]
+
+
 def to_value(v) -> "sympy.Expr":
     if isinstance(v, QuadraticValue):
         return rational(v.a) + rational(v.b) * sympy.sqrt(v.d)
@@ -65,16 +72,6 @@ def to_value(v) -> "sympy.Expr":
 
 def same(a, b) -> bool:
     return sympy.simplify(sympy.expand(a - b)) == 0
-
-
-@given(polys(0, 6), polys(0, 3))
-@settings(max_examples=40, deadline=None)
-def test_divmod_matches_sympy_div(f, g):
-    q, r = _divmod_1var(f, g)
-    sq, sr = sympy.div(to_expr(f), to_expr(g), X)
-    assert same(to_expr(q), sq) and same(to_expr(r), sr)
-    assert not q or q[-1] != 0
-    assert not r or r[-1] != 0
 
 
 @given(polys(0, 3), polys(0, 3), polys(0, 3))
@@ -96,11 +93,11 @@ def test_gcd_matches_monic_sympy_gcd(common, a, b):
 def test_integer_remainder_is_a_positive_multiple(f, g):
     """gcd and Sturm chains divide integer lists; each remainder is the
     rational remainder times a positive constant, so no sign changes."""
-    want = _divmod_1var(f, g)[1]
+    want = from_expr(sympy.rem(to_expr(f), to_expr(g), X))
     got = _remainder_1var(_primitive_1var(f), _primitive_1var(g))
     assert all(type(c) is int for c in got) and len(got) == len(want)
     if want:
-        ratio = got[-1] / want[-1]
+        ratio = Fraction(got[-1]) / want[-1]
         assert ratio > 0 and [ratio * c for c in want] == got
 
 
@@ -130,6 +127,50 @@ def test_count_roots_open_matches_sympy_real_roots(roots, cofactor, lo, hi):
         if (lo is None or r > rational(lo)) and (hi is None or r < rational(hi))
     }
     assert _count_roots_open(coeffs, lo, hi) == len(inside)
+
+
+mixed = st.one_of(st.integers(-4, 4), small)
+
+
+def mixed_polys(min_degree, max_degree):
+    """Coefficient lists of ints, of Fractions or of both, nonzero lead."""
+    return st.builds(
+        lambda low, lead: low + [lead],
+        st.lists(mixed, min_size=min_degree, max_size=max_degree),
+        mixed.filter(bool),
+    )
+
+
+def no_float(value) -> bool:
+    if isinstance(value, list):
+        return all(map(no_float, value))
+    if isinstance(value, QuadraticValue):
+        return no_float(value.a) and no_float(value.b)
+    return type(value) in (int, Fraction)
+
+
+@given(mixed_polys(1, 2), mixed_polys(0, 3), end, end)
+@example([3, 2], [-1, 0, 2], None, None)
+@example([Fraction(3, 4), Fraction(2)], [Fraction(1, 2), Fraction(-3, 2), 1],
+         Fraction(1, 2), None)
+@example([1, Fraction(-5, 2), 1], [-2, 1, 3], Fraction(-1), Fraction(3, 2))
+@settings(max_examples=60, deadline=None)
+def test_kernels_return_no_float_and_reject_one(f, g, lo, hi):
+    """Int, Fraction and mixed lists in, ints and Fractions out; a single
+    float coefficient raises ``TypeError`` in every kernel."""
+    assert no_float(_quadratic_roots_exact(f))
+    assert no_float(_rational_roots(f))
+    assert no_float(_poly_gcd_1var(f, g)) and no_float(_poly_gcd_1var(g, f))
+    assert type(_count_roots_open(f, lo, hi)) is int
+    assert type(_count_roots_open(g, lo, hi)) is int
+    floated = f[:-1] + [float(f[-1])]
+    for kernel, args in ((_primitive_1var, (floated,)),
+                         (_quadratic_roots_exact, (floated,)),
+                         (_rational_roots, (floated,)),
+                         (_poly_gcd_1var, (g, floated)),
+                         (_count_roots_open, (floated, lo, hi))):
+        with pytest.raises(TypeError):
+            kernel(*args)
 
 
 @given(polys(1, 2))
