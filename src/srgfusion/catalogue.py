@@ -38,7 +38,7 @@ from .exact import (
 from .fusion import block_masks, scan_all
 from .partitions import SetPartition
 from .products import tensor_square_table
-from .scheme import CharTable
+from .scheme import CharTable, rank3_table
 
 
 # row orthogonality of the two nontrivial base rows; available to every
@@ -96,17 +96,8 @@ def _rootless_on_region(e: MultiPoly) -> bool:
 
 @lru_cache(maxsize=None)
 def symbolic_base_table() -> CharTable:
-    """Generic rank-3 character table over the symbols k, l, r, s."""
-    return CharTable(
-        ("chi_0", "chi_1", "chi_2"),
-        ("A0", "A1", "A2"),
-        (
-            (ONE, K, L),
-            (ONE, R, -1 - R),
-            (ONE, S, -1 - S),
-        ),
-        (1, 1, 1),
-    )
+    """Generic rank-3 table in k, l, r, s; placeholder multiplicities."""
+    return rank3_table(ONE, K, L, R, S, (1, 1, 1))
 
 
 @lru_cache(maxsize=None)

@@ -146,25 +146,35 @@ def quad(a, b=0, d: int = 0):
         b *= c
     if d0 == 1:
         return a + b
-    return QuadraticValue(a, b, d0)
+    return QuadraticValue._from_parts(a, b, d0)
 
 
 class QuadraticValue:
-    """Exact element a + b*sqrt(d) of a real quadratic field, b != 0.
-
-    Values with b == 0 are never constructed; ``quad`` returns a Fraction
-    instead, so plain rationals and quadratic values mix freely.  Every
-    arithmetic result is built by ``quad``, so d is always squarefree.
+    """Exact element a + b*sqrt(d) of a real quadratic field, canonical by
+    construction: the constructor checks that b != 0 and d is a squarefree
+    int above 1.  ``quad`` returns a Fraction where b == 0, so rationals and
+    quadratic values mix freely; it builds every arithmetic result, with one
+    split of d, through the trusted ``_from_parts``.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a: Fraction, b: Fraction, d: int):
+    def __new__(cls, a: Fraction, b: Fraction, d: int):
         if not isinstance(d, int):
             raise TypeError(f"radicand must be int, not {type(d).__name__}")
-        object.__setattr__(self, "a", _fraction(a))
-        object.__setattr__(self, "b", _fraction(b))
-        object.__setattr__(self, "d", d)
+        a, b = _fraction(a), _fraction(b)
+        if not b or d < 2 or _squarefree_split(d)[0] != 1:
+            raise ValueError(f"not canonical: b = {b}, d = {d}; use quad")
+        return cls._from_parts(a, b, d)
+
+    @classmethod
+    def _from_parts(cls, a: Fraction, b: Fraction, d: int) -> "QuadraticValue":
+        """Trusted constructor from canonical parts."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "a", a)
+        object.__setattr__(v, "b", b)
+        object.__setattr__(v, "d", d)
+        return v
 
     def __setattr__(self, *args):
         raise AttributeError("QuadraticValue is immutable")

@@ -22,7 +22,7 @@ sigma = (1 2).
 The wreath product is the rank-5 fusion of the tensor square with classes
 {A_00}, {A_10}, {A_20}, {A_01+A_11+A_21}, {A_02+A_12+A_22}, i.e. the
 partition 2|3|456|789; the mirrored orientation uses 258|369|4|7 (its flip
-image).
+image).  ``wreath_table`` is the tensor square fused along 2|3|456|789.
 
 KroneckerSquare decides the fusions of the tensor square from the base's
 intersection numbers alone, over any exact scalar: ints from a graph,
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter, mul
 
+from .fusion import fused_table
 from .partitions import SetPartition, parse
 from .scheme import CharTable
 
@@ -181,27 +181,14 @@ def wreath_partition(orientation: int) -> SetPartition:
 
 
 def wreath_table(t: CharTable, orientation: int = 1) -> CharTable:
-    """The 5x5 wreath-product character table, built from the display form.
+    """The 5x5 wreath-product character table: the tensor square of ``t``
+    fused along orientation 1's partition, relabelled for ``orientation``.
 
     Orientation 1 keeps the first tensor factor fine (classes {A_10},
-    {A_20}) and sums over the second; orientation 2 is the flip image.
-    Equal to fusing the tensor square along the matching partition, which
-    the test suite checks.
+    {A_20}) and sums over the second.  FLIP maps that fusion onto
+    orientation 2's, so the two have the same rows and differ only in
+    their labels.
     """
-    if len(t.rows) != 3:
-        raise ValueError("wreath table is defined for 3x3 tables")
-    one = Fraction(1)
-    k, l = t.rows[0][1], t.rows[0][2]
-    r, s = t.rows[1][1], t.rows[2][1]
-    mr, ms = t.mults[1], t.mults[2]
-    n = 1 + k + l
-    rows = (
-        (one, k, l, k * n, l * n),
-        (one, k, l, r * n, (-1 - r) * n),
-        (one, k, l, s * n, (-1 - s) * n),
-        (one, r, -1 - r, 0 * n, 0 * n),
-        (one, s, -1 - s, 0 * n, 0 * n),
-    )
     wreath_partition(orientation)  # raises unless the orientation is 1 or 2
-    _, row_labels, col_labels = _WREATH[orientation]
-    return CharTable(row_labels, col_labels, rows, (1, mr, ms, n * mr, n * ms))
+    fused = fused_table(tensor_square_table(t), _WREATH[1][0])
+    return CharTable(*_WREATH[orientation][1:], fused.rows, fused.mults)

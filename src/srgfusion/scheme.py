@@ -12,7 +12,8 @@ with character table (first eigenmatrix)
         [ 1   r   -1-r  ]   multiplicity f
         [ 1   s   -1-s  ]   multiplicity g
 
-where l = n - k - 1 and r > s are the nontrivial eigenvalues of A1.  All
+where l = n - k - 1 and r > s are the nontrivial eigenvalues of A1, and
+``rank3_table`` is its one statement, which every table derives from.  All
 derived quantities are exact.  Only ``eigen_from_values`` derives the
 multiplicities f, g from (k, l, r, s), by column orthogonality; conference
 graphs get quadratic-irrational eigenvalues and forced equal multiplicities.
@@ -359,17 +360,14 @@ class CharTable:
         }
 
 
+def rank3_table(one, k, l, r, s, mults) -> CharTable:
+    """The first eigenmatrix above over any exact scalar, ``one`` its unit."""
+    return CharTable(("chi_0", "chi_1", "chi_2"), ("A0", "A1", "A2"),
+                     ((one, k, l), (one, r, -1 - r), (one, s, -1 - s)), mults)
+
+
 def char_table(e: EigenData) -> CharTable:
-    return CharTable(
-        row_labels=("chi_0", "chi_1", "chi_2"),
-        col_labels=("A0", "A1", "A2"),
-        rows=(
-            (Fraction(1), e.k, e.l),
-            (Fraction(1), e.r, -1 - e.r),
-            (Fraction(1), e.s, -1 - e.s),
-        ),
-        mults=(1, e.f, e.g),
-    )
+    return rank3_table(Fraction(1), e.k, e.l, e.r, e.s, (1, e.f, e.g))
 
 
 @dataclass(frozen=True)

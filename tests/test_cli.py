@@ -356,6 +356,12 @@ PINNED_OUTPUTS = {
         (0, "8a71e4cd27a104a4", EMPTY),
     "wreath --orientation 2 --n 10 --k 3 --mu 0 --nu 1 --format json":
         (0, "c5ad03214257de0c", EMPTY),
+    "wreath --orientation 2 --graph petersen":
+        (0, "6cc9b35d11f469c5", EMPTY),
+    "wreath --orientation 2 --graph paley13":  # quadratic entries
+        (0, "3bd77a3341ec9558", EMPTY),
+    "wreath --orientation 2 --eigen 2,6/5,1/2,-3/2 --table-algebra":
+        (0, "e4625c54f6ab85a1", EMPTY),  # fractional multiplicities
     "classify":
         (0, "f7952004a526faa9", EMPTY),
     "classify --format json":

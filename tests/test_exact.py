@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import pickle
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -11,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srgfusion import exact
+from srgfusion.catalogue import family_by_id
 from srgfusion.exact import (
     K, L, M, MultiPoly, MixedField, MissingSymbol, ONE, R, S, ZeroInput,
     default_sieve_set, quad,
     QuadraticValue, _primitive_1var,
 )
+from srgfusion.scheme import SrgParams, eigen_from_params
 
 GOLDEN_R = quad(Fraction(-1, 2), Fraction(1, 2), 5)
 GOLDEN_S = quad(Fraction(-1, 2), Fraction(-1, 2), 5)
@@ -81,6 +84,23 @@ def test_floats_never_enter_quadratic_arithmetic():
             QuadraticValue(*parts)
     assert q - Fraction(1, 2) == quad(Fraction(1, 2), 1, 2)
     assert 1 - q == quad(0, -1, 2)
+
+
+def test_quadratic_value_is_canonical_by_construction():
+    # a square radicand, a non-squarefree one and b = 0 have canonical
+    # forms that quad builds; the constructor refuses them
+    assert quad(0, 1, 4) == 2 and quad(0, 1, 8) == quad(0, 2, 2)
+    for parts in ((0, 1, 4), (0, 1, 8), (1, 0, 5), (0, 1, 1), (0, 1, -3)):
+        with pytest.raises(ValueError):
+            QuadraticValue(*parts)
+    assert QuadraticValue(0, 2, 2) == quad(0, 1, 8)
+
+
+def test_quadratic_values_survive_a_pickle_round_trip():
+    paley13 = eigen_from_params(SrgParams(13, 6, 2, 3))
+    values = [x for _, x in family_by_id("SP5").point] + [paley13.r, paley13.s]
+    assert any(isinstance(x, QuadraticValue) for x in values)
+    assert pickle.loads(pickle.dumps(values)) == values
 
 
 # -- polynomials -------------------------------------------------------------

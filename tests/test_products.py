@@ -57,6 +57,10 @@ def test_wreath_table_petersen(petersen_table):
     assert w.mults == (1, 5, 4, 50, 40)
     r = Fraction(1)
     assert w.rows[3] == (1, r, -1 - r, 0, 0)
+    with pytest.raises(ValueError):
+        wreath_table(tensor_square_table(petersen_table))  # not 3x3
+    with pytest.raises(ValueError):
+        wreath_table(petersen_table, 3)
 
 
 def test_wreath_table_equals_fused_tensor(petersen_table):
