@@ -10,9 +10,9 @@ carries IMP1 or IMP2 where it fuses that family's table.  Both are written
 in the union-of-cliques parameters (r, m), IMP2 as the switch image of
 IMP1.
 
-Records hold only the proof; one verdict rule, ``_verdict``, concludes the
-verdict and families from it for ``classify_partition`` and again, as a
-replay, in ``verify_record``.
+A record holds only its proof and concludes its verdict when built, by
+the one verdict rule ``_verdict``.  Its groupings store no merge pattern
+or equations: ``_grouping_system`` derives them for prover and checker.
 
 The catalogue contains the published special-case families plus one
 further pair found and matrix-verified during this work: the
@@ -25,7 +25,7 @@ realize its first two members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -110,7 +110,8 @@ def family_base_table(fid: str) -> CharTable:
     """``symbolic_base_table()`` under the family's ``substitution``, or
     evaluated at its ``point`` for a point family."""
     fam = family_by_id(fid)
-    point, sub = dict(fam.point), fam.substitution_map()
+    point = dict(fam.point)
+    sub = None if point else fam.substitution_map()
     base = symbolic_base_table()
     return replace(base, rows=tuple(
         tuple(x.evaluate(point) if point else x.substitute(sub) for x in row)
@@ -142,9 +143,9 @@ class FamilySpec:
     family's free symbols; it satisfies the row-orthogonality relation
     identically.  ``defining`` generates the family's ideal inside
     Q[k, l, r, s].  A family with a single primitive member gives it as
-    ``point``, (name, value) pairs, and its table ``family_base_table`` is
-    the generic one evaluated there instead of substituted; it attaches
-    only to the partitions its ``source_partitions`` names.
+    ``point``, (name, value) pairs, and holds no substitution: its table
+    ``family_base_table`` is the generic one evaluated there, and it
+    attaches only to the partitions its ``source_partitions`` names.
     """
 
     id: str
@@ -220,7 +221,7 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "CR4",
             "order-9 plane k = 3-s-r, l = 5+s+r; orthogonality pins r-s = 3, "
             "and the only primitive integral member is (4, 4, 1, -2)",
-            _sub(k=3 - S - R, l=5 + S + R),
+            (),
             (K - 3 + S + R, L - 5 - S - R),
             source_partitions=("249|37|5|68",),
             point=(("k", f(4)), ("l", f(4)), ("r", f(1)), ("s", f(-2))),
@@ -281,8 +282,7 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "six further sporadic fusions holding exactly at the single "
             "primitive table of order 9, (k, l, r, s) = (4, 4, 1, -2); "
             "matrix-verified on the 3x3 rook graph",
-            _sub(k=MultiPoly.const(4), l=MultiPoly.const(4),
-                 r=ONE, s=MultiPoly.const(-2)),
+            (),
             (K - 4, L - 4, R - 1, S + 2),
             source_partitions=("249|357|68", "25679|348", "267|34589",
                                "267|348|59", "267|34|59|8", "27|348|59|6"),
@@ -293,7 +293,7 @@ def family_catalog() -> tuple[FamilySpec, ...]:
             "SP5",
             "two sporadic fusions holding exactly at the pentagon table, "
             "k = l = 2 with golden-ratio eigenvalues",
-            _sub(k=MultiPoly.const(2), l=MultiPoly.const(2)),
+            (),
             (K - 2, L - 2, S + R + 1, R * R + R - 1),
             source_partitions=("26|38|49|57", "29|35|48|67"),
             point=(("k", f(2)), ("l", f(2)), ("r", quad(f(-1, 2), f(1, 2), 5)),
@@ -407,6 +407,18 @@ def potential_equality_graph(p: SetPartition) -> EqualityGraph:
     return EqualityGraph(masks, table.row_classes(masks), _blocked_rows(masks))
 
 
+def _grouping_system(
+    graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
+) -> tuple[MultiPoly, ...]:
+    """Equations forcing each group of a merge pattern's classes equal."""
+    # ORTHOGONALITY and every pair equation are already normalized and nonzero
+    eqs: list[MultiPoly] = [ORTHOGONALITY]
+    for group in grouping:
+        for a, b in itertools.combinations(group, 2):
+            eqs.extend(graph.equations(a, b))
+    return tuple(dict.fromkeys(eqs))
+
+
 @dataclass(frozen=True)
 class SubstitutionRecord:
     """One elimination step: var = -num/den on the branch where den != 0."""
@@ -452,38 +464,50 @@ class ProofLeaf:
 
 @dataclass(frozen=True)
 class GroupingAnalysis:
-    """One admissible merge pattern of row classes and its resolution."""
+    """The resolution of the admissible merge pattern at its position."""
 
-    merge_classes: tuple[tuple[int, ...], ...]  # row indices per merged class
-    equations: tuple[MultiPoly, ...]
     matched_families: tuple[str, ...]
     leaves: tuple[ProofLeaf, ...]
 
 
 @dataclass(frozen=True)
 class RowCountCertificate:
-    """Pairwise sieve-distinct row classes exceeding the required count.
+    """Pairwise sieve-distinct row classes, more than the partition's rank.
 
     ``representatives`` lists one row per class; every pair is blocked, so
-    any merge pattern leaves more distinct rows than classes allowed.
-    ``deficit`` is always False: the summed table has at least ``required``
+    any merge pattern leaves more distinct rows than the rank allows.
+    ``deficit`` is always False: the summed table has at least rank-many
     row classes, so no partition has too few.
     """
 
     representatives: tuple[int, ...]
-    required: int
     deficit: bool = False
 
 
 @dataclass(frozen=True)
 class ClassificationRecord:
+    """A partition's proof and its conclusions, drawn when built: without
+    proof, GUARANTEED; with one, ``_verdict``'s."""
+
     partition: SetPartition
-    verdict: str  # GUARANTEED | FAMILY | INFEASIBLE | UNRESOLVED
-    trivial: bool
-    families: tuple[str, ...]
+    verdict: str = field(init=False)  # GUARANTEED | FAMILY | INFEASIBLE | UNRESOLVED
+    trivial: bool = field(init=False)
+    families: tuple[str, ...] = field(init=False)
     groupings: tuple[GroupingAnalysis, ...]
     row_count_certificate: RowCountCertificate | None
-    notes: tuple[str, ...]
+    notes: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        p = self.partition
+        proven = self.groupings or self.row_count_certificate is not None
+        verdict, families = (_verdict(str(p), self.groupings) if proven
+                             else ("GUARANTEED", ()))
+        trivial = p.is_discrete() or p.is_single_block()
+        kind = "discrete (the scheme itself)" if p.is_discrete() else "rank-2"
+        notes = (f"trivial fusion: {kind}",) if trivial else ()
+        for name, value in dict(verdict=verdict, trivial=trivial,
+                                families=families, notes=notes).items():
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> dict:
         return {
@@ -641,7 +665,7 @@ def _imprimitive_families(text: str) -> list[str]:
 def _verdict(
     text: str, groupings: Sequence[GroupingAnalysis]
 ) -> tuple[str, tuple[str, ...]]:
-    """The verdict and families a non-guaranteed partition's proof concludes.
+    """The verdict and families a ``ClassificationRecord``'s proof concludes.
 
     IMP1 / IMP2 come from the imprimitive scans and parametric matches
     attach; a point family attaches only where its

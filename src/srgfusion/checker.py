@@ -1,6 +1,6 @@
-"""Certificate verification: ``verify_record`` re-checks a classification
-record from the facts of ``catalogue`` alone.  Nothing this module
-imports, directly or indirectly, imports ``decompose`` or ``classifier``.
+"""Certificate verification: ``verify_record`` re-checks a record's proof
+from the facts of ``catalogue`` alone.  Nothing this module imports,
+directly or indirectly, imports ``decompose`` or ``classifier``.
 """
 
 from __future__ import annotations
@@ -11,28 +11,28 @@ from typing import Sequence
 from .catalogue import (
     ClassificationRecord, EqualityGraph, ProofLeaf, _RESULTANT_MAX_SIZE, _ROWS,
     _apply_substitutions, _bound_conflict, _feasible_root_points,
-    _orthant_sign, _residual_roots, _resultant, _rootless_on_region, _verdict,
-    potential_equality_graph,
+    _grouping_system, _orthant_sign, _residual_roots, _resultant,
+    _rootless_on_region, potential_equality_graph,
 )
 from .exact import MultiPoly
 
 
 def _merge_patterns(graph: EqualityGraph, m: int, ci: int = 1, groups: tuple = ()) -> list:
-    """The merged rows of every merge pattern, in the prover's order: class 0
-    alone, then each class in turn joins each earlier group whose classes it
-    can all merge with, then a new group, until m groups hold every class.
-    A group is (bitmask of its classes' first rows, its rows); (0, ()) is
-    the new one."""
+    """Every merge pattern as groups of class indices, in the prover's
+    order: class 0 alone as (0,), then each class in turn joins each
+    earlier group whose classes it can all merge with, then a new group,
+    until m groups hold every class.  A group is (bitmask of its classes'
+    first rows, its class indices); (0, ()) is the new one."""
     classes = graph.classes
     if not len(groups) < m <= len(groups) + 1 + len(classes) - ci:
         return []
     if ci == len(classes):
-        return [(classes[0],) + tuple(tuple(sorted(rows)) for _, rows in groups)]
+        return [((0,),) + tuple(members for _, members in groups)]
     first, patterns = classes[ci][0], []
-    for gi, (mask, rows) in enumerate(groups + ((0, ()),)):
+    for gi, (mask, members) in enumerate(groups + ((0, ()),)):
         if not graph.blocked >> first * _ROWS & mask:
             patterns += _merge_patterns(graph, m, ci + 1, groups[:gi] + (
-                (mask | 1 << first, rows + classes[ci]),) + groups[gi + 1:])
+                (mask | 1 << first, members + (ci,)),) + groups[gi + 1:])
     return patterns
 
 
@@ -103,47 +103,43 @@ def _verify_bound_conflict(
 
 
 def verify_record(rec: ClassificationRecord) -> bool:
-    """Re-check the mechanical content of a classification record.
+    """Re-check the mechanical content of a classification record's proof.
 
     Unit contradictions remultiply their sieve certificates; every
     substitution's denominator must be a nonzero constant or carry a sieve
     certificate that remultiplies to it, checked before a leaf's conflict is
     replayed; bound conflicts recompute the sign data from the stored
-    substitution chains, and a definite or region-rootless equation must be
-    re-derived from the grouping's equations; row-count certificates
-    re-check pairwise blockedness.  A GUARANTEED record must name no family
-    and pass the Bannai-Muzychuk criterion on the symbolic table, which the
-    two trivial partitions pass too; any other record must carry the
-    verdict and families ``_verdict`` concludes from its proof, a row-count
-    certificate or groupings whose merge patterns are, in order, every
-    pattern ``_merge_patterns`` enumerates.  Each distinct substitution is
-    checked once, and ``chains``, a memo that lives for this call, clears
-    each equation along each chain prefix once.
+    substitution chains, and a definite or region-rootless equation must
+    follow from the equations ``_grouping_system`` builds for the
+    grouping's merge pattern.  A GUARANTEED record, one without proof, must
+    pass the Bannai-Muzychuk criterion on the symbolic table; any other
+    holds a pairwise-blocked row-count certificate and no grouping, or one
+    grouping per pattern ``_merge_patterns`` enumerates, in order.  Each
+    distinct substitution is checked once, and ``chains``, a memo that
+    lives for this call, clears each equation along each chain prefix once.
     """
     p = rec.partition
     m = p.num_blocks + 1
-    if rec.trivial != (p.is_discrete() or p.is_single_block()):
-        return False
+    graph = potential_equality_graph(p)
     if rec.verdict == "GUARANTEED":
         # the criterion as bm_check counts it: m distinct summed rows
-        return not rec.families and len(potential_equality_graph(p).classes) == m
-    if (rec.verdict, rec.families) != _verdict(str(p), rec.groupings):
-        return False
-    if rec.row_count_certificate is not None:
+        return len(graph.classes) == m
+    cert = rec.row_count_certificate
+    if cert is not None:
         # more than m rows, each blocked with every earlier one; a blocked
         # pair differs on the region, so the rows lie in distinct classes
-        cert, blocked = rec.row_count_certificate, potential_equality_graph(p).blocked
         rows = 0
         for row in cert.representatives:
-            if not 0 <= row < _ROWS or blocked >> row * _ROWS & rows != rows:
+            if not 0 <= row < _ROWS or graph.blocked >> row * _ROWS & rows != rows:
                 return False
             rows |= 1 << row
-        return cert.required == m < len(cert.representatives)
-    patterns = [ga.merge_classes for ga in rec.groupings]
-    if not patterns or patterns != _merge_patterns(potential_equality_graph(p), m):
+        return not rec.groupings and m < len(cert.representatives)
+    patterns = _merge_patterns(graph, m)
+    if not patterns or len(patterns) != len(rec.groupings):
         return False
     chains: dict = {}  # {polynomial: normalized image} per checked substitution
-    for ga in rec.groupings:
+    for pattern, ga in zip(patterns, rec.groupings):
+        equations = _grouping_system(graph, pattern)
         for leaf in ga.leaves:
             for sub in leaf.substitutions:
                 if sub in chains:
@@ -161,6 +157,6 @@ def verify_record(rec: ClassificationRecord) -> bool:
                 if cert is None or cert.reconstruct() != leaf.unit_poly:
                     return False
             elif leaf.outcome == "contradiction-bounds":
-                if not _verify_bound_conflict(leaf, ga.equations, chains):
+                if not _verify_bound_conflict(leaf, equations, chains):
                     return False
     return True

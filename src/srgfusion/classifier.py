@@ -24,19 +24,20 @@ partitions) are read off the graph; only the other partitions enumerate
 the merge patterns that could give the required number of distinct rows.
 Each merge pattern's system goes to ``decompose``.  Imports run one way,
 catalogue <- decompose <- classifier -> checker -> catalogue, so
-``checker.verify_record`` replays a record on code that imports no prover.
+``checker.verify_record`` re-checks a record on code that imports no prover.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalogue, decompose
+# the prover calls ``_grouping_system`` through this module's binding,
+# which the equation-shuffle tests replace
 from .catalogue import (
-    ORTHOGONALITY, ClassificationRecord, EqualityGraph, GroupingAnalysis,
-    ProofLeaf, RowCountCertificate, _ROWS, _imprimitive_families, _verdict,
+    ClassificationRecord, EqualityGraph, GroupingAnalysis, ProofLeaf,
+    RowCountCertificate, _ROWS, _grouping_system, _imprimitive_families,
     family_catalog, family_match, guaranteed_partition_strings,
     potential_equality_graph,
 )
@@ -107,18 +108,6 @@ def _pairwise_blocked_rows(blocked: int, size: int, candidates: int,
     return None
 
 
-def _grouping_system(
-    graph: EqualityGraph, grouping: tuple[tuple[int, ...], ...]
-) -> tuple[MultiPoly, ...]:
-    """Equations forcing each group of classes equal."""
-    # ORTHOGONALITY and every pair equation are already normalized and nonzero
-    eqs: list[MultiPoly] = [ORTHOGONALITY]
-    for group in grouping:
-        for a, b in itertools.combinations(group, 2):
-            eqs.extend(graph.equations(a, b))
-    return tuple(dict.fromkeys(eqs))
-
-
 @lru_cache(maxsize=None)
 def _decompose_cached(eqs: tuple[MultiPoly, ...]) -> tuple[ProofLeaf, ...]:
     return tuple(_Decomposer().decompose(eqs))
@@ -132,26 +121,20 @@ def _analyze_grouping(
                    for group in grouping)
     matches = tuple(fam.id for fam in family_catalog()
                     if family_match(graph.masks, merged, fam))
-    return GroupingAnalysis(merged, eqs, matches, _decompose_cached(eqs))
+    return GroupingAnalysis(matches, _decompose_cached(eqs))
 
 
 def classify_partition(p: SetPartition) -> ClassificationRecord:
     """Full classification record for one partition.
 
-    The discrete and single-block partitions are the two trivial fusions and
-    are flagged as such.  Every other non-guaranteed partition gets a proof,
-    a row-count certificate or its groupings' analyses, and ``_verdict``
-    concludes from it.
+    The two trivial fusions, discrete and single-block, and the guaranteed
+    partitions get a record with no proof.  Every other partition gets a
+    row-count certificate or its groupings' analyses, and the record
+    concludes its verdict from them.
     """
-    if p.is_discrete() or p.is_single_block():
-        kind = "discrete (the scheme itself)" if p.is_discrete() else "rank-2"
-        return ClassificationRecord(
-            p, "GUARANTEED", True, (), (), None,
-            (f"trivial fusion: {kind}",),
-        )
-    text = str(p)
-    if text in guaranteed_partition_strings():
-        return ClassificationRecord(p, "GUARANTEED", False, (), (), None, ())
+    if (p.is_discrete() or p.is_single_block()
+            or str(p) in guaranteed_partition_strings()):
+        return ClassificationRecord(p, (), None)
 
     # The summed table is P*B with P invertible and B a 0/1 block matrix of
     # rank m, so it has at least m row classes.  m+1 pairwise-blocked
@@ -161,13 +144,10 @@ def classify_partition(p: SetPartition) -> ClassificationRecord:
     m = p.num_blocks + 1
     firsts = sum(1 << cls[0] for cls in graph.classes)
     reps = _pairwise_blocked_rows(graph.blocked, m + 1, firsts)
-    cert = None if reps is None else RowCountCertificate(reps, m)
-    analyses: tuple[GroupingAnalysis, ...] = ()
-    if cert is None:
-        analyses = tuple(_analyze_grouping(graph, g)
-                         for g in _enumerate_groupings(graph, m))
-    verdict, families = _verdict(text, analyses)
-    return ClassificationRecord(p, verdict, False, families, analyses, cert, ())
+    cert = None if reps is None else RowCountCertificate(reps)
+    analyses = () if cert else tuple(_analyze_grouping(graph, g)
+                                     for g in _enumerate_groupings(graph, m))
+    return ClassificationRecord(p, analyses, cert)
 
 
 @dataclass(frozen=True)

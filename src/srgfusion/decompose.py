@@ -204,7 +204,7 @@ def _screen(e: MultiPoly) -> tuple[MultiPoly, ProofLeaf | None]:
     if _rootless_on_region(e):
         return e, ProofLeaf(
             (), (), "contradiction-bounds",
-            bound_conflict=BoundConflict("no-region-root", (e, next(iter(e.symbols())))),
+            bound_conflict=BoundConflict("no-region-root", (e,)),
         )
     return e, None
 

@@ -255,11 +255,13 @@ def test_family_match_decides_as_exact_substitution(classification):
         groupings = _enumerate_groupings(graph, rec.partition.num_blocks + 1)
         for grouping, ga in zip(groupings, rec.groupings, strict=True):
             eqs = _grouping_system(graph, grouping)
+            merged = tuple(tuple(sorted(row for ci in group for row in graph.classes[ci]))
+                           for group in grouping)
             for fam in family_catalog():
                 want = all(zero(e, fam) for e in eqs) and all(
                     not all(zero(d, fam) for d in graph.equations(g[0], h[0]))
                     for g, h in itertools.combinations(grouping, 2))
-                assert family_match(graph.masks, ga.merge_classes, fam) == want, (
+                assert family_match(graph.masks, merged, fam) == want, (
                     str(rec.partition), fam.id)
                 assert (fam.id in ga.matched_families) == want
                 matched[fam.id] += want
@@ -406,7 +408,7 @@ def test_row_count_certificates_dominate(classification):
         cert = rec.row_count_certificate
         if cert is not None:
             assert not cert.deficit, str(rec.partition)
-            assert len(cert.representatives) == cert.required + 1, str(rec.partition)
+            assert len(cert.representatives) == rec.partition.rank + 1, str(rec.partition)
 
 
 def test_row_classes_never_fewer_than_summed_columns(classification):
@@ -640,7 +642,7 @@ def test_verify_record_rejects_a_certificate_naming_no_member(classification):
 
 @pytest.mark.parametrize("kind, data", [
     ("definite", (K + 1,)),
-    ("no-region-root", (K * K + 1, "k")),
+    ("no-region-root", (K * K + 1,)),
 ])
 def test_verify_record_rejects_a_bound_equation_not_from_the_leaf(
     classification, kind, data
@@ -771,69 +773,73 @@ def test_verify_record_rejects_a_record_without_proof(classification):
     ("2345689|7", dict(verdict="INFEASIBLE", families=())),
 ])
 def test_verify_record_replays_the_verdict(classification, text, change):
-    """A record's verdict and families must be what its proof concludes:
+    """A record's verdict and families are what its proof concludes:
     grouping records (CLB1, CONF) and row-count records (INFEASIBLE, IMP2)
-    relabelled with the proof kept do not verify."""
+    cannot be relabelled with the proof kept."""
     rec = classification.record(text)
     assert verify_record(rec)
-    forged = dataclasses.replace(rec, **change)
-    assert forged != rec
-    assert not verify_record(forged)
+    with pytest.raises(ValueError):
+        dataclasses.replace(rec, **change)
 
 
 @pytest.mark.xfail(strict=True,
-                   reason="known gap: verify_record never ties a grouping's "
-                          "equations or merge_classes to the partition")
-def test_verify_record_ties_a_grouping_to_its_partition(classification):
-    """A grouping's equations and merge pattern must be the partition's own:
-    swapping the equations for k - r with one leaf certifying it, claiming
-    a merge of all eight nonvalency rows, or keeping only one of a
-    partition's two groupings must not verify."""
+                   reason="known gap: verify_record never ties a unit leaf's "
+                          "polynomial to the grouping's equations")
+def test_verify_record_ties_a_unit_leaf_to_its_equations(classification):
+    """A unit contradiction must follow from its grouping's equations: the
+    one grouping of 234579|6|8 with its leaves replaced by one leaf
+    certifying k - r, which no equation of the grouping forces to vanish,
+    must not verify."""
     rec = classification.record("234579|6|8")
     assert rec.verdict == "INFEASIBLE" and len(rec.groupings) == 1
     assert verify_record(rec)
-    ga = rec.groupings[0]
     leaf = catalogue.ProofLeaf(
         (), (), "contradiction-unit", unit_poly=K - R,
         unit_certificate=default_sieve_set().certify(K - R))
-    forgeries = [
-        dataclasses.replace(rec, groupings=(forged,)) for forged in (
-            dataclasses.replace(ga, equations=(K - R,), leaves=(leaf,)),
-            dataclasses.replace(ga, merge_classes=((0,), tuple(range(1, 9)))),
-        )]
-    two = classification.record("23457|689")
-    assert two.verdict == "INFEASIBLE" and len(two.groupings) == 2
-    assert verify_record(two)
-    forgeries += [dataclasses.replace(two, groupings=(kept,))
-                  for kept in two.groupings]
-    for forged in forgeries:
-        assert not verify_record(forged)
+    forged = dataclasses.replace(
+        rec, groupings=(dataclasses.replace(rec.groupings[0], leaves=(leaf,)),))
+    assert forged.verdict == "INFEASIBLE"
+    assert not verify_record(forged)
+
+
+def test_verify_record_rejects_groupings_beside_a_certificate(classification):
+    """A row-count record's verdict rests on its certificate alone: the
+    groupings of a FAMILY record put beside it, which would make it
+    conclude FAMILY, do not verify."""
+    rec = classification.record("2345678|9")
+    family = classification.record("249|35678")
+    assert rec.verdict == "INFEASIBLE" and family.verdict == "FAMILY"
+    forged = dataclasses.replace(rec, groupings=family.groupings)
+    assert forged.verdict == "FAMILY" and not verify_record(forged)
+
+
+def test_census_records_conclude_from_their_proof(classification):
+    """Every census record is the record its proof alone builds."""
+    for rec in classification.records:
+        assert rec == catalogue.ClassificationRecord(
+            rec.partition, rec.groupings, rec.row_count_certificate)
 
 
 def test_verify_record_checks_guaranteed_records(classification):
-    """A GUARANTEED record must be a fusion of the symbolic table, name no
-    family, and be flagged trivial exactly when it is."""
+    """A GUARANTEED record, one without proof, must be a fusion of the
+    symbolic table; its triviality and families cannot be set."""
     infeasible = classification.record("2345678|9")
     assert infeasible.verdict == "INFEASIBLE"
     guaranteed = classification.record("2347|5689")
     assert guaranteed.verdict == "GUARANTEED" and verify_record(guaranteed)
-    forgeries = [
-        dataclasses.replace(infeasible, verdict="GUARANTEED",
-                            row_count_certificate=None),
-        dataclasses.replace(guaranteed, trivial=True),
-        dataclasses.replace(guaranteed, families=("CONF",)),
-    ]
-    for forged in forgeries:
-        assert not verify_record(forged), forged
+    forged = dataclasses.replace(infeasible, row_count_certificate=None)
+    assert forged.verdict == "GUARANTEED" and not verify_record(forged)
+    for change in (dict(trivial=True), dict(families=("CONF",))):
+        with pytest.raises(ValueError):
+            dataclasses.replace(guaranteed, **change)
 
 
 def test_verify_record_rejects_a_certificate_for_fewer_blocks(classification):
-    """A row-count certificate must require one class per summed column;
-    lowering ``required`` would let a smaller blocked set pass."""
+    """A row-count certificate must hold more blocked rows than the
+    partition's rank; one fewer does not verify."""
     rec = classification.record("2345678|9")
     cert = rec.row_count_certificate
-    smaller = dataclasses.replace(cert, representatives=cert.representatives[:-1],
-                                  required=cert.required - 1)
+    smaller = dataclasses.replace(cert, representatives=cert.representatives[:-1])
     assert verify_record(rec)
     assert not verify_record(dataclasses.replace(rec, row_count_certificate=smaller))
 
@@ -923,7 +929,7 @@ def test_leaf_point_free_symbol_is_none_but_bugs_propagate():
 
 
 # sha256 of repr(classify_all().records); the same under every hash seed
-RECORDS_REPR_SHA256 = "9c11bbc29610802fb980b44b3fb3bfda38899d8f3d6629d69c00dc6d7e3522c0"
+RECORDS_REPR_SHA256 = "50c7ebd39d0f2d50ec52c7e54252194846bec7ac41ff2a1ff50753b3b1e97413"
 
 
 def test_census_records_are_pinned(classification):
@@ -1057,7 +1063,10 @@ def test_decompose_normalizes_the_system_once(classification):
     by -2, listed twice and with a zero appended, decomposes into the same
     leaves as the system itself."""
     systems = list(dict.fromkeys(
-        ga.equations for rec in classification.records for ga in rec.groupings))
+        _grouping_system(graph, grouping)
+        for rec in classification.records if rec.groupings
+        for graph in [potential_equality_graph(rec.partition)]
+        for grouping in _enumerate_groupings(graph, rec.partition.num_blocks + 1)))
     for eqs in random.Random(20).sample(systems, 200):
         raw = [-2 * e for e in eqs] * 2 + [MultiPoly()]
         assert _Decomposer().decompose(raw) == _Decomposer().decompose(list(eqs)), eqs
