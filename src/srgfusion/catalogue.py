@@ -486,8 +486,8 @@ class RowCountCertificate:
 
 @dataclass(frozen=True)
 class ClassificationRecord:
-    """A partition's proof and its conclusions, drawn when built: without
-    proof, GUARANTEED; with one, ``_verdict``'s."""
+    """A partition's proof and its conclusions, drawn when built, unpickled
+    or copied: without proof, GUARANTEED; with one, ``_verdict``'s."""
 
     partition: SetPartition
     verdict: str = field(init=False)  # GUARANTEED | FAMILY | INFEASIBLE | UNRESOLVED
@@ -508,6 +508,9 @@ class ClassificationRecord:
         for name, value in dict(verdict=verdict, trivial=trivial,
                                 families=families, notes=notes).items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # rebuilt from the proof: no conclusion travels
+        return type(self), (self.partition, self.groupings, self.row_count_certificate)
 
     def to_json(self) -> dict:
         return {

@@ -118,9 +118,7 @@ def verify_record(rec: ClassificationRecord) -> bool:
     distinct substitution is checked once, and ``chains``, a memo that
     lives for this call, clears each equation along each chain prefix once.
     """
-    p = rec.partition
-    m = p.num_blocks + 1
-    graph = potential_equality_graph(p)
+    m, graph = rec.partition.rank, potential_equality_graph(rec.partition)
     if rec.verdict == "GUARANTEED":
         # the criterion as bm_check counts it: m distinct summed rows
         return len(graph.classes) == m

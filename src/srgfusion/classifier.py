@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import catalogue, decompose
-# the prover calls ``_grouping_system`` through this module's binding,
-# which the equation-shuffle tests replace
+# the prover calls ``_grouping_system`` here, where the shuffle tests patch it
 from .catalogue import (
     ClassificationRecord, EqualityGraph, GroupingAnalysis, ProofLeaf,
     RowCountCertificate, _ROWS, _grouping_system, _imprimitive_families,

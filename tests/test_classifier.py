@@ -764,14 +764,19 @@ def test_verify_record_rejects_a_record_without_proof(classification):
         assert not verify_record(dataclasses.replace(rec, **change)), text
 
 
-@pytest.mark.parametrize("text, change", [
+# Relabellings of grouping records (CLB1, CONF) and row-count records
+# (INFEASIBLE, IMP2) that keep the proof.
+_VERDICT_FORGERIES = [
     ("249|35678", dict(families=("CONF",))),
     ("249|35678", dict(verdict="INFEASIBLE", families=())),
     ("234579|68", dict(verdict="INFEASIBLE", families=())),
     ("2345678|9", dict(verdict="FAMILY", families=("CONF",))),
     ("2345678|9", dict(verdict="UNRESOLVED")),
     ("2345689|7", dict(verdict="INFEASIBLE", families=())),
-])
+]
+
+
+@pytest.mark.parametrize("text, change", _VERDICT_FORGERIES)
 def test_verify_record_replays_the_verdict(classification, text, change):
     """A record's verdict and families are what its proof concludes:
     grouping records (CLB1, CONF) and row-count records (INFEASIBLE, IMP2)
@@ -1049,8 +1054,41 @@ def test_checker_runs_without_the_prover(classification):
     assert proc.stdout.decode().split() == ["4140"]
 
 
+# Print what the checker alone sees of each pickled record.
+_CONCLUDE_ALONE = """
+import pickle, sys
+from srgfusion import checker
+for rec in pickle.load(sys.stdin.buffer):
+    print(rec.verdict, ",".join(rec.families) or "-", checker.verify_record(rec))
+"""
+
+
+def test_unpickled_records_conclude_from_their_proof(classification):
+    """A verdict forged onto a record's fields does not survive a pickle:
+    the prover-free interpreter rebuilds each forged record from its proof,
+    reads the original verdict and families, and verifies it."""
+    originals, forged = [], []
+    for text, change in _VERDICT_FORGERIES:
+        rec = classification.record(text)
+        forgery = catalogue.ClassificationRecord(
+            rec.partition, rec.groupings, rec.row_count_certificate)
+        for name, value in change.items():
+            object.__setattr__(forgery, name, value)
+        assert forgery != rec and pickle.loads(pickle.dumps(forgery)) == rec, text
+        originals.append(rec)
+        forged.append(forgery)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _CONCLUDE_ALONE],
+                          input=pickle.dumps(forged),
+                          capture_output=True, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().splitlines() == [
+        f"{rec.verdict} {','.join(rec.families) or '-'} True" for rec in originals]
+
+
 def test_census_records_survive_a_pickle_round_trip(classification):
-    """Records pickle with no help: each unpickled record equals its
+    """Records pickle as their proof: each unpickled record equals its
     original, hashes the same and verifies."""
     records = pickle.loads(pickle.dumps(classification.records))
     assert records == classification.records
